@@ -192,6 +192,12 @@ class BlockCutForest:
         self._cut_node: dict[int, int] = {
             nd.vertex: nd.id for nd in self.nodes if nd.kind == "cut"
         }
+        # vertex -> ids of the block nodes holding it, ascending
+        self._blocks_of: dict[int, list[int]] = {}
+        for nd in self.nodes:
+            if nd.kind == "block":
+                for v in nd.vertices:
+                    self._blocks_of.setdefault(v, []).append(nd.id)
         self._subtree: dict[int, frozenset[int]] = {}
 
     # -- basic lookups ----------------------------------------------------
@@ -208,16 +214,15 @@ class BlockCutForest:
         return self._cut_node[v]
 
     def blocks_containing(self, v: int) -> list[int]:
-        return [nd.id for nd in self.nodes if nd.kind == "block" and v in nd.vertices]
+        return list(self._blocks_of.get(v, ()))
 
     def node_of_vertex(self, v: int) -> int:
         """Cut node for a cut vertex, else the unique block containing v."""
         if v in self._cut_node:
             return self._cut_node[v]
-        for nd in self.nodes:
-            if nd.kind == "block" and v in nd.vertices:
-                return nd.id
-        raise KeyError(f"vertex {v} not in decomposed graph")
+        if v not in self._blocks_of:
+            raise KeyError(f"vertex {v} not in decomposed graph")
+        return self._blocks_of[v][0]
 
     def tree_edges(self) -> list[tuple[int, int]]:
         return [(p, c.id) for c in self.nodes if (p := self.parent[c.id]) is not None]
@@ -252,14 +257,20 @@ class BlockCutForest:
     def subtree_vertices(self, d: int) -> frozenset[int]:
         """Graph vertices occurring in blocks of the subtree rooted at node d."""
         self.node(d)
-        if d in self._subtree:
-            return self._subtree[d]
-        acc: set[int] = set(self.nodes[d].vertices)
-        for c in self.children[d]:
-            acc |= self.subtree_vertices(c)
-        out = frozenset(acc)
-        self._subtree[d] = out
-        return out
+        if d not in self._subtree:
+            # ids are pre-order: d's subtree is the id range d..stop-1 and each
+            # child follows its parent, so a reverse sweep fills children first
+            # (no recursion: a chain of blocks makes the forest very deep)
+            stop = d + 1
+            while stop < len(self.nodes) and self.depth[stop] > self.depth[d]:
+                stop += 1
+            for nid in range(stop - 1, d - 1, -1):
+                if nid not in self._subtree:
+                    acc: set[int] = set(self.nodes[nid].vertices)
+                    for c in self.children[nid]:
+                        acc |= self._subtree[c]
+                    self._subtree[nid] = frozenset(acc)
+        return self._subtree[d]
 
     def tree_vertices(self, nid: int) -> frozenset[int]:
         return self.subtree_vertices(self.root_of(nid))

@@ -83,14 +83,17 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    text = Path(args.logfile).read_text()
-    instance_lines = [l for l in text.splitlines()
-                      if l.split("#", 1)[0].strip()[:1] in ("p", "e", "t", "k")]
+    lines = Path(args.logfile).read_text().splitlines()
+    # whole first tokens: step lines such as "essential x=.." begin with "e"
+    instance_lines = [l for l in lines
+                      if l.split("#", 1)[0].split()[:1] in (["p"], ["e"], ["t"], ["k"])]
     original = parse_instance("\n".join(instance_lines))
-    steps = parse_steps(text.splitlines())
-    log = ReductionLog(original, tuple(steps))
+    log = ReductionLog(original, tuple(parse_steps(lines)))
     reduced = log.reduced()
-    solution = frozenset(args.solution) & set(reduced.graph.vertices)
+    solution = frozenset(args.solution)
+    unknown = solution - set(reduced.graph.vertices)
+    if unknown:
+        raise ValueError(f"solution vertices {sorted(unknown)} are not in the reduced graph")
     lifted = lift_solution(log, solution)
     print(" ".join(str(v) for v in sorted(lifted)))
     return EXIT_YES

@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .graph import Graph, connected_components, reachable, shortest_path
 from .blockcut import biconnected_blocks, block_cut_forest
-from .separators import SeparatorQuery, max_vertex_flow, vertex_flow_paths
+from .separators import vertex_flow_paths
 
 
 @dataclass(frozen=True)
@@ -106,23 +106,32 @@ def has_t_cycle(g: Graph, T: Iterable[int]) -> bool:
 
 
 def has_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
-    """Two internally vertex-disjoint t1-t2 paths; an edge counts as two."""
+    """Two internally vertex-disjoint t1-t2 paths; an edge counts as two.
+
+    By Menger's theorem this holds exactly when t1 and t2 share a block: a
+    block with three or more vertices is 2-connected, and a 2-vertex block
+    is the edge itself.
+    """
     if t1 == t2:
         raise ValueError("vertices must be distinct")
-    if g.has_edge(t1, t2):
-        return True
-    value, _ = max_vertex_flow(SeparatorQuery.of(g, {t1}, {t2}))
-    return value >= 2
+    return any(t1 in b and t2 in b for b in biconnected_blocks(g))
+
+
+def _crowded_terminals(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[int]:
+    """Terminals that share one of `blocks` with another terminal."""
+    out: set[int] = set()
+    for b in blocks:
+        hit = b & T
+        if len(hit) >= 2:
+            out |= hit
+    return out
 
 
 def nearly_separated_terminals(g: Graph, T: Iterable[int]) -> set[int]:
-    """Terminals with no partner reachable by two internally disjoint paths."""
-    T = sorted(frozenset(T))
-    out = set()
-    for t in T:
-        if all(t2 == t or not has_two_ivd_paths(g, t, t2) for t2 in T):
-            out.add(t)
-    return out
+    """Terminals with no partner reachable by two internally disjoint paths:
+    those that share no block of g with another terminal."""
+    T = frozenset(T)
+    return set(T) - _crowded_terminals(biconnected_blocks(g), T)
 
 
 def find_separable_leaf_terminal(g: Graph, T: Iterable[int], S: Iterable[int]

@@ -108,10 +108,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return out
 
 
-def component_of(g: Graph, v: int) -> set[int]:
-    return reachable(g, [v])
-
-
 def shortest_path(g: Graph, start: int, targets: Iterable[int], removed: Iterable[int] = ()) -> list[int] | None:
     """BFS path from `start` to the nearest vertex of `targets`, or None."""
     goal = set(targets)

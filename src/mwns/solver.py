@@ -8,12 +8,13 @@ import time
 from dataclasses import dataclass, field
 
 from .graph import Graph
+from .blockcut import biconnected_blocks
 from .core import (
     Instance,
     SolveResult,
+    _crowded_terminals,
     has_t_cycle,
     is_mwns,
-    nearly_separated_terminals,
     terminals_independent,
 )
 from .reducer import lift_solution, reduce_terminals
@@ -123,15 +124,17 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     def rec(cur: Graph, budget: int, depth: int) -> frozenset[int] | None:
         cstats.nodes += 1
         cstats.max_depth = max(cstats.max_depth, depth)
-        if not has_t_cycle(cur, t2):
+        # t2 stays independent in every cur, so a block holding two terminals
+        # has three or more vertices: crowded is empty iff there is no T-cycle
+        crowded = _crowded_terminals(biconnected_blocks(cur), t2)
+        if not crowded:
             cstats.leaves += 1
             return frozenset()
         if budget <= 0:
             cstats.leaves += 1
             return None
         branched = False
-        lonely = nearly_separated_terminals(cur, t2)
-        for t in sorted(t2 - lonely):
+        for t in sorted(crowded):
             cstats.enumerations += 1
             seps = enumerate_important_separators(
                 SeparatorQuery.of(cur, {t}, t2 - {t}, undeletable=t2), budget + 1)
@@ -173,8 +176,9 @@ def solve(inst: Instance) -> SolveResult:
 
     def done(result: SolveResult) -> SolveResult:
         stats.wall_time = time.monotonic() - start
-        if result.is_yes:
-            assert is_mwns(g, T, result.solution) and len(result.solution) <= k
+        if result.is_yes and not (is_mwns(g, T, result.solution) and len(result.solution) <= k):
+            raise RuntimeError(f"solver certificate {sorted(result.solution)} is not a "
+                               f"near-separator of size <= {k}")
         return SolveResult(result.solution, stats)
 
     if not terminals_independent(g, T):

@@ -162,6 +162,28 @@ def test_every_root_is_a_block():
             assert f.nodes[cut].vertex in f.nodes[block].vertices
 
 
+def test_vertex_lookups_and_subtrees_match_a_node_scan():
+    rng = random.Random(5)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 9), 0.3)
+        f = block_cut_forest(g)
+        for v in g.vertices:
+            scan = [nd.id for nd in f.nodes if nd.kind == "block" and v in nd.vertices]
+            assert f.blocks_containing(v) == scan
+            assert f.node_of_vertex(v) == (f.cut_node_of(v) if f.is_cut_vertex(v) else scan[0])
+        assert f.blocks_containing(99) == []
+        with pytest.raises(KeyError):
+            f.node_of_vertex(99)
+        for nd in f.nodes:  # a root first: its query fills the whole tree
+            below = set(nd.vertices)
+            stack = list(f.children[nd.id])
+            while stack:
+                c = stack.pop()
+                below |= f.nodes[c].vertices
+                stack.extend(f.children[c])
+            assert f.subtree_vertices(nd.id) == below
+
+
 def test_path_through_vertex_in_block_four_cycle():
     g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1)])
     block = frozenset(range(1, 5))

@@ -167,6 +167,15 @@ class TestBlockerContract:
         assert is_mwns(six_cycle(), {3, 5}, s)
         assert len(s) <= 14 * oracle_opt_x(six_cycle(), {3, 5}, 1)
 
+    def test_pendant_chain_deeper_than_the_recursion_limit(self):
+        # path 2..L, pivot 1 joined to 2, L+1 and L+2, terminals L+1 and L+2
+        # joined to L: the block-cut forest is about 2L levels deep
+        L = 500
+        edges = [(v, v + 1) for v in range(2, L)]
+        edges += [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)]
+        g = Graph(range(1, L + 3), edges)
+        assert blocker_run(g, {L + 1, L + 2}, 1).result == {L}
+
     def test_randomized_ratio_and_validity(self):
         for g, T, x in pivot_suite(60, seed=83, max_n=12):
             run = blocker_run(g, T, x, validate=True)

@@ -150,6 +150,35 @@ class TestSubcommands:
         code, _, _ = run_cli(["verify", str(f), "--solution", *map(str, sorted(lifted))], capsys)
         assert code == 0
 
+    def _hub_log(self, tmp_path, capsys):
+        # hub 1 on 16 five-vertex cycles 1-a-t-b-u, terminals t and u: with
+        # k = 1 the hub is essential and the reduced graph drops it
+        edges, terms = [], []
+        for a in range(2, 66, 4):
+            edges += [(1, a), (a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, 1)]
+            terms += [a + 1, a + 3]
+        f = tmp_path / "hub.txt"
+        f.write_text(f"p mwns 65 {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+                     + "".join(f"t {t}\n" for t in terms) + "k 1\n")
+        sfile = tmp_path / "shat.txt"
+        sfile.write_text("1\n")
+        logf = tmp_path / "hub.log"
+        code, _, _ = run_cli(["reduce", str(f), "--with-solution", str(sfile),
+                              "--log", str(logf)], capsys)
+        assert code == 0 and "essential x=1" in logf.read_text()
+        return logf
+
+    def test_lift_reads_a_log_with_an_essential_step(self, tmp_path, capsys):
+        logf = self._hub_log(tmp_path, capsys)
+        code, out, _ = run_cli(["lift", str(logf), "--solution"], capsys)
+        assert code == 0 and out.split() == ["1"]
+
+    def test_lift_rejects_vertices_outside_the_reduced_graph(self, tmp_path, capsys):
+        logf = self._hub_log(tmp_path, capsys)
+        code, out, err = run_cli(["lift", str(logf), "--solution", "1", "70"], capsys)
+        assert code == 2 and out == ""
+        assert "[1, 70]" in err and "reduced graph" in err
+
     def test_reduce_with_provided_separator(self, tmp_path, capsys):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, reachable
 from mwns.core import (
@@ -12,12 +14,14 @@ from mwns.core import (
     is_mwns,
     nearly_separated_terminals,
 )
+from mwns.separators import SeparatorQuery, max_vertex_flow
 
 from brute import (
     mwns_condition1,
     mwns_condition2,
     mwns_condition3,
     random_graph,
+    two_ivd_paths_exist,
 )
 
 
@@ -119,6 +123,41 @@ class TestNearlySeparated:
 
     def test_singleton_is_vacuously_separated(self):
         assert nearly_separated_terminals(six_cycle(), {3}) == {3}
+
+
+@st.composite
+def graph_and_terminals(draw, max_n: int):
+    """A sparse-to-moderate graph on 2..max_n vertices and a terminal set."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    T = draw(st.sets(st.integers(1, n), min_size=2))
+    return Graph(range(1, n + 1), sorted(edges)), frozenset(T)
+
+
+def flow_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
+    return g.has_edge(t1, t2) or max_vertex_flow(SeparatorQuery.of(g, {t1}, {t2}))[0] >= 2
+
+
+def check_against(reference, g: Graph, T: frozenset[int]) -> None:
+    for t1, t2 in itertools.combinations(sorted(T), 2):
+        assert has_two_ivd_paths(g, t1, t2) == reference(g, t1, t2)
+    lonely = {t for t in T if not any(reference(g, t, u) for u in T - {t})}
+    assert nearly_separated_terminals(g, T) == lonely
+
+
+class TestBlockLookupProperties:
+    """The block lookups against path enumeration and against vertex flows."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(graph_and_terminals(max_n=8))
+    def test_match_path_enumeration(self, case):
+        check_against(two_ivd_paths_exist, *case)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(graph_and_terminals(max_n=14))
+    def test_match_vertex_flows(self, case):
+        check_against(flow_two_ivd_paths, *case)
 
 
 class TestSeparableLeafTerminal:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwns.graph import Graph
-from mwns.core import Instance, is_mwns, terminals_independent
+from mwns.core import Instance, SolveResult, is_mwns, terminals_independent
 from mwns.gen import from_multiway_cut, random_instance
 from mwns.solver import (
     compression_step,
@@ -13,7 +13,7 @@ from mwns.solver import (
     solve,
 )
 
-from brute import multiway_separator_brute, random_graph
+from brute import multiway_separator_brute, mwns_condition3, random_graph
 
 
 def six_cycle_instance(k=1):
@@ -159,6 +159,34 @@ class TestSolve:
                 assert got.is_yes == expect
                 if got.is_yes:
                     assert is_mwns(g, T, got.solution) and len(got.solution) <= k
+
+    def test_invalid_certificate_raises_even_without_asserts(self, monkeypatch):
+        # the final check is a raise, not an assert, so it survives python -O;
+        # an empty compression answer leaves the six-cycle's T-cycle in place
+        import mwns.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "compression_step",
+                            lambda inst, s_big, stats=None: SolveResult.yes(frozenset()))
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve(six_cycle_instance())
+
+    @pytest.mark.xfail(strict=True, reason="the branching misses a solution; see docstring")
+    def test_wrong_no_on_seventeen_vertices(self):
+        """solve answers NO although {4, 8, 16} is a near-separator of size 3.
+
+        The fault is in the compression branching, not in the reducer. The
+        last compression step (the whole graph, Ŝ = {6, 8, 16, 17}) answers
+        NO, yet reduce_terminals fires no rule on it and oracle_solve answers
+        YES on that unchanged instance. The verdict also depends on the vertex
+        labels: under some relabelings solve answers YES.
+        """
+        edges = [(1, 13), (1, 14), (2, 8), (2, 9), (3, 5), (4, 10), (4, 15), (5, 8),
+                 (5, 13), (6, 10), (6, 11), (6, 12), (6, 15), (6, 17), (7, 15), (7, 16),
+                 (8, 14), (8, 17), (9, 15), (10, 16), (10, 17), (13, 17), (14, 16)]
+        g = Graph(range(1, 18), edges)
+        T = frozenset({2, 5, 10, 14, 15})
+        assert is_mwns(g, T, {4, 8, 16}) and mwns_condition3(g, T, {4, 8, 16})
+        assert solve(Instance.of(g, T, 3)).is_yes
 
 
 class TestPushingWitness:
