@@ -311,7 +311,7 @@ def path_through_vertex_in_block(
 
     Their concatenation is a simple p-q path through t.
     """
-    from .separators import vertex_flow_paths  # deferred: separators imports this module
+    from .separators import path_through_forced_vertex  # deferred: separators imports this module
 
     if len({p, q, t}) != 3:
         raise ValueError("p, q, t must be distinct")
@@ -319,16 +319,10 @@ def path_through_vertex_in_block(
         raise ValueError("p, q, t must lie in the block")
     if len(block) < 3:
         raise ValueError("block is a single edge")
-    sub = g.induced(block)
-    apex = max(g.vertices) + 1
-    aug = Graph(set(block) | {apex}, sub.edges() + [(p, apex), (q, apex)])
-    value, paths = vertex_flow_paths(aug, {apex}, {t})
-    assert value >= 2, "block must be 2-connected"
-    first, second = paths[0][1:], paths[1][1:]
-    if first[0] != p:
-        first, second = second, first
-    assert first[0] == p and second[0] == q
-    return first, second
+    path = path_through_forced_vertex(g.induced(block), {p}, {q}, t)
+    assert path is not None, "block must be 2-connected"
+    i = path.index(t)
+    return path[:i + 1], path[i:][::-1]
 
 
 def threaded_path(

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from .graph import Graph, connected_components
 from .blockcut import BlockCutForest, block_cut_forest
 from .core import find_t_cycle, has_t_cycle, is_mwns
-from .separators import (
-    SeparatorQuery,
-    gallai_q_paths,
-    max_terminals_on_path,
-    min_separator,
-)
+from .separators import closest_min_cut, gallai_q_paths, max_terminals_on_path
 
 
 _trace_hook = None
@@ -160,18 +155,10 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration |
     a_side = c_ge2
     b_side = (c_0 | (g.neighbors(x) & block)) - T
     if a_side and b_side:
-        # endpoints are themselves deletable: attach an apex to each side
-        apex_a = max(g.vertices) + 1
-        apex_b = max(g.vertices) + 2
-        aug = Graph(
-            set(d_t.vertices) | {apex_a, apex_b},
-            d_t.edges()
-            + [(apex_a, v) for v in sorted(a_side)]
-            + [(apex_b, v) for v in sorted(b_side)],
-        )
-        z2 = min_separator(SeparatorQuery.of(aug, {apex_a}, {apex_b}))
+        # the endpoints themselves may be cut: nothing is protected
+        _, z2, _ = closest_min_cut(d_t, a_side, b_side)
     else:
-        z2 = set()
+        z2 = frozenset()
 
     z3: set[int] = set()
     z4: frozenset[int] = frozenset()

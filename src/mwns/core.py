@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .graph import Graph, connected_components, reachable, shortest_path
 from .blockcut import biconnected_blocks, block_cut_forest
-from .separators import vertex_flow_paths
+from .separators import SeparatorQuery, max_vertex_flow
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def find_t_cycle(g: Graph, T: Iterable[int]) -> list[int] | None:
                 if rest is not None:
                     return [t1] + rest
             raise AssertionError("2-connected block lost connectivity")
-        value, paths = vertex_flow_paths(sub, {t1}, {t2})
+        value, paths = max_vertex_flow(SeparatorQuery.of(sub, {t1}, {t2}))
         assert value >= 2, "2-connected block must carry two disjoint routes"
         p1, p2 = paths[0], paths[1]
         return p1 + p2[-2:0:-1]

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import networkx as nx
 
@@ -26,14 +25,11 @@ class SeparatorQuery:
     sources: frozenset[int]
     sinks: frozenset[int]
     undeletable: frozenset[int] = frozenset()
-    capacities: Mapping[int, int] = field(default_factory=dict)
 
     @staticmethod
     def of(graph: Graph, sources: Iterable[int], sinks: Iterable[int],
-           undeletable: Iterable[int] = (), capacities: Mapping[int, int] | None = None
-           ) -> "SeparatorQuery":
-        return SeparatorQuery(graph, frozenset(sources), frozenset(sinks),
-                              frozenset(undeletable), dict(capacities or {}))
+           undeletable: Iterable[int] = ()) -> "SeparatorQuery":
+        return SeparatorQuery(graph, frozenset(sources), frozenset(sinks), frozenset(undeletable))
 
 
 @dataclass(frozen=True)
@@ -53,114 +49,139 @@ class ImportantSeparatorSet:
 # flow engine on the split-vertex network
 # ---------------------------------------------------------------------------
 
-class _FlowNet:
-    """Residual network over arbitrary hashable nodes, BFS augmentation."""
+Group = tuple[Iterable[int], int]  # vertices joined to a terminal node, that node's capacity
 
-    def __init__(self):
-        self.cap: dict[tuple, int] = {}
-        self.adj: dict[object, list] = {}
 
-    def arc(self, u, v, c):
-        if (u, v) not in self.cap:
-            self.cap[(u, v)] = 0
-            self.cap[(v, u)] = self.cap.get((v, u), 0)
-            self.adj.setdefault(u, []).append(v)
-            self.adj.setdefault(v, []).append(u)
-        self.cap[(u, v)] += c
+class _SplitNet:
+    """Residual network of one vertex-flow query, on dense integer node ids.
 
-    def max_flow(self, s, t, stop_at: int | None = None) -> int:
+    Vertex g.vertices[i] is the in-node 2i+2 and the out-node 2i+3, joined by
+    an arc of capacity 1, or INF for a protected vertex; each edge uv gives
+    the arcs out(u)->in(v) and out(v)->in(u) of capacity INF. Node 0 is the
+    super-source and node 1 the super-sink. Each source group is one node fed
+    from 0 with the group's capacity that feeds its members' in-nodes, each
+    sink group one node fed by its members' out-nodes that feeds 1 with the
+    group's capacity. Arc e^1 is the reverse of arc e. Deleted vertices get
+    no arcs, as if they were not in g.
+    """
+
+    __slots__ = ("vertices", "head", "cap", "adj")
+
+    def __init__(self, g: Graph, sources: list[Group], sinks: list[Group],
+                 protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()):
+        vs = g.vertices
+        index = {v: i for i, v in enumerate(vs)}
+        head: list[int] = []
+        cap: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(2 * len(vs) + 2 + len(sources) + len(sinks))]
+
+        def arc(u: int, w: int, c: int) -> None:
+            adj[u].append(len(head))
+            head.append(w)
+            cap.append(c)
+            adj[w].append(len(head))
+            head.append(u)
+            cap.append(0)
+
+        for i, v in enumerate(vs):
+            if v in deleted:
+                continue
+            arc(2 * i + 2, 2 * i + 3, INF if v in protected else 1)
+            for w in g.neighbors(v):
+                if w not in deleted:
+                    arc(2 * i + 3, 2 * index[w] + 2, INF)
+        node = 2 * len(vs) + 2
+        for members, c in sources:
+            arc(0, node, c)
+            for v in members:
+                if v not in deleted:
+                    arc(node, 2 * index[v] + 2, INF)
+            node += 1
+        for members, c in sinks:
+            for v in members:
+                if v not in deleted:
+                    arc(2 * index[v] + 3, node, INF)
+            arc(node, 1, c)
+            node += 1
+        self.vertices, self.head, self.cap, self.adj = vs, head, cap, adj
+
+    def flow(self, stop: int = INF) -> int:
+        """Augment along shortest residual paths until none is left or the
+        value reaches `stop`; returns the value."""
+        head, cap, adj = self.head, self.cap, self.adj
         value = 0
-        while stop_at is None or value < stop_at:
-            prev = {s: s}
-            queue = deque([s])
-            while queue and t not in prev:
-                u = queue.popleft()
-                for w in self.adj.get(u, ()):
-                    if w not in prev and self.cap[(u, w)] > 0:
-                        prev[w] = u
+        while value < stop:
+            via = [-1] * len(adj)  # arc by which BFS first entered each node
+            via[0] = -2
+            queue = [0]
+            for u in queue:
+                for e in adj[u]:
+                    w = head[e]
+                    if via[w] == -1 and cap[e] > 0:
+                        via[w] = e
                         queue.append(w)
-            if t not in prev:
+                if via[1] != -1:
+                    break
+            if via[1] == -1:
                 break
-            bottleneck = INF * 2
-            node = t
-            while node != s:
-                p = prev[node]
-                bottleneck = min(bottleneck, self.cap[(p, node)])
-                node = p
-            node = t
-            while node != s:
-                p = prev[node]
-                self.cap[(p, node)] -= bottleneck
-                self.cap[(node, p)] += bottleneck
-                node = p
-            value += bottleneck
+            push, node = stop - value, 1
+            while node:
+                push = min(push, cap[via[node]])
+                node = head[via[node] ^ 1]
+            node = 1
+            while node:
+                e = via[node]
+                cap[e] -= push
+                cap[e ^ 1] += push
+                node = head[e ^ 1]
+            value += push
         return value
 
-    def residual_reach(self, s) -> set:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj.get(u, ()):
-                if w not in seen and self.cap[(u, w)] > 0:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+    def cut(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The source-closest minimum cut (vertices whose in-node but not
+        out-node the residual network reaches from 0) and the vertices whose
+        out-node it reaches."""
+        head, cap, adj = self.head, self.cap, self.adj
+        seen = [False] * len(adj)
+        seen[0] = True
+        queue = [0]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and not seen[head[e]]:
+                    seen[head[e]] = True
+                    queue.append(head[e])
+        vs = self.vertices
+        cut = frozenset(v for i, v in enumerate(vs) if seen[2 * i + 2] and not seen[2 * i + 3])
+        return cut, frozenset(v for i, v in enumerate(vs) if seen[2 * i + 3])
 
-    def unit_paths(self, s, t, original: dict[tuple, int]) -> list[list]:
-        """Decompose the integral flow into s-t node sequences, one per unit."""
-        used: dict[tuple, int] = {}
-        for (u, v), c in original.items():
-            f = c - self.cap[(u, v)]
-            if f > 0:
-                used[(u, v)] = f
-        paths = []
+    def paths(self) -> list[tuple[int, list[int]]]:
+        """The flow as unit walks from 0 to 1 with flow cycles erased: per
+        walk, the index of its source group and its graph vertices in order."""
+        head, cap, adj = self.head, self.cap, self.adj
+        used = [0 if e & 1 else cap[e ^ 1] for e in range(len(head))]
+        first_group = 2 * len(self.vertices) + 2
+        out = []
         while True:
-            walk = [s]
-            pos = {s: 0}
-            node = s
-            while node != t:
-                for w in self.adj.get(node, ()):
-                    if used.get((node, w), 0) > 0:
-                        used[(node, w)] -= 1
-                        if w in pos:  # erase flow cycles from the reported path
-                            for gone in walk[pos[w] + 1:]:
+            walk, pos, node = [0], {0: 0}, 0
+            while node != 1:
+                for e in adj[node]:
+                    if used[e] > 0:
+                        used[e] -= 1
+                        node = head[e]
+                        if node in pos:  # erase the flow cycle just closed
+                            for gone in walk[pos[node] + 1:]:
                                 del pos[gone]
-                            del walk[pos[w] + 1:]
+                            del walk[pos[node] + 1:]
                         else:
-                            pos[w] = len(walk)
-                            walk.append(w)
-                        node = w
+                            pos[node] = len(walk)
+                            walk.append(node)
                         break
                 else:
                     break
-            if node != t:
-                break
-            paths.append(walk)
-        return paths
-
-
-def _build_net(g: Graph, sources: frozenset[int], sinks: frozenset[int],
-               undeletable: frozenset[int], caps: Mapping[int, int]) -> _FlowNet:
-    net = _FlowNet()
-    protected = sources | sinks | undeletable
-    for v in g.vertices:
-        c = caps.get(v, 1)
-        if v in protected or c >= INF:
-            c = INF
-        net.arc(("i", v), ("o", v), c)
-    for u, v in g.edges():
-        net.arc(("o", u), ("i", v), INF)
-        net.arc(("o", v), ("i", u), INF)
-    for x in sources:
-        net.arc("S", ("i", x), INF)
-    for y in sinks:
-        net.arc(("o", y), "T", INF)
-    return net
-
-
-def _touching(g: Graph, X: frozenset[int], Y: frozenset[int]) -> bool:
-    return bool(X & Y) or any(g.has_edge(x, y) for x in X for y in Y)
+            if node != 1:
+                return out
+            out.append((walk[1] - first_group,
+                        [self.vertices[(u - 3) // 2] for u in walk if 2 < u < first_group and u & 1]))
 
 
 def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
@@ -169,47 +190,40 @@ def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
     g, X, Y = q.graph, q.sources, q.sinks
     if not X or not Y:
         return 0, []
-    if _touching(g, X, Y):
-        return math.inf, []
-    net = _build_net(g, X, Y, q.undeletable, q.capacities)
-    original = dict(net.cap)
-    value = net.max_flow("S", "T")
+    net = _SplitNet(g, [(X, INF)], [(Y, INF)], X | Y | q.undeletable)
+    value = net.flow()
     if value >= INF:
         return math.inf, []
-    raw = net.unit_paths("S", "T", original)
-    paths = []
-    for walk in raw:
-        verts = [node[1] for node in walk[1:-1] if node[0] == "o"]
-        paths.append(verts)
-    return value, paths
+    return value, [path for _, path in net.paths()]
 
 
-def vertex_flow_paths(g: Graph, X: Iterable[int], Y: Iterable[int]) -> tuple[int | float, list[list[int]]]:
-    return max_vertex_flow(SeparatorQuery.of(g, X, Y))
+def _touching(g: Graph, X: frozenset[int], Y: frozenset[int]) -> bool:
+    return bool(X & Y) or any(g.has_edge(x, y) for x in X for y in Y)
 
 
-def _min_cut(g: Graph, X: frozenset[int], Y: frozenset[int], undeletable: frozenset[int]
-             ) -> tuple[int | float, frozenset[int], frozenset[int]]:
-    """(value, X-closest minimum cut, residual reach as graph vertices)."""
+def closest_min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
+                    protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()
+                    ) -> tuple[int | float, frozenset[int], frozenset[int]]:
+    """(value, X-closest minimum cut, residual reach as graph vertices) of the
+    vertex flow from X to Y in g minus `deleted`, where any vertex outside
+    `protected` may be cut, X and Y included; value inf if no cut exists."""
     if not X or not Y:
-        return 0, frozenset(), frozenset(reachable(g, X))
-    if _touching(g, X, Y):
-        return math.inf, frozenset(), frozenset()
-    net = _build_net(g, X, Y, undeletable, {})
-    value = net.max_flow("S", "T")
+        return 0, frozenset(), frozenset(reachable(g, X, deleted))
+    if _touching(g, X, Y) and X | Y <= protected:
+        return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
+    net = _SplitNet(g, [(X, INF)], [(Y, INF)], protected, deleted)
+    value = net.flow()
     if value >= INF:
         return math.inf, frozenset(), frozenset()
-    region = net.residual_reach("S")
-    cut = frozenset(v for v in g.vertices
-                    if ("i", v) in region and ("o", v) not in region)
-    reach = frozenset(v for v in g.vertices if ("o", v) in region)
-    return value, cut, frozenset(reach | X)
+    cut, reach = net.cut()
+    return value, cut, reach | X
 
 
 def min_separator(q: SeparatorQuery) -> set[int]:
     """Minimum-cardinality (X,Y)-separator disjoint from X, Y and the
     undeletable set; ties broken toward the X side (leftmost cut)."""
-    value, cut, _ = _min_cut(q.graph, q.sources, q.sinks, q.undeletable)
+    X, Y = q.sources, q.sinks
+    value, cut, _ = closest_min_cut(q.graph, X, Y, X | Y | q.undeletable)
     if value is math.inf:
         raise ValueError("no finite separator: source and sink sides touch or "
                          "every cut needs an undeletable vertex")
@@ -232,8 +246,8 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSepara
     g, Y, V8 = q.graph, q.sinks, q.undeletable
     forbidden_base = Y | V8
 
-    def candidates(cur: Graph, X: frozenset[int], budget: int) -> set[frozenset[int]]:
-        value, cut, reach = _min_cut(cur, X, Y, V8 | X)
+    def candidates(deleted: frozenset[int], X: frozenset[int], budget: int) -> set[frozenset[int]]:
+        value, cut, reach = closest_min_cut(g, X, Y, forbidden_base | X, deleted)
         if value is math.inf or value > budget:
             return set()
         if value == 0:
@@ -241,14 +255,14 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSepara
         X = reach  # fatten the source side to the reach of the closest min cut
         v = min(cut)
         out: set[frozenset[int]] = set()
-        for s in candidates(cur.without([v]), X - {v}, budget - 1):
+        for s in candidates(deleted | {v}, X - {v}, budget - 1):
             out.add(s | {v})
-        out |= candidates(cur, X | {v}, budget)
+        out |= candidates(deleted, X | {v}, budget)
         return out
 
     if k < 0:
         return ImportantSeparatorSet((), q, k)
-    found = candidates(g, q.sources, k)
+    found = candidates(frozenset(), q.sources, k)
 
     def important(S: frozenset[int]) -> bool:
         if S & (q.sources | forbidden_base):
@@ -260,7 +274,7 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSepara
                 return False
         R = frozenset(reachable(g, q.sources, S))
         for v in S:  # a dominating separator would reach past v
-            value, _, _ = _min_cut(g, R | {v}, Y, V8)
+            value, _, _ = closest_min_cut(g, R | {v}, Y, forbidden_base | R | {v})
             if value is not math.inf and value <= len(S):
                 return False
         return True
@@ -277,39 +291,19 @@ def path_through_forced_vertex(g: Graph, A: Iterable[int], B: Iterable[int], t: 
                                ) -> list[int] | None:
     """Simple path from some a in A to some b in B passing through t, or None.
 
-    Realized as a flow of value 2 into t, where t has capacity 2, one unit
-    drawn from the A side and one from the B side.
+    Realized as a flow of value 2 into the sink t, one unit drawn from the
+    group A and one from the group B.
     """
     A, B = frozenset(A), frozenset(B)
     if t in A or t in B:
         raise ValueError("forced vertex must not lie in the endpoint sets")
     if not A or not B or t not in g:
         return None
-    net = _FlowNet()
-    for v in g.vertices:
-        net.arc(("i", v), ("o", v), 2 if v == t else 1)
-    for u, v in g.edges():
-        net.arc(("o", u), ("i", v), INF)
-        net.arc(("o", v), ("i", u), INF)
-    net.arc("S", "SA", 1)
-    net.arc("S", "SB", 1)
-    for a in A:
-        net.arc("SA", ("i", a), 1)
-    for b in B:
-        net.arc("SB", ("i", b), 1)
-    net.arc(("o", t), "T", 2)
-    original = dict(net.cap)
-    if net.max_flow("S", "T", stop_at=2) < 2:
+    net = _SplitNet(g, [(A, 1), (B, 1)], [({t}, INF)], frozenset([t]))
+    if net.flow(stop=2) < 2:
         return None
-    walks = net.unit_paths("S", "T", original)
-    assert len(walks) == 2
-    segs = {}
-    for walk in walks:
-        side = walk[1]  # "SA" or "SB"
-        segs[side] = [node[1] for node in walk[2:-1] if node[0] == "o"]
-    a_side, b_side = segs["SA"], segs["SB"]
-    assert a_side[-1] == t and b_side[-1] == t
-    return a_side + b_side[-2::-1]
+    sides = dict(net.paths())
+    return sides[0] + sides[1][-2::-1]
 
 
 # ---------------------------------------------------------------------------

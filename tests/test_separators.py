@@ -8,6 +8,7 @@ from mwns.graph import Graph, reachable
 from mwns.separators import (
     MultiTerminalBlockError,
     SeparatorQuery,
+    closest_min_cut,
     enumerate_important_separators,
     gallai_q_paths,
     max_terminals_on_path,
@@ -24,6 +25,24 @@ from brute import (
     max_q_path_packing_brute,
     random_graph,
 )
+
+
+def smallest_separators(g, X, Y, pool):
+    """Every minimum-size X-Y separator drawn from pool, by enumeration."""
+    for r in range(len(pool) + 1):
+        found = [frozenset(c) for c in itertools.combinations(pool, r)
+                 if is_separator(g, X, Y, frozenset(c))]
+        if found:
+            return found
+    return []
+
+
+def assert_closest(g, X, Y, cut, minimum):
+    """cut is a minimum separator whose reach from X lies inside the reach of
+    every minimum separator: the unique one with the smallest source side."""
+    assert cut in minimum
+    reach = reachable(g, X - cut, cut)
+    assert all(reach <= reachable(g, X - S, S) for S in minimum)
 
 
 def q_path_exists(g, Q, removed):
@@ -61,16 +80,6 @@ class TestMaxVertexFlow:
         g = Graph(range(1, 3), [(1, 2)])
         assert max_vertex_flow(SeparatorQuery.of(g, {1}, {2}))[0] is math.inf
 
-    def test_capacity_two_override_carries_two_paths(self):
-        # bowtie through m: with unit capacity one path fits, with capacity 2 both
-        g = Graph(range(1, 6), [(1, 3), (2, 3), (3, 4), (3, 5)])
-        q1 = SeparatorQuery.of(g, {1, 2}, {4, 5})
-        assert max_vertex_flow(q1)[0] == 1
-        q2 = SeparatorQuery.of(g, {1, 2}, {4, 5}, capacities={3: 2})
-        value, paths = max_vertex_flow(q2)
-        assert value == 2
-        assert sorted(p[1] for p in paths) == [3, 3]
-
     def test_value_matches_brute_min_separator(self):
         rng = random.Random(17)
         for _ in range(80):
@@ -106,6 +115,38 @@ class TestMinSeparator:
         g = Graph(range(1, 3), [(1, 2)])
         with pytest.raises(ValueError):
             min_separator(SeparatorQuery.of(g, {1}, {2}))
+
+    def test_closest_minimum_with_protected_endpoints(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5]))
+            vs = list(g.vertices)
+            X = frozenset(rng.sample(vs, rng.randint(1, 2)))
+            rest = [v for v in vs if v not in X]
+            if not rest:
+                continue
+            Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
+            V8 = frozenset(rng.sample(vs, rng.randint(0, 2))) - X - Y
+            minimum = smallest_separators(g, X, Y, [v for v in vs if v not in X | Y | V8])
+            if not minimum:
+                with pytest.raises(ValueError):
+                    min_separator(SeparatorQuery.of(g, X, Y, V8))
+                continue
+            assert_closest(g, X, Y, frozenset(min_separator(SeparatorQuery.of(g, X, Y, V8))),
+                           minimum)
+
+    def test_closest_minimum_with_deletable_endpoints(self):
+        # the blocker's Z2: sources and sinks may overlap and may be cut
+        rng = random.Random(47)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5]))
+            vs = list(g.vertices)
+            X = frozenset(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
+            Y = frozenset(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
+            value, cut, _ = closest_min_cut(g, X, Y)
+            minimum = smallest_separators(g, X, Y, vs)
+            assert value == len(cut) == len(minimum[0])
+            assert_closest(g, X, Y, cut, minimum)
 
 
 class TestImportantSeparators:
