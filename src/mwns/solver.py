@@ -137,7 +137,7 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
         for t in sorted(crowded):
             cstats.enumerations += 1
             seps = enumerate_important_separators(
-                SeparatorQuery.of(cur, {t}, t2 - {t}, undeletable=t2), budget + 1)
+                SeparatorQuery.of(cur, {t}, crowded - {t}, undeletable=t2), budget + 1)
             for sep in seps:
                 if not sep:
                     continue

@@ -170,15 +170,15 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="certificate"):
             solve(six_cycle_instance())
 
-    @pytest.mark.xfail(strict=True, reason="the branching misses a solution; see docstring")
     def test_wrong_no_on_seventeen_vertices(self):
-        """solve answers NO although {4, 8, 16} is a near-separator of size 3.
+        """solve answers YES at k = 3, where {4, 8, 16} is one solution.
 
-        The fault is in the compression branching, not in the reducer. The
-        last compression step (the whole graph, Ŝ = {6, 8, 16, 17}) answers
-        NO, yet reduce_terminals fires no rule on it and oracle_solve answers
-        YES on that unchanged instance. The verdict also depends on the vertex
-        labels: under some relabelings solve answers YES.
+        The compression branching used to enumerate important separators from
+        a crowded terminal toward every other terminal, and answered NO here:
+        in G - {8, 16} terminal 2 is already nearly separated, yet as a sink
+        it left no (10, T - 10)-separator of size <= 2, while the
+        (10, {15})-separator {4, 6} leads to a solution. The sinks are now
+        the crowded terminals only.
         """
         edges = [(1, 13), (1, 14), (2, 8), (2, 9), (3, 5), (4, 10), (4, 15), (5, 8),
                  (5, 13), (6, 10), (6, 11), (6, 12), (6, 15), (6, 17), (7, 15), (7, 16),
