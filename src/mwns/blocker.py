@@ -231,7 +231,8 @@ def blocker_run(g: Graph, T, x: int, validate: bool = False) -> BlockerRun:
         cur = cur.without(z)
         index += 1
     result = frozenset(acc)
-    assert is_mwns(g, T, result)
+    if not is_mwns(g, T, result):
+        raise RuntimeError(f"blocker result {sorted(result)} is not a near-separator")
     run = BlockerRun(result, tuple(iterations))
     if _trace_hook is not None and iterations:
         _trace_hook(f"blocker x={x}")

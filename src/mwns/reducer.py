@@ -39,7 +39,8 @@ class DropComponentTerminal:
 
     def serialize(self) -> str:
         comp = ",".join(str(v) for v in sorted(self.component))
-        return f"rr2 x={self.x} y={self.y} drop={self.t} D={{{comp}}}"
+        kept = ",".join(str(v) for v in self.kept)
+        return f"rr2 x={self.x} y={self.y} drop={self.t} kept={kept} D={{{comp}}}"
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,9 @@ def parse_steps(lines: Iterable[str]) -> list[Step]:
             steps.append(DropNearlySeparated(int(fields["t"])))
         elif head == "rr2":
             comp = frozenset(int(v) for v in fields["D"].strip("{}").split(",") if v)
+            a, b = (int(v) for v in fields["kept"].split(","))
             steps.append(DropComponentTerminal(int(fields["drop"]), int(fields["x"]),
-                                               int(fields["y"]), comp, (0, 0)))
+                                               int(fields["y"]), comp, (a, b)))
         elif head == "rr3":
             removed = frozenset(int(v) for v in fields["drop"].strip("{}").split(",") if v)
             steps.append(DropUnmarked(removed))
@@ -363,9 +365,8 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
                 cur = (cur - step.component) | {step.x}
         elif isinstance(step, EssentialVertex):
             cur = cur | {step.x}
-        assert not (cur & before.terminals), f"lift through {step} kept a terminal"
-        assert is_mwns(before.graph, before.terminals, cur), \
-            f"lift through {step} lost validity"
+        if cur & before.terminals or not is_mwns(before.graph, before.terminals, cur):
+            raise RuntimeError(f"lift through {step} lost validity")
     original = log.original
     assert len(cur) <= original.k
     return cur

@@ -162,6 +162,15 @@ class TestBlockerContract:
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
         assert blocker(g, {2, 4}, 1) == set()
 
+    def test_invalid_result_raises_even_without_asserts(self, monkeypatch):
+        # the final check is a raise, not an assert, so it survives python -O;
+        # a step that finds nothing leaves the six-cycle's T-cycle in place
+        import mwns.blocker as blocker_mod
+
+        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index: None)
+        with pytest.raises(RuntimeError, match="not a near-separator"):
+            blocker_run(six_cycle(), {3, 5}, 1)
+
     def test_six_cycle_within_factor(self):
         s = blocker(six_cycle(), {3, 5}, 1)
         assert is_mwns(six_cycle(), {3, 5}, s)
