@@ -49,7 +49,7 @@ class ImportantSeparatorSet:
 # flow engine on the split-vertex network
 # ---------------------------------------------------------------------------
 
-Group = tuple[Iterable[int], int]  # vertices joined to a terminal node, that node's capacity
+Group = tuple[Iterable[int], int]  # a source or sink group: its vertices and its arc capacity
 
 
 class _SplitNet:
@@ -188,8 +188,6 @@ def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
     """Min size of an (X,Y)-separator among deletable vertices (inf if none),
     plus unit paths witnessing the matching flow."""
     g, X, Y = q.graph, q.sources, q.sinks
-    if not X or not Y:
-        return 0, []
     net = _SplitNet(g, [(X, INF)], [(Y, INF)], X | Y | q.undeletable)
     value = net.flow()
     if value >= INF:
@@ -207,8 +205,6 @@ def closest_min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     """(value, X-closest minimum cut, residual reach as graph vertices) of the
     vertex flow from X to Y in g minus `deleted`, where any vertex outside
     `protected` may be cut, X and Y included; value inf if no cut exists."""
-    if not X or not Y:
-        return 0, frozenset(), frozenset(reachable(g, X, deleted))
     if _touching(g, X, Y) and X | Y <= protected:
         return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
     net = _SplitNet(g, [(X, INF)], [(Y, INF)], protected, deleted)
