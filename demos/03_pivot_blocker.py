@@ -16,7 +16,7 @@ from mwns.solver import oracle_opt_x
 g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
 T = {3, 5}
 
-run = blocker_run(g, T, 1, validate=True)
+run = blocker_run(g, T, 1)
 print("iterations:")
 for line in run.trace_lines():
     print(" ", line)

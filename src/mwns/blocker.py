@@ -1,8 +1,11 @@
 """Recursive 14-approximation for a smallest near-separator avoiding a pivot x.
 
-Each iteration picks the deepest block-cut-forest node of G-x whose closure
-with x still carries a T-cycle, assembles a hitting set Z for the cycles
-living down there, deletes it, and recurses on the remainder.
+Each iteration builds the block-cut forest of G-x and makes one bottom-up
+pass over it (`_routes`). The pass finds, for every node, the most terminals
+a path from the node's top vertex down to a neighbor of x can collect, and
+the deepest node whose closure with x still carries a T-cycle. From those
+counts the iteration assembles a hitting set Z for the cycles living down
+there, deletes it, and recurses on the remainder.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from .graph import Graph, connected_components
 from .blockcut import BlockCutForest, block_cut_forest
 from .core import find_t_cycle, has_t_cycle, is_mwns
-from .separators import closest_min_cut, gallai_q_paths, max_terminals_on_path
+from .separators import closest_min_cut, gallai_q_paths
 
 
 _trace_hook = None
@@ -55,92 +58,103 @@ class BlockerRun:
         return [it.trace_line() for it in self.iterations]
 
 
-def _reach_count(g: Graph, sub: frozenset[int], T: frozenset[int], x: int,
-                 c: int, forest_cache: dict) -> int:
-    """Max terminals on a simple c-p path inside G[sub], over p in N(x) & sub.
+def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
+            ) -> tuple[list[int], int | None]:
+    """Terminal counts of the routes down to N(x), in one bottom-up pass over f.
 
-    -1 when no neighbor of x lies in sub.
+    reach[n] is the largest number of terminals on a path inside n's subtree
+    from its top vertex (a cut node's own vertex, a block's parent cut vertex)
+    to a neighbor of x, or -1 if there is none. Since {x} nearly separates T,
+    every T-cycle of a subtree closure with x passes x, so the closure carries
+    one iff two routes from distinct vertices meet in the subtree with two
+    terminals between them. The second value is the deepest node (smallest id
+    on ties) where that first happens, None if nowhere.
     """
-    targets = g.neighbors(x) & sub
-    if not targets:
-        return -1
-    key = sub
-    if key not in forest_cache:
-        gc = g.induced(sub)
-        forest_cache[key] = (gc, block_cut_forest(gc))
-    gc, f = forest_cache[key]
-    return max(max_terminals_on_path(gc, T & sub, c, p, forest=f) for p in sorted(targets))
+    nbrs = g.neighbors(x)
+    reach = [-1] * len(f.nodes)
+    deepest = None
+    for nid in range(len(f.nodes) - 1, -1, -1):  # pre-order ids: children first
+        nd = f.nodes[nid]
+        if nd.kind == "cut":
+            v = nd.vertex
+            ends = [reach[b] - (v in T) for b in f.children[nid] if reach[b] >= 0]
+            if v in nbrs:
+                ends.append(0)
+            ends.sort(reverse=True)
+            if ends:
+                reach[nid] = (v in T) + ends[0]
+            meet = len(ends) >= 2 and (v in T) + ends[0] + ends[1] >= 2
+        else:
+            # out[w]: best route count from block vertex w down to N(x)
+            out = {w: (w in T) if w in nbrs else -1 for w in nd.vertices}
+            for c in f.children[nid]:
+                w = f.nodes[c].vertex
+                out[w] = max(out[w], reach[c])
+            # a block of three or more vertices routes any two of its vertices
+            # through its terminal t (at most one, or G-x has a T-cycle)
+            t = min(nd.vertices & T, default=None) if len(nd.vertices) >= 3 else None
+            # two routes meet here by avoiding t and passing it, or one ends at t
+            ends = sorted((out[w] for w in nd.vertices if w != t and out[w] >= 0), reverse=True)
+            meet = (len(ends) >= 2 and ends[0] + ends[1] + (t is not None) >= 2
+                    or t is not None and out[t] >= 0 and len(ends) >= 1 and out[t] + ends[0] >= 2)
+            par = f.parent[nid]
+            if par is not None:
+                top = f.nodes[par].vertex
+                reach[nid] = max(((top in T) + out[w] + (t is not None and t not in (top, w))
+                                  for w in nd.vertices if w != top and out[w] >= 0), default=-1)
+        if meet and (deepest is None or f.depth[nid] >= f.depth[deepest]):
+            deepest = nid
+    return reach, deepest
 
 
-def classify_grandchildren(g: Graph, T, x: int, f: BlockCutForest, v: int,
-                           _cache: dict | None = None) -> GrandchildClassification:
+def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: int
+                   ) -> GrandchildClassification:
+    grand = [c for y in f.children[f.cut_node_of(v)] for c in f.children[y]]
+    verts = frozenset(f.nodes[c].vertex for c in grand)
+    if v in T:
+        assert not (verts & T), "grandchildren of a terminal cut vertex are non-terminals"
+    carrying = frozenset(f.nodes[c].vertex for c in grand if reach[c] >= 1)
+    return GrandchildClassification(v, verts, carrying)
+
+
+def _block_children(f: BlockCutForest, T: frozenset[int], reach: list[int], d: int
+                    ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
+    if f.nodes[d].kind != "block":
+        raise ValueError("d must be a block node")
+    classes: tuple[set[int], ...] = (set(), set(), set(), set())  # reach >= 2, 1, 0, none
+    for c in f.children[d]:
+        if f.nodes[c].vertex not in T:
+            classes[3 if reach[c] < 0 else 2 - min(reach[c], 2)].add(f.nodes[c].vertex)
+    c_ge2, c_1, c_0, c_none = (frozenset(s) for s in classes)
+    return c_ge2, c_1, c_0, c_none
+
+
+def classify_grandchildren(g: Graph, T, x: int, f: BlockCutForest, v: int
+                           ) -> GrandchildClassification:
     """C(v) and its members reaching a neighbor of x via a terminal-carrying path."""
     T = frozenset(T)
-    vnode = f.cut_node_of(v)
-    grand: list[int] = []
-    for y in f.children[vnode]:
-        for c in f.children[y]:
-            grand.append(f.nodes[c].vertex)
-    cache = _cache if _cache is not None else {}
-    carrying = set()
-    for c in sorted(grand):
-        sub = f.subtree_vertices(f.cut_node_of(c))
-        if _reach_count(g, sub, T, x, c, cache) >= 1:
-            carrying.add(c)
-    if v in T:
-        assert not (set(grand) & T), "grandchildren of a terminal cut vertex are non-terminals"
-    return GrandchildClassification(v, frozenset(grand), frozenset(carrying))
+    return _grandchildren(f, T, _routes(g, T, x, f)[0], v)
 
 
-def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int,
-                            _cache: dict | None = None
+def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
                             ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
     """Partition the non-terminal cut children of block node d by the largest
     terminal count on a path from the child down to a neighbor of x."""
     T = frozenset(T)
-    if f.nodes[d].kind != "block":
-        raise ValueError("d must be a block node")
-    cache = _cache if _cache is not None else {}
-    c_ge2, c_1, c_0, c_none = set(), set(), set(), set()
-    for cnode in f.children[d]:
-        c = f.nodes[cnode].vertex
-        if c in T:
-            continue
-        sub = f.subtree_vertices(cnode)
-        score = _reach_count(g, sub, T, x, c, cache)
-        if score >= 2:
-            c_ge2.add(c)
-        elif score == 1:
-            c_1.add(c)
-        elif score == 0:
-            c_0.add(c)
-        else:
-            c_none.add(c)
-    return frozenset(c_ge2), frozenset(c_1), frozenset(c_0), frozenset(c_none)
-
-
-def _deepest_cycle_node(g: Graph, T: frozenset[int], x: int, f: BlockCutForest) -> int | None:
-    best = None
-    for nd in f.nodes:
-        closure = g.induced(f.subtree_vertices(nd.id) | {x})
-        if has_t_cycle(closure, T):
-            if best is None or (f.depth[nd.id], -nd.id) > (f.depth[best], -best):
-                best = nd.id
-    return best
+    return _block_children(f, T, _routes(g, T, x, f)[0], d)
 
 
 def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
     if not has_t_cycle(g, T):
         return None
     f = block_cut_forest(g.without([x]))
-    d = _deepest_cycle_node(g, T, x, f)
+    reach, d = _routes(g, T, x, f)
     assert d is not None, "a T-cycle on x must show up in some subtree closure"
     nd = f.nodes[d]
-    cache: dict = {}
     if nd.kind == "cut" and nd.vertex not in T:
         return BlockerIteration(index, d, nd.label(), "a", (), frozenset([nd.vertex]))
     if nd.kind == "cut":
-        cls = classify_grandchildren(g, T, x, f, nd.vertex, cache)
+        cls = _grandchildren(f, T, reach, nd.vertex)
         return BlockerIteration(index, d, nd.label(), "b", (), cls.with_terminal_path)
 
     # d is a block
@@ -148,7 +162,7 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration |
     terms = sorted(block & T)
     assert len(terms) <= 1, "a block of G-x carries at most one terminal"
     d_t = g.induced(block - T)
-    c_ge2, c_1, c_0, _ = classify_block_children(g, T, x, f, d, cache)
+    c_ge2, c_1, c_0, _ = _block_children(f, T, reach, d)
     q = c_ge2 | c_1
     _, z1 = gallai_q_paths(d_t, q)
 
@@ -173,13 +187,10 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration |
             if in_q:
                 assert len(in_q) == 1, "the Q-path cover leaves one Q vertex per component"
                 z3 |= in_q
-        child_cuts = {f.nodes[c].vertex for c in f.children[d]}
-        if t in child_cuts:
-            sub = f.subtree_vertices(f.cut_node_of(t))
-            if _reach_count(g, sub, T, x, t, cache) >= 2:
-                cls = classify_grandchildren(g, T, x, f, t, cache)
-                z4 = cls.with_terminal_path
-                assert len(z4) <= 1, "at most one terminal-reaching grandchild below a cycle-free subtree"
+        t_child = next((c for c in f.children[d] if f.nodes[c].vertex == t), None)
+        if t_child is not None and reach[t_child] >= 2:
+            z4 = _grandchildren(f, T, reach, t).with_terminal_path
+            assert len(z4) <= 1, "at most one terminal-reaching grandchild below a cycle-free subtree"
 
     parent = f.parent[d]
     z5: frozenset[int] = frozenset()
@@ -208,7 +219,7 @@ def _require_pivot(g: Graph, T: frozenset[int], x: int) -> None:
             f"{{{x}}} is not a multiway near-separator; offending cycle in G-x: {witness}")
 
 
-def blocker_run(g: Graph, T, x: int, validate: bool = False) -> BlockerRun:
+def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     """Full run returning the accumulated set and the per-iteration trace."""
     T = frozenset(T)
     _require_pivot(g, T, x)
@@ -222,10 +233,6 @@ def blocker_run(g: Graph, T, x: int, validate: bool = False) -> BlockerRun:
             break
         z = set(it.removed)
         assert z and not (z & (T | {x})), "each iteration removes non-pivot non-terminals"
-        if validate:
-            f = block_cut_forest(cur.without([x]))
-            closure = cur.induced(f.subtree_vertices(it.d_node) | {x})
-            assert is_mwns(closure, T & set(closure.vertices), z & set(closure.vertices))
         iterations.append(it)
         acc |= z
         cur = cur.without(z)

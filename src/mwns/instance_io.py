@@ -62,6 +62,8 @@ def parse_instance(text: str) -> Instance:
             u = want_int(tokens[1], lineno)
             if not 1 <= u <= n:
                 raise ParseError(lineno, f"terminal {u} out of range 1..{n}")
+            if u in terminals:
+                raise ParseError(lineno, f"duplicate terminal {u}")
             terminals.add(u)
         elif kind == "k":
             if len(tokens) != 2:

@@ -16,7 +16,7 @@ from .core import (
     terminals_independent,
 )
 from .blocker import blocker
-from .separators import max_terminals_on_path, path_through_forced_vertex
+from .separators import path_through_forced_vertex, terminals_on_path
 
 
 # -- log steps ---------------------------------------------------------------
@@ -177,35 +177,14 @@ def apply_rr2(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropComp
                 continue
             if not terminals_independent(sub, T & region):
                 continue  # the tree counting rule needs one terminal per block
-            if max_terminals_on_path(sub, T & comp_set, x, y) < 2:
-                continue
-            kept = _witness_pair(sub, T & comp_set, x, y)
-            drop_pool = [t for t in terms if t not in kept]
-            if not drop_pool:
-                continue
-            step = DropComponentTerminal(min(drop_pool), x, y, comp_set, kept)
+            on_path = terminals_on_path(sub, T & comp_set, x, y)
+            if on_path is None or len(on_path) < 2:
+                continue  # D must join x to y through two terminals
+            kept = (on_path[0], on_path[1])
+            drop = min(t for t in terms if t not in kept)  # D holds three or more
+            step = DropComponentTerminal(drop, x, y, comp_set, kept)
             return _apply_step(inst, step), step
     return None
-
-
-def _witness_pair(sub: Graph, T: frozenset[int], x: int, y: int) -> tuple[int, int]:
-    """Two terminals realizable on a single x-y path, per the tree counting rule."""
-    f = block_cut_forest(sub)
-    path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
-    found: list[int] = []
-    seen: set[int] = set()
-    for nid in path:
-        nd = f.nodes[nid]
-        if nd.kind == "cut" and nd.vertex in T and nd.vertex not in seen:
-            found.append(nd.vertex)
-            seen.add(nd.vertex)
-        elif nd.kind == "block":
-            extra = sorted((nd.vertices & T) - seen)
-            if extra:
-                found.append(extra[0])
-                seen.add(extra[0])
-    assert len(found) >= 2
-    return found[0], found[1]
 
 
 def mark_components(inst: Instance, s_star: Iterable[int]) -> dict[tuple[int, int], list[frozenset[int]]]:
@@ -367,6 +346,6 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
             cur = cur | {step.x}
         if cur & before.terminals or not is_mwns(before.graph, before.terminals, cur):
             raise RuntimeError(f"lift through {step} lost validity")
-    original = log.original
-    assert len(cur) <= original.k
+    if len(cur) > log.original.k:
+        raise RuntimeError(f"lifted solution {sorted(cur)} exceeds the budget {log.original.k}")
     return cur

@@ -10,7 +10,7 @@ from typing import Iterable
 import networkx as nx
 
 from .graph import Graph, connected_components, reachable
-from .blockcut import BlockCutForest, block_cut_forest
+from .blockcut import block_cut_forest
 
 INF = 1 << 30
 
@@ -303,45 +303,44 @@ def path_through_forced_vertex(g: Graph, A: Iterable[int], B: Iterable[int], t: 
 
 
 # ---------------------------------------------------------------------------
-# maximum terminal count over simple paths, via the block-cut tree
+# terminals on a simple path, via the block-cut tree
 # ---------------------------------------------------------------------------
 
-def max_terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int,
-                          forest: BlockCutForest | None = None) -> int:
-    """Maximum number of terminals on a simple a-b path.
+def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] | None:
+    """Terminals of a simple a-b path carrying the most of them, in path order;
+    None when a and b lie in different components.
 
     Requires every block to carry at most one terminal (raises
     MultiTerminalBlockError otherwise); under that guarantee the optimum
-    equals the cut-vertex terminals on the a-b tree path plus one per
-    on-path block holding an otherwise uncounted terminal, all of which one
-    path can visit simultaneously.
+    walks the a-b tree path of the block-cut forest and takes every terminal
+    cut vertex on it plus each on-path block's own terminal, all of which
+    one path can visit in that order.
     """
     T = frozenset(T)
     if a == b:
-        return 1 if a in T else 0
-    f = forest if forest is not None else block_cut_forest(g)
+        return [a] if a in T else []
+    f = block_cut_forest(g)
     for nd in f.nodes:
         if nd.kind == "block" and len(nd.vertices & T) > 1:
             raise MultiTerminalBlockError(
                 f"block {sorted(nd.vertices)} carries {sorted(nd.vertices & T)}")
     na, nb_ = f.node_of_vertex(a), f.node_of_vertex(b)
     if f.root_of(na) != f.root_of(nb_):
+        return None
+    found: list[int] = []
+    for nid in f.tree_path(na, nb_):
+        for t in f.nodes[nid].vertices & T:
+            if t not in found:
+                found.append(t)
+    return found
+
+
+def max_terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> int:
+    """Maximum number of terminals on a simple a-b path (see terminals_on_path)."""
+    found = terminals_on_path(g, T, a, b)
+    if found is None:
         raise ValueError("endpoints lie in different components")
-    path = f.tree_path(na, nb_)
-    counted: set[int] = set()
-    for nid in path:
-        nd = f.nodes[nid]
-        if nd.kind == "cut" and nd.vertex in T:
-            counted.add(nd.vertex)
-    for v in (a, b):
-        if v in T:
-            counted.add(v)
-    total = len(counted)
-    for nid in path:
-        nd = f.nodes[nid]
-        if nd.kind == "block" and (nd.vertices & T) - counted:
-            total += 1
-    return total
+    return len(found)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from mwns.graph import Graph
-from mwns.blockcut import block_cut_forest
+from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
 from mwns.blocker import (
     blocker,
@@ -15,7 +15,10 @@ from mwns.blocker import (
     classify_grandchildren,
 )
 from mwns.gen import pivot_instance
+from mwns.separators import max_terminals_on_path
 from mwns.solver import oracle_opt_x
+
+from brute import has_t_cycle_brute, random_block_tree
 
 
 def six_cycle():
@@ -35,6 +38,77 @@ def pivot_suite(count, seed, max_n=14):
         if len(T) >= 2:
             out.append((g, T, x))
     return out
+
+
+def block_tree_suite(count, seed):
+    """Instances (g, T, x): glued triangle/square/edge trees, terminals one per
+    block and pairwise non-adjacent, and a pivot x joined to a random subset."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h, x = random_block_tree(rng, rng.randint(2, 8))
+        blocks = biconnected_blocks(h)
+        T: set[int] = set()
+        for v in rng.sample(list(h.vertices), h.n):
+            if len(T) < 5 and not any(v in b and b & T for b in blocks) and not h.neighbors(v) & T:
+                T.add(v)
+        attach = [v for v in h.vertices if rng.random() < 0.45]
+        if len(T) >= 2 and len(attach) >= 2:
+            out.append((Graph(list(h.vertices) + [x], h.edges() + [(x, v) for v in attach]), T, x))
+    return out
+
+
+def subtree_reach(g, T, x, f, nid):
+    """Reference for reach: the most terminals on a path inside G[subtree of nid]
+    from its cut vertex to a neighbor of x, by a fresh forest of that subgraph
+    per neighbor; -1 if none."""
+    sub = f.subtree_vertices(nid)
+    c = f.nodes[nid].vertex
+    return max((max_terminals_on_path(g.induced(sub), T & sub, c, p)
+                for p in g.neighbors(x) & sub), default=-1)
+
+
+class TestRoutesAgainstClosures:
+    """One bottom-up pass over the block-cut forest of G-x against induced
+    subtree closures, checked at every blocker step."""
+
+    def test_every_step_matches_the_closure_oracle(self):
+        hand_made = [
+            (Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)]),
+             {5, 8}, 1),
+            (Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)]),
+             {3, 5, 8}, 1),
+            (Graph(range(1, 12), [(2, 3), (3, 4), (4, 5), (5, 2), (2, 6), (6, 11), (11, 7), (7, 8),
+                                  (4, 9), (9, 10), (1, 8), (1, 10)]), {6, 7}, 1),
+        ]
+        cases = []
+        for g, T, x in hand_made + pivot_suite(60, seed=83, max_n=12) + block_tree_suite(60, seed=31337):
+            T = frozenset(T)
+            cur = g
+            for it in blocker_run(g, T, x).iterations:
+                f = block_cut_forest(cur.without([x]))
+                closures = {nd.id: cur.induced(f.subtree_vertices(nd.id) | {x}) for nd in f.nodes}
+                cyclic = [n for n, c in closures.items() if has_t_cycle_brute(c, T)]
+                assert it.d_node == max(cyclic, key=lambda n: (f.depth[n], -n))
+                closure = set(closures[it.d_node].vertices)
+                assert is_mwns(closures[it.d_node], T & closure, it.removed & closure)
+                for nd in f.nodes:
+                    if nd.kind == "block":
+                        want = [set(), set(), set(), set()]  # >= 2, 1, 0, none
+                        for c in f.children[nd.id]:
+                            if f.nodes[c].vertex not in T:
+                                r = subtree_reach(cur, T, x, f, c)
+                                want[3 if r < 0 else 2 - min(r, 2)].add(f.nodes[c].vertex)
+                        assert list(classify_block_children(cur, T, x, f, nd.id)) == want
+                    else:
+                        cls = classify_grandchildren(cur, T, x, f, nd.vertex)
+                        grand = [c for y in f.children[nd.id] for c in f.children[y]]
+                        assert cls.grandchildren == {f.nodes[c].vertex for c in grand}
+                        assert cls.with_terminal_path == {
+                            f.nodes[c].vertex for c in grand if subtree_reach(cur, T, x, f, c) >= 1}
+                cur = cur.without(it.removed)
+                cases.append(it.case)
+        assert len(cases) >= 90 and set(cases) == {"a", "b", "c"}
 
 
 class TestClassification:
@@ -117,7 +191,7 @@ class TestBlockerStep:
         g = Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6),
                                  (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)])
         T = {5, 8}
-        run = blocker_run(g, T, 1, validate=True)
+        run = blocker_run(g, T, 1)
         assert run.iterations[0].case == "a"
         assert run.iterations[0].removed == frozenset({3})
         assert run.result == frozenset({3})
@@ -127,7 +201,7 @@ class TestBlockerStep:
         g = Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6),
                                  (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)])
         T = {3, 5, 8}
-        run = blocker_run(g, T, 1, validate=True)
+        run = blocker_run(g, T, 1)
         first = run.iterations[0]
         assert first.case == "b"
         assert first.removed and not first.removed & set(T)
@@ -143,7 +217,7 @@ class TestBlockerStep:
             (1, 8), (1, 10),
         ])
         T = {6, 7}
-        run = blocker_run(g, T, 1, validate=True)
+        run = blocker_run(g, T, 1)
         first = run.iterations[0]
         assert first.case == "c"
         z1, z2, z3, z4, z5 = first.z_parts
@@ -187,7 +261,7 @@ class TestBlockerContract:
 
     def test_randomized_ratio_and_validity(self):
         for g, T, x in pivot_suite(60, seed=83, max_n=12):
-            run = blocker_run(g, T, x, validate=True)
+            run = blocker_run(g, T, x)
             s = run.result
             assert is_mwns(g, T, s) and x not in s and not (s & T)
             opt = oracle_opt_x(g, T, x)
@@ -264,7 +338,7 @@ class TestBlockerContract:
             if not has_t_cycle(g, T):
                 continue
             count += 1
-            run = blocker_run(g, T, x, validate=True)
+            run = blocker_run(g, T, x)
             s = run.result
             assert is_mwns(g, T, s) and x not in s and not (s & T)
             opt = oracle_opt_x(g, T, x)

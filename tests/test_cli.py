@@ -30,6 +30,12 @@ class TestParsing:
             parse_instance(text)
         assert "line 3" in str(err.value)
 
+    def test_duplicate_terminal_reports_line(self):
+        text = "p mwns 3 2\ne 1 2\ne 2 3\nt 3\nt 3\nk 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert "line 5" in str(err.value) and "duplicate terminal 3" in str(err.value)
+
     def test_negative_budget(self):
         with pytest.raises(ParseError):
             parse_instance("p mwns 2 0\nk -1\n")

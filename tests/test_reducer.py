@@ -100,6 +100,13 @@ class TestRR2:
         inst = chain_of_triangles(3, terminals=(2, 4))
         assert apply_rr2(inst, frozenset()) is None
 
+    def test_component_touching_one_side_is_skipped(self):
+        # on the path 1-..-9 with terminals 5, 7, 9, the component {5..9} of
+        # G-{2,4} touches only 4, so no 2-4 path runs through it; this used
+        # to raise "endpoints lie in different components"
+        g = Graph(range(1, 10), [(v, v + 1) for v in range(1, 9)])
+        assert apply_rr2(Instance.of(g, {5, 7, 9}, 1), []) is None
+
 
 class TestMarking:
     def mk(self):
@@ -334,6 +341,16 @@ class TestReduceAndLift:
         log = ReductionLog(inst, (step,))
         monkeypatch.setattr(reducer_mod, "minimalize", lambda g, T, S: frozenset())
         with pytest.raises(RuntimeError, match="lost validity"):
+            lift_solution(log, frozenset({4}))
+
+    def test_lift_budget_check_raises_even_without_asserts(self, monkeypatch):
+        # the closing budget check is a raise, not an assert, so it survives
+        # python -O; a minimalization that adds a vertex overshoots k = 1
+        import mwns.reducer as reducer_mod
+
+        log = ReductionLog(six_cycle_instance(), ())
+        monkeypatch.setattr(reducer_mod, "minimalize", lambda g, T, S: frozenset(S) | {2})
+        with pytest.raises(RuntimeError, match="exceeds the budget"):
             lift_solution(log, frozenset({4}))
 
     def hub_chain(self):

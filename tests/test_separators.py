@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, reachable
 from mwns.separators import (
@@ -15,6 +16,7 @@ from mwns.separators import (
     max_vertex_flow,
     min_separator,
     path_through_forced_vertex,
+    terminals_on_path,
 )
 from mwns.blockcut import biconnected_blocks
 
@@ -261,6 +263,50 @@ class TestMaxTerminalsOnPath:
             checked += 1
             want = max(len(set(p) & T) for p in all_simple_paths(g, a, b))
             assert max_terminals_on_path(g, T, a, b) == want
+
+
+@st.composite
+def graph_terminals_and_ends(draw, max_n: int):
+    """A graph on 2..max_n vertices, terminals at most one per block (drawn
+    in a random order, each kept only if its blocks hold no terminal yet),
+    and two path ends, possibly equal or in different components."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    g = Graph(range(1, n + 1), sorted(draw(st.sets(st.sampled_from(pairs), max_size=2 * n))))
+    blocks = biconnected_blocks(g)
+    T: set[int] = set()
+    for v in draw(st.permutations(range(1, n + 1)))[:draw(st.integers(0, n))]:
+        if not any(v in b and b & T for b in blocks):
+            T.add(v)
+    return g, frozenset(T), draw(st.integers(1, n)), draw(st.integers(1, n))
+
+
+class TestTerminalsOnPath:
+    def test_order_along_a_block_chain(self):
+        # triangle 1-2-3, bridges 3-4 and 4-5, triangle 5-6-7; terminals 2
+        # and 6 inside the triangles, 4 the cut vertex between the bridges
+        g = Graph(range(1, 8), [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5),
+                                (5, 6), (6, 7), (5, 7)])
+        assert terminals_on_path(g, {2, 4, 6}, 1, 7) == [2, 4, 6]
+        assert terminals_on_path(g, {2, 4, 6}, 7, 1) == [6, 4, 2]
+
+    def test_different_components(self):
+        g = Graph(range(1, 5), [(1, 2), (3, 4)])
+        assert terminals_on_path(g, {2, 4}, 1, 3) is None
+        with pytest.raises(ValueError):
+            max_terminals_on_path(g, {2, 4}, 1, 3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(graph_terminals_and_ends(max_n=9))
+    def test_matches_path_enumeration(self, case):
+        g, T, a, b = case
+        found = terminals_on_path(g, T, a, b)
+        paths = all_simple_paths(g, a, b)
+        if found is None:
+            assert not paths
+            return
+        assert len(found) == max(len(set(p) & T) for p in paths)
+        assert any([v for v in p if v in found] == found for p in paths)
 
 
 class TestGallaiQPaths:
