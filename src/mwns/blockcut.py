@@ -126,7 +126,6 @@ class BlockCutForest:
         placed_cuts: set[int] = set()
 
         comp_root: dict[int, int] = {}  # smallest vertex of component -> block index of root
-        comp_of_block: dict[int, int] = {}
         comp_seen: set[int] = set()
         for i, b in enumerate(blocks):
             if b & comp_seen:
@@ -148,8 +147,6 @@ class BlockCutForest:
             comp_seen |= verts
             root_idx = min(members, key=lambda j: block_key[j])
             comp_root[min(verts)] = root_idx
-            for j in members:
-                comp_of_block[j] = min(verts)
 
         def new_node(kind: str, verts: frozenset[int], par: int | None) -> int:
             nid = len(nodes)

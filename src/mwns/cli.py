@@ -38,6 +38,9 @@ def _cmd_solve(args) -> int:
     if args.trace:
         set_trace_hook(lambda line: print(line, file=sys.stderr))
     result = solve(inst)
+    if args.trace and result.stats is not None:
+        for c in result.stats.compressions:
+            print(c.line(), file=sys.stderr)
     code = _print_result(result)
     if args.stats and result.stats is not None:
         for line in result.stats.lines():
@@ -169,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact answer within the budget")
     p.add_argument("file")
     p.add_argument("--stats", action="store_true", help="print search statistics")
-    p.add_argument("--trace", action="store_true", help="stream blocker iteration traces to stderr")
+    p.add_argument("--trace", action="store_true",
+                   help="print one line per compression step, and any blocker traces, to stderr")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("approx", help="14-approximate near-separator avoiding a pivot")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -126,14 +127,18 @@ def parse_steps(lines: Iterable[str]) -> list[Step]:
 
 # -- individual rules ----------------------------------------------------------
 
-def apply_rr1(inst: Instance) -> tuple[Instance, DropNearlySeparated] | None:
-    """Drop the smallest nearly-separated terminal, if any."""
+def apply_rr1(inst: Instance) -> tuple[Instance, tuple[DropNearlySeparated, ...]] | None:
+    """Drop every nearly-separated terminal at once, steps in ascending id.
+
+    Such a terminal shares no block with any terminal, so dropping it changes
+    no other terminal's verdict: one decomposition reaches the fixpoint that
+    dropping the smallest one at a time would reach, with the same steps.
+    """
     lonely = nearly_separated_terminals(inst.graph, inst.terminals)
     if not lonely:
         return None
-    t = min(lonely)
-    step = DropNearlySeparated(t)
-    return _apply_step(inst, step), step
+    steps = tuple(DropNearlySeparated(t) for t in sorted(lonely))
+    return Instance(inst.graph, inst.terminals - lonely, inst.k), steps
 
 
 def _rr2_candidate_pairs(g: Graph, T: frozenset[int], s_star: frozenset[int]
@@ -281,16 +286,49 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
 
 
 def _check_1_redundant(g: Graph, T: frozenset[int], s_star: frozenset[int]) -> None:
-    assert is_mwns(g, T, s_star)
+    if not is_mwns(g, T, s_star):
+        raise RuntimeError("the thickened set is not a near-separator")
     for s in s_star:
-        assert is_mwns(g, T, s_star - {s}), f"dropping {s} breaks the near-separator"
+        if not is_mwns(g, T, s_star - {s}):
+            raise RuntimeError(f"dropping {s} breaks the near-separator")
+
+
+def terminal_bound(k: int, s_hat_size: int) -> int:
+    """Most terminals `reduce_terminals` leaves for budget k and |Ŝ| = s_hat_size.
+
+    At the loop's fixpoint, with G the graph once essential vertices are
+    gone, S* the 1-redundant set and s = |S*|:
+    - s <= (14k+1)|Ŝ|: each pivot kept adds itself and at most 14k vertices.
+    - Every T-cycle meets S* twice (1-redundancy), so every terminal left lies
+      in a component of G-S* marked for a pair of S*; RR3 keeps at most
+      C(s,2)(k+2) such components.
+    - A marked component D with r neighbours in S* keeps no terminal if
+      r <= 1 and at most 18r-26 otherwise. Let K be the smallest subtree of
+      the block-cut tree of G[D] holding all nodes with a neighbour in S*,
+      and the hull of a in S* the part of K spanning a's neighbours.
+      A terminal outside K lies behind one cut vertex with no edge to S*, so
+      RR1 drops it. G[D+a] has no T-cycle (1-redundancy) and the hull of a
+      lies in one of its blocks, since all its cycles through a share a
+      neighbour of a: one terminal per hull. Outside the hulls K has at most
+      r-2 branch nodes, one terminal each, and 2r-3 paths of degree-2 nodes.
+      Split a path at its highest node into two root-to-leaf runs; two
+      consecutive cut vertices are never both terminals, so a run's first
+      and last non-terminal cut vertices x, y have at most one terminal
+      outside them each, and the component of G-{x,y} between them has no
+      T-cycle, no edge to S* and an x-y path through all its terminals, so
+      RR2 leaves it two: 8 per path, r + (r-2) + 8(2r-3) = 18r-26 in all.
+    """
+    s = (14 * k + 1) * s_hat_size
+    return math.comb(s, 2) * (k + 2) * 18 * s
 
 
 def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, ReductionLog, bool]:
     """Full preprocessing pipeline; returns (reduced instance, log, feasible).
 
-    feasible is False when more vertices are essential than the budget allows,
-    which certifies a NO answer.
+    Builds the 1-redundant set, then repeats RR1, RR2 and RR3 until none
+    fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
+    False when more vertices are essential than the budget allows, which
+    certifies a NO answer.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
@@ -299,8 +337,10 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     all_steps: list[Step] = list(steps)
     while True:
         fired = apply_rr1(cur)
-        if fired is None:
-            fired = apply_rr2(cur, redundant.s_star)
+        if fired is not None:
+            cur, rr1_steps = fired
+            all_steps.extend(rr1_steps)
+        fired = apply_rr2(cur, redundant.s_star)
         if fired is None:
             fired = apply_rr3(cur, redundant.s_star)
         if fired is None:
@@ -328,22 +368,36 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
     Replays the log backwards; terminal-conversion steps need the current
     solution inclusion-minimal, the component rule substitutes its cut vertex
     x when the solution touches the component, and essential vertices are
-    unioned back in.
+    unioned back in. Terminal-dropping steps keep the graph, and more
+    terminals only make a set harder to shrink or to keep valid: a minimal
+    set stays minimal through them, and one check at the earliest stage of a
+    run of them covers the run.
     """
     stages = log.replay()
     cur = frozenset(solution)
     final = stages[-1]
-    if cur & final.terminals or len(cur) > final.k or not is_mwns(final.graph, final.terminals, cur):
+    # with no terminal left, every set is a near-separator
+    if cur & final.terminals or len(cur) > final.k or (
+            final.terminals and not is_mwns(final.graph, final.terminals, cur)):
         raise ValueError("not a valid solution of the reduced instance")
     cur = minimalize(final.graph, final.terminals, cur)
-    for step, before, after in zip(reversed(log.steps), reversed(stages[:-1]), reversed(stages[1:])):
-        if isinstance(step, (DropNearlySeparated, DropUnmarked)):
-            cur = minimalize(after.graph, after.terminals, cur)
+    minimal = True  # cur is inclusion-minimal at the stage after the step lifted
+    drops = (DropNearlySeparated, DropUnmarked)
+    for i in reversed(range(len(log.steps))):
+        step, before, after = log.steps[i], stages[i], stages[i + 1]
+        if isinstance(step, drops):
+            if not minimal:
+                cur = minimalize(after.graph, after.terminals, cur)
+                minimal = True
+            if i > 0 and isinstance(log.steps[i - 1], drops):
+                continue  # the earlier step's check implies this one
         elif isinstance(step, DropComponentTerminal):
             if cur & step.component:
                 cur = (cur - step.component) | {step.x}
+                minimal = False
         elif isinstance(step, EssentialVertex):
             cur = cur | {step.x}
+            minimal = False
         if cur & before.terminals or not is_mwns(before.graph, before.terminals, cur):
             raise RuntimeError(f"lift through {step} lost validity")
     if len(cur) > log.original.k:

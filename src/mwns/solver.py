@@ -17,7 +17,7 @@ from .core import (
     is_mwns,
     terminals_independent,
 )
-from .reducer import lift_solution, reduce_terminals
+from .reducer import ReductionLog, apply_rr1, lift_solution, reduce_terminals, terminal_bound
 from .separators import SeparatorQuery, enumerate_important_separators
 
 ORACLE_LIMIT = 10**7
@@ -31,10 +31,15 @@ class CompressionStats:
     leaves: int = 0
     enumerations: int = 0
     max_depth: int = 0
+    reduction: str = "rr1"  # "full" when the whole reduce_terminals pipeline ran
 
     @property
     def leaf_bound(self) -> int:
         return max(1, (32 * self.terminals) ** self.budget)
+
+    def line(self) -> str:
+        return (f"compress terminals={self.terminals} budget={self.budget} nodes={self.nodes} "
+                f"leaves={self.leaves} reduction={self.reduction}")
 
 
 @dataclass
@@ -103,9 +108,13 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
 def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
     """Shrink a (k+1)-size near-separator to size k, or decide NO.
 
-    Reduces the terminal set once using the given separator, then branches on
-    important separators of each not-nearly-separated terminal, taking either
-    a whole separator or all but one vertex of it into the solution.
+    Reduces the terminal set, then branches on important separators of each
+    not-nearly-separated terminal, taking either a whole separator or all but
+    one vertex of it into the solution. The branching is exact for any
+    terminal set; the reduction only bounds its (32|T'|)^k' leaves. RR1 runs
+    always. The 1-redundant set, RR2 and RR3 run only while more than
+    `terminal_bound(k, k+1)` terminals are left, the most they guarantee to
+    leave, so the leaf bound is never weaker than with the full pipeline.
     """
     g, T, k = inst.graph, inst.terminals, inst.k
     s_big = frozenset(s_big)
@@ -114,12 +123,19 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     if not terminals_independent(g, T):
         return SolveResult.no()
 
-    reduced, log, feasible = reduce_terminals(inst, s_big)
-    if not feasible:
-        return SolveResult.no()
+    fired = apply_rr1(inst)
+    reduced, steps = fired if fired is not None else (inst, ())
+    if len(reduced.terminals) > terminal_bound(k, len(s_big)):
+        reduction = "full"
+        reduced, log, feasible = reduce_terminals(inst, s_big)
+        if not feasible:
+            return SolveResult.no()
+    else:
+        reduction = "rr1"
+        log = ReductionLog(inst, steps)
     g2, t2, k2 = reduced.graph, reduced.terminals, reduced.k
 
-    cstats = CompressionStats(terminals=len(t2), budget=k2)
+    cstats = CompressionStats(terminals=len(t2), budget=k2, reduction=reduction)
 
     def rec(cur: Graph, budget: int, depth: int) -> frozenset[int] | None:
         cstats.nodes += 1
@@ -193,13 +209,13 @@ def solve(inst: Instance) -> SolveResult:
 
     current = frozenset(pool[: k + 1])
     for i in range(k + 1, len(pool) + 1):
-        sub = g.induced(set(pool[:i]) | T)
-        assert is_mwns(sub, T, current), "compression invariant: carried set stays a near-separator"
         if len(current) <= k:
             # the previous solution extended by one vertex already fits the budget
             if i < len(pool):
                 current = current | {pool[i]}
             continue
+        # compression_step checks that current separates this subgraph
+        sub = g.induced(set(pool[:i]) | T)
         result = compression_step(Instance(sub, T, k), current, stats)
         if not result.is_yes:
             return done(SolveResult.no())

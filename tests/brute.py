@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 
+from hypothesis import strategies as st
+
+from mwns.core import Instance
 from mwns.graph import Graph, reachable
 
 
@@ -165,6 +168,21 @@ def random_graph(rng, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < p]
     return Graph(range(1, n + 1), edges)
+
+
+@st.composite
+def small_instances(draw, max_n: int, max_k: int = 3) -> Instance:
+    """A graph on 2..max_n vertices with at most 2n edges, an independent
+    terminal set (drawn in order, each kept unless adjacent to one already
+    kept) and a budget of 0..max_k."""
+    n = draw(st.integers(2, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    g = Graph(range(1, n + 1), sorted(draw(st.sets(st.sampled_from(pairs), max_size=2 * n))))
+    T: set[int] = set()
+    for t in draw(st.lists(st.integers(1, n), min_size=2, unique=True)):
+        if not (g.neighbors(t) & T):
+            T.add(t)
+    return Instance.of(g, T, draw(st.integers(0, max_k)))
 
 
 def random_block_tree(rng, n_blocks: int) -> tuple[Graph, int]:

@@ -86,9 +86,9 @@ class TestSubcommands:
         code, out, _ = run_cli(["solve", str(f)], capsys)
         assert code == 1 and out.strip() == "NO"
 
-    def test_solve_trace_streams_blocker_lines(self, tmp_path, capsys):
-        # two terminal cycles sharing vertex 1: the compression's replacement
-        # search has real cycles to break, so traces appear
+    def test_solve_trace_prints_compression_lines(self, tmp_path, capsys, monkeypatch):
+        # two terminal cycles sharing vertex 1: solve compresses twice, and
+        # with a few terminals RR1 is the only reduction that runs
         flower = ("p mwns 11 12\n"
                   + "".join(f"e {u} {v}\n" for u, v in
                             [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6),
@@ -98,7 +98,19 @@ class TestSubcommands:
         f.write_text(flower)
         code, _, err = run_cli(["solve", str(f), "--trace"], capsys)
         assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("compress terminals=") and line.endswith("reduction=rr1")
+            assert all(f" {key}=" in line for key in ("budget", "nodes", "leaves"))
+        # a bound of -1 runs the full pipeline in every step, blocker traces included
+        import mwns.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        code, _, err = run_cli(["solve", str(f), "--trace"], capsys)
+        assert code == 0
         assert "blocker x=" in err and "iter=" in err
+        assert err.count("reduction=full") == 2
 
     def test_solve_stats_lines(self, tmp_path, capsys):
         f = tmp_path / "c6.txt"

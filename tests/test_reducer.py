@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mwns.graph import Graph
-from mwns.core import Instance, is_mwns, terminals_independent
+from mwns.graph import Graph, connected_components
+from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.reducer import (
     DropComponentTerminal,
     DropNearlySeparated,
@@ -17,12 +18,14 @@ from mwns.reducer import (
     build_1_redundant,
     lift_solution,
     mark_components,
+    minimalize,
     parse_steps,
     reduce_terminals,
+    terminal_bound,
 )
 from mwns.solver import oracle_solve
 
-from brute import random_graph
+from brute import random_graph, small_instances
 
 
 def six_cycle_instance(k=1):
@@ -49,8 +52,8 @@ class TestRR1:
         inst = Instance.of(g, {3, 5, 7}, 1)
         out = apply_rr1(inst)
         assert out is not None
-        newinst, step = out
-        assert step == DropNearlySeparated(7)
+        newinst, steps = out
+        assert steps == (DropNearlySeparated(7),)
         assert newinst.terminals == frozenset({3, 5})
 
     def test_terminals_on_common_cycle_stay(self):
@@ -62,12 +65,35 @@ class TestRR1:
         inst = Instance.of(g, {1, 2, 5}, 1)
         # terminals 1, 2 are adjacent on the triangle: RR1 looks at near-separation only
         out = apply_rr1(inst)
-        assert out is not None and out[1].t == 5
+        assert out is not None and out[1] == (DropNearlySeparated(5),)
 
-    def test_smallest_id_fires_first(self):
-        g = Graph(range(1, 4), [])
-        inst = Instance.of(g, {1, 2, 3}, 0)
-        assert apply_rr1(inst)[1].t == 1
+    def test_all_lonely_terminals_fire_ascending(self):
+        # ids that a set iterates out of order
+        g = Graph(range(1, 41), [])
+        inst = Instance.of(g, {40, 9, 2}, 0)
+        newinst, steps = apply_rr1(inst)
+        assert steps == tuple(DropNearlySeparated(t) for t in (2, 9, 40))
+        assert newinst.terminals == frozenset()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_one_call_matches_smallest_first_loop(self, data):
+        # dropping the smallest nearly-separated terminal one at a time, as
+        # the rule was first stated, reaches the same instance and steps
+        inst = data.draw(small_instances(max_n=9))
+        want, cur = [], inst
+        while True:
+            lonely = nearly_separated_terminals(cur.graph, cur.terminals)
+            if not lonely:
+                break
+            want.append(DropNearlySeparated(min(lonely)))
+            cur = Instance(cur.graph, cur.terminals - {min(lonely)}, cur.k)
+        out = apply_rr1(inst)
+        if not want:
+            assert out is None
+        else:
+            assert out == (cur, tuple(want))
+            assert apply_rr1(cur) is None
 
 
 class TestRR2:
@@ -230,6 +256,16 @@ class TestBuildOneRedundant:
         with pytest.raises(ValueError):
             build_1_redundant(inst, frozenset({2}) - {2})  # empty but instance non-trivial
 
+    def test_redundancy_check_raises_even_without_asserts(self, monkeypatch):
+        # the 1-redundancy check is a raise, not an assert, so it survives
+        # python -O; empty blocker results leave S* = {4}, and dropping 4
+        # reopens the six-cycle's T-cycle
+        import mwns.reducer as reducer_mod
+
+        monkeypatch.setattr(reducer_mod, "blocker", lambda g, T, x: frozenset())
+        with pytest.raises(RuntimeError, match="dropping 4"):
+            build_1_redundant(six_cycle_instance(), frozenset({4}))
+
 
 class TestReduceAndLift:
     def test_already_reduced_instance_unchanged(self):
@@ -336,9 +372,9 @@ class TestReduceAndLift:
 
         base = six_cycle_instance()
         inst = Instance.of(Graph(range(1, 8), base.graph.edges()), {3, 5, 7}, 1)
-        _, step = apply_rr1(inst)
-        assert step == DropNearlySeparated(7)
-        log = ReductionLog(inst, (step,))
+        _, steps = apply_rr1(inst)
+        assert steps == (DropNearlySeparated(7),)
+        log = ReductionLog(inst, steps)
         monkeypatch.setattr(reducer_mod, "minimalize", lambda g, T, S: frozenset())
         with pytest.raises(RuntimeError, match="lost validity"):
             lift_solution(log, frozenset({4}))
@@ -385,6 +421,134 @@ class TestReduceAndLift:
         assert 3 in lifted, "the component gets swapped for its cut vertex"
         assert is_mwns(inst.graph, inst.terminals, lifted)
         assert len(lifted) <= inst.k
+
+
+def criterion_5_instances():
+    """The seeded instances of the acceptance suite's reduction criterion,
+    each with all its non-terminals as the given near-separator."""
+    rng = random.Random(9090)
+    done = 0
+    while done < 300:
+        n = rng.randint(4, 12)
+        g = random_graph(rng, n, rng.choice([0.2, 0.35]))
+        T = frozenset(rng.sample(list(g.vertices), rng.randint(2, min(6, n))))
+        if not terminals_independent(g, T):
+            continue
+        done += 1
+        yield Instance.of(g, T, rng.randint(0, 3)), frozenset(v for v in g.vertices if v not in T)
+
+
+def flower(petals, pendant, k=3):
+    """Hubs 1, 2, 3 joined by petal paths of the given lengths between the
+    given hub pairs, terminals on every second petal vertex, and a pendant
+    path hanging off hub 1; the hubs solve it."""
+    edges, T, nxt = [], set(), 4
+    for (a, b), length in petals:
+        path = list(range(nxt, nxt + length))
+        nxt += length
+        edges += [(a, path[0]), (path[-1], b)] + list(zip(path, path[1:]))
+        T.update(path[1::2])
+    tail = list(range(nxt, nxt + pendant))
+    nxt += pendant
+    edges += [(1, tail[0])] + list(zip(tail, tail[1:]))
+    T.update(tail[1::2])
+    return Instance.of(Graph(range(1, nxt), edges), T, k)
+
+
+FLOWERS = (
+    flower([((1, 2), 7), ((2, 3), 7), ((1, 3), 7)], 4),
+    flower([((1, 2), 7), ((1, 2), 5), ((2, 3), 9), ((1, 3), 5)], 4),
+    flower([((1, 2), 9), ((1, 2), 9), ((2, 3), 9), ((1, 3), 9), ((1, 3), 3)], 4),
+)
+
+
+class TestTerminalBound:
+    def check_per_component(self, inst, s_hat):
+        """terminal_bound's per-component step: a component of G - S* with
+        r vertices of S* next to it keeps at most 18r - 26 terminals."""
+        reduced, _, feasible = reduce_terminals(inst, s_hat)
+        assert len(reduced.terminals) <= terminal_bound(inst.k, len(s_hat))
+        if not feasible:
+            return
+        s_star = build_1_redundant(inst, s_hat)[0].s_star
+        g = reduced.graph
+        for comp in connected_components(g.without(s_star)):
+            r = sum(1 for s in s_star if g.neighbors(s) & set(comp))
+            assert len(reduced.terminals & set(comp)) <= max(0, 18 * r - 26)
+
+    def test_criterion_5_instances(self):
+        for inst, s_hat in criterion_5_instances():
+            self.check_per_component(inst, s_hat)
+
+    def test_flowers(self):
+        for inst in FLOWERS:
+            self.check_per_component(inst, frozenset({1, 2, 3}))
+
+
+def reference_lift(log: ReductionLog, solution) -> frozenset[int]:
+    """lift_solution as first written: minimalize at every terminal-dropping
+    step and check every stage."""
+    stages = log.replay()
+    final = stages[-1]
+    cur = minimalize(final.graph, final.terminals, frozenset(solution))
+    for step, before, after in zip(reversed(log.steps), reversed(stages[:-1]),
+                                   reversed(stages[1:])):
+        if isinstance(step, (DropNearlySeparated, DropUnmarked)):
+            cur = minimalize(after.graph, after.terminals, cur)
+        elif isinstance(step, DropComponentTerminal):
+            if cur & step.component:
+                cur = (cur - step.component) | {step.x}
+        elif isinstance(step, EssentialVertex):
+            cur = cur | {step.x}
+        assert not (cur & before.terminals) and is_mwns(before.graph, before.terminals, cur)
+    return cur
+
+
+def small_solutions(inst: Instance, limit: int):
+    """Up to `limit` near-separators of size <= k, smallest first; most are
+    not inclusion-minimal."""
+    pool = [v for v in inst.graph.vertices if v not in inst.terminals]
+    sets = (frozenset(c) for r in range(inst.k + 1) for c in itertools.combinations(pool, r))
+    return list(itertools.islice(
+        (S for S in sets if is_mwns(inst.graph, inst.terminals, S)), limit))
+
+
+class TestLiftAgainstPerStepReference:
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(small_instances(max_n=9))
+    def test_rr1_and_pipeline_logs(self, inst):
+        # the RR1-only log of a compression step, and the full pipeline's
+        fired = apply_rr1(inst)
+        logs = [ReductionLog(inst, fired[1] if fired else ())]
+        s_hat = frozenset(v for v in inst.graph.vertices if v not in inst.terminals)
+        _, log, feasible = reduce_terminals(inst, s_hat)
+        if feasible:
+            logs.append(log)
+        for log in logs:
+            for S in small_solutions(log.reduced(), 8):
+                assert lift_solution(log, S) == reference_lift(log, S)
+
+    def test_flower_logs(self):
+        # rr1 runs before and after rr2 substitutions, which undo minimality
+        rr2 = 0
+        for inst in FLOWERS:
+            reduced, log, feasible = reduce_terminals(inst, frozenset({1, 2, 3}))
+            assert feasible
+            rr2 += sum(isinstance(s, DropComponentTerminal) for s in log.steps)
+            for S in small_solutions(reduced, 40):
+                assert lift_solution(log, S) == reference_lift(log, S)
+        assert rr2
+
+    def test_rr1_after_a_substitution_minimalizes_again(self):
+        # lifting {1, 2} back through the last rr2 step swaps hub 1 for 14,
+        # and the rr1 step before it must drop the now redundant hub 2
+        edges = [(1, 8), (1, 15), (1, 21), (2, 4), (2, 20), (3, 7), (3, 14), (4, 5),
+                 (5, 6), (6, 7), (8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14),
+                 (14, 19), (15, 16), (16, 17), (17, 18), (18, 19), (19, 20), (21, 22)]
+        inst = Instance.of(Graph(range(1, 23), edges), {5, 7, 9, 11, 13, 16, 18, 20, 22}, 3)
+        _, log, _ = reduce_terminals(inst, frozenset({1, 2, 3}))
+        assert [type(s) for s in log.steps] == [DropNearlySeparated] + [DropComponentTerminal] * 3
+        assert lift_solution(log, frozenset({1, 2})) == reference_lift(log, {1, 2}) == {14}
 
 
 class TestLogSerialization:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph
 from mwns.core import Instance, SolveResult, is_mwns, terminals_independent
@@ -13,12 +14,32 @@ from mwns.solver import (
     solve,
 )
 
-from brute import multiway_separator_brute, mwns_condition3, random_graph
+from brute import multiway_separator_brute, mwns_condition3, random_graph, small_instances
 
 
 def six_cycle_instance(k=1):
     g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
     return Instance.of(g, {3, 5}, k)
+
+
+def check_oracle_suite(seed: int = 127, count: int = 120, min_n: int = 3) -> set[str]:
+    """solve against oracle_solve on seeded instances (n <= 12, k <= 3);
+    returns the reductions its compression steps ran."""
+    rng = random.Random(seed)
+    reductions: set[str] = set()
+    for _ in range(count):
+        g = random_graph(rng, rng.randint(min_n, 12), rng.choice([0.2, 0.35]))
+        T = frozenset(rng.sample(list(g.vertices), rng.randint(2, min(5, g.n))))
+        k = rng.randint(0, 3)
+        inst = Instance.of(g, T, k)
+        got = solve(inst)
+        assert got.is_yes == oracle_solve(inst).is_yes
+        if got.is_yes:
+            assert len(got.solution) <= k
+            assert not (got.solution & T)
+            assert is_mwns(g, T, got.solution)
+        reductions |= {c.reduction for c in got.stats.compressions}
+    return reductions
 
 
 class TestOracle:
@@ -67,6 +88,13 @@ class TestCompressionStep:
         with pytest.raises(ValueError):
             compression_step(inst, frozenset({2}))
 
+    def test_rejects_non_separator_of_size_k_plus_1(self):
+        # terminals 1, 2 with four common neighbours: deleting 3 and 4 leaves
+        # the T-cycle 1-5-2-6
+        g = Graph(range(1, 7), [(t, v) for t in (1, 2) for v in (3, 4, 5, 6)])
+        with pytest.raises(ValueError):
+            compression_step(Instance.of(g, {1, 2}, 1), frozenset({3, 4}))
+
 
 class TestSolve:
     def test_star_with_shortcuts(self):
@@ -92,18 +120,31 @@ class TestSolve:
                 assert is_mwns(encoded.graph, T, got.solution)
 
     def test_agrees_with_oracle_and_respects_budget(self):
-        rng = random.Random(127)
-        for _ in range(120):
-            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.2, 0.35]))
-            T = frozenset(rng.sample(list(g.vertices), rng.randint(2, min(5, g.n))))
-            k = rng.randint(0, 3)
-            inst = Instance.of(g, T, k)
-            got = solve(inst)
-            assert got.is_yes == oracle_solve(inst).is_yes
-            if got.is_yes:
-                assert len(got.solution) <= k
-                assert not (got.solution & T)
-                assert is_mwns(g, T, got.solution)
+        check_oracle_suite()
+
+    def test_full_reduction_in_every_step_agrees_with_oracle(self, monkeypatch):
+        # a terminal bound of -1 runs the 1-redundant set, RR2 and RR3 in
+        # every compression step, the path the bound otherwise gates off
+        import mwns.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        assert check_oracle_suite() == {"full"}
+        # the acceptance suite's 500 instances, with about ten times the steps
+        assert check_oracle_suite(20240, 500, 4) == {"full"}
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(small_instances(max_n=10), st.randoms(use_true_random=False))
+    def test_agrees_with_oracle_under_relabeling(self, inst, rnd):
+        want = oracle_solve(inst).is_yes
+        got = solve(inst)
+        assert got.is_yes == want
+        if got.is_yes:
+            assert len(got.solution) <= inst.k and is_mwns(inst.graph, inst.terminals, got.solution)
+        order = list(inst.graph.vertices)
+        rnd.shuffle(order)
+        relabel = dict(zip(inst.graph.vertices, order))
+        g = Graph(order, [(relabel[u], relabel[v]) for u, v in inst.graph.edges()])
+        assert solve(Instance.of(g, {relabel[t] for t in inst.terminals}, inst.k)).is_yes == want
 
     def test_monotone_in_budget(self):
         rng = random.Random(131)
