@@ -1,14 +1,7 @@
 """Exact, approximate, and preprocessing algorithms for multiway near-separators."""
 
 from .graph import Graph, connected_components
-from .blockcut import (
-    BlockCutForest,
-    block_cut_forest,
-    subtree_vertices,
-    separating_cut_vertex,
-    path_through_vertex_in_block,
-    threaded_path,
-)
+from .blockcut import BlockCutForest, block_cut_forest
 from .core import (
     Instance,
     SolveResult,
@@ -17,7 +10,6 @@ from .core import (
     has_t_cycle,
     has_two_ivd_paths,
     nearly_separated_terminals,
-    find_separable_leaf_terminal,
 )
 from .separators import (
     SeparatorQuery,
@@ -33,21 +25,16 @@ from .separators import (
 # re-exporting it here would shadow the submodule attribute
 from .blocker import blocker_run, blocker_step
 from .reducer import ReductionLog, build_1_redundant, lift_solution, reduce_terminals
-from .solver import (
-    SearchStats,
-    compression_step,
-    oracle_opt_x,
-    oracle_solve,
-    pushing_lemma_witness,
-    solve,
-)
+from .solver import SearchStats, compression_step, oracle_opt_x, oracle_solve, solve
+# lemma witnesses: the tests call them, the pipeline above never does
+from .witness import (find_separable_leaf_terminal, path_through_vertex_in_block,
+                      pushing_lemma_witness, separating_cut_vertex, threaded_path)
 
 __all__ = [
     "Graph",
     "connected_components",
     "BlockCutForest",
     "block_cut_forest",
-    "subtree_vertices",
     "separating_cut_vertex",
     "path_through_vertex_in_block",
     "threaded_path",

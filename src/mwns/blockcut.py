@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, shortest_path
+from .graph import Graph
 
 
 def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
@@ -125,29 +125,6 @@ class BlockCutForest:
         placed_blocks: set[int] = set()
         placed_cuts: set[int] = set()
 
-        comp_root: dict[int, int] = {}  # smallest vertex of component -> block index of root
-        comp_seen: set[int] = set()
-        for i, b in enumerate(blocks):
-            if b & comp_seen:
-                continue
-            # flood the component block-wise
-            members = [i]
-            verts = set(b)
-            frontier = [i]
-            taken = {i}
-            while frontier:
-                j = frontier.pop()
-                for c in blocks[j] & cuts:
-                    for j2 in cut_blocks[c]:
-                        if j2 not in taken:
-                            taken.add(j2)
-                            members.append(j2)
-                            frontier.append(j2)
-                            verts |= blocks[j2]
-            comp_seen |= verts
-            root_idx = min(members, key=lambda j: block_key[j])
-            comp_root[min(verts)] = root_idx
-
         def new_node(kind: str, verts: frozenset[int], par: int | None) -> int:
             nid = len(nodes)
             nodes.append(BCNode(nid, kind, verts))
@@ -158,7 +135,12 @@ class BlockCutForest:
                 children[par].append(nid)
             return nid
 
-        for _, root_idx in sorted(comp_root.items()):
+        # the first unplaced block in key order is the smallest block of its
+        # component and starts with the component's smallest vertex, so trees
+        # come out in order of their smallest vertex
+        for root_idx in sorted(block_key, key=block_key.__getitem__):
+            if root_idx in placed_blocks:
+                continue
             placed_blocks.add(root_idx)
             # work items create their node when popped; children pushed in
             # reverse so ids come out in pre-order
@@ -195,7 +177,6 @@ class BlockCutForest:
             if nd.kind == "block":
                 for v in nd.vertices:
                     self._blocks_of.setdefault(v, []).append(nd.id)
-        self._subtree: dict[int, frozenset[int]] = {}
 
     # -- basic lookups ----------------------------------------------------
 
@@ -254,116 +235,12 @@ class BlockCutForest:
     def subtree_vertices(self, d: int) -> frozenset[int]:
         """Graph vertices occurring in blocks of the subtree rooted at node d."""
         self.node(d)
-        if d not in self._subtree:
-            # ids are pre-order: d's subtree is the id range d..stop-1 and each
-            # child follows its parent, so a reverse sweep fills children first
-            # (no recursion: a chain of blocks makes the forest very deep)
-            stop = d + 1
-            while stop < len(self.nodes) and self.depth[stop] > self.depth[d]:
-                stop += 1
-            for nid in range(stop - 1, d - 1, -1):
-                if nid not in self._subtree:
-                    acc: set[int] = set(self.nodes[nid].vertices)
-                    for c in self.children[nid]:
-                        acc |= self._subtree[c]
-                    self._subtree[nid] = frozenset(acc)
-        return self._subtree[d]
-
-    def tree_vertices(self, nid: int) -> frozenset[int]:
-        return self.subtree_vertices(self.root_of(nid))
+        # ids are pre-order: d's subtree is the id range d..stop-1
+        stop = d + 1
+        while stop < len(self.nodes) and self.depth[stop] > self.depth[d]:
+            stop += 1
+        return frozenset().union(*(nd.vertices for nd in self.nodes[d:stop]))
 
 
 def block_cut_forest(g: Graph) -> BlockCutForest:
     return BlockCutForest(g)
-
-
-def subtree_vertices(f: BlockCutForest, d: int) -> frozenset[int]:
-    return f.subtree_vertices(d)
-
-
-def separating_cut_vertex(f: BlockCutForest, e: tuple[int, int]) -> tuple[int, frozenset[int], frozenset[int]]:
-    """For a tree edge e, the incident cut vertex v and the vertex sets of the
-    two sides of the tree split at e (block-endpoint side first). Every path
-    between the two sides minus v passes through v."""
-    a, b = e
-    if f.parent[b] == a:
-        par, child = a, b
-    elif f.parent[a] == b:
-        par, child = b, a
-    else:
-        raise ValueError(f"({a},{b}) is not a tree edge")
-    cut_end = child if f.nodes[child].kind == "cut" else par
-    v = f.nodes[cut_end].vertex
-    below = f.subtree_vertices(child)
-    above = (f.tree_vertices(par) - below) | {v}
-    if f.nodes[child].kind == "block":
-        return v, below, above
-    return v, above, below
-
-
-def path_through_vertex_in_block(
-    block: frozenset[int], g: Graph, p: int, q: int, t: int
-) -> tuple[list[int], list[int]]:
-    """Inside a block with >= 3 vertices, a p-t path and a q-t path meeting only at t.
-
-    Their concatenation is a simple p-q path through t.
-    """
-    from .separators import path_through_forced_vertex  # deferred: separators imports this module
-
-    if len({p, q, t}) != 3:
-        raise ValueError("p, q, t must be distinct")
-    if not {p, q, t} <= block:
-        raise ValueError("p, q, t must lie in the block")
-    if len(block) < 3:
-        raise ValueError("block is a single edge")
-    path = path_through_forced_vertex(g.induced(block), {p}, {q}, t)
-    assert path is not None, "block must be 2-connected"
-    i = path.index(t)
-    return path[:i + 1], path[i:][::-1]
-
-
-def threaded_path(
-    g: Graph,
-    f: BlockCutForest,
-    x: int,
-    y: int,
-    forced: Iterable[tuple[frozenset[int], int]] = (),
-) -> list[int] | None:
-    """Simple x-y path (x, y cut vertices of one tree) visiting one forced
-    vertex per named block on the x-y tree path.
-
-    None when x or y is not a cut vertex of a common tree; malformed forced
-    picks raise instead.
-    """
-    if not (f.is_cut_vertex(x) and f.is_cut_vertex(y)):
-        return None
-    nx_, ny_ = f.cut_node_of(x), f.cut_node_of(y)
-    if f.root_of(nx_) != f.root_of(ny_):
-        return None
-    path_nodes = f.tree_path(nx_, ny_)
-    picks: dict[frozenset[int], int] = {}
-    on_path = {f.nodes[nid].vertices for nid in path_nodes if f.nodes[nid].kind == "block"}
-    for block, v in forced:
-        block = frozenset(block)
-        if block not in on_path:
-            raise ValueError(f"forced pick names block {sorted(block)} off the tree path")
-        if block in picks:
-            raise ValueError("two forced picks in one block")
-        if v not in block:
-            raise ValueError(f"forced vertex {v} not inside its block")
-        picks[block] = v
-    result = [x]
-    for i in range(1, len(path_nodes) - 1, 2):
-        entry = f.nodes[path_nodes[i - 1]].vertex
-        block_node = f.nodes[path_nodes[i]]
-        exit_ = f.nodes[path_nodes[i + 1]].vertex
-        block = block_node.vertices
-        pick = picks.get(block)
-        if pick is None or pick in (entry, exit_):
-            seg = shortest_path(g.induced(block), entry, [exit_])
-        else:
-            p_side, q_side = path_through_vertex_in_block(block, g, entry, exit_, pick)
-            seg = p_side + q_side[-2::-1]
-        assert seg is not None
-        result.extend(seg[1:])
-    return result

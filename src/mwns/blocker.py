@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, connected_components
 from .blockcut import BlockCutForest, block_cut_forest
-from .core import find_t_cycle, has_t_cycle, is_mwns
+from .core import find_t_cycle, is_mwns
 from .separators import closest_min_cut, gallai_q_paths
 
 
@@ -145,11 +145,12 @@ def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
 
 
 def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
-    if not has_t_cycle(g, T):
-        return None
+    # {x} nearly separates T, so every T-cycle passes x and shows up in the
+    # closure of some subtree: no meeting node means no T-cycle is left
     f = block_cut_forest(g.without([x]))
     reach, d = _routes(g, T, x, f)
-    assert d is not None, "a T-cycle on x must show up in some subtree closure"
+    if d is None:
+        return None
     nd = f.nodes[d]
     if nd.kind == "cut" and nd.vertex not in T:
         return BlockerIteration(index, d, nd.label(), "a", (), frozenset([nd.vertex]))

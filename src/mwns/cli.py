@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .blockcut import block_cut_forest
 from .blocker import blocker_run, set_trace_hook
-from .core import Instance, is_mwns
+from .core import Instance, is_mwns, terminals_independent
 from .dot import forest_to_dot, instance_to_dot
 from .gen import from_multiway_cut, random_instance
 from .instance_io import format_instance, parse_instance
@@ -65,6 +65,10 @@ def _cmd_reduce(args) -> int:
     inst = _load(args.file)
     if args.with_solution:
         s_hat = frozenset(int(tok) for tok in Path(args.with_solution).read_text().split())
+    elif not terminals_independent(inst.graph, inst.terminals):
+        # deleting every non-terminal leaves the edge between two terminals
+        print(format_instance(inst, comment="answer is NO: two terminals are adjacent"), end="")
+        return EXIT_NO
     else:
         s_hat = frozenset(v for v in inst.graph.vertices if v not in inst.terminals)
     reduced, log, feasible = reduce_terminals(inst, s_hat)

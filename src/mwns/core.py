@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, connected_components, reachable, shortest_path
-from .blockcut import biconnected_blocks, block_cut_forest
+from .graph import Graph, shortest_path
+from .blockcut import biconnected_blocks
 from .separators import SeparatorQuery, max_vertex_flow
 
 
@@ -59,13 +59,11 @@ def terminals_independent(g: Graph, T: Iterable[int]) -> bool:
 
 
 def is_mwns(g: Graph, T: Iterable[int], S: Iterable[int]) -> bool:
-    """True iff deleting S leaves the terminals pairwise nearly separated:
-    T independent and no block of G-S carries two terminals."""
+    """True iff deleting S leaves the terminals pairwise nearly separated: no
+    block of G-S carries two terminals (an edge joining two is such a block)."""
     T, S = frozenset(T), frozenset(S)
     if S & T:
         raise ValueError("deletion set intersects the terminal set")
-    if not terminals_independent(g, T):
-        return False
     return all(len(b & T) <= 1 for b in biconnected_blocks(g, exclude=S))
 
 
@@ -132,43 +130,3 @@ def nearly_separated_terminals(g: Graph, T: Iterable[int]) -> set[int]:
     those that share no block of g with another terminal."""
     T = frozenset(T)
     return set(T) - _crowded_terminals(biconnected_blocks(g), T)
-
-
-def find_separable_leaf_terminal(g: Graph, T: Iterable[int], S: Iterable[int]
-                                 ) -> tuple[int, int]:
-    """A terminal t and non-terminal v such that S + v separates t from all
-    other terminals, following the deepest-terminal argument on the block-cut
-    tree of a component of G-S."""
-    T, S = frozenset(T), frozenset(S)
-    if not is_mwns(g, T, S):
-        raise ValueError("S must be a multiway near-separator")
-    remaining = g.without(S)
-    comps = connected_components(remaining)
-    for comp in comps:
-        if len(set(comp) & T) == 1:
-            # S already separates this terminal; any extra non-terminal keeps it so
-            t = min(set(comp) & T)
-            extras = sorted(S) or sorted(set(g.vertices) - T)
-            if not extras:
-                raise ValueError("graph has no non-terminal to return")
-            return t, extras[0]
-    multi = [c for c in comps if len(set(c) & T) >= 2]
-    if not multi:
-        raise ValueError("no terminal to separate")
-    comp = set(multi[0])
-    f = block_cut_forest(remaining.induced(comp))
-
-    def depth_of(t: int) -> tuple[int, int]:
-        blocks = [nid for nid in f.blocks_containing(t)]
-        return min(f.depth[b] for b in blocks), -t
-
-    t_star = max(sorted(comp & T), key=depth_of)
-    top_block = min(f.blocks_containing(t_star), key=lambda b: f.depth[b])
-    parent_cut = f.parent[top_block]
-    assert parent_cut is not None, "deepest terminal cannot sit in the root block"
-    v = f.nodes[parent_cut].vertex
-    assert v not in T
-    # contract check: S + v separates t* from every other terminal
-    reach = reachable(g, [t_star], S | {v})
-    assert not (reach & (T - {t_star}))
-    return t_star, v

@@ -98,6 +98,21 @@ def _apply_step(inst: Instance, step: Step) -> Instance:
     raise TypeError(f"unknown step {step!r}")
 
 
+def _ints(fields: dict[str, str], line: str, name: str, count: int | None = 1) -> list[int]:
+    """Field `name=` of a step line: `count` comma-separated integers, or a
+    braced set of any size when count is None."""
+    if name not in fields:
+        raise ValueError(f"reduction step {line!r} lacks the field {name}=")
+    text = fields[name].strip("{}") if count is None else fields[name]
+    try:
+        out = [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        out = None
+    if out is None or count is not None and len(out) != count:
+        raise ValueError(f"reduction step {line!r} has a malformed field {name}={fields[name]}")
+    return out
+
+
 def parse_steps(lines: Iterable[str]) -> list[Step]:
     steps: list[Step] = []
     for raw in lines:
@@ -109,17 +124,15 @@ def parse_steps(lines: Iterable[str]) -> list[Step]:
             continue  # instance directives share the log file
         fields = dict(part.split("=", 1) for part in rest.split() if "=" in part)
         if head == "rr1":
-            steps.append(DropNearlySeparated(int(fields["t"])))
+            steps.append(DropNearlySeparated(*_ints(fields, line, "t")))
         elif head == "rr2":
-            comp = frozenset(int(v) for v in fields["D"].strip("{}").split(",") if v)
-            a, b = (int(v) for v in fields["kept"].split(","))
-            steps.append(DropComponentTerminal(int(fields["drop"]), int(fields["x"]),
-                                               int(fields["y"]), comp, (a, b)))
+            x, y, drop = (_ints(fields, line, name)[0] for name in ("x", "y", "drop"))
+            comp = frozenset(_ints(fields, line, "D", None))
+            steps.append(DropComponentTerminal(drop, x, y, comp, tuple(_ints(fields, line, "kept", 2))))
         elif head == "rr3":
-            removed = frozenset(int(v) for v in fields["drop"].strip("{}").split(",") if v)
-            steps.append(DropUnmarked(removed))
+            steps.append(DropUnmarked(frozenset(_ints(fields, line, "drop", None))))
         elif head == "essential":
-            steps.append(EssentialVertex(int(fields["x"])))
+            steps.append(EssentialVertex(*_ints(fields, line, "x")))
         else:
             raise ValueError(f"unknown reduction step {line!r}")
     return steps
@@ -146,19 +159,16 @@ def _rr2_candidate_pairs(g: Graph, T: frozenset[int], s_star: frozenset[int]
     """Non-terminal cut-vertex pairs lying on a common root-to-leaf path of the
     block-cut forest of G - S*."""
     f = block_cut_forest(g.without(s_star))
-    cuts = [nd for nd in f.nodes if nd.kind == "cut" and nd.vertex not in T]
-    pairs = []
-    for anc in cuts:
-        for desc in cuts:
-            if anc.id == desc.id:
-                continue
-            node = desc.id
-            while f.parent[node] is not None:
-                node = f.parent[node]
-                if node == anc.id:
-                    pairs.append((anc.vertex, desc.vertex))
-                    break
-    return sorted(set(tuple(sorted(p)) for p in pairs))
+    pairs = set()
+    for nd in f.nodes:
+        if nd.kind == "cut" and nd.vertex not in T:
+            anc = f.parent[nd.id]
+            while anc is not None:
+                up = f.nodes[anc]
+                if up.kind == "cut" and up.vertex not in T:
+                    pairs.add((min(up.vertex, nd.vertex), max(up.vertex, nd.vertex)))
+                anc = f.parent[anc]
+    return sorted(pairs)
 
 
 def apply_rr2(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropComponentTerminal] | None:

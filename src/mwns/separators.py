@@ -502,6 +502,6 @@ def gallai_q_paths(d_t: Graph, Q: Iterable[int]) -> tuple[list[list[int]], set[i
     for v in sorted(cover):  # minimalize, smallest ids dropped first
         if not _has_q_path(d_t, Q, cover - {v}):
             cover.discard(v)
-    assert len(cover) <= 2 * nu
-    assert not _has_q_path(d_t, Q, cover)
+    if len(cover) > 2 * nu or _has_q_path(d_t, Q, cover):
+        raise RuntimeError(f"Q-path cover {sorted(cover)} is not a hitting set of size <= {2 * nu}")
     return packing, cover

@@ -120,8 +120,6 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     s_big = frozenset(s_big)
     if len(s_big) != k + 1 or s_big & T or not is_mwns(g, T, s_big):
         raise ValueError("need a near-separator of size exactly k+1 disjoint from T")
-    if not terminals_independent(g, T):
-        return SolveResult.no()
 
     fired = apply_rr1(inst)
     reduced, steps = fired if fired is not None else (inst, ())
@@ -225,38 +223,3 @@ def solve(inst: Instance) -> SolveResult:
         else:
             current = result.solution
     return done(SolveResult.yes(current))
-
-
-@dataclass(frozen=True)
-class PushingWitness:
-    terminal: int
-    separator: frozenset[int]
-    solution: frozenset[int]
-    kind: str  # "subset" (whole separator inside) | "all-but-one"
-    omitted: int | None
-
-
-def pushing_lemma_witness(inst: Instance, S) -> PushingWitness:
-    """Search an optimal solution and an important separator certifying the
-    branching rule: either a separator of size <= k inside some optimal
-    solution, or one of size <= k+1 all but one vertex of which is inside."""
-    g, T, k = inst.graph, inst.terminals, inst.k
-    S = frozenset(S)
-    if inst.is_trivial() or not is_mwns(g, T, S):
-        raise ValueError("need an optimal solution of a non-trivial instance")
-    pool = sorted(v for v in g.vertices if v not in T)
-    optima = [frozenset(c) for c in itertools.combinations(pool, len(S))
-              if is_mwns(g, T, frozenset(c))]
-    for t in sorted(T):
-        seps = enumerate_important_separators(
-            SeparatorQuery.of(g, {t}, T - {t}, undeletable=T), k + 1)
-        for sep in seps:
-            for opt in optima:
-                if len(sep) <= k and sep <= opt:
-                    return PushingWitness(t, sep, opt, "subset", None)
-        for sep in seps:
-            for v in sorted(sep):
-                for opt in optima:
-                    if sep - {v} <= opt:
-                        return PushingWitness(t, sep, opt, "all-but-one", v)
-    raise AssertionError("pushing lemma witness must exist for an optimal solution")

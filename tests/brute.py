@@ -7,7 +7,7 @@ import itertools
 from hypothesis import strategies as st
 
 from mwns.core import Instance
-from mwns.graph import Graph, reachable
+from mwns.graph import Graph, connected_components, reachable
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -68,6 +68,36 @@ def all_cycles(g: Graph) -> list[list[int]]:
 def has_t_cycle_brute(g: Graph, T) -> bool:
     T = frozenset(T)
     return any(len(set(c) & T) >= 2 for c in all_cycles(g))
+
+
+def blocks_brute(g: Graph) -> list[frozenset[int]]:
+    """Blocks as classes of edges joined by common simple cycles, plus the
+    isolated vertices."""
+    classes = [{frozenset(e)} for e in g.edges()]
+    for c in all_cycles(g):
+        ring = {frozenset(e) for e in zip(c, c[1:] + c[:1])}
+        hit = [cls for cls in classes if cls & ring]
+        classes = [cls for cls in classes if not cls & ring] + [set().union(*hit)]
+    out = [frozenset().union(*cls) for cls in classes]
+    return out + [frozenset([v]) for v in g.vertices if not g.neighbors(v)]
+
+
+def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:
+    """Pairs x < y of non-terminal cut vertices of H = G - S* where one lies
+    below the other in the block-cut forest of H, each tree rooted at the
+    lexicographically smallest block of its component: y lies below x iff it
+    shares x's component and H - x cuts it off from the rest of that block."""
+    T = frozenset(T)
+    h = g.without(s_star)
+    blocks = blocks_brute(h)
+    pairs = set()
+    for comp in map(set, connected_components(h)):
+        root = min((b for b in blocks if b <= comp), key=sorted)
+        cuts = [v for v in sorted(comp - T) if len(connected_components(h.induced(comp - {v}))) > 1]
+        for x in cuts:
+            top = reachable(h, root - {x}, [x])
+            pairs |= {(min(x, y), max(x, y)) for y in cuts if y != x and y not in top}
+    return sorted(pairs)
 
 
 def is_separator(g: Graph, X, Y, S) -> bool:

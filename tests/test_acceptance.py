@@ -17,7 +17,8 @@ from mwns.core import Instance, is_mwns, terminals_independent
 from mwns.gen import pivot_instance
 from mwns.reducer import lift_solution, reduce_terminals
 from mwns.separators import SeparatorQuery, enumerate_important_separators, gallai_q_paths
-from mwns.solver import oracle_opt_x, oracle_solve, pushing_lemma_witness, solve
+from mwns.solver import oracle_opt_x, oracle_solve, solve
+from mwns.witness import pushing_lemma_witness
 
 from brute import (
     important_separators_brute,

@@ -2,16 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import (
-    biconnected_blocks,
-    block_cut_forest,
-    cut_vertices,
-    path_through_vertex_in_block,
-    separating_cut_vertex,
-    threaded_path,
-)
+from mwns.blockcut import biconnected_blocks, block_cut_forest, cut_vertices
+from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import all_simple_paths, random_graph
 
@@ -160,6 +155,26 @@ def test_every_root_is_a_block():
             cut = p if f.nodes[p].kind == "cut" else c
             block = p if f.nodes[p].kind == "block" else c
             assert f.nodes[cut].vertex in f.nodes[block].vertices
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 12), st.sampled_from([0.1, 0.2, 0.35]), st.integers(0, 10**6))
+def test_roots_are_smallest_blocks_in_component_order_and_ids_pre_order(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    f = block_cut_forest(g)
+    blocks = biconnected_blocks(g)
+    comps = connected_components(g)  # ordered by smallest vertex
+    assert len(f.roots) == len(comps)
+    for r, comp in zip(f.roots, comps):
+        assert f.nodes[r].vertices == min((b for b in blocks if b <= set(comp)), key=sorted)
+    order = []  # a depth-first walk taking children in order
+    for r in f.roots:
+        stack = [r]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(reversed(f.children[nid]))
+    assert order == list(range(len(f.nodes)))
 
 
 def test_vertex_lookups_and_subtrees_match_a_node_scan():

@@ -8,6 +8,7 @@ from mwns.graph import Graph
 from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
 from mwns.blocker import (
+    _step,
     blocker,
     blocker_run,
     blocker_step,
@@ -86,6 +87,8 @@ class TestRoutesAgainstClosures:
             T = frozenset(T)
             cur = g
             for it in blocker_run(g, T, x).iterations:
+                # a step finds something exactly while a T-cycle is left
+                assert _step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
                 f = block_cut_forest(cur.without([x]))
                 closures = {nd.id: cur.induced(f.subtree_vertices(nd.id) | {x}) for nd in f.nodes}
                 cyclic = [n for n, c in closures.items() if has_t_cycle_brute(c, T)]
@@ -108,6 +111,7 @@ class TestRoutesAgainstClosures:
                             f.nodes[c].vertex for c in grand if subtree_reach(cur, T, x, f, c) >= 1}
                 cur = cur.without(it.removed)
                 cases.append(it.case)
+            assert _step(cur, T, x, 0) is None and not has_t_cycle_brute(cur, T)
         assert len(cases) >= 90 and set(cases) == {"a", "b", "c"}
 
 
@@ -285,6 +289,8 @@ class TestBlockerContract:
         for g, T, x in pivot_suite(25, seed=97, max_n=11):
             cur = g
             for it in blocker_run(g, T, x).iterations:
+                # a step finds something exactly while a T-cycle is left
+                assert _step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
                 f = block_cut_forest(cur.without([x]))
                 d = it.d_node
                 closure = cur.induced(f.subtree_vertices(d) | {x})

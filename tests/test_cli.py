@@ -197,6 +197,14 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert "[1, 70]" in err and "reduced graph" in err
 
+    @pytest.mark.parametrize("step, field", [("rr1 x=3", "t="), ("rr1 t=abc", "t=abc")])
+    def test_lift_names_a_malformed_step(self, tmp_path, capsys, step, field):
+        logf = tmp_path / "bad.log"
+        logf.write_text(SIX_CYCLE + step + "\n")
+        code, out, err = run_cli(["lift", str(logf), "--solution", "4"], capsys)
+        assert code == 2 and out == ""
+        assert repr(step) in err and field in err
+
     def test_reduce_with_provided_separator(self, tmp_path, capsys):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)
@@ -216,6 +224,28 @@ class TestSubcommands:
         assert "essential x=1" in out
         # output stays the original, equivalent instance
         assert parse_instance(out).graph == parse_instance(SIX_CYCLE).graph
+
+    ADJACENT = "p mwns 3 2\ne 1 2\ne 2 3\nt 1\nt 2\nk 1\n"
+
+    def test_reduce_adjacent_terminals_reports_no(self, tmp_path, capsys):
+        # with every non-terminal deleted, the edge 1-2 still joins two
+        # terminals: a certified NO, as solve answers
+        f = tmp_path / "adj.txt"
+        f.write_text(self.ADJACENT)
+        code, out, _ = run_cli(["reduce", str(f)], capsys)
+        assert code == 1 and "answer is NO: two terminals are adjacent" in out
+        assert parse_instance(out) == parse_instance(self.ADJACENT)
+        code, out, _ = run_cli(["solve", str(f)], capsys)
+        assert code == 1 and out.split() == ["NO"]
+
+    def test_reduce_rejects_a_provided_set_that_does_not_separate(self, tmp_path, capsys):
+        f = tmp_path / "adj.txt"
+        f.write_text(self.ADJACENT)
+        sfile = tmp_path / "shat.txt"
+        sfile.write_text("3\n")
+        code, out, err = run_cli(["reduce", str(f), "--with-solution", str(sfile)], capsys)
+        assert code == 2 and out == ""
+        assert "not a multiway near-separator" in err
 
     def test_gen_random_deterministic(self, capsys):
         args = ["gen", "random", "--n", "9", "--p", "0.3", "--terminals", "3",

@@ -8,13 +8,13 @@ from mwns.graph import Graph, reachable
 from mwns.core import (
     Instance,
     SolveResult,
-    find_separable_leaf_terminal,
     find_t_cycle,
     has_two_ivd_paths,
     is_mwns,
     nearly_separated_terminals,
 )
 from mwns.separators import SeparatorQuery, max_vertex_flow
+from mwns.witness import find_separable_leaf_terminal
 
 from brute import (
     mwns_condition1,

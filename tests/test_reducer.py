@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.reducer import (
+    _rr2_candidate_pairs,
     DropComponentTerminal,
     DropNearlySeparated,
     DropUnmarked,
@@ -25,7 +26,7 @@ from mwns.reducer import (
 )
 from mwns.solver import oracle_solve
 
-from brute import random_graph, small_instances
+from brute import random_graph, rr2_pairs_brute, small_instances
 
 
 def six_cycle_instance(k=1):
@@ -132,6 +133,15 @@ class TestRR2:
         # to raise "endpoints lie in different components"
         g = Graph(range(1, 10), [(v, v + 1) for v in range(1, 9)])
         assert apply_rr2(Instance.of(g, {5, 7, 9}, 1), []) is None
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(4, 12), st.sampled_from([0.15, 0.25, 0.35]), st.integers(0, 10**6))
+    def test_candidate_pairs_match_the_ancestor_reference(self, n, p, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        T = frozenset(v for v in g.vertices if rng.random() < 0.2)
+        s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
+        assert _rr2_candidate_pairs(g, T, s_star) == rr2_pairs_brute(g, T, s_star)
 
 
 class TestMarking:
@@ -568,3 +578,21 @@ class TestLogSerialization:
         assert EssentialVertex(3).serialize() == "essential x=3"
         s = DropComponentTerminal(5, 3, 9, frozenset({6, 4}), (4, 6)).serialize()
         assert s == "rr2 x=3 y=9 drop=5 kept=4,6 D={4,6}"
+
+    @pytest.mark.parametrize("line, message", [
+        ("rr1 x=3", "lacks the field t="),
+        ("rr1 t=abc", "malformed field t=abc"),
+        ("rr1 t=3,4", "malformed field t=3,4"),
+        ("rr2 x=3 drop=5 kept=4,6 D={4,6}", "lacks the field y="),
+        ("rr2 x=3 y=9 drop=5 D={4,6}", "lacks the field kept="),
+        ("rr2 x=3 y=9 drop=5 kept=4 D={4,6}", "malformed field kept=4"),
+        ("rr2 x=3 y=9 drop=5 kept=4,6,8 D={4,6}", "malformed field kept=4,6,8"),
+        ("rr2 x=3 y=9 drop=5 kept=4,6 D={4,z}", "malformed field D={4,z}"),
+        ("rr3 remove={1}", "lacks the field drop="),
+        ("rr3 drop={1,,2}", "malformed field drop={1,,2}"),
+        ("essential x=", "malformed field x="),
+    ])
+    def test_malformed_step_names_its_line_and_field(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            parse_steps(["p mwns 1 0", "k 0", line])
+        assert repr(line) in str(exc.value) and message in str(exc.value)

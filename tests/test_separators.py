@@ -329,6 +329,16 @@ class TestGallaiQPaths:
         assert gallai_q_paths(g, set()) == ([], set())
         assert gallai_q_paths(g, {2}) == ([], set())
 
+    def test_cover_check_raises_even_without_asserts(self, monkeypatch):
+        # the closing checks are a raise, not an assert, so they survive
+        # python -O; a Q-path test that always finds a path keeps the whole
+        # cover, and the closing check then rejects it
+        import mwns.separators as separators_mod
+
+        monkeypatch.setattr(separators_mod, "_has_q_path", lambda g, Q, removed=(): True)
+        with pytest.raises(RuntimeError, match="not a hitting set"):
+            gallai_q_paths(Graph(range(1, 4), [(1, 2), (2, 3)]), {1, 3})
+
     def test_star_cover_uses_the_center(self):
         g = Graph(range(1, 6), [(5, 1), (5, 2), (5, 3), (5, 4)])
         packing, cover = gallai_q_paths(g, {1, 2, 3, 4})

@@ -10,9 +10,9 @@ from mwns.solver import (
     compression_step,
     oracle_opt_x,
     oracle_solve,
-    pushing_lemma_witness,
     solve,
 )
+from mwns.witness import pushing_lemma_witness
 
 from brute import multiway_separator_brute, mwns_condition3, random_graph, small_instances
 
