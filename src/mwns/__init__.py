@@ -13,7 +13,6 @@ from .core import (
 )
 from .separators import (
     SeparatorQuery,
-    ImportantSeparatorSet,
     max_vertex_flow,
     min_separator,
     enumerate_important_separators,
@@ -47,7 +46,6 @@ __all__ = [
     "nearly_separated_terminals",
     "find_separable_leaf_terminal",
     "SeparatorQuery",
-    "ImportantSeparatorSet",
     "max_vertex_flow",
     "min_separator",
     "enumerate_important_separators",

@@ -233,7 +233,9 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
         if it is None:
             break
         z = set(it.removed)
-        assert z and not (z & (T | {x})), "each iteration removes non-pivot non-terminals"
+        if not z or z & (T | {x}):  # an empty z would repeat the step forever
+            raise RuntimeError(f"blocker iteration {index} removes {sorted(z)}, "
+                               "not a nonempty set of non-pivot non-terminals")
         iterations.append(it)
         acc |= z
         cur = cur.without(z)

@@ -285,7 +285,6 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
     k1 = k - len(essential)
     steps = [EssentialVertex(x) for x in essential]
     s_star -= set(essential)
-    assert not (s_star & T)
     if k1 >= 0:
         out_inst = Instance(g1, T, k1)
     else:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
-from .graph import Graph, connected_components, reachable
+from .graph import Graph, reachable
 from .blockcut import block_cut_forest
 
 INF = 1 << 30
@@ -30,19 +27,6 @@ class SeparatorQuery:
     def of(graph: Graph, sources: Iterable[int], sinks: Iterable[int],
            undeletable: Iterable[int] = ()) -> "SeparatorQuery":
         return SeparatorQuery(graph, frozenset(sources), frozenset(sinks), frozenset(undeletable))
-
-
-@dataclass(frozen=True)
-class ImportantSeparatorSet:
-    separators: tuple[frozenset[int], ...]
-    query: SeparatorQuery
-    k: int
-
-    def __iter__(self):
-        return iter(self.separators)
-
-    def __len__(self):
-        return len(self.separators)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +214,9 @@ def _is_separator(g: Graph, X: frozenset[int], Y: frozenset[int], S: frozenset[i
     return not (reachable(g, X - S, S) & (Y - S))
 
 
-def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSeparatorSet:
-    """All important (X,Y)-separators of size <= k avoiding the undeletable set.
+def enumerate_important_separators(q: SeparatorQuery, k: int) -> tuple[frozenset[int], ...]:
+    """All important (X,Y)-separators of size <= k avoiding the undeletable set,
+    by size, then by sorted members.
 
     Candidates come from the standard branching around the X-closest minimum
     cut (push a cut vertex into the separator, or onto the source side); each
@@ -257,7 +242,7 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSepara
         return out
 
     if k < 0:
-        return ImportantSeparatorSet((), q, k)
+        return ()
     found = candidates(frozenset(), q.sources, k)
 
     def important(S: frozenset[int]) -> bool:
@@ -275,8 +260,7 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> ImportantSepara
                 return False
         return True
 
-    keep = sorted((s for s in found if important(s)), key=lambda s: (len(s), sorted(s)))
-    return ImportantSeparatorSet(tuple(keep), q, k)
+    return tuple(sorted((s for s in found if important(s)), key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------
@@ -346,136 +330,149 @@ def max_terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # Gallai Q-path packing and covering
 # ---------------------------------------------------------------------------
-
-def _q_path_packing(g: Graph, Q: frozenset[int]) -> list[list[int]]:
-    """Maximum family of vertex-disjoint paths with both distinct endpoints in Q.
-
-    Encoded as maximum matching in an auxiliary graph: each non-Q vertex v
-    becomes a pair v',v'' joined by an edge, matched pairs stand for unused
-    vertices and through-matched pairs for path interiors.
+def _blossom_matching(adj: list[list[int]]) -> tuple[list[int], set[int]]:
+    """Maximum matching of the graph on nodes 0..n-1 with adjacency lists
+    `adj` (Edmonds' blossom algorithm), as each node's mate or -1, and its
+    Gallai-Edmonds set D, the nodes that some maximum matching leaves
+    exposed: the outer nodes of one failed search from each exposed node.
+    Raises RuntimeError if such a search augments instead, so the matching
+    is checked to be maximum.
     """
-    inner = [v for v in g.vertices if v not in Q]
-    H = nx.Graph()
-    H.add_nodes_from(Q)
-    for v in inner:
-        H.add_edge(("a", v), ("b", v))
+    n = len(adj)
+    mate = [-1] * n
+
+    def search(root: int) -> tuple[int, list[int], list[bool]]:
+        # grow an alternating tree from the exposed root, shrinking each
+        # blossom into its base and making all its nodes outer; return the
+        # exposed node an augmenting path reaches (or -1), the tree parents
+        # and the outer marks
+        base = list(range(n))
+        parent = [-1] * n
+        outer = [False] * n
+        outer[root] = True
+        queue = [root]
+
+        def common_base(a: int, b: int) -> int:
+            up = set()
+            while True:
+                a = base[a]
+                up.add(a)
+                if mate[a] == -1:
+                    break
+                a = parent[mate[a]]
+            b = base[b]
+            while b not in up:
+                b = base[parent[mate[b]]]
+            return b
+
+        def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+            while base[v] != b:
+                blossom.update((base[v], base[mate[v]]))
+                parent[v] = child
+                child = mate[v]
+                v = parent[child]
+
+        for v in queue:
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if outer[w]:
+                    b = common_base(v, w)
+                    blossom: set[int] = set()
+                    mark(v, b, w, blossom)
+                    mark(w, b, v, blossom)
+                    for i in range(n):
+                        if base[i] in blossom:
+                            base[i] = b
+                            if not outer[i]:
+                                outer[i] = True
+                                queue.append(i)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if mate[w] == -1:
+                        return w, parent, outer
+                    outer[mate[w]] = True
+                    queue.append(mate[w])
+        return -1, parent, outer
+
+    for root in range(n):
+        if mate[root] == -1:
+            w, parent, _ = search(root)
+            while w != -1:  # flip the path from w back to the root
+                v = parent[w]
+                nxt = mate[v]
+                mate[v], mate[w] = w, v
+                w = nxt
+    D: set[int] = set()
+    for root in range(n):
+        if mate[root] == -1:
+            w, _, outer = search(root)
+            if w != -1:
+                raise RuntimeError(f"an augmenting path from node {root} remains")
+            D.update(i for i in range(n) if outer[i])
+    return mate, D
+
+
+def _q_path_packing(g: Graph, Q: frozenset[int]) -> tuple[list[list[int]], frozenset[int]]:
+    """Maximum family of vertex-disjoint paths with both distinct endpoints in
+    Q, and a set U with |U| + sum over the components K of G - U of
+    floor(|Q ∩ K| / 2) equal to its size.
+
+    Encoded as maximum matching in an auxiliary graph H: a Q vertex is one
+    node, any other vertex v two adjacent nodes v', v''; matched pairs stand
+    for unused vertices and through-matched pairs for path interiors. U is the
+    vertices with a node in A = N(D) - D, for the Gallai-Edmonds set D of H.
+    Swapping v' and v'' is an automorphism of H, so both lie in one class; the
+    components of G - U and of H - A correspond, each with a node count of
+    the parity of its Q count; and H misses c(D) - |A| nodes, c(D) the number
+    of components of H[D]. Together these give the identity.
+    """
+    vertex: list[int] = []  # graph vertex of each node
+    first: dict[int, int] = {}  # its first node; a non-Q vertex's second follows
+    for v in g.vertices:
+        first[v] = len(vertex)
+        vertex += [v] if v in Q else [v, v]
+    twin = [-1 if v in Q else 2 * first[v] + 1 - i for i, v in enumerate(vertex)]
+    adj: list[list[int]] = [[t] if t >= 0 else [] for t in twin]
     for u, v in g.edges():
-        if u in Q and v in Q:
-            H.add_edge(u, v)
-        elif u in Q:
-            H.add_edge(u, ("a", v))
-            H.add_edge(u, ("b", v))
-        elif v in Q:
-            H.add_edge(v, ("a", u))
-            H.add_edge(v, ("b", u))
-        else:
-            for cu in ("a", "b"):
-                for cv in ("a", "b"):
-                    H.add_edge((cu, u), (cv, v))
-    matching = nx.max_weight_matching(H, maxcardinality=True)
-    mate: dict = {}
-    for x, y in matching:
-        mate[x] = y
-        mate[y] = x
+        for i in range(first[u], first[u] + 2 - (u in Q)):
+            for j in range(first[v], first[v] + 2 - (v in Q)):
+                adj[i].append(j)
+                adj[j].append(i)
+    mate, D = _blossom_matching(adj)
 
-    def other(copy):
-        tag, v = copy
-        return ("b" if tag == "a" else "a", v)
-
-    # rotate dead stubs (one copy matched, the other exposed) onto pair edges
+    # rotate dead stubs (one copy matched elsewhere, the other exposed) onto
+    # pair edges; both copies exposed would leave the pair edge augmenting
     changed = True
     while changed:
         changed = False
-        for v in inner:
-            ca, cb = ("a", v), ("b", v)
-            for c1, c2 in ((ca, cb), (cb, ca)):
-                if c1 in mate and c2 not in mate and mate[c1] != c2:
-                    z = mate.pop(c1)
-                    mate.pop(z)
-                    mate[c1] = c2
-                    mate[c2] = c1
-                    changed = True
+        for i, t in enumerate(twin):
+            if t >= 0 and mate[t] == -1:
+                mate[mate[i]] = -1
+                mate[i], mate[t] = t, i
+                changed = True
 
     paths = []
-    seen_q: set[int] = set()
+    ends: set[int] = set()
     for q in sorted(Q):
-        if q in seen_q or q not in mate:
+        i = mate[first[q]]
+        if q in ends or i == -1:
             continue
         walk = [q]
-        cur = mate[q]
-        while not isinstance(cur, int):
-            walk.append(cur[1])
-            nxt = other(cur)
-            if nxt not in mate:  # stub left by a non-maximum structure
-                walk = None
-                break
-            cur = mate[nxt]
-        if walk is None:
-            continue
-        walk.append(cur)
-        seen_q.update((walk[0], walk[-1]))
+        while twin[i] >= 0:
+            walk.append(vertex[i])
+            i = mate[twin[i]]
+        walk.append(vertex[i])
+        ends.update((q, vertex[i]))
         paths.append(walk)
-    return paths
+    A = {j for i in D for j in adj[i]} - D
+    return paths, frozenset(vertex[i] for i in A)
 
 
 def _has_q_path(g: Graph, Q: frozenset[int], removed: Iterable[int] = ()) -> bool:
     gone = set(removed)
     alive = Q - gone
-    seen: set[int] = set()
-    for comp in connected_components(g):
-        members = (set(comp) - gone) - seen
-        # removal may split a listed component; re-flood the remainder
-        while members:
-            start = next(iter(members))
-            part = reachable(g, [start], gone)
-            if len(part & alive) >= 2:
-                return True
-            members -= part
-            seen |= part
-    return False
-
-
-def _cover_value(g: Graph, Q: frozenset[int], U: frozenset[int]) -> int:
-    total = len(U)
-    seen: set[int] = set()
-    for v in g.vertices:
-        if v in U or v in seen:
-            continue
-        comp = reachable(g, [v], U)
-        seen |= comp
-        total += len(comp & Q) // 2
-    return total
-
-
-def _cover_certificate(g: Graph, Q: frozenset[int], target: int) -> frozenset[int]:
-    """A set U with |U| + sum over components K of floor(|Q ∩ K|/2) == target.
-
-    Greedy descent first; exhaustive search over small U as a fallback (the
-    duality between packings and such certificates guarantees one exists).
-    """
-    U: frozenset[int] = frozenset()
-    best = _cover_value(g, Q, U)
-    while best > target:
-        improved = None
-        for v in g.vertices:
-            if v in U:
-                continue
-            val = _cover_value(g, Q, U | {v})
-            if val < best:
-                best, improved = val, U | {v}
-                if best == target:
-                    break
-        if improved is None:
-            break
-        U = improved
-    if best == target:
-        return U
-    for size in range(1, target + 1):
-        for combo in itertools.combinations(g.vertices, size):
-            cand = frozenset(combo)
-            if _cover_value(g, Q, cand) == target:
-                return cand
-    raise AssertionError("no packing-matching cover certificate found")
+    return any(len(reachable(g, [q], gone) & alive) > 1 for q in alive)
 
 
 def gallai_q_paths(d_t: Graph, Q: Iterable[int]) -> tuple[list[list[int]], set[int]]:
@@ -486,11 +483,10 @@ def gallai_q_paths(d_t: Graph, Q: Iterable[int]) -> tuple[list[list[int]], set[i
         raise ValueError("Q must be a subset of the graph vertices")
     if len(Q) <= 1:
         return [], set()
-    packing = _q_path_packing(d_t, Q)
+    packing, U = _q_path_packing(d_t, Q)
     nu = len(packing)
     if nu == 0:
         return [], set()
-    U = _cover_certificate(d_t, Q, nu)
     cover = set(U)
     for v in d_t.vertices:
         if v in U:

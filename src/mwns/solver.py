@@ -217,7 +217,6 @@ def solve(inst: Instance) -> SolveResult:
         result = compression_step(Instance(sub, T, k), current, stats)
         if not result.is_yes:
             return done(SolveResult.no())
-        assert len(result.solution) <= k
         if i < len(pool):
             current = result.solution | {pool[i]}
         else:

@@ -152,7 +152,7 @@ def test_criterion_4_important_separators_exact():
             continue
         Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
         k = rng.randint(0, 4)
-        got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k).separators)
+        got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k))
         assert got == important_separators_brute(g, X, Y, frozenset(), k)
         assert len(got) <= 4 ** k
         done += 1

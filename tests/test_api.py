@@ -74,3 +74,12 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import mwns, sys; sys.exit('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "importing mwns loaded networkx"

@@ -249,6 +249,16 @@ class TestBlockerContract:
         with pytest.raises(RuntimeError, match="not a near-separator"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
+    def test_empty_iteration_raises_even_without_asserts(self, monkeypatch):
+        # a step that removes nothing would rerun on the same graph forever;
+        # the progress check is a raise, so it survives python -O too
+        import mwns.blocker as blocker_mod
+
+        empty = blocker_mod.BlockerIteration(0, 0, "b0", "c", (), frozenset())
+        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index: empty)
+        with pytest.raises(RuntimeError, match="removes \\[\\]"):
+            blocker_run(six_cycle(), {3, 5}, 1)
+
     def test_six_cycle_within_factor(self):
         s = blocker(six_cycle(), {3, 5}, 1)
         assert is_mwns(six_cycle(), {3, 5}, s)

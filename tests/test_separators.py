@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from mwns.graph import Graph, reachable
 from mwns.separators import (
     MultiTerminalBlockError,
     SeparatorQuery,
+    _blossom_matching,
     closest_min_cut,
     enumerate_important_separators,
     gallai_q_paths,
@@ -178,7 +180,7 @@ class TestImportantSeparators:
                 continue
             Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
             k = rng.randint(0, 4)
-            got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k).separators)
+            got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k))
             assert got == important_separators_brute(g, X, Y, frozenset(), k)
             assert len(got) <= 4 ** k
 
@@ -360,3 +362,63 @@ class TestGallaiQPaths:
                 assert not (set(path) & used)
                 used |= set(path)
                 assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+
+    def test_disjoint_gadgets_need_no_search(self):
+        # per copy, edges 1-4 2-3 2-5 2-6 4-5 4-6 with every vertex in Q: two
+        # disjoint Q-paths, and {2, 4} meets them all; with eight copies a
+        # search over vertex subsets for the cover would not finish
+        m = 8
+        edges = [(6 * c + a, 6 * c + b) for c in range(m)
+                 for a, b in ((1, 4), (2, 3), (2, 5), (2, 6), (4, 5), (4, 6))]
+        g = Graph(range(1, 6 * m + 1), edges)
+        packing, cover = gallai_q_paths(g, g.vertices)
+        assert len(packing) == 2 * m
+        assert len(cover) <= 4 * m
+        assert not q_path_exists(g, g.vertices, cover)
+
+
+def matching_size(adj):
+    H = nx.Graph()
+    H.add_nodes_from(range(len(adj)))
+    H.add_edges_from((i, j) for i, ns in enumerate(adj) for j in ns)
+    return len(nx.max_weight_matching(H, maxcardinality=True))
+
+
+def check_blossom_matching(adj):
+    mate, D = _blossom_matching(adj)
+    for i, j in enumerate(mate):
+        assert j == -1 or (j in adj[i] and mate[j] == i)
+    mu = matching_size(adj)
+    assert sum(j != -1 for j in mate) == 2 * mu
+    # Gallai-Edmonds: D holds the nodes some maximum matching leaves exposed
+    brute = {v for v in range(len(adj))
+             if matching_size([[j for j in ns if j != v] if i != v else []
+                               for i, ns in enumerate(adj)]) == mu}
+    assert D == brute
+    return mate, D
+
+
+def adjacency(g):
+    return [[w - 1 for w in sorted(g.neighbors(v))] for v in g.vertices]
+
+
+class TestBlossomMatching:
+    def test_two_triangles_joined_by_an_edge(self):
+        g = Graph(range(1, 7), [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+        assert check_blossom_matching(adjacency(g))[1] == set()
+
+    def test_five_cycle_with_a_pendant_path(self):
+        g = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (5, 6), (6, 7)])
+        check_blossom_matching(adjacency(g))
+
+    def test_perfect_only_through_a_shrunk_cycle(self):
+        # stem 8-6-1 into the 5-cycle 1..5 and pendant 7 at 2; the search
+        # from 5 shrinks the cycle before it finds its augmenting path
+        g = Graph(range(1, 9), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (6, 1), (2, 7), (8, 6)])
+        mate, D = check_blossom_matching(adjacency(g))
+        assert -1 not in mate and D == set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(1, 12), st.sampled_from([0.15, 0.3, 0.5, 0.75]), st.integers(0, 2 ** 32))
+    def test_matches_networkx_and_the_exposable_nodes(self, n, p, seed):
+        check_blossom_matching(adjacency(random_graph(random.Random(seed), n, p)))
