@@ -92,7 +92,8 @@ def find_t_cycle(g: Graph, T: Iterable[int]) -> list[int] | None:
                     return [t1] + rest
             raise AssertionError("2-connected block lost connectivity")
         value, paths = max_vertex_flow(SeparatorQuery.of(sub, {t1}, {t2}))
-        assert value >= 2, "2-connected block must carry two disjoint routes"
+        if value < 2:
+            raise RuntimeError("2-connected block must carry two disjoint routes")
         p1, p2 = paths[0], paths[1]
         return p1 + p2[-2:0:-1]
     return best_edge
@@ -115,13 +116,17 @@ def has_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
     return any(t1 in b and t2 in b for b in biconnected_blocks(g))
 
 
-def _crowded_terminals(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[int]:
-    """Terminals that share one of `blocks` with another terminal."""
+def crowded_kernel(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[int]:
+    """The union U of the `blocks` that hold two or more terminals.
+
+    Two terminals lie on a common cycle of G - S only inside one block of G,
+    so when `blocks` are those of G, S solves (G, T) iff S & U solves
+    (G[U], T & U); T & U are the terminals that share a block with another.
+    """
     out: set[int] = set()
     for b in blocks:
-        hit = b & T
-        if len(hit) >= 2:
-            out |= hit
+        if len(b & T) >= 2:
+            out |= b
     return out
 
 
@@ -129,4 +134,4 @@ def nearly_separated_terminals(g: Graph, T: Iterable[int]) -> set[int]:
     """Terminals with no partner reachable by two internally disjoint paths:
     those that share no block of g with another terminal."""
     T = frozenset(T)
-    return set(T) - _crowded_terminals(biconnected_blocks(g), T)
+    return set(T) - crowded_kernel(biconnected_blocks(g), T)

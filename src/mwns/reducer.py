@@ -357,7 +357,8 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
         cur, step = fired
         all_steps.append(step)
     log = ReductionLog(inst, tuple(all_steps))
-    assert log.reduced() == cur, "forward replay must reproduce the reduced instance"
+    if log.reduced() != cur:
+        raise RuntimeError("forward replay of the log does not reproduce the reduced instance")
     return cur, log, feasible
 
 
@@ -377,36 +378,22 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
     Replays the log backwards; terminal-conversion steps need the current
     solution inclusion-minimal, the component rule substitutes its cut vertex
     x when the solution touches the component, and essential vertices are
-    unioned back in. Terminal-dropping steps keep the graph, and more
-    terminals only make a set harder to shrink or to keep valid: a minimal
-    set stays minimal through them, and one check at the earliest stage of a
-    run of them covers the run.
+    unioned back in.
     """
     stages = log.replay()
     cur = frozenset(solution)
     final = stages[-1]
-    # with no terminal left, every set is a near-separator
-    if cur & final.terminals or len(cur) > final.k or (
-            final.terminals and not is_mwns(final.graph, final.terminals, cur)):
+    if cur & final.terminals or len(cur) > final.k or not is_mwns(final.graph, final.terminals, cur):
         raise ValueError("not a valid solution of the reduced instance")
     cur = minimalize(final.graph, final.terminals, cur)
-    minimal = True  # cur is inclusion-minimal at the stage after the step lifted
-    drops = (DropNearlySeparated, DropUnmarked)
-    for i in reversed(range(len(log.steps))):
-        step, before, after = log.steps[i], stages[i], stages[i + 1]
-        if isinstance(step, drops):
-            if not minimal:
-                cur = minimalize(after.graph, after.terminals, cur)
-                minimal = True
-            if i > 0 and isinstance(log.steps[i - 1], drops):
-                continue  # the earlier step's check implies this one
+    for step, before, after in zip(reversed(log.steps), reversed(stages[:-1]), reversed(stages[1:])):
+        if isinstance(step, (DropNearlySeparated, DropUnmarked)):
+            cur = minimalize(after.graph, after.terminals, cur)
         elif isinstance(step, DropComponentTerminal):
             if cur & step.component:
                 cur = (cur - step.component) | {step.x}
-                minimal = False
         elif isinstance(step, EssentialVertex):
             cur = cur | {step.x}
-            minimal = False
         if cur & before.terminals or not is_mwns(before.graph, before.terminals, cur):
             raise RuntimeError(f"lift through {step} lost validity")
     if len(cur) > log.original.k:

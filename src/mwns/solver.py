@@ -12,12 +12,12 @@ from .blockcut import biconnected_blocks
 from .core import (
     Instance,
     SolveResult,
-    _crowded_terminals,
+    crowded_kernel,
     has_t_cycle,
     is_mwns,
     terminals_independent,
 )
-from .reducer import ReductionLog, apply_rr1, lift_solution, reduce_terminals, terminal_bound
+from .reducer import lift_solution, minimalize, reduce_terminals, terminal_bound
 from .separators import SeparatorQuery, enumerate_important_separators
 
 ORACLE_LIMIT = 10**7
@@ -31,7 +31,7 @@ class CompressionStats:
     leaves: int = 0
     enumerations: int = 0
     max_depth: int = 0
-    reduction: str = "rr1"  # "full" when the whole reduce_terminals pipeline ran
+    reduction: str = "kernel"  # "full" when the whole reduce_terminals pipeline ran
 
     @property
     def leaf_bound(self) -> int:
@@ -108,50 +108,50 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
 def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
     """Shrink a (k+1)-size near-separator to size k, or decide NO.
 
-    Reduces the terminal set, then branches on important separators of each
-    not-nearly-separated terminal, taking either a whole separator or all but
-    one vertex of it into the solution. The branching is exact for any
-    terminal set; the reduction only bounds its (32|T'|)^k' leaves. RR1 runs
-    always. The 1-redundant set, RR2 and RR3 run only while more than
-    `terminal_bound(k, k+1)` terminals are left, the most they guarantee to
-    leave, so the leaf bound is never weaker than with the full pipeline.
+    Branches on important separators of each crowded terminal, one sharing
+    a block with another terminal, taking either a whole separator or all but
+    one vertex of it into the solution. Every search node first cuts its graph
+    down to the crowded kernel, the union of the blocks holding two or more
+    terminals, which keeps exactly the node's solutions. The branching is
+    exact for any terminal set; the reduction only bounds its (32|T'|)^k'
+    leaves. The 1-redundant set, RR1, RR2 and RR3 run only while more than
+    `terminal_bound(k, k+1)` terminals are crowded, the most they guarantee
+    to leave, so the leaf bound is never weaker than with the full pipeline.
     """
     g, T, k = inst.graph, inst.terminals, inst.k
     s_big = frozenset(s_big)
     if len(s_big) != k + 1 or s_big & T or not is_mwns(g, T, s_big):
         raise ValueError("need a near-separator of size exactly k+1 disjoint from T")
 
-    fired = apply_rr1(inst)
-    reduced, steps = fired if fired is not None else (inst, ())
-    if len(reduced.terminals) > terminal_bound(k, len(s_big)):
-        reduction = "full"
+    log = None
+    crowded = crowded_kernel(biconnected_blocks(g), T) & T
+    if len(crowded) > terminal_bound(k, len(s_big)):
         reduced, log, feasible = reduce_terminals(inst, s_big)
         if not feasible:
             return SolveResult.no()
-    else:
-        reduction = "rr1"
-        log = ReductionLog(inst, steps)
-    g2, t2, k2 = reduced.graph, reduced.terminals, reduced.k
-
-    cstats = CompressionStats(terminals=len(t2), budget=k2, reduction=reduction)
+        g, T, k = reduced.graph, reduced.terminals, reduced.k
+        crowded = T
+    cstats = CompressionStats(terminals=len(crowded), budget=k,
+                              reduction="kernel" if log is None else "full")
 
     def rec(cur: Graph, budget: int, depth: int) -> frozenset[int] | None:
         cstats.nodes += 1
         cstats.max_depth = max(cstats.max_depth, depth)
-        # t2 stays independent in every cur, so a block holding two terminals
-        # has three or more vertices: crowded is empty iff there is no T-cycle
-        crowded = _crowded_terminals(biconnected_blocks(cur), t2)
-        if not crowded:
+        # T stays independent in every cur, so a block holding two terminals
+        # has three or more vertices: the kernel is empty iff there is no T-cycle
+        kernel = crowded_kernel(biconnected_blocks(cur), T)
+        if not kernel:
             cstats.leaves += 1
             return frozenset()
         if budget <= 0:
             cstats.leaves += 1
             return None
+        cur, crowded = cur.induced(kernel), kernel & T
         branched = False
         for t in sorted(crowded):
             cstats.enumerations += 1
             seps = enumerate_important_separators(
-                SeparatorQuery.of(cur, {t}, crowded - {t}, undeletable=t2), budget + 1)
+                SeparatorQuery.of(cur, {t}, crowded - {t}, undeletable=T), budget + 1)
             for sep in seps:
                 if not sep:
                     continue
@@ -173,13 +173,14 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
             cstats.leaves += 1
         return None
 
-    found = rec(g2, k2, 0)
+    found = rec(g, k, 0)
     if stats is not None:
         stats.absorb(cstats)
     if found is None:
         return SolveResult.no()
-    lifted = lift_solution(log, found)
-    return SolveResult.yes(lifted)
+    if log is None:
+        return SolveResult.yes(minimalize(g, T, found))
+    return SolveResult.yes(lift_solution(log, found))
 
 
 def solve(inst: Instance) -> SolveResult:

@@ -88,7 +88,7 @@ class TestSubcommands:
 
     def test_solve_trace_prints_compression_lines(self, tmp_path, capsys, monkeypatch):
         # two terminal cycles sharing vertex 1: solve compresses twice, and
-        # with a few terminals RR1 is the only reduction that runs
+        # with a few terminals each step searches the crowded kernel alone
         flower = ("p mwns 11 12\n"
                   + "".join(f"e {u} {v}\n" for u, v in
                             [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6),
@@ -101,7 +101,7 @@ class TestSubcommands:
         lines = err.splitlines()
         assert len(lines) == 2
         for line in lines:
-            assert line.startswith("compress terminals=") and line.endswith("reduction=rr1")
+            assert line.startswith("compress terminals=") and line.endswith("reduction=kernel")
             assert all(f" {key}=" in line for key in ("budget", "nodes", "leaves"))
         # a bound of -1 runs the full pipeline in every step, blocker traces included
         import mwns.solver as solver_mod

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, reachable
+from mwns.blockcut import biconnected_blocks
 from mwns.core import (
     Instance,
     SolveResult,
+    crowded_kernel,
     find_t_cycle,
     has_two_ivd_paths,
     is_mwns,
@@ -17,6 +19,7 @@ from mwns.separators import SeparatorQuery, max_vertex_flow
 from mwns.witness import find_separable_leaf_terminal
 
 from brute import (
+    blocks_brute,
     mwns_condition1,
     mwns_condition2,
     mwns_condition3,
@@ -94,6 +97,15 @@ class TestFindTCycle:
                 continue
             assert (find_t_cycle(g, T) is None) == is_mwns(g, T, set())
 
+    def test_short_flow_raises_even_without_asserts(self, monkeypatch):
+        # the two-route check is a raise, not an assert, so under python -O a
+        # broken flow cannot fall through to an IndexError on the second path
+        import mwns.core as core_mod
+
+        monkeypatch.setattr(core_mod, "max_vertex_flow", lambda query: (1, [[3, 4, 5]]))
+        with pytest.raises(RuntimeError, match="two disjoint routes"):
+            find_t_cycle(six_cycle(), {3, 5})
+
 
 class TestHasTwoIvdPaths:
     def test_direct_edge_counts(self):
@@ -158,6 +170,23 @@ class TestBlockLookupProperties:
     @given(graph_and_terminals(max_n=14))
     def test_match_vertex_flows(self, case):
         check_against(flow_two_ivd_paths, *case)
+
+
+class TestCrowdedKernel:
+    """U, the union of the blocks holding two or more terminals, against the
+    brute-force blocks, and S solves (G, T) iff S & U solves (G[U], T & U)."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(graph_and_terminals(max_n=8))
+    def test_matches_brute_blocks_and_keeps_every_solution(self, case):
+        g, T = case
+        U = crowded_kernel(biconnected_blocks(g), T)
+        assert U == set().union(*(b for b in blocks_brute(g) if len(b & T) >= 2))
+        sub = g.induced(U)
+        pool = [v for v in g.vertices if v not in T]
+        for r in range(len(pool) + 1):
+            for S in itertools.combinations(pool, r):
+                assert mwns_condition3(g, T, S) == mwns_condition3(sub, T & U, U.intersection(S))
 
 
 class TestSeparableLeafTerminal:

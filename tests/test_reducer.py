@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
+from mwns.instance_io import format_instance, parse_instance
 from mwns.reducer import (
     _rr2_candidate_pairs,
     DropComponentTerminal,
@@ -295,6 +296,16 @@ class TestReduceAndLift:
         assert rr1 == [DropNearlySeparated(7)]
         assert 7 not in reduced.terminals
 
+    def test_replay_check_raises_even_without_asserts(self, monkeypatch):
+        # the log-replay check is a raise, not an assert, so it survives
+        # python -O; a replay that ignores the steps keeps terminal 7
+        import mwns.reducer as reducer_mod
+
+        monkeypatch.setattr(reducer_mod.ReductionLog, "reduced", lambda log: log.original)
+        g = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+        with pytest.raises(RuntimeError, match="forward replay"):
+            reduce_terminals(Instance.of(g, {3, 5, 7}, 1), frozenset({2, 4}))
+
     def test_equivalence_on_random_instances(self):
         rng = random.Random(107)
         checked = 0
@@ -527,7 +538,7 @@ class TestLiftAgainstPerStepReference:
     @settings(derandomize=True, max_examples=120, deadline=None, database=None)
     @given(small_instances(max_n=9))
     def test_rr1_and_pipeline_logs(self, inst):
-        # the RR1-only log of a compression step, and the full pipeline's
+        # a log of RR1 steps alone, and the full pipeline's
         fired = apply_rr1(inst)
         logs = [ReductionLog(inst, fired[1] if fired else ())]
         s_hat = frozenset(v for v in inst.graph.vertices if v not in inst.terminals)
@@ -571,6 +582,21 @@ class TestLogSerialization:
         )
         text = "\n".join(s.serialize() for s in steps)
         assert parse_steps(text.splitlines()) == list(steps)
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(small_instances(max_n=9))
+    @example(Instance.of(Graph(range(1, 6), [(x, t) for x in (1, 2) for t in (3, 4, 5)]),
+                         {3, 4, 5}, 0))
+    def test_pipeline_log_round_trips_through_text(self, inst):
+        # the text `mwns reduce --log` writes gives back the same steps, and
+        # with the instance text they replay to the same reduced instance;
+        # on K_{2,3} with k = 0, RR3 keeps k + 2 = 2 of the three terminals
+        s_hat = frozenset(v for v in inst.graph.vertices if v not in inst.terminals)
+        reduced, log, _ = reduce_terminals(inst, s_hat)
+        steps = parse_steps(log.serialize().splitlines())
+        assert steps == list(log.steps)
+        original = parse_instance(format_instance(log.original))
+        assert ReductionLog(original, tuple(steps)).reduced() == reduced
 
     def test_serialized_shapes(self):
         assert DropNearlySeparated(7).serialize() == "rr1 t=7"

@@ -83,6 +83,18 @@ class TestCompressionStep:
         assert not result.is_yes
         assert not oracle_solve(inst).is_yes
 
+    def test_bridge_path_between_crowded_blocks_stays_out(self):
+        # two terminal six-cycles joined by the non-terminal path 1-7-8-11:
+        # the path lies in no crowded block, so no search node keeps it
+        rings = [(a + i, a + (i + 1) % 6) for a in (1, 11) for i in range(6)]
+        g = Graph(range(1, 17), rings + [(1, 7), (7, 8), (8, 11)])
+        T = {3, 5, 13, 15}
+        for k in (1, 2):
+            inst = Instance.of(g, T, k)
+            got = solve(inst)
+            assert got.is_yes == oracle_solve(inst).is_yes == (k == 2)
+        assert is_mwns(g, T, got.solution) and not got.solution & {7, 8}
+
     def test_rejects_wrong_size(self):
         inst = six_cycle_instance()
         with pytest.raises(ValueError):
