@@ -1,4 +1,4 @@
-"""Exact solving by iterative compression, cross-checked by brute force.
+"""Exact solving by important-separator branching, cross-checked by brute force.
 
 Run: python3 demos/05_exact_solver.py
 """

@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--stats", action="store_true", help="print search statistics")
     p.add_argument("--trace", action="store_true",
-                   help="print one line per compression step, and any blocker traces, to stderr")
+                   help="print one line per search, and any blocker traces, to stderr")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("approx", help="14-approximate near-separator avoiding a pivot")

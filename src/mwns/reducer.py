@@ -9,13 +9,7 @@ from typing import Iterable
 
 from .graph import Graph, connected_components
 from .blockcut import block_cut_forest
-from .core import (
-    Instance,
-    is_mwns,
-    has_t_cycle,
-    nearly_separated_terminals,
-    terminals_independent,
-)
+from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
 from .separators import path_through_forced_vertex, terminals_on_path
 
@@ -188,10 +182,8 @@ def apply_rr2(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropComp
                 continue
             region = comp_set | {x, y}
             sub = g.induced(region)
-            if has_t_cycle(sub, T & region):
-                continue
-            if not terminals_independent(sub, T & region):
-                continue  # the tree counting rule needs one terminal per block
+            if not is_mwns(sub, T & region, ()):
+                continue  # no T-cycle, and the tree counting needs one terminal per block
             on_path = terminals_on_path(sub, T & comp_set, x, y)
             if on_path is None or len(on_path) < 2:
                 continue  # D must join x to y through two terminals

@@ -1,4 +1,5 @@
-"""Exact decision/search: brute-force oracle, compression branching, outer loop."""
+"""Exact decision/search: brute-force oracle, important-separator branching,
+and iterative compression above the terminal bound."""
 
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ class CompressionStats:
     leaves: int = 0
     enumerations: int = 0
     max_depth: int = 0
-    reduction: str = "kernel"  # "full" when the whole reduce_terminals pipeline ran
+    reduction: str = "kernel"  # "full" in a compression step, after reduce_terminals
 
     @property
     def leaf_bound(self) -> int:
@@ -105,34 +106,15 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
     raise AssertionError("deleting every non-terminal always works for independent T")
 
 
-def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
-    """Shrink a (k+1)-size near-separator to size k, or decide NO.
+def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats) -> frozenset[int] | None:
+    """A near-separator of (g, T) of size at most k, or None if none exists.
 
-    Branches on important separators of each crowded terminal, one sharing
-    a block with another terminal, taking either a whole separator or all but
-    one vertex of it into the solution. Every search node first cuts its graph
-    down to the crowded kernel, the union of the blocks holding two or more
-    terminals, which keeps exactly the node's solutions. The branching is
-    exact for any terminal set; the reduction only bounds its (32|T'|)^k'
-    leaves. The 1-redundant set, RR1, RR2 and RR3 run only while more than
-    `terminal_bound(k, k+1)` terminals are crowded, the most they guarantee
-    to leave, so the leaf bound is never weaker than with the full pipeline.
+    Branches on important separators of each crowded terminal, one sharing a
+    block with another terminal, taking a whole separator or all but one of
+    its vertices. Every node first cuts its graph down to the crowded kernel,
+    the union of the blocks holding two or more terminals, which keeps exactly
+    its solutions. At most (32|T'|)^k leaves, T' the crowded terminals of g.
     """
-    g, T, k = inst.graph, inst.terminals, inst.k
-    s_big = frozenset(s_big)
-    if len(s_big) != k + 1 or s_big & T or not is_mwns(g, T, s_big):
-        raise ValueError("need a near-separator of size exactly k+1 disjoint from T")
-
-    log = None
-    crowded = crowded_kernel(biconnected_blocks(g), T) & T
-    if len(crowded) > terminal_bound(k, len(s_big)):
-        reduced, log, feasible = reduce_terminals(inst, s_big)
-        if not feasible:
-            return SolveResult.no()
-        g, T, k = reduced.graph, reduced.terminals, reduced.k
-        crowded = T
-    cstats = CompressionStats(terminals=len(crowded), budget=k,
-                              reduction="kernel" if log is None else "full")
 
     def rec(cur: Graph, budget: int, depth: int) -> frozenset[int] | None:
         cstats.nodes += 1
@@ -173,18 +155,36 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
             cstats.leaves += 1
         return None
 
-    found = rec(g, k, 0)
+    return rec(g, k, 0)
+
+
+def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
+    """Shrink a (k+1)-size near-separator to size k, or decide NO: the paper's
+    step, `reduce_terminals` with Ŝ = s_big, `_search`, then `lift_solution`."""
+    g, T, k = inst.graph, inst.terminals, inst.k
+    s_big = frozenset(s_big)
+    if len(s_big) != k + 1 or s_big & T or not is_mwns(g, T, s_big):
+        raise ValueError("need a near-separator of size exactly k+1 disjoint from T")
+    reduced, log, feasible = reduce_terminals(inst, s_big)
+    if not feasible:
+        return SolveResult.no()
+    cstats = CompressionStats(len(reduced.terminals), reduced.k, reduction="full")
+    found = _search(reduced.graph, reduced.terminals, reduced.k, cstats)
     if stats is not None:
         stats.absorb(cstats)
     if found is None:
         return SolveResult.no()
-    if log is None:
-        return SolveResult.yes(minimalize(g, T, found))
     return SolveResult.yes(lift_solution(log, found))
 
 
 def solve(inst: Instance) -> SolveResult:
-    """Exact answer via iterative compression over the non-terminal vertices."""
+    """Exact answer by one `_search` on G, whose root node is G's crowded kernel.
+
+    Only above `terminal_bound(k, k+1)` crowded terminals, where the terminal
+    reduction can fire, does iterative compression run to give each step its
+    Ŝ. A block of a prefix G[P + T] lies inside a block of G, so no prefix has
+    more crowded terminals than G: below the bound no step would reduce.
+    """
     start = time.monotonic()
     stats = SearchStats()
     g, T, k = inst.graph, inst.terminals, inst.k
@@ -198,14 +198,19 @@ def solve(inst: Instance) -> SolveResult:
 
     if not terminals_independent(g, T):
         return done(SolveResult.no())
-    if not has_t_cycle(g, T):
+    # T is independent, so a block holding two terminals carries a T-cycle
+    crowded = crowded_kernel(biconnected_blocks(g), T) & T
+    if not crowded:
         return done(SolveResult.yes(frozenset()))
     if k == 0:
         return done(SolveResult.no())
-    pool = sorted(v for v in g.vertices if v not in T)
-    if len(pool) <= k:
-        return done(SolveResult.yes(frozenset(pool)))
+    if len(crowded) <= terminal_bound(k, k + 1):
+        cstats = CompressionStats(len(crowded), k)
+        found = _search(g, T, k, cstats)
+        stats.absorb(cstats)
+        return done(SolveResult.no() if found is None else SolveResult.yes(minimalize(g, T, found)))
 
+    pool = sorted(v for v in g.vertices if v not in T)
     current = frozenset(pool[: k + 1])
     for i in range(k + 1, len(pool) + 1):
         if len(current) <= k:

@@ -201,13 +201,15 @@ def random_graph(rng, n: int, p: float) -> Graph:
 
 
 @st.composite
-def small_instances(draw, max_n: int, max_k: int = 3) -> Instance:
-    """A graph on 2..max_n vertices with at most 2n edges, an independent
-    terminal set (drawn in order, each kept unless adjacent to one already
-    kept) and a budget of 0..max_k."""
+def small_instances(draw, max_n: int, max_k: int = 3, dense: bool = False) -> Instance:
+    """A graph on 2..max_n vertices with at most 2n edges (at least n, or all
+    pairs if fewer, when dense), an independent terminal set (drawn in order,
+    each kept unless adjacent to one already kept) and a budget of 0..max_k."""
     n = draw(st.integers(2, max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    g = Graph(range(1, n + 1), sorted(draw(st.sets(st.sampled_from(pairs), max_size=2 * n))))
+    fewest = min(n, len(pairs)) if dense else 0
+    g = Graph(range(1, n + 1),
+              sorted(draw(st.sets(st.sampled_from(pairs), min_size=fewest, max_size=2 * n))))
     T: set[int] = set()
     for t in draw(st.lists(st.integers(1, n), min_size=2, unique=True)):
         if not (g.neighbors(t) & T):

@@ -1,10 +1,13 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwns.solver as solver_mod
 from mwns.graph import Graph
-from mwns.core import Instance, SolveResult, is_mwns, terminals_independent
+from mwns.blockcut import biconnected_blocks
+from mwns.core import Instance, SolveResult, crowded_kernel, is_mwns, terminals_independent
 from mwns.gen import from_multiway_cut, random_instance
 from mwns.solver import (
     compression_step,
@@ -137,8 +140,6 @@ class TestSolve:
     def test_full_reduction_in_every_step_agrees_with_oracle(self, monkeypatch):
         # a terminal bound of -1 runs the 1-redundant set, RR2 and RR3 in
         # every compression step, the path the bound otherwise gates off
-        import mwns.solver as solver_mod
-
         monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
         assert check_oracle_suite() == {"full"}
         # the acceptance suite's 500 instances, with about ten times the steps
@@ -215,9 +216,14 @@ class TestSolve:
 
     def test_invalid_certificate_raises_even_without_asserts(self, monkeypatch):
         # the final check is a raise, not an assert, so it survives python -O;
-        # an empty compression answer leaves the six-cycle's T-cycle in place
-        import mwns.solver as solver_mod
+        # an empty search answer leaves the six-cycle's T-cycle in place
+        monkeypatch.setattr(solver_mod, "_search", lambda g, T, k, cstats: frozenset())
+        with pytest.raises(RuntimeError, match="certificate"):
+            solve(six_cycle_instance())
 
+    def test_invalid_compression_certificate_raises_even_without_asserts(self, monkeypatch):
+        # the same check on the iterative-compression path
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
         monkeypatch.setattr(solver_mod, "compression_step",
                             lambda inst, s_big, stats=None: SolveResult.yes(frozenset()))
         with pytest.raises(RuntimeError, match="certificate"):
@@ -240,6 +246,38 @@ class TestSolve:
         T = frozenset({2, 5, 10, 14, 15})
         assert is_mwns(g, T, {4, 8, 16}) and mwns_condition3(g, T, {4, 8, 16})
         assert solve(Instance.of(g, T, 3)).is_yes
+
+
+class TestSearchGate:
+    """solve searches G once while its crowded terminals number at most
+    terminal_bound(k, k+1), and compresses only above it."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(small_instances(max_n=10, dense=True), st.randoms(use_true_random=False))
+    def test_prefix_crowded_terminals_are_crowded_in_g(self, inst, rnd):
+        # a block of G[P] lies inside a block of G, so no prefix of the
+        # compression order reaches the bound before G does
+        g, T = inst.graph, inst.terminals
+        P = T | {v for v in g.vertices if rnd.random() < 0.6}
+        crowded = crowded_kernel(biconnected_blocks(g), T) & T
+        assert crowded_kernel(biconnected_blocks(g.induced(P)), T) & T <= crowded
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(small_instances(max_n=9, dense=True))
+    def test_direct_search_agrees_with_compression(self, inst):
+        # dense draws reach the search about five times as often as sparse ones
+        g, T, k = inst.graph, inst.terminals, inst.k
+        direct = solve(inst)
+        with mock.patch.object(solver_mod, "terminal_bound", lambda k, size: -1):
+            compressed = solve(inst)
+        assert direct.is_yes == compressed.is_yes
+        assert {c.reduction for c in direct.stats.compressions} <= {"kernel"}
+        assert {c.reduction for c in compressed.stats.compressions} <= {"full"}
+        for got in (direct, compressed):
+            if got.is_yes:
+                assert len(got.solution) <= k and is_mwns(g, T, got.solution)
+        if direct.is_yes:
+            assert not any(is_mwns(g, T, direct.solution - {v}) for v in direct.solution)
 
 
 class TestPushingWitness:
