@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .graph import Graph, connected_components
 from .blockcut import BlockCutForest, block_cut_forest
 from .core import find_t_cycle, is_mwns
-from .separators import closest_min_cut, gallai_q_paths
+from .separators import gallai_q_paths, min_cut
 
 
 _trace_hook = None
@@ -171,7 +171,7 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration |
     b_side = (c_0 | (g.neighbors(x) & block)) - T
     if a_side and b_side:
         # the endpoints themselves may be cut: nothing is protected
-        _, z2, _ = closest_min_cut(d_t, a_side, b_side)
+        _, z2, _ = min_cut(d_t, a_side, b_side)
     else:
         z2 = frozenset()
 

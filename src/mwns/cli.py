@@ -148,6 +148,8 @@ def _cmd_important(args) -> int:
     if args.terminal not in inst.terminals:
         raise ValueError(f"{args.terminal} is not a terminal of the instance")
     budget = args.budget if args.budget is not None else inst.k + 1
+    if budget < 0:
+        raise ValueError(f"--budget must be non-negative, got {budget}")
     from .separators import SeparatorQuery, enumerate_important_separators
     query = SeparatorQuery.of(inst.graph, {args.terminal},
                               inst.terminals - {args.terminal},

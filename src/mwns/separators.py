@@ -121,22 +121,24 @@ class _SplitNet:
             value += push
         return value
 
-    def cut(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The source-closest minimum cut (vertices whose in-node but not
-        out-node the residual network reaches from 0) and the vertices whose
-        out-node it reaches."""
+    def cut(self, furthest: bool = False) -> tuple[frozenset[int], frozenset[int]]:
+        """A minimum cut after a maximum flow, and the vertices whose out-node is
+        on its source side: the cut closest to the sources, by a residual search
+        forward from 0, or the furthest, by one backward from 1, whose source
+        side then also holds the vertices the network leaves out."""
         head, cap, adj = self.head, self.cap, self.adj
+        start = back = int(furthest)  # backward, arc e enters u when arc e^1 has room
         seen = [False] * len(adj)
-        seen[0] = True
-        queue = [0]
+        seen[start] = True
+        queue = [start]
         for u in queue:
             for e in adj[u]:
-                if cap[e] > 0 and not seen[head[e]]:
+                if cap[e ^ back] > 0 and not seen[head[e]]:
                     seen[head[e]] = True
                     queue.append(head[e])
-        vs = self.vertices
-        cut = frozenset(v for i, v in enumerate(vs) if seen[2 * i + 2] and not seen[2 * i + 3])
-        return cut, frozenset(v for i, v in enumerate(vs) if seen[2 * i + 3])
+        vs, near, far = self.vertices, seen[2 + back::2], seen[3 - back::2]  # zip drops groups
+        cut = frozenset(v for v, a, b in zip(vs, near, far) if a and not b)
+        return cut, frozenset(v for v, out in zip(vs, seen[3::2]) if out != furthest)
 
     def paths(self) -> list[tuple[int, list[int]]]:
         """The flow as unit walks from 0 to 1 with flow cycles erased: per
@@ -179,88 +181,71 @@ def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
     return value, [path for _, path in net.paths()]
 
 
-def _touching(g: Graph, X: frozenset[int], Y: frozenset[int]) -> bool:
-    return bool(X & Y) or any(g.has_edge(x, y) for x in X for y in Y)
-
-
-def closest_min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
-                    protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()
-                    ) -> tuple[int | float, frozenset[int], frozenset[int]]:
-    """(value, X-closest minimum cut, residual reach as graph vertices) of the
-    vertex flow from X to Y in g minus `deleted`, where any vertex outside
-    `protected` may be cut, X and Y included; value inf if no cut exists."""
-    if _touching(g, X, Y) and X | Y <= protected:
+def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
+            protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset(),
+            furthest: bool = False) -> tuple[int | float, frozenset[int], frozenset[int]]:
+    """(value, cut, source side) of the vertex flow from X to Y in g minus
+    `deleted`, where any vertex outside `protected` may be cut, X and Y
+    included: the minimum cut closest to X, or with `furthest` the one closest
+    to Y, whose source side is all that Y then no longer reaches. Value inf,
+    and both sets empty, if no cut exists."""
+    if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
         return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
     net = _SplitNet(g, [(X, INF)], [(Y, INF)], protected, deleted)
     value = net.flow()
     if value >= INF:
         return math.inf, frozenset(), frozenset()
-    cut, reach = net.cut()
-    return value, cut, reach | X
+    cut, side = net.cut(furthest)
+    return value, cut, side - deleted
 
 
 def min_separator(q: SeparatorQuery) -> set[int]:
     """Minimum-cardinality (X,Y)-separator disjoint from X, Y and the
     undeletable set; ties broken toward the X side (leftmost cut)."""
     X, Y = q.sources, q.sinks
-    value, cut, _ = closest_min_cut(q.graph, X, Y, X | Y | q.undeletable)
+    value, cut, _ = min_cut(q.graph, X, Y, X | Y | q.undeletable)
     if value is math.inf:
         raise ValueError("no finite separator: source and sink sides touch or "
                          "every cut needs an undeletable vertex")
     return set(cut)
 
 
-def _is_separator(g: Graph, X: frozenset[int], Y: frozenset[int], S: frozenset[int]) -> bool:
-    return not (reachable(g, X - S, S) & (Y - S))
+def _is_important(g: Graph, X: frozenset[int], Y: frozenset[int], protected: frozenset[int],
+                  S: frozenset[int]) -> bool:
+    """Whether S, a set outside X, Y and `protected`, is an important
+    (X,Y)-separator avoiding `protected`: with R the vertices X reaches in
+    g - S, the furthest minimum (R,Y)-cut is S itself."""
+    R = frozenset(reachable(g, X, S))
+    value, cut, _ = min_cut(g, R, Y, protected | R, furthest=True)
+    return value == len(S) and cut == S
 
 
 def enumerate_important_separators(q: SeparatorQuery, k: int) -> tuple[frozenset[int], ...]:
     """All important (X,Y)-separators of size <= k avoiding the undeletable set,
     by size, then by sorted members.
 
-    Candidates come from the standard branching around the X-closest minimum
-    cut (push a cut vertex into the separator, or onto the source side); each
-    candidate is then checked against the importance definition directly:
-    inclusion-minimal, and no equal-or-smaller separator has a strictly
-    larger source-reachable region.
+    Branches on the furthest minimum cut S_max, of value λ and source side
+    R_max (Marx 2006; Cygan et al. 2015, Thm 8.11): v = min(S_max) joins the
+    separator (delete v, budget - 1) or stays on the source side (X :=
+    R_max + v, which raises λ). Either lowers 2k - λ, so the recursion is at
+    most 2k + 2 deep with at most 4^k leaves. Deleting v only promises a
+    separator important in G - v, so one flow checks each candidate.
     """
-    g, Y, V8 = q.graph, q.sinks, q.undeletable
-    forbidden_base = Y | V8
+    g, Y, protected = q.graph, q.sinks, q.sinks | q.undeletable
 
     def candidates(deleted: frozenset[int], X: frozenset[int], budget: int) -> set[frozenset[int]]:
-        value, cut, reach = closest_min_cut(g, X, Y, forbidden_base | X, deleted)
-        if value is math.inf or value > budget:
+        value, cut, side = min_cut(g, X, Y, protected | X, deleted, furthest=True)
+        if value > budget:  # inf included
             return set()
         if value == 0:
             return {frozenset()}
-        X = reach  # fatten the source side to the reach of the closest min cut
         v = min(cut)
-        out: set[frozenset[int]] = set()
-        for s in candidates(deleted | {v}, X - {v}, budget - 1):
-            out.add(s | {v})
-        out |= candidates(deleted, X | {v}, budget)
-        return out
+        out = {s | {v} for s in candidates(deleted | {v}, X, budget - 1)}
+        return out | candidates(deleted, side | {v}, budget)
 
-    if k < 0:
-        return ()
     found = candidates(frozenset(), q.sources, k)
-
-    def important(S: frozenset[int]) -> bool:
-        if S & (q.sources | forbidden_base):
-            return False
-        if not _is_separator(g, q.sources, Y, S):
-            return False
-        for v in S:  # inclusion-minimal
-            if _is_separator(g, q.sources, Y, S - {v}):
-                return False
-        R = frozenset(reachable(g, q.sources, S))
-        for v in S:  # a dominating separator would reach past v
-            value, _, _ = closest_min_cut(g, R | {v}, Y, forbidden_base | R | {v})
-            if value is not math.inf and value <= len(S):
-                return False
-        return True
-
-    return tuple(sorted((s for s in found if important(s)), key=lambda s: (len(s), sorted(s))))
+    return tuple(sorted((s for s in found if _is_important(g, q.sources, Y, protected, s)),
+                        key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mwns.core import Instance
 from mwns.graph import Graph, connected_components, reachable
+from mwns.separators import min_cut
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -122,6 +123,42 @@ def important_separators_brute(g: Graph, X, Y, V8, k: int) -> set[frozenset[int]
                    for S2 in minimal):
             out.add(S)
     return out
+
+
+def important_separators_closest_cut(g: Graph, X, Y, V8, k: int) -> tuple[frozenset[int], ...]:
+    """Important separators as `enumerate_important_separators` found them
+    before it branched on the furthest minimum cut: branch on the X-closest
+    minimum cut (a cut vertex joins the separator, or the source side grows
+    to the cut's reach plus that vertex), then keep each candidate that is
+    an inclusion-minimal separator and that no separator of at most its
+    size dominates, one flow per candidate vertex. The recursion is bounded
+    by n, not by k, so keep the inputs small."""
+    X, Y = frozenset(X), frozenset(Y)
+    forbidden_base = Y | frozenset(V8)
+
+    def candidates(deleted, X, budget):
+        value, cut, reach = min_cut(g, X, Y, forbidden_base | X, deleted)
+        if value > budget:  # inf included
+            return set()
+        if value == 0:
+            return {frozenset()}
+        X = reach | X
+        v = min(cut)
+        out = {s | {v} for s in candidates(deleted | {v}, X - {v}, budget - 1)}
+        return out | candidates(deleted, X | {v}, budget)
+
+    def important(S):
+        if S & (X | forbidden_base) or not is_separator(g, X, Y, S):
+            return False
+        if any(is_separator(g, X, Y, S - {v}) for v in S):
+            return False
+        R = frozenset(reachable(g, X, S))
+        return all(min_cut(g, R | {v}, Y, forbidden_base | R | {v})[0] > len(S) for v in S)
+
+    if k < 0:
+        return ()
+    found = candidates(frozenset(), X, k)
+    return tuple(sorted((s for s in found if important(s)), key=lambda s: (len(s), sorted(s))))
 
 
 def max_q_path_packing_brute(g: Graph, Q) -> int:

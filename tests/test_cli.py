@@ -282,6 +282,21 @@ class TestSubcommands:
         code, _, err = run_cli(["important", str(f), "--terminal", "2"], capsys)
         assert code == 2
 
+    def test_important_rejects_a_negative_budget(self, tmp_path, capsys):
+        f = tmp_path / "path.txt"
+        f.write_text("p mwns 4 3\ne 1 2\ne 2 3\ne 3 4\nt 1\nt 4\nk 1\n")
+        code, out, err = run_cli(["important", str(f), "--terminal", "1", "--budget", "-3"], capsys)
+        assert code == 2 and out == "" and "--budget" in err
+
+    def test_important_on_a_long_path(self, tmp_path, capsys):
+        # no RecursionError: the branching depth is bounded by the budget
+        n = 2000
+        f = tmp_path / "path.txt"
+        f.write_text(f"p mwns {n} {n - 1}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+                     + f"t 1\nt {n}\nk 0\n")
+        code, out, err = run_cli(["important", str(f), "--terminal", "1"], capsys)
+        assert (code, out.splitlines(), err) == (0, ["1999"], "")
+
     def test_missing_file_is_an_error(self, capsys):
         assert run_cli(["solve", "/nonexistent/file.txt"], capsys)[0] == 2
 

@@ -1,21 +1,24 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwns.separators as separators
 from mwns.graph import Graph, reachable
 from mwns.separators import (
     MultiTerminalBlockError,
     SeparatorQuery,
     _blossom_matching,
-    closest_min_cut,
+    _is_important,
     enumerate_important_separators,
     gallai_q_paths,
     max_terminals_on_path,
     max_vertex_flow,
+    min_cut,
     min_separator,
     path_through_forced_vertex,
     terminals_on_path,
@@ -25,6 +28,7 @@ from mwns.blockcut import biconnected_blocks
 from brute import (
     all_simple_paths,
     important_separators_brute,
+    important_separators_closest_cut,
     is_separator,
     max_q_path_packing_brute,
     random_graph,
@@ -147,10 +151,16 @@ class TestMinSeparator:
             vs = list(g.vertices)
             X = frozenset(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
             Y = frozenset(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
-            value, cut, _ = closest_min_cut(g, X, Y)
+            value, cut, _ = min_cut(g, X, Y)
             minimum = smallest_separators(g, X, Y, vs)
             assert value == len(cut) == len(minimum[0])
             assert_closest(g, X, Y, cut, minimum)
+            # the furthest cut: its source side, components of G - cut away
+            # from Y, holds the source side of every minimum cut
+            value, cut, side = min_cut(g, X, Y, furthest=True)
+            assert value == len(cut) and cut in minimum
+            assert not side & (Y | cut) and reachable(g, side, cut) == side
+            assert all(reachable(g, X - S, S) <= side for S in minimum)
 
 
 class TestImportantSeparators:
@@ -183,6 +193,82 @@ class TestImportantSeparators:
             got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k))
             assert got == important_separators_brute(g, X, Y, frozenset(), k)
             assert len(got) <= 4 ** k
+
+
+def layered_graph(rng, n: int):
+    """The vertices 1..n cut into two or more runs of consecutive ids, the
+    layers; each vertex joined to a random vertex of the layer before and of
+    the layer after, and up to three more edges between each pair of
+    consecutive layers. Returns the graph, its first layer and its last.
+    Such graphs nest minimum cuts of several sizes."""
+    cuts = sorted(rng.sample(range(2, n), min(n - 2, rng.randint(1, (n - 1) // 2))))
+    layers = [list(range(a, b)) for a, b in zip([1] + cuts, cuts + [n + 1])]
+    edges = set()
+    for a, b in zip(layers, layers[1:]):
+        edges |= {(rng.choice(a), v) for v in b} | {(u, rng.choice(b)) for u in a}
+        edges |= {(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(0, 3))}
+    return Graph(range(1, n + 1), sorted(edges)), frozenset(layers[0]), frozenset(layers[-1])
+
+
+@st.composite
+def separator_queries(draw, max_n: int):
+    """A graph on 4..max_n vertices, with one or two sources and one or two
+    sinks: an edge-probability graph, sinks not adjacent to a source where
+    the graph allows it, or a layered graph from its first layer to its
+    last. Plus at most two more undeletable vertices and a budget of 0..3.
+    All drawn from one seeded generator: hypothesis draws integers near
+    their lower bound, and would leave most graphs at four vertices."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = rng.randint(4, max_n)
+    if rng.random() < 0.5:
+        g, X, Y = layered_graph(rng, n)
+    else:
+        g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.45]))
+        X = frozenset(rng.sample(range(1, n + 1), rng.randint(1, 2)))
+        far = [v for v in g.vertices if v not in X and not g.neighbors(v) & X]
+        far = far or [v for v in g.vertices if v not in X]
+        Y = frozenset(rng.sample(far, min(rng.randint(1, 2), len(far))))
+    others = [v for v in g.vertices if v not in X | Y]
+    V8 = frozenset(rng.sample(others, min(rng.randint(0, 2), len(others))))
+    return g, X, Y, V8, rng.randint(0, 3)
+
+
+class TestImportantSeparatorProperties:
+    @settings(derandomize=True, max_examples=600, deadline=None, database=None)
+    @given(separator_queries(max_n=13))
+    def test_matches_the_closest_cut_enumeration(self, case):
+        g, X, Y, V8, k = case
+        got = enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+        assert got == important_separators_closest_cut(g, X, Y, V8, k)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(separator_queries(max_n=9))
+    def test_matches_brute_force(self, case):
+        g, X, Y, V8, k = case
+        got = enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+        assert set(got) == important_separators_brute(g, X, Y, V8, k)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(separator_queries(max_n=9))
+    def test_one_flow_importance_check_on_every_small_set(self, case):
+        # the check the enumeration filters its candidates by, on every
+        # deletable set of at most k vertices
+        g, X, Y, V8, k = case
+        want = important_separators_brute(g, X, Y, V8, k)
+        deletable = [v for v in g.vertices if v not in X | Y | V8]
+        for r in range(k + 1):
+            for S in map(frozenset, itertools.combinations(deletable, r)):
+                assert _is_important(g, X, Y, Y | V8, S) == (S in want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(separator_queries(max_n=13))
+    def test_flow_count_is_bounded_by_k_not_n(self, case):
+        # at most 4^k leaves, so 2 * 4^k - 1 branching flows, and one
+        # importance flow per candidate, a leaf
+        g, X, Y, V8, k = case
+        with mock.patch.object(separators, "min_cut", wraps=separators.min_cut) as spy:
+            enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+        assert spy.call_count < 3 * 4 ** k
 
 
 class TestForcedVertexPath:

@@ -146,7 +146,7 @@ class TestSolve:
         assert check_oracle_suite(20240, 500, 4) == {"full"}
 
     @settings(derandomize=True, max_examples=120, deadline=None, database=None)
-    @given(small_instances(max_n=10), st.randoms(use_true_random=False))
+    @given(small_instances(max_n=10, dense=True), st.randoms(use_true_random=False))
     def test_agrees_with_oracle_under_relabeling(self, inst, rnd):
         want = oracle_solve(inst).is_yes
         got = solve(inst)
@@ -213,6 +213,15 @@ class TestSolve:
                 assert got.is_yes == expect
                 if got.is_yes:
                     assert is_mwns(g, T, got.solution) and len(got.solution) <= k
+
+    def test_long_cycle(self):
+        # the important-separator branching once recursed once per vertex of
+        # such a kernel; its depth is now bounded by the budget
+        n = 2000
+        g = Graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
+        got = solve(Instance.of(g, {1, 1001}, 1))
+        assert got.is_yes and len(got.solution) == 1
+        assert is_mwns(g, {1, 1001}, got.solution)
 
     def test_invalid_certificate_raises_even_without_asserts(self, monkeypatch):
         # the final check is a raise, not an assert, so it survives python -O;
