@@ -24,6 +24,20 @@ def _load(path: str) -> Instance:
     return parse_instance(Path(path).read_text())
 
 
+def _vertex_set(tokens, where: str) -> frozenset[int]:
+    """The vertex ids `tokens` name; a repeated or non-integer one is an error."""
+    seen: set[int] = set()
+    for tok in tokens:
+        try:
+            v = int(tok)
+        except ValueError:
+            raise ValueError(f"{where}: {tok!r} is not a vertex id") from None
+        if v in seen:
+            raise ValueError(f"vertex {v} is repeated in {where}")
+        seen.add(v)
+    return frozenset(seen)
+
+
 def _print_result(result) -> int:
     if result.is_yes:
         print("YES")
@@ -64,7 +78,7 @@ def _cmd_approx(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = _load(args.file)
     if args.with_solution:
-        s_hat = frozenset(int(tok) for tok in Path(args.with_solution).read_text().split())
+        s_hat = _vertex_set(Path(args.with_solution).read_text().split(), args.with_solution)
     elif not terminals_independent(inst.graph, inst.terminals):
         # deleting every non-terminal leaves the edge between two terminals
         print(format_instance(inst, comment="answer is NO: two terminals are adjacent"), end="")
@@ -97,7 +111,7 @@ def _cmd_lift(args) -> int:
     original = parse_instance("\n".join(instance_lines))
     log = ReductionLog(original, tuple(parse_steps(lines)))
     reduced = log.reduced()
-    solution = frozenset(args.solution)
+    solution = _vertex_set(args.solution, "--solution")
     unknown = solution - set(reduced.graph.vertices)
     if unknown:
         raise ValueError(f"solution vertices {sorted(unknown)} are not in the reduced graph")
@@ -108,7 +122,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load(args.file)
-    S = frozenset(args.solution)
+    S = _vertex_set(args.solution, "--solution")
     if not S <= set(inst.graph.vertices):
         print("invalid: unknown vertices", sorted(S - set(inst.graph.vertices)))
         return EXIT_NO

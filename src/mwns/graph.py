@@ -62,14 +62,16 @@ class Graph:
 
     def induced(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
-        missing = keep - set(self._adj)
-        if missing:
-            raise ValueError(f"unknown vertices {sorted(missing)}")
-        return Graph(keep, ((u, v) for u in keep for v in self._adj[u] if v in keep and u < v))
+        adj = self._adj
+        if not keep <= adj.keys():
+            raise ValueError(f"unknown vertices {sorted(keep - adj.keys())}")
+        sub = Graph.__new__(Graph)  # this graph's ids and edges are already valid
+        sub._adj = {v: adj[v] & keep for v in keep}
+        sub._vertices = tuple(sorted(keep))
+        return sub
 
     def without(self, vs: Iterable[int]) -> "Graph":
-        drop = set(vs)
-        return self.induced(set(self._adj) - drop)
+        return self.induced(self._adj.keys() - set(vs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj

@@ -18,81 +18,87 @@ class MultiTerminalBlockError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeparatorQuery:
+    """Separate `sources` from `sinks` in `graph` minus `deleted`, without
+    deleting an `undeletable` vertex; `deleted` is disjoint from both sides."""
     graph: Graph
     sources: frozenset[int]
     sinks: frozenset[int]
     undeletable: frozenset[int] = frozenset()
+    deleted: frozenset[int] = frozenset()
 
     @staticmethod
     def of(graph: Graph, sources: Iterable[int], sinks: Iterable[int],
-           undeletable: Iterable[int] = ()) -> "SeparatorQuery":
-        return SeparatorQuery(graph, frozenset(sources), frozenset(sinks), frozenset(undeletable))
+           undeletable: Iterable[int] = (), deleted: Iterable[int] = ()) -> "SeparatorQuery":
+        return SeparatorQuery(graph, *map(frozenset, (sources, sinks, undeletable, deleted)))
 
 
 # ---------------------------------------------------------------------------
 # flow engine on the split-vertex network
 # ---------------------------------------------------------------------------
 
-Group = tuple[Iterable[int], int]  # a source or sink group: its vertices and its arc capacity
-
-
 class _SplitNet:
-    """Residual network of one vertex-flow query, on dense integer node ids.
+    """Split-vertex network of one graph, built once and reset for each query.
 
     Vertex g.vertices[i] is the in-node 2i+2 and the out-node 2i+3, joined by
-    an arc of capacity 1, or INF for a protected vertex; each edge uv gives
-    the arcs out(u)->in(v) and out(v)->in(u) of capacity INF. Node 0 is the
-    super-source and node 1 the super-sink. Each source group is one node fed
-    from 0 with the group's capacity that feeds its members' in-nodes, each
-    sink group one node fed by its members' out-nodes that feeds 1 with the
-    group's capacity. Arc e^1 is the reverse of arc e. Deleted vertices get
-    no arcs, as if they were not in g.
+    its through arc of capacity 1; an edge uv gives arcs out(u)->in(v) and
+    out(v)->in(u) of capacity INF. Node 0 is the super-source and node 1 the
+    super-sink, with arcs 0->in(v) and out(v)->1 of capacity 0 until a query
+    names v a source or sink (INF); a query also gives protected vertices
+    through capacity INF and deleted ones 0. A source group, fixed at build,
+    is a node fed from 0 with the group's capacity that feeds its members.
+    Arc e^1 is the reverse of arc e.
     """
 
-    __slots__ = ("vertices", "head", "cap", "adj")
+    __slots__ = ("graph", "index", "head", "adj", "base", "through", "cap")
 
-    def __init__(self, g: Graph, sources: list[Group], sinks: list[Group],
-                 protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()):
+    def __init__(self, g: Graph, groups: Iterable[tuple[Iterable[int], int]] = ()):
         vs = g.vertices
         index = {v: i for i, v in enumerate(vs)}
         head: list[int] = []
-        cap: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(2 * len(vs) + 2 + len(sources) + len(sinks))]
+        base: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(2 * len(vs) + 2)]
+        through: list[int] = []
 
         def arc(u: int, w: int, c: int) -> None:
             adj[u].append(len(head))
             head.append(w)
-            cap.append(c)
+            base.append(c)
             adj[w].append(len(head))
             head.append(u)
-            cap.append(0)
+            base.append(0)
 
+        for i in range(len(vs)):  # vertex i's source arc is 4i, its sink arc 4i + 2
+            arc(0, 2 * i + 2, 0)
+            arc(2 * i + 3, 1, 0)
         for i, v in enumerate(vs):
-            if v in deleted:
-                continue
-            arc(2 * i + 2, 2 * i + 3, INF if v in protected else 1)
+            through.append(len(head))
+            arc(2 * i + 2, 2 * i + 3, 1)
             for w in g.neighbors(v):
-                if w not in deleted:
-                    arc(2 * i + 3, 2 * index[w] + 2, INF)
-        node = 2 * len(vs) + 2
-        for members, c in sources:
-            arc(0, node, c)
+                arc(2 * i + 3, 2 * index[w] + 2, INF)
+        for members, c in groups:
+            adj.append([])
+            arc(0, len(adj) - 1, c)
             for v in members:
-                if v not in deleted:
-                    arc(node, 2 * index[v] + 2, INF)
-            node += 1
-        for members, c in sinks:
-            for v in members:
-                if v not in deleted:
-                    arc(2 * index[v] + 3, node, INF)
-            arc(node, 1, c)
-            node += 1
-        self.vertices, self.head, self.cap, self.adj = vs, head, cap, adj
+                arc(len(adj) - 1, 2 * index[v] + 2, INF)
+        self.graph, self.index, self.head, self.adj = g, index, head, adj
+        self.base, self.through = base, through
 
-    def flow(self, stop: int = INF) -> int:
-        """Augment along shortest residual paths until none is left or the
-        value reaches `stop`; returns the value."""
-        head, cap, adj = self.head, self.cap, self.adj
+    def flow(self, sources: Iterable[int], sinks: Iterable[int],
+             protected: Iterable[int] = (), deleted: Iterable[int] = (), stop: int = INF) -> int:
+        """Maximum flow from `sources` to `sinks` in g - `deleted`, `protected`
+        uncapacitated, by shortest augmenting paths; stops at value `stop`."""
+        index, through = self.index, self.through
+        cap = self.cap = self.base[:]
+        for v in protected:
+            cap[through[index[v]]] = INF
+        for v in sources:
+            cap[4 * index[v]] = INF
+        for v in sinks:
+            cap[4 * index[v] + 2] = INF
+        for v in deleted:
+            i = index[v]
+            cap[through[i]] = cap[4 * i] = cap[4 * i + 2] = 0
+        head, adj = self.head, self.adj
         value = 0
         while value < stop:
             via = [-1] * len(adj)  # arc by which BFS first entered each node
@@ -121,11 +127,17 @@ class _SplitNet:
             value += push
         return value
 
-    def cut(self, furthest: bool = False) -> tuple[frozenset[int], frozenset[int]]:
-        """A minimum cut after a maximum flow, and the vertices whose out-node is
-        on its source side: the cut closest to the sources, by a residual search
-        forward from 0, or the furthest, by one backward from 1, whose source
-        side then also holds the vertices the network leaves out."""
+    def min_cut(self, X: frozenset[int], Y: frozenset[int], protected: frozenset[int] = frozenset(),
+                deleted: frozenset[int] = frozenset(), furthest: bool = False
+                ) -> tuple[int | float, frozenset[int], frozenset[int]]:
+        """`min_cut` on this network's graph: one flow, then a residual search
+        forward from 0 for the closest cut, or backward from 1 for the furthest."""
+        g = self.graph
+        if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
+            return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
+        value = self.flow(X, Y, protected, deleted)
+        if value >= INF:
+            return math.inf, frozenset(), frozenset()
         head, cap, adj = self.head, self.cap, self.adj
         start = back = int(furthest)  # backward, arc e enters u when arc e^1 has room
         seen = [False] * len(adj)
@@ -136,16 +148,17 @@ class _SplitNet:
                 if cap[e ^ back] > 0 and not seen[head[e]]:
                     seen[head[e]] = True
                     queue.append(head[e])
-        vs, near, far = self.vertices, seen[2 + back::2], seen[3 - back::2]  # zip drops groups
-        cut = frozenset(v for v, a, b in zip(vs, near, far) if a and not b)
-        return cut, frozenset(v for v, out in zip(vs, seen[3::2]) if out != furthest)
+        near, far = seen[2 + back::2], seen[3 - back::2]  # zip drops groups
+        cut = frozenset(v for v, a, b in zip(g.vertices, near, far) if a and not b)
+        side = frozenset(v for v, out in zip(g.vertices, seen[3::2]) if out != furthest)
+        return value, cut - deleted, side - deleted
 
     def paths(self) -> list[tuple[int, list[int]]]:
-        """The flow as unit walks from 0 to 1 with flow cycles erased: per
-        walk, the index of its source group and its graph vertices in order."""
-        head, cap, adj = self.head, self.cap, self.adj
+        """The flow as unit walks from 0 to 1 with flow cycles erased: per walk,
+        its source group's index (or < 0) and its graph vertices in order."""
+        head, cap, adj, vs = self.head, self.cap, self.adj, self.graph.vertices
         used = [0 if e & 1 else cap[e ^ 1] for e in range(len(head))]
-        first_group = 2 * len(self.vertices) + 2
+        first_group = 2 * len(vs) + 2
         out = []
         while True:
             walk, pos, node = [0], {0: 0}, 0
@@ -167,15 +180,14 @@ class _SplitNet:
             if node != 1:
                 return out
             out.append((walk[1] - first_group,
-                        [self.vertices[(u - 3) // 2] for u in walk if 2 < u < first_group and u & 1]))
+                        [vs[(u - 3) // 2] for u in walk if 2 < u < first_group and u & 1]))
 
 
 def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
     """Min size of an (X,Y)-separator among deletable vertices (inf if none),
     plus unit paths witnessing the matching flow."""
-    g, X, Y = q.graph, q.sources, q.sinks
-    net = _SplitNet(g, [(X, INF)], [(Y, INF)], X | Y | q.undeletable)
-    value = net.flow()
+    net = _SplitNet(q.graph)
+    value = net.flow(q.sources, q.sinks, q.sources | q.sinks | q.undeletable, q.deleted)
     if value >= INF:
         return math.inf, []
     return value, [path for _, path in net.paths()]
@@ -189,40 +201,35 @@ def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     included: the minimum cut closest to X, or with `furthest` the one closest
     to Y, whose source side is all that Y then no longer reaches. Value inf,
     and both sets empty, if no cut exists."""
-    if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
-        return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
-    net = _SplitNet(g, [(X, INF)], [(Y, INF)], protected, deleted)
-    value = net.flow()
-    if value >= INF:
-        return math.inf, frozenset(), frozenset()
-    cut, side = net.cut(furthest)
-    return value, cut, side - deleted
+    return _SplitNet(g).min_cut(X, Y, protected, deleted, furthest)
 
 
 def min_separator(q: SeparatorQuery) -> set[int]:
     """Minimum-cardinality (X,Y)-separator disjoint from X, Y and the
     undeletable set; ties broken toward the X side (leftmost cut)."""
     X, Y = q.sources, q.sinks
-    value, cut, _ = min_cut(q.graph, X, Y, X | Y | q.undeletable)
+    value, cut, _ = min_cut(q.graph, X, Y, X | Y | q.undeletable, q.deleted)
     if value is math.inf:
         raise ValueError("no finite separator: source and sink sides touch or "
                          "every cut needs an undeletable vertex")
     return set(cut)
 
 
-def _is_important(g: Graph, X: frozenset[int], Y: frozenset[int], protected: frozenset[int],
-                  S: frozenset[int]) -> bool:
-    """Whether S, a set outside X, Y and `protected`, is an important
-    (X,Y)-separator avoiding `protected`: with R the vertices X reaches in
-    g - S, the furthest minimum (R,Y)-cut is S itself."""
-    R = frozenset(reachable(g, X, S))
-    value, cut, _ = min_cut(g, R, Y, protected | R, furthest=True)
+def _is_important(net: _SplitNet, X: frozenset[int], Y: frozenset[int], protected: frozenset[int],
+                  S: frozenset[int], deleted: frozenset[int] = frozenset()) -> bool:
+    """Whether S, outside X, Y, `protected` and `deleted`, is an important
+    (X,Y)-separator avoiding `protected` in the network's graph - `deleted`:
+    with R what X reaches in it minus S, the furthest minimum (R,Y)-cut is S."""
+    R = frozenset(reachable(net.graph, X, S | deleted))
+    value, cut, _ = net.min_cut(R, Y, protected | R, deleted, furthest=True)
     return value == len(S) and cut == S
 
 
-def enumerate_important_separators(q: SeparatorQuery, k: int) -> tuple[frozenset[int], ...]:
+def enumerate_important_separators(q: SeparatorQuery, k: int, net: _SplitNet | None = None
+                                   ) -> tuple[frozenset[int], ...]:
     """All important (X,Y)-separators of size <= k avoiding the undeletable set,
-    by size, then by sorted members.
+    by size, then by sorted members. Every flow runs on `net`, a network of
+    q.graph that the caller may share between queries, or a new one.
 
     Branches on the furthest minimum cut S_max, of value λ and source side
     R_max (Marx 2006; Cygan et al. 2015, Thm 8.11): v = min(S_max) joins the
@@ -231,10 +238,11 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> tuple[frozenset
     most 2k + 2 deep with at most 4^k leaves. Deleting v only promises a
     separator important in G - v, so one flow checks each candidate.
     """
-    g, Y, protected = q.graph, q.sinks, q.sinks | q.undeletable
+    Y, protected = q.sinks, q.sinks | q.undeletable
+    net = net or _SplitNet(q.graph)
 
     def candidates(deleted: frozenset[int], X: frozenset[int], budget: int) -> set[frozenset[int]]:
-        value, cut, side = min_cut(g, X, Y, protected | X, deleted, furthest=True)
+        value, cut, side = net.min_cut(X, Y, protected | X, deleted, furthest=True)
         if value > budget:  # inf included
             return set()
         if value == 0:
@@ -243,8 +251,8 @@ def enumerate_important_separators(q: SeparatorQuery, k: int) -> tuple[frozenset
         out = {s | {v} for s in candidates(deleted | {v}, X, budget - 1)}
         return out | candidates(deleted, side | {v}, budget)
 
-    found = candidates(frozenset(), q.sources, k)
-    return tuple(sorted((s for s in found if _is_important(g, q.sources, Y, protected, s)),
+    found = candidates(q.deleted, q.sources, k)
+    return tuple(sorted((s for s in found if _is_important(net, q.sources, Y, protected, s, q.deleted)),
                         key=lambda s: (len(s), sorted(s))))
 
 
@@ -264,8 +272,8 @@ def path_through_forced_vertex(g: Graph, A: Iterable[int], B: Iterable[int], t: 
         raise ValueError("forced vertex must not lie in the endpoint sets")
     if not A or not B or t not in g:
         return None
-    net = _SplitNet(g, [(A, 1), (B, 1)], [({t}, INF)], frozenset([t]))
-    if net.flow(stop=2) < 2:
+    net = _SplitNet(g, [(A, 1), (B, 1)])
+    if net.flow((), {t}, {t}, stop=2) < 2:
         return None
     sides = dict(net.paths())
     return sides[0] + sides[1][-2::-1]

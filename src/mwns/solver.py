@@ -19,7 +19,7 @@ from .core import (
     terminals_independent,
 )
 from .reducer import lift_solution, minimalize, reduce_terminals, terminal_bound
-from .separators import SeparatorQuery, enumerate_important_separators
+from .separators import SeparatorQuery, _SplitNet, enumerate_important_separators
 
 ORACLE_LIMIT = 10**7
 
@@ -114,32 +114,38 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats) -> fr
     its vertices. Every node first cuts its graph down to the crowded kernel,
     the union of the blocks holding two or more terminals, which keeps exactly
     its solutions. At most (32|T'|)^k leaves, T' the crowded terminals of g.
-    """
 
-    def rec(cur: Graph, budget: int, depth: int) -> frozenset[int] | None:
+    A node is the vertices of g it leaves out, deleted or outside its parent's
+    kernel: a block of a subgraph lies inside a block of g, so its kernel is
+    that of g minus them. Every flow runs on one network of g, masked per node.
+    """
+    net = _SplitNet(g)
+
+    def rec(gone: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:
         cstats.nodes += 1
         cstats.max_depth = max(cstats.max_depth, depth)
-        # T stays independent in every cur, so a block holding two terminals
+        # T stays independent in every node, so a block holding two terminals
         # has three or more vertices: the kernel is empty iff there is no T-cycle
-        kernel = crowded_kernel(biconnected_blocks(cur), T)
+        kernel = crowded_kernel(biconnected_blocks(g, gone), T)
         if not kernel:
             cstats.leaves += 1
             return frozenset()
         if budget <= 0:
             cstats.leaves += 1
             return None
-        cur, crowded = cur.induced(kernel), kernel & T
+        gone, crowded = frozenset(g.vertices) - kernel, kernel & T
         branched = False
         for t in sorted(crowded):
             cstats.enumerations += 1
             seps = enumerate_important_separators(
-                SeparatorQuery.of(cur, {t}, crowded - {t}, undeletable=T), budget + 1)
+                SeparatorQuery.of(g, {t}, crowded - {t}, undeletable=T, deleted=gone),
+                budget + 1, net)
             for sep in seps:
                 if not sep:
                     continue
                 if len(sep) <= budget:
                     branched = True
-                    sol = rec(cur.without(sep), budget - len(sep), depth + 1)
+                    sol = rec(gone | sep, budget - len(sep), depth + 1)
                     if sol is not None:
                         return sep | sol
                 if len(sep) >= 2:
@@ -148,14 +154,14 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats) -> fr
                         if len(rest) > budget:
                             break
                         branched = True
-                        sol = rec(cur.without(rest), budget - len(rest), depth + 1)
+                        sol = rec(gone | rest, budget - len(rest), depth + 1)
                         if sol is not None:
                             return rest | sol
         if not branched:
             cstats.leaves += 1
         return None
 
-    return rec(g, k, 0)
+    return rec(frozenset(), k, 0)
 
 
 def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:

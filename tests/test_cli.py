@@ -212,6 +212,25 @@ class TestSubcommands:
         assert code == 0
         assert parse_instance(out).k <= 1
 
+    @pytest.mark.parametrize("command", ["verify", "lift"])
+    def test_repeated_solution_vertex_is_an_error(self, tmp_path, capsys, command):
+        f = tmp_path / "c6.txt"
+        f.write_text(SIX_CYCLE)
+        code, out, err = run_cli([command, str(f), "--solution", "2", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "vertex 2 is repeated in --solution" in err
+
+    @pytest.mark.parametrize("text, message", [("2 2 4\n", "vertex 2 is repeated in"),
+                                               ("2 x\n", "'x' is not a vertex id")])
+    def test_reduce_rejects_a_malformed_solution_file(self, tmp_path, capsys, text, message):
+        f = tmp_path / "c6.txt"
+        f.write_text(SIX_CYCLE)
+        sfile = tmp_path / "shat.txt"
+        sfile.write_text(text)
+        code, out, err = run_cli(["reduce", str(f), "--with-solution", str(sfile)], capsys)
+        assert code == 2 and out == ""
+        assert message in err and str(sfile) in err
+
     def test_reduce_infeasible_budget_reports_no(self, tmp_path, capsys):
         f = tmp_path / "c6k0.txt"
         f.write_text(SIX_CYCLE.replace("k 1", "k 0"))

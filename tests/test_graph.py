@@ -44,6 +44,11 @@ def test_induced_subgraph_keeps_inner_edges_only():
     g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1)])
     h = g.induced({1, 2, 3})
     assert h.edges() == [(1, 2), (2, 3)]
+    fresh = Graph([3, 2, 1], [(2, 3), (1, 2)])
+    assert h == fresh and hash(h) == hash(fresh) and h.vertices == (1, 2, 3)
+    assert g.without([4]) == fresh and isinstance(h.neighbors(2), frozenset)
+    with pytest.raises(ValueError, match=r"unknown vertices \[5\]"):
+        g.induced({1, 5})
 
 
 def test_reachable_respects_removed_set():

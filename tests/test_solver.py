@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwns.separators as separators
 import mwns.solver as solver_mod
 from mwns.graph import Graph
 from mwns.blockcut import biconnected_blocks
@@ -237,6 +238,20 @@ class TestSolve:
                             lambda inst, s_big, stats=None: SolveResult.yes(frozenset()))
         with pytest.raises(RuntimeError, match="certificate"):
             solve(six_cycle_instance())
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_network_and_no_graph_copies_per_search(self, seed):
+        # every flow of the search runs on one network of G, masked per node
+        inst = random_instance(22, .14, 5, 3, seed)
+        with mock.patch.object(separators._SplitNet, "__init__", autospec=True,
+                               side_effect=separators._SplitNet.__init__) as builds:
+            result = solve(inst)
+        assert result.stats.nodes > 1
+        assert builds.call_count == 1
+        with mock.patch.object(Graph, "__init__", autospec=True, side_effect=Graph.__init__) as new, \
+                mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
+            solver_mod._search(inst.graph, inst.terminals, inst.k, solver_mod.CompressionStats())
+        assert new.call_count == sub.call_count == 0
 
     def test_wrong_no_on_seventeen_vertices(self):
         """solve answers YES at k = 3, where {4, 8, 16} is one solution.
