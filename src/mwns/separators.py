@@ -240,6 +240,8 @@ def enumerate_important_separators(q: SeparatorQuery, k: int, net: _SplitNet | N
     """
     Y, protected = q.sinks, q.sinks | q.undeletable
     net = net or _SplitNet(q.graph)
+    if net.graph is not q.graph:
+        raise ValueError("the network was built on another graph than the query's")
 
     def candidates(deleted: frozenset[int], X: frozenset[int], budget: int) -> set[frozenset[int]]:
         value, cut, side = net.min_cut(X, Y, protected | X, deleted, furthest=True)

@@ -70,17 +70,13 @@ class SearchStats:
         ]
 
 
-def _subset_count(pool: int, k: int) -> int:
-    return sum(math.comb(pool, r) for r in range(min(k, pool) + 1))
-
-
 def oracle_solve(inst: Instance) -> SolveResult:
     """Ground truth by ascending-size subset enumeration over non-terminals."""
     g, T, k = inst.graph, inst.terminals, inst.k
     if not terminals_independent(g, T):
         return SolveResult.no()
     pool = sorted(v for v in g.vertices if v not in T)
-    if _subset_count(len(pool), k) > ORACLE_LIMIT:
+    if sum(math.comb(len(pool), r) for r in range(min(k, len(pool)) + 1)) > ORACLE_LIMIT:
         raise ValueError("instance too large for exhaustive enumeration")
     if not has_t_cycle(g, T):
         return SolveResult.yes(frozenset())
@@ -111,14 +107,15 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats) -> fr
 
     Branches on important separators of each crowded terminal, one sharing a
     block with another terminal, taking a whole separator or all but one of
-    its vertices. Every node first cuts its graph down to the crowded kernel,
-    the union of the blocks holding two or more terminals, which keeps exactly
-    its solutions. At most (32|T'|)^k leaves, T' the crowded terminals of g.
-
-    A node is the vertices of g it leaves out, deleted or outside its parent's
-    kernel: a block of a subgraph lies inside a block of g, so its kernel is
-    that of g minus them. Every flow runs on one network of g, masked per node.
+    its vertices; at most (32|T'|)^k leaves, T' the crowded terminals of g.
+    g is cut once to its crowded kernel K, the blocks holding two or more
+    terminals, which keeps exactly its solutions; every flow runs on one
+    network of K. A node is the set D of vertices of K it leaves out, deleted
+    or outside its parent's kernel: a block of a subgraph lies inside a block
+    of K, so the node's kernel is that of K - D.
     """
+    kernel = crowded_kernel(biconnected_blocks(g), T)
+    g, T = g.induced(kernel), T & kernel
     net = _SplitNet(g)
 
     def rec(gone: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:

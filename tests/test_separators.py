@@ -282,6 +282,13 @@ class TestImportantSeparatorProperties:
                 assert (_is_important(net, X, Y, Y | V8, S, D)
                         == _is_important(copy, X, Y, Y | (V8 - D), S))
 
+    def test_a_network_of_another_graph_is_rejected(self):
+        g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
+        q = SeparatorQuery.of(g.without({4}), {1}, {3})
+        assert enumerate_important_separators(q, 1, _SplitNet(q.graph)) == (frozenset({2}),)
+        with pytest.raises(ValueError, match="another graph"):
+            enumerate_important_separators(q, 1, _SplitNet(g))
+
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(separator_queries(max_n=13))
     def test_flow_count_is_bounded_by_k_not_n(self, case):

@@ -240,18 +240,30 @@ class TestSolve:
             solve(six_cycle_instance())
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_one_network_and_no_graph_copies_per_search(self, seed):
-        # every flow of the search runs on one network of G, masked per node
+    def test_one_network_on_the_kernel_and_no_graph_copy_per_node(self, seed):
+        # every flow of the search runs on one network of G's crowded kernel,
+        # masked per node, however large the periphery hanging off it: here a
+        # 2 000-vertex pendant path and a 500-vertex pendant star
         inst = random_instance(22, .14, 5, 3, seed)
+        n = inst.graph.n
+        path = [(v, v + 1) for v in range(n, n + 2000)]
+        star = [(1, v) for v in range(n + 2001, n + 2501)]
+        g = Graph(range(1, n + 2501), inst.graph.edges() + path + star)
+        kernel = crowded_kernel(biconnected_blocks(g), inst.terminals)
+        assert 0 < len(kernel) <= n
         with mock.patch.object(separators._SplitNet, "__init__", autospec=True,
                                side_effect=separators._SplitNet.__init__) as builds:
-            result = solve(inst)
+            result = solve(Instance.of(g, inst.terminals, inst.k))
         assert result.stats.nodes > 1
         assert builds.call_count == 1
+        assert builds.call_args.args[1].vertices == tuple(sorted(kernel))
         with mock.patch.object(Graph, "__init__", autospec=True, side_effect=Graph.__init__) as new, \
                 mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
-            solver_mod._search(inst.graph, inst.terminals, inst.k, solver_mod.CompressionStats())
-        assert new.call_count == sub.call_count == 0
+            cstats = solver_mod.CompressionStats()
+            solver_mod._search(g, inst.terminals, inst.k, cstats)
+        assert cstats.nodes > 1
+        assert new.call_count == 0 and sub.call_count == 1  # the root kernel's copy only
+        assert result.solution == solve(inst).solution
 
     def test_wrong_no_on_seventeen_vertices(self):
         """solve answers YES at k = 3, where {4, 8, 16} is one solution.
