@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, connected_components
-from .blockcut import block_cut_forest
+from .graph import Graph, connected_components, reachable
+from .blockcut import biconnected_blocks, block_cut_forest
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
-from .separators import path_through_forced_vertex, terminals_on_path
+from .separators import _SplitNet, terminals_on_path
 
 
 # -- log steps ---------------------------------------------------------------
@@ -165,31 +165,63 @@ def _rr2_candidate_pairs(g: Graph, T: frozenset[int], s_star: frozenset[int]
     return sorted(pairs)
 
 
-def apply_rr2(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropComponentTerminal] | None:
+@dataclass
+class _RR2Index:
+    """RR2's record of one G and S* while T shrinks (`terminals` is the last).
+    `live` maps each pair of `_rr2_candidate_pairs` with no terminals (a
+    terminal cut vertex between two others blocks no pair) to None until
+    visited, then to the components D of G - {x, y} that may still fire, as
+    (least vertex, None or the T-sets of G[D + x + y]'s blocks with two, D or None)."""
+    graph: Graph
+    s_star: frozenset[int]
+    terminals: frozenset[int]
+    live: dict[tuple[int, int], list[tuple] | None] | None = None
+
+
+def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = None
+              ) -> tuple[Instance, DropComponentTerminal] | None:
     """Turn a surplus terminal of a cycle-free attachment component into a
     non-terminal.
 
     Looks for non-terminals x, y and a component D of G-{x,y} with three or
     more terminals, no T-cycle inside G[D + x + y], and an x-y path through
     two distinct terminals; the smallest other terminal of D is dropped.
-    """
-    g, T = inst.graph, inst.terminals
-    for x, y in _rr2_candidate_pairs(g, T, frozenset(s_star)):
-        for comp in connected_components(g.without([x, y])):
-            comp_set = frozenset(comp)
-            terms = sorted(comp_set & T)
-            if len(terms) < 3:
-                continue
-            region = comp_set | {x, y}
-            sub = g.induced(region)
-            if not is_mwns(sub, T & region, ()):
-                continue  # no T-cycle, and the tree counting needs one terminal per block
-            on_path = terminals_on_path(sub, T & comp_set, x, y)
+    Calls on one G and S* whose T only shrinks may share `index` (else new): a
+    component with under three terminals, or two on its x-y path, stays so."""
+    g, T, s_star = inst.graph, inst.terminals, frozenset(s_star)
+    if len(T) < 3:
+        return None  # x and y are non-terminals, so D would need three of these
+    index = index or _RR2Index(g, s_star, T)
+    if index.graph is not g or index.s_star != s_star or not T <= index.terminals:
+        raise ValueError("the index was built on another graph or S*, or for fewer terminals")
+    index.terminals = T
+    if index.live is None:
+        index.live = dict.fromkeys(_rr2_candidate_pairs(g, frozenset(), s_star))
+    for (x, y), entries in index.live.items():
+        if x in T or y in T:
+            continue
+        if entries is None:
+            entries = [(c[0], None, frozenset(c)) for c in connected_components(g.without([x, y]))]
+        live = index.live[x, y] = []
+        for i, (anchor, cyc, comp) in enumerate(entries):
+            if cyc is None or not any(len(c & T) > 1 for c in cyc):
+                comp = comp or frozenset(reachable(g, [anchor], [x, y]))
+                terms = sorted(comp & T)
+                if len(terms) < 3:
+                    continue  # and stays so as T shrinks, so D leaves `live`
+                region = comp | {x, y}
+                if cyc is None:
+                    cyc = tuple(b & T for b in biconnected_blocks(g.induced(region)) if len(b & T) > 1)
+            if any(len(c & T) > 1 for c in cyc):
+                live.append((anchor, cyc, None))
+                continue  # a T-cycle, and the tree counting needs one terminal per block
+            on_path = terminals_on_path(g.induced(region), T & comp, x, y)
             if on_path is None or len(on_path) < 2:
-                continue  # D must join x to y through two terminals
+                continue  # D must join x to y through two terminals; fewer as T shrinks
+            live += [(anchor, cyc, None)] + entries[i + 1:]
             kept = (on_path[0], on_path[1])
             drop = min(t for t in terms if t not in kept)  # D holds three or more
-            step = DropComponentTerminal(drop, x, y, comp_set, kept)
+            step = DropComponentTerminal(drop, x, y, comp, kept)
             return _apply_step(inst, step), step
     return None
 
@@ -216,18 +248,14 @@ def _component_qualifies(g: Graph, T: frozenset[int], comp: frozenset[int],
                          x: int, y: int) -> bool:
     a_side = g.neighbors(x) & comp
     b_side = g.neighbors(y) & comp
-    if not a_side or not b_side:
-        return False
     terms = sorted(T & comp)
-    if not terms:
+    if not a_side or not b_side or not terms:
         return False
-    sub = g.induced(comp)
-    for t in terms:
-        if t in a_side or t in b_side:
-            return True  # the path may start or end at the terminal itself
-        if path_through_forced_vertex(sub, a_side, b_side, t) is not None:
-            return True
-    return False
+    if any(t in a_side or t in b_side for t in terms):
+        return True  # the path may start or end at the terminal itself
+    # one network: as in `path_through_forced_vertex`, a 2-flow into t is an a-b path
+    net = _SplitNet(g.induced(comp), [(a_side, 1), (b_side, 1)])
+    return any(net.flow((), {t}, {t}, stop=2) == 2 for t in terms)
 
 
 def apply_rr3(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropUnmarked] | None:
@@ -329,19 +357,20 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     Builds the 1-redundant set, then repeats RR1, RR2 and RR3 until none
     fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
     False when more vertices are essential than the budget allows, which
-    certifies a NO answer.
+    certifies a NO answer. The rules only shrink T, so RR2 keeps one index.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
     feasible = inst.k - len(redundant.essential) >= 0
     cur = redundant.instance
+    index = _RR2Index(cur.graph, redundant.s_star, cur.terminals)
     all_steps: list[Step] = list(steps)
     while True:
         fired = apply_rr1(cur)
         if fired is not None:
             cur, rr1_steps = fired
             all_steps.extend(rr1_steps)
-        fired = apply_rr2(cur, redundant.s_star)
+        fired = apply_rr2(cur, redundant.s_star, index)
         if fired is None:
             fired = apply_rr3(cur, redundant.s_star)
         if fired is None:

@@ -102,19 +102,19 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
     raise AssertionError("deleting every non-terminal always works for independent T")
 
 
-def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats) -> frozenset[int] | None:
+def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats,
+            kernel: set[int]) -> frozenset[int] | None:
     """A near-separator of (g, T) of size at most k, or None if none exists.
 
     Branches on important separators of each crowded terminal, one sharing a
     block with another terminal, taking a whole separator or all but one of
     its vertices; at most (32|T'|)^k leaves, T' the crowded terminals of g.
-    g is cut once to its crowded kernel K, the blocks holding two or more
-    terminals, which keeps exactly its solutions; every flow runs on one
-    network of K. A node is the set D of vertices of K it leaves out, deleted
-    or outside its parent's kernel: a block of a subgraph lies inside a block
-    of K, so the node's kernel is that of K - D.
+    g is cut once to `kernel`, its crowded kernel K read by the caller (the
+    blocks holding two or more terminals), which keeps exactly its solutions;
+    every flow runs on one network of K. A node is the set D of vertices of K
+    it leaves out, deleted or outside its parent's kernel: a block of a
+    subgraph lies inside a block of K, so the node's kernel is that of K - D.
     """
-    kernel = crowded_kernel(biconnected_blocks(g), T)
     g, T = g.induced(kernel), T & kernel
     net = _SplitNet(g)
 
@@ -171,8 +171,9 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     reduced, log, feasible = reduce_terminals(inst, s_big)
     if not feasible:
         return SolveResult.no()
+    kernel = crowded_kernel(biconnected_blocks(reduced.graph), reduced.terminals)
     cstats = CompressionStats(len(reduced.terminals), reduced.k, reduction="full")
-    found = _search(reduced.graph, reduced.terminals, reduced.k, cstats)
+    found = _search(reduced.graph, reduced.terminals, reduced.k, cstats, kernel)
     if stats is not None:
         stats.absorb(cstats)
     if found is None:
@@ -202,14 +203,15 @@ def solve(inst: Instance) -> SolveResult:
     if not terminals_independent(g, T):
         return done(SolveResult.no())
     # T is independent, so a block holding two terminals carries a T-cycle
-    crowded = crowded_kernel(biconnected_blocks(g), T) & T
+    kernel = crowded_kernel(biconnected_blocks(g), T)
+    crowded = kernel & T
     if not crowded:
         return done(SolveResult.yes(frozenset()))
     if k == 0:
         return done(SolveResult.no())
     if len(crowded) <= terminal_bound(k, k + 1):
         cstats = CompressionStats(len(crowded), k)
-        found = _search(g, T, k, cstats)
+        found = _search(g, T, k, cstats, kernel)
         stats.absorb(cstats)
         return done(SolveResult.no() if found is None else SolveResult.yes(minimalize(g, T, found)))
 

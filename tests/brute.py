@@ -6,9 +6,10 @@ import itertools
 
 from hypothesis import strategies as st
 
-from mwns.core import Instance
+from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
-from mwns.separators import min_cut
+from mwns.reducer import DropComponentTerminal, _apply_step, _rr2_candidate_pairs
+from mwns.separators import min_cut, terminals_on_path
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -99,6 +100,31 @@ def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:
             top = reachable(h, root - {x}, [x])
             pairs |= {(min(x, y), max(x, y)) for y in cuts if y != x and y not in top}
     return sorted(pairs)
+
+
+def rr2_reference(inst: Instance, s_star):
+    """`apply_rr2` as it was before its index: every call builds the
+    candidate pairs, each pair's components of G - {x, y} and each
+    region's T-cycle test from scratch."""
+    g, T = inst.graph, inst.terminals
+    for x, y in _rr2_candidate_pairs(g, T, frozenset(s_star)):
+        for comp in connected_components(g.without([x, y])):
+            comp_set = frozenset(comp)
+            terms = sorted(comp_set & T)
+            if len(terms) < 3:
+                continue
+            region = comp_set | {x, y}
+            sub = g.induced(region)
+            if not is_mwns(sub, T & region, ()):
+                continue  # no T-cycle, and the tree counting needs one terminal per block
+            on_path = terminals_on_path(sub, T & comp_set, x, y)
+            if on_path is None or len(on_path) < 2:
+                continue  # D must join x to y through two terminals
+            kept = (on_path[0], on_path[1])
+            drop = min(t for t in terms if t not in kept)  # D holds three or more
+            step = DropComponentTerminal(drop, x, y, comp_set, kept)
+            return _apply_step(inst, step), step
+    return None
 
 
 def is_separator(g: Graph, X, Y, S) -> bool:

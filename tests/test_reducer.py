@@ -1,9 +1,12 @@
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mwns.reducer as reducer
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
@@ -25,9 +28,10 @@ from mwns.reducer import (
     reduce_terminals,
     terminal_bound,
 )
+from mwns.separators import path_through_forced_vertex
 from mwns.solver import oracle_solve
 
-from brute import random_graph, rr2_pairs_brute, small_instances
+from brute import random_block_tree, random_graph, rr2_pairs_brute, rr2_reference, small_instances
 
 
 def six_cycle_instance(k=1):
@@ -185,6 +189,22 @@ class TestMarking:
         assert len(marked[(1, 2)]) == k + 2
         expect = [frozenset({t}) for t in terminals[:k + 2]]
         assert marked[(1, 2)] == expect
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(4, 12), st.sampled_from([0.2, 0.3, 0.4]), st.integers(0, 10**6))
+    def test_one_network_per_check_matches_the_per_terminal_paths(self, n, p, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, n, p)
+        x, y = rng.sample(list(g.vertices), 2)
+        comp = frozenset(rng.choice(connected_components(g.without([x, y])) or [[]]))
+        T = frozenset(v for v in comp if rng.random() < 0.4)
+        a_side, b_side = g.neighbors(x) & comp, g.neighbors(y) & comp
+        per_terminal = bool(a_side and b_side) and any(
+            t in a_side | b_side or path_through_forced_vertex(g.induced(comp), a_side, b_side, t)
+            for t in sorted(T))
+        with mock.patch.object(reducer, "_SplitNet", wraps=reducer._SplitNet) as builds:
+            assert reducer._component_qualifies(g, T, comp, x, y) == per_terminal
+        assert builds.call_count <= 1
 
 
 class TestRR3:
@@ -504,6 +524,160 @@ class TestTerminalBound:
     def test_flowers(self):
         for inst in FLOWERS:
             self.check_per_component(inst, frozenset({1, 2, 3}))
+
+
+def reference_reduction(inst: Instance, s_hat) -> tuple[Instance, list]:
+    """The rule loop of `reduce_terminals` with the per-call RR2 scan
+    `rr2_reference` in place of the indexed RR2."""
+    redundant, steps = build_1_redundant(inst, frozenset(s_hat))
+    cur, out = redundant.instance, list(steps)
+    while True:
+        fired = apply_rr1(cur)
+        if fired is not None:
+            cur, rr1_steps = fired
+            out.extend(rr1_steps)
+        fired = rr2_reference(cur, redundant.s_star)
+        if fired is None:
+            fired = apply_rr3(cur, redundant.s_star)
+        if fired is None:
+            return cur, out
+        cur, step = fired
+        out.append(step)
+
+
+HUB_PAIRS = ((1, 2), (2, 3), (1, 3))
+
+
+def pendant_chain(L, terminals=2):
+    """Path 2..L, pivot 1 joined to 2, and terminals L+1, L+2, ... each
+    joined to 1 and L."""
+    ts = range(L + 1, L + 1 + terminals)
+    edges = [(v, v + 1) for v in range(2, L)] + [(1, 2)] + [e for t in ts for e in ((1, t), (L, t))]
+    return Instance.of(Graph(range(1, L + 1 + terminals), edges), ts, 1)
+
+
+@st.composite
+def rr2_flowers(draw):
+    """Flowers with a petal of 11 to 13 vertices and a second petal on the
+    same hub pair: the long petal keeps three terminals between two of its
+    non-terminal cut vertices, where RR2 fires."""
+    pair = draw(st.sampled_from(HUB_PAIRS))
+    petals = [(pair, draw(st.integers(11, 13))), (pair, draw(st.integers(5, 13)))]
+    petals += draw(st.lists(st.tuples(st.sampled_from(HUB_PAIRS), st.integers(5, 13)), max_size=3))
+    return flower(petals, draw(st.integers(1, 6)))
+
+
+class TestRR2Index:
+    """reduce_terminals shares one RR2 index of G and S* across its rule loop;
+    its answers must equal the per-call scan's."""
+
+    def check_against_reference(self, inst, s_hat) -> int:
+        """Asserts equal logs and reduced instances; returns the RR2 firings."""
+        reduced, log, _ = reduce_terminals(inst, s_hat)
+        ref_reduced, ref_steps = reference_reduction(inst, s_hat)
+        assert list(log.steps) == ref_steps and reduced == ref_reduced
+        return sum(isinstance(s, DropComponentTerminal) for s in ref_steps)
+
+    def test_flowers_and_hub_chain_match_the_per_call_scan(self):
+        fired = sum(self.check_against_reference(inst, {1, 2, 3}) for inst in FLOWERS)
+        fired += self.check_against_reference(TestReduceAndLift().hub_chain(), {12, 13})
+        assert fired > 0
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(rr2_flowers())
+    def test_random_flowers_match_the_per_call_scan(self, inst):
+        assert self.check_against_reference(inst, {1, 2, 3}) > 0
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]))
+    def test_shared_index_along_shrinking_terminals(self, seed, kind):
+        # T shrinks by RR2's own drops where it fires, by up to three random
+        # terminals elsewhere; the index is built once, before the first query
+        rng = random.Random(seed)
+        if kind == "flower":
+            petals = [(rng.choice(HUB_PAIRS), rng.randint(5, 13)) for _ in range(rng.randint(2, 4))]
+            inst = flower(petals, rng.randint(1, 6))
+            g, T, s_star = inst.graph, inst.terminals, frozenset({1, 2, 3})
+        else:
+            if kind == "block tree":
+                g = random_block_tree(rng, rng.randint(3, 10))[0]
+            else:
+                g = random_graph(rng, rng.randint(5, 12), rng.choice([0.15, 0.25, 0.35]))
+            T = frozenset(v for v in g.vertices if rng.random() < 0.45)
+            s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
+        index = reducer._RR2Index(g, s_star, T)
+        while T:
+            inst = Instance(g, T, 1)
+            shared = apply_rr2(inst, s_star, index)
+            assert shared == apply_rr2(inst, s_star) == rr2_reference(inst, s_star)
+            if index.live is not None:  # filled by the first query with three terminals
+                assert [p for p in index.live if not T & set(p)] == _rr2_candidate_pairs(g, T, s_star)
+            T = shared[0].terminals if shared else T - set(rng.sample(sorted(T), min(len(T), 3)))
+
+    def test_component_behind_a_firing_one_fires_on_a_later_call(self):
+        # G - {2, 3} has two cycle-free components joining 2 to 3, each with
+        # three or more terminals: the first fires, and the second, which
+        # that call never reached, fires on the next one
+        a, b = [2, 4, 5, 6, 7, 8, 9, 10, 3], [2] + list(range(11, 20)) + [3]
+        g = Graph(range(1, 20), [(1, 2)] + list(zip(a, a[1:])) + list(zip(b, b[1:])))
+        inst, s_star = Instance.of(g, {5, 7, 9, 12, 14, 16, 18}, 1), frozenset({15})
+        index = reducer._RR2Index(g, s_star, inst.terminals)
+        steps = []
+        while (ref := rr2_reference(inst, s_star)) is not None:
+            assert apply_rr2(inst, s_star, index) == ref
+            inst, step = ref
+            steps.append(step)
+        assert apply_rr2(inst, s_star, index) is None
+        assert [s.component for s in steps[:2]] == [frozenset(a[1:-1]), frozenset(b[1:-1])]
+
+    def test_index_of_another_graph_or_more_terminals_is_refused(self):
+        inst = chain_of_triangles(5, terminals=(2, 4, 6, 8, 10))
+        g, T = inst.graph, inst.terminals
+        with pytest.raises(ValueError, match="another graph"):
+            apply_rr2(inst, frozenset(), reducer._RR2Index(g.without([1]), frozenset(), T))
+        with pytest.raises(ValueError, match="another graph"):
+            apply_rr2(inst, frozenset({3}), reducer._RR2Index(g, frozenset(), T))
+        # components dropped for too few terminals could fire again with more
+        with pytest.raises(ValueError, match="fewer terminals"):
+            apply_rr2(inst, frozenset(), reducer._RR2Index(g, frozenset(), T - {2}))
+
+    def test_each_pair_component_decomposed_once(self):
+        # two pairs may cut off one region D + x + y; no pair decomposes one twice
+        with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
+            reduced, log, _ = reduce_terminals(FLOWERS[0], {1, 2, 3})
+        assert any(isinstance(s, DropComponentTerminal) for s in log.steps)
+        g = reduced.graph
+        regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
+        assert regions
+        for region, calls in regions.items():
+            cutting = [p for p in itertools.combinations(sorted(region), 2)
+                       if region - set(p) in map(frozenset, connected_components(g.without(p)))]
+            assert calls <= len(cutting)
+
+    def test_index_keeps_no_component_of_a_rejected_pair(self):
+        # on the pendant chain with three terminals every pair's outer
+        # component holds a T-cycle through 1; the index keeps its least
+        # vertex and the one block's three terminals, not the component
+        L = 60
+        inst = pendant_chain(L, terminals=3)
+        index = reducer._RR2Index(inst.graph, frozenset({1}), inst.terminals)
+        assert apply_rr2(inst, {1}, index) is None
+        entries = [e for es in index.live.values() for e in es]
+        assert len(index.live) > L and len(entries) <= len(index.live)
+        assert all(comp is None and cyc == (inst.terminals,) for _, cyc, comp in entries)
+
+    def test_pendant_chain_below_three_terminals_floods_nothing(self):
+        # G - S* has about L cut vertices on one root-to-leaf path, but with
+        # two terminals RR2 cannot fire, so it builds no pair and floods no
+        # G - {x, y}; RR3 floods G - S* once per call
+        inst = pendant_chain(1200)
+        with mock.patch.object(reducer, "connected_components", wraps=connected_components) as floods, \
+                mock.patch.object(reducer, "apply_rr3", wraps=reducer.apply_rr3) as rr3, \
+                mock.patch.object(reducer, "_rr2_candidate_pairs", wraps=_rr2_candidate_pairs) as pairs:
+            reduced, log, feasible = reduce_terminals(inst, {1})
+        assert feasible and reduced.terminals == inst.terminals and not log.steps
+        assert pairs.call_count == 0
+        assert floods.call_count == rr3.call_count >= 1
 
 
 def reference_lift(log: ReductionLog, solution) -> frozenset[int]:

@@ -227,7 +227,7 @@ class TestSolve:
     def test_invalid_certificate_raises_even_without_asserts(self, monkeypatch):
         # the final check is a raise, not an assert, so it survives python -O;
         # an empty search answer leaves the six-cycle's T-cycle in place
-        monkeypatch.setattr(solver_mod, "_search", lambda g, T, k, cstats: frozenset())
+        monkeypatch.setattr(solver_mod, "_search", lambda g, T, k, cstats, kernel: frozenset())
         with pytest.raises(RuntimeError, match="certificate"):
             solve(six_cycle_instance())
 
@@ -260,10 +260,22 @@ class TestSolve:
         with mock.patch.object(Graph, "__init__", autospec=True, side_effect=Graph.__init__) as new, \
                 mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
             cstats = solver_mod.CompressionStats()
-            solver_mod._search(g, inst.terminals, inst.k, cstats)
+            solver_mod._search(g, inst.terminals, inst.k, cstats, kernel)
         assert cstats.nodes > 1
         assert new.call_count == 0 and sub.call_count == 1  # the root kernel's copy only
         assert result.solution == solve(inst).solution
+
+    def test_one_decomposition_of_g_per_solve(self):
+        # the gate's crowded kernel is the search's root kernel: G is split
+        # into blocks once, and every later decomposition is of the kernel
+        inst = random_instance(22, .14, 5, 3, 0)
+        n = inst.graph.n
+        g = Graph(range(1, n + 501), inst.graph.edges() + [(v, v + 1) for v in range(n, n + 500)])
+        with mock.patch.object(solver_mod, "biconnected_blocks", wraps=biconnected_blocks) as spy:
+            result = solve(Instance.of(g, inst.terminals, inst.k))
+        assert result.stats.nodes > 1
+        on_g = [c.args[0] is g for c in spy.call_args_list]
+        assert on_g[0] and on_g.count(True) == 1
 
     def test_wrong_no_on_seventeen_vertices(self):
         """solve answers YES at k = 3, where {4, 8, 16} is one solution.
