@@ -5,7 +5,6 @@ Run: python3 demos/02_separators.py
 
 from mwns import (
     Graph,
-    SeparatorQuery,
     enumerate_important_separators,
     gallai_q_paths,
     max_vertex_flow,
@@ -14,17 +13,17 @@ from mwns import (
 
 # A ladder: two routes from 1 to 6, one of them longer.
 g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 6), (1, 4), (4, 5), (5, 6)])
-value, paths = max_vertex_flow(SeparatorQuery.of(g, {1}, {6}))
+value, paths = max_vertex_flow(g, {1}, {6})
 print("max internally disjoint 1-6 routes:", value)
 for p in paths:
     print("  route:", p)
-print("leftmost minimum separator:", sorted(min_separator(SeparatorQuery.of(g, {1}, {6}))))
+print("leftmost minimum separator:", sorted(min_separator(g, {1}, {6})))
 
 # Important separators prefer larger reach at equal size: on a path, the cut
 # closest to the far side dominates.
 path = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
 for k in (1, 2):
-    seps = enumerate_important_separators(SeparatorQuery.of(path, {1}, {4}), k)
+    seps = enumerate_important_separators(path, {1}, {4}, k)
     print(f"important (1,4)-separators of size <= {k}:",
           [sorted(s) for s in seps])
 

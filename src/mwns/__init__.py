@@ -12,7 +12,6 @@ from .core import (
     nearly_separated_terminals,
 )
 from .separators import (
-    SeparatorQuery,
     max_vertex_flow,
     min_separator,
     enumerate_important_separators,
@@ -45,7 +44,6 @@ __all__ = [
     "has_two_ivd_paths",
     "nearly_separated_terminals",
     "find_separable_leaf_terminal",
-    "SeparatorQuery",
     "max_vertex_flow",
     "min_separator",
     "enumerate_important_separators",

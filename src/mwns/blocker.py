@@ -145,9 +145,12 @@ def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
 
 
 def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
-    # {x} nearly separates T, so every T-cycle passes x and shows up in the
+    # once {x} nearly separates T, every T-cycle passes x and shows up in the
     # closure of some subtree: no meeting node means no T-cycle is left
     f = block_cut_forest(g.without([x]))
+    if any(len(nd.vertices & T) > 1 for nd in f.nodes):
+        raise ValueError(f"{{{x}}} is not a multiway near-separator; "
+                         f"offending cycle in G-x: {find_t_cycle(f.graph, T)}")
     reach, d = _routes(g, T, x, f)
     if d is None:
         return None
@@ -161,7 +164,6 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration |
     # d is a block
     block = nd.vertices
     terms = sorted(block & T)
-    assert len(terms) <= 1, "a block of G-x carries at most one terminal"
     d_t = g.induced(block - T)
     c_ge2, c_1, c_0, _ = _block_children(f, T, reach, d)
     q = c_ge2 | c_1
@@ -214,10 +216,6 @@ def blocker_step(g: Graph, T, x: int) -> set[int]:
 def _require_pivot(g: Graph, T: frozenset[int], x: int) -> None:
     if x not in g or x in T:
         raise ValueError(f"pivot {x} must be a non-terminal vertex")
-    if not is_mwns(g, T, frozenset([x])):
-        witness = find_t_cycle(g.without([x]), T)
-        raise ValueError(
-            f"{{{x}}} is not a multiway near-separator; offending cycle in G-x: {witness}")
 
 
 def blocker_run(g: Graph, T, x: int) -> BlockerRun:

@@ -164,11 +164,9 @@ def _cmd_important(args) -> int:
     budget = args.budget if args.budget is not None else inst.k + 1
     if budget < 0:
         raise ValueError(f"--budget must be non-negative, got {budget}")
-    from .separators import SeparatorQuery, enumerate_important_separators
-    query = SeparatorQuery.of(inst.graph, {args.terminal},
-                              inst.terminals - {args.terminal},
-                              undeletable=inst.terminals)
-    for sep in enumerate_important_separators(query, budget):
+    from .separators import enumerate_important_separators
+    T, t = inst.terminals, args.terminal
+    for sep in enumerate_important_separators(inst.graph, {t}, T - {t}, budget, undeletable=T):
         print(" ".join(str(v) for v in sorted(sep)))
     return EXIT_YES
 

@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .graph import Graph, shortest_path
 from .blockcut import biconnected_blocks
-from .separators import SeparatorQuery, max_vertex_flow
+from .separators import max_vertex_flow
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def find_t_cycle(g: Graph, T: Iterable[int]) -> list[int] | None:
                 if rest is not None:
                     return [t1] + rest
             raise AssertionError("2-connected block lost connectivity")
-        value, paths = max_vertex_flow(SeparatorQuery.of(sub, {t1}, {t2}))
+        value, paths = max_vertex_flow(sub, {t1}, {t2})
         if value < 2:
             raise RuntimeError("2-connected block must carry two disjoint routes")
         p1, p2 = paths[0], paths[1]

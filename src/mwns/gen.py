@@ -17,6 +17,10 @@ def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
     """
     if not 0 <= terminals <= n:
         raise ValueError("terminal count out of range")
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability {p} is outside [0, 1]")
+    if p == 1 and independent and terminals >= 2:
+        raise ValueError("a complete graph has no independent set of two or more terminals")
     rng = random.Random(seed)
     while True:
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)

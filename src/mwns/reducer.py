@@ -11,7 +11,7 @@ from .graph import Graph, connected_components, reachable
 from .blockcut import biconnected_blocks, block_cut_forest
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
-from .separators import _SplitNet, terminals_on_path
+from .separators import terminals_on_path
 
 
 # -- log steps ---------------------------------------------------------------
@@ -108,15 +108,16 @@ def _ints(fields: dict[str, str], line: str, name: str, count: int | None = 1) -
 
 
 def parse_steps(lines: Iterable[str]) -> list[Step]:
+    """A log's steps; a step token that is no field of it, or repeats one, is an error."""
     steps: list[Step] = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head, *tokens = line.split()
         if head in ("p", "e", "t", "k"):
             continue  # instance directives share the log file
-        fields = dict(part.split("=", 1) for part in rest.split() if "=" in part)
+        fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
         if head == "rr1":
             steps.append(DropNearlySeparated(*_ints(fields, line, "t")))
         elif head == "rr2":
@@ -129,6 +130,14 @@ def parse_steps(lines: Iterable[str]) -> list[Step]:
             steps.append(EssentialVertex(*_ints(fields, line, "x")))
         else:
             raise ValueError(f"unknown reduction step {line!r}")
+        defined = {tok.partition("=")[0] for tok in steps[-1].serialize().split()[1:]}
+        seen: set[str] = set()
+        for tok in tokens:
+            name, eq, _ = tok.partition("=")
+            if not eq or name not in defined or name in seen:
+                why = "a repeated field" if eq and name in defined else f"not a field of {head}"
+                raise ValueError(f"reduction step {line!r} has the token {tok!r}, {why}")
+            seen.add(name)
     return steps
 
 
@@ -246,16 +255,15 @@ def mark_components(inst: Instance, s_star: Iterable[int]) -> dict[tuple[int, in
 
 def _component_qualifies(g: Graph, T: frozenset[int], comp: frozenset[int],
                          x: int, y: int) -> bool:
-    a_side = g.neighbors(x) & comp
-    b_side = g.neighbors(y) & comp
-    terms = sorted(T & comp)
-    if not a_side or not b_side or not terms:
+    """Whether G[comp] has a path from N(x) to N(y) through a terminal, that is
+    a simple x-y path of H = G[comp + x + y] through one: a vertex lies on such
+    a path iff it lies in a block on H's x-y block-cut tree path."""
+    terms = T & comp
+    if not g.neighbors(x) & comp or not g.neighbors(y) & comp or not terms:
         return False
-    if any(t in a_side or t in b_side for t in terms):
-        return True  # the path may start or end at the terminal itself
-    # one network: as in `path_through_forced_vertex`, a 2-flow into t is an a-b path
-    net = _SplitNet(g.induced(comp), [(a_side, 1), (b_side, 1)])
-    return any(net.flow((), {t}, {t}, stop=2) == 2 for t in terms)
+    f = block_cut_forest(g.induced(comp | {x, y}))
+    on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
+    return any(f.nodes[n].vertices & terms for n in on_path)
 
 
 def apply_rr3(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropUnmarked] | None:

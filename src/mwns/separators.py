@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, reachable
@@ -14,22 +13,6 @@ INF = 1 << 30
 
 class MultiTerminalBlockError(RuntimeError):
     """A block carries two or more terminals where the caller guaranteed at most one."""
-
-
-@dataclass(frozen=True)
-class SeparatorQuery:
-    """Separate `sources` from `sinks` in `graph` minus `deleted`, without
-    deleting an `undeletable` vertex; `deleted` is disjoint from both sides."""
-    graph: Graph
-    sources: frozenset[int]
-    sinks: frozenset[int]
-    undeletable: frozenset[int] = frozenset()
-    deleted: frozenset[int] = frozenset()
-
-    @staticmethod
-    def of(graph: Graph, sources: Iterable[int], sinks: Iterable[int],
-           undeletable: Iterable[int] = (), deleted: Iterable[int] = ()) -> "SeparatorQuery":
-        return SeparatorQuery(graph, *map(frozenset, (sources, sinks, undeletable, deleted)))
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +27,12 @@ class _SplitNet:
     out(v)->in(u) of capacity INF. Node 0 is the super-source and node 1 the
     super-sink, with arcs 0->in(v) and out(v)->1 of capacity 0 until a query
     names v a source or sink (INF); a query also gives protected vertices
-    through capacity INF and deleted ones 0. A source group, fixed at build,
-    is a node fed from 0 with the group's capacity that feeds its members.
-    Arc e^1 is the reverse of arc e.
+    through capacity INF and deleted ones 0. Arc e^1 is the reverse of arc e.
     """
 
     __slots__ = ("graph", "index", "head", "adj", "base", "through", "cap")
 
-    def __init__(self, g: Graph, groups: Iterable[tuple[Iterable[int], int]] = ()):
+    def __init__(self, g: Graph):
         vs = g.vertices
         index = {v: i for i, v in enumerate(vs)}
         head: list[int] = []
@@ -75,11 +56,6 @@ class _SplitNet:
             arc(2 * i + 2, 2 * i + 3, 1)
             for w in g.neighbors(v):
                 arc(2 * i + 3, 2 * index[w] + 2, INF)
-        for members, c in groups:
-            adj.append([])
-            arc(0, len(adj) - 1, c)
-            for v in members:
-                arc(len(adj) - 1, 2 * index[v] + 2, INF)
         self.graph, self.index, self.head, self.adj = g, index, head, adj
         self.base, self.through = base, through
 
@@ -148,17 +124,15 @@ class _SplitNet:
                 if cap[e ^ back] > 0 and not seen[head[e]]:
                     seen[head[e]] = True
                     queue.append(head[e])
-        near, far = seen[2 + back::2], seen[3 - back::2]  # zip drops groups
+        near, far = seen[2 + back::2], seen[3 - back::2]
         cut = frozenset(v for v, a, b in zip(g.vertices, near, far) if a and not b)
         side = frozenset(v for v, out in zip(g.vertices, seen[3::2]) if out != furthest)
         return value, cut - deleted, side - deleted
 
-    def paths(self) -> list[tuple[int, list[int]]]:
-        """The flow as unit walks from 0 to 1 with flow cycles erased: per walk,
-        its source group's index (or < 0) and its graph vertices in order."""
+    def paths(self) -> list[list[int]]:
+        """The flow as unit walks from 0 to 1, flow cycles erased, in graph vertices."""
         head, cap, adj, vs = self.head, self.cap, self.adj, self.graph.vertices
         used = [0 if e & 1 else cap[e ^ 1] for e in range(len(head))]
-        first_group = 2 * len(vs) + 2
         out = []
         while True:
             walk, pos, node = [0], {0: 0}, 0
@@ -179,18 +153,18 @@ class _SplitNet:
                     break
             if node != 1:
                 return out
-            out.append((walk[1] - first_group,
-                        [vs[(u - 3) // 2] for u in walk if 2 < u < first_group and u & 1]))
+            out.append([vs[(u - 3) // 2] for u in walk[2::2]])  # 0, in, out, ..., out, 1
 
 
-def max_vertex_flow(q: SeparatorQuery) -> tuple[int | float, list[list[int]]]:
-    """Min size of an (X,Y)-separator among deletable vertices (inf if none),
-    plus unit paths witnessing the matching flow."""
-    net = _SplitNet(q.graph)
-    value = net.flow(q.sources, q.sinks, q.sources | q.sinks | q.undeletable, q.deleted)
+def max_vertex_flow(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Iterable[int] = (),
+                    deleted: Iterable[int] = ()) -> tuple[int | float, list[list[int]]]:
+    """Min size of an (X,Y)-separator in g - `deleted` outside X, Y and
+    `undeletable` (inf if none), plus unit paths witnessing the matching flow."""
+    X, Y, net = frozenset(X), frozenset(Y), _SplitNet(g)
+    value = net.flow(X, Y, X | Y | frozenset(undeletable), deleted)
     if value >= INF:
         return math.inf, []
-    return value, [path for _, path in net.paths()]
+    return value, net.paths()
 
 
 def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
@@ -204,11 +178,12 @@ def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     return _SplitNet(g).min_cut(X, Y, protected, deleted, furthest)
 
 
-def min_separator(q: SeparatorQuery) -> set[int]:
-    """Minimum-cardinality (X,Y)-separator disjoint from X, Y and the
-    undeletable set; ties broken toward the X side (leftmost cut)."""
-    X, Y = q.sources, q.sinks
-    value, cut, _ = min_cut(q.graph, X, Y, X | Y | q.undeletable, q.deleted)
+def min_separator(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Iterable[int] = (),
+                  deleted: Iterable[int] = ()) -> set[int]:
+    """Minimum-cardinality (X,Y)-separator in g - `deleted`, disjoint from X,
+    Y and `undeletable`; ties broken toward the X side (leftmost cut)."""
+    X, Y = frozenset(X), frozenset(Y)
+    value, cut, _ = min_cut(g, X, Y, X | Y | frozenset(undeletable), frozenset(deleted))
     if value is math.inf:
         raise ValueError("no finite separator: source and sink sides touch or "
                          "every cut needs an undeletable vertex")
@@ -225,11 +200,12 @@ def _is_important(net: _SplitNet, X: frozenset[int], Y: frozenset[int], protecte
     return value == len(S) and cut == S
 
 
-def enumerate_important_separators(q: SeparatorQuery, k: int, net: _SplitNet | None = None
-                                   ) -> tuple[frozenset[int], ...]:
-    """All important (X,Y)-separators of size <= k avoiding the undeletable set,
-    by size, then by sorted members. Every flow runs on `net`, a network of
-    q.graph that the caller may share between queries, or a new one.
+def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int], k: int,
+                                   undeletable: Iterable[int] = (), deleted: Iterable[int] = (),
+                                   net: _SplitNet | None = None) -> tuple[frozenset[int], ...]:
+    """All important (X,Y)-separators of size <= k in g - `deleted` avoiding
+    `undeletable`, by size, then by sorted members. Every flow runs on `net`,
+    a network of g that the caller may share between queries, or a new one.
 
     Branches on the furthest minimum cut S_max, of value λ and source side
     R_max (Marx 2006; Cygan et al. 2015, Thm 8.11): v = min(S_max) joins the
@@ -238,23 +214,24 @@ def enumerate_important_separators(q: SeparatorQuery, k: int, net: _SplitNet | N
     most 2k + 2 deep with at most 4^k leaves. Deleting v only promises a
     separator important in G - v, so one flow checks each candidate.
     """
-    Y, protected = q.sinks, q.sinks | q.undeletable
-    net = net or _SplitNet(q.graph)
-    if net.graph is not q.graph:
+    X, Y, deleted = frozenset(X), frozenset(Y), frozenset(deleted)
+    protected = Y | frozenset(undeletable)
+    net = net or _SplitNet(g)
+    if net.graph is not g:
         raise ValueError("the network was built on another graph than the query's")
 
-    def candidates(deleted: frozenset[int], X: frozenset[int], budget: int) -> set[frozenset[int]]:
-        value, cut, side = net.min_cut(X, Y, protected | X, deleted, furthest=True)
+    def candidates(gone: frozenset[int], source: frozenset[int], budget: int) -> set[frozenset[int]]:
+        value, cut, side = net.min_cut(source, Y, protected | source, gone, furthest=True)
         if value > budget:  # inf included
             return set()
         if value == 0:
             return {frozenset()}
         v = min(cut)
-        out = {s | {v} for s in candidates(deleted | {v}, X, budget - 1)}
-        return out | candidates(deleted, side | {v}, budget)
+        out = {s | {v} for s in candidates(gone | {v}, source, budget - 1)}
+        return out | candidates(gone, side | {v}, budget)
 
-    found = candidates(q.deleted, q.sources, k)
-    return tuple(sorted((s for s in found if _is_important(net, q.sources, Y, protected, s, q.deleted)),
+    found = candidates(deleted, X, k)
+    return tuple(sorted((s for s in found if _is_important(net, X, Y, protected, s, deleted)),
                         key=lambda s: (len(s), sorted(s))))
 
 
@@ -266,19 +243,22 @@ def path_through_forced_vertex(g: Graph, A: Iterable[int], B: Iterable[int], t: 
                                ) -> list[int] | None:
     """Simple path from some a in A to some b in B passing through t, or None.
 
-    Realized as a flow of value 2 into the sink t, one unit drawn from the
-    group A and one from the group B.
+    Realized as a flow of value 2 from t into two fresh apex vertices, one
+    joined to all of A and one to all of B: each apex passes one unit, so
+    the units run t..a and t..b, disjoint but for t.
     """
     A, B = frozenset(A), frozenset(B)
     if t in A or t in B:
         raise ValueError("forced vertex must not lie in the endpoint sets")
     if not A or not B or t not in g:
         return None
-    net = _SplitNet(g, [(A, 1), (B, 1)])
-    if net.flow((), {t}, {t}, stop=2) < 2:
+    a0, b0 = g.vertices[-1] + 1, g.vertices[-1] + 2
+    h = Graph([*g.vertices, a0, b0], [*g.edges(), *((a0, a) for a in A), *((b0, b) for b in B)])
+    net = _SplitNet(h)
+    if net.flow({t}, {a0, b0}, {t}, stop=2) < 2:
         return None
-    sides = dict(net.paths())
-    return sides[0] + sides[1][-2::-1]
+    to_a, to_b = sorted(net.paths(), key=lambda p: p[-1] != a0)
+    return to_a[-2::-1] + to_b[1:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .core import (
     terminals_independent,
 )
 from .reducer import lift_solution, minimalize, reduce_terminals, terminal_bound
-from .separators import SeparatorQuery, _SplitNet, enumerate_important_separators
+from .separators import _SplitNet, enumerate_important_separators
 
 ORACLE_LIMIT = 10**7
 
@@ -134,9 +134,8 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats,
         branched = False
         for t in sorted(crowded):
             cstats.enumerations += 1
-            seps = enumerate_important_separators(
-                SeparatorQuery.of(g, {t}, crowded - {t}, undeletable=T, deleted=gone),
-                budget + 1, net)
+            seps = enumerate_important_separators(g, {t}, crowded - {t}, budget + 1,
+                                                  undeletable=T, deleted=gone, net=net)
             for sep in seps:
                 if not sep:
                     continue

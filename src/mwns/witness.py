@@ -13,7 +13,7 @@ from typing import Iterable
 from .graph import Graph, connected_components, reachable, shortest_path
 from .blockcut import BlockCutForest, block_cut_forest
 from .core import Instance, is_mwns
-from .separators import SeparatorQuery, enumerate_important_separators, path_through_forced_vertex
+from .separators import enumerate_important_separators, path_through_forced_vertex
 
 
 def separating_cut_vertex(f: BlockCutForest, e: tuple[int, int]) -> tuple[int, frozenset[int], frozenset[int]]:
@@ -162,8 +162,7 @@ def pushing_lemma_witness(inst: Instance, S) -> PushingWitness:
     optima = [frozenset(c) for c in itertools.combinations(pool, len(S))
               if is_mwns(g, T, frozenset(c))]
     for t in sorted(T):
-        seps = enumerate_important_separators(
-            SeparatorQuery.of(g, {t}, T - {t}, undeletable=T), k + 1)
+        seps = enumerate_important_separators(g, {t}, T - {t}, k + 1, undeletable=T)
         for sep in seps:
             for opt in optima:
                 if len(sep) <= k and sep <= opt:

@@ -16,7 +16,7 @@ from mwns.blocker import blocker_run
 from mwns.core import Instance, is_mwns, terminals_independent
 from mwns.gen import pivot_instance
 from mwns.reducer import lift_solution, reduce_terminals
-from mwns.separators import SeparatorQuery, enumerate_important_separators, gallai_q_paths
+from mwns.separators import enumerate_important_separators, gallai_q_paths
 from mwns.solver import oracle_opt_x, oracle_solve, solve
 from mwns.witness import pushing_lemma_witness
 
@@ -152,7 +152,7 @@ def test_criterion_4_important_separators_exact():
             continue
         Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
         k = rng.randint(0, 4)
-        got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k))
+        got = set(enumerate_important_separators(g, X, Y, k))
         assert got == important_separators_brute(g, X, Y, frozenset(), k)
         assert len(got) <= 4 ** k
         done += 1

@@ -61,6 +61,27 @@ def test_block_layer_sits_below_the_flow_layer():
     assert not {m for m in imported_modules(tree) if m.startswith("mwns.separators")}
 
 
+def named(tree: ast.AST):
+    """Every identifier a module's code uses: variables, attributes and
+    imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+
+
+def test_one_flow_network_outside_the_flow_layer_only_in_the_search():
+    # the exact search shares one network across its nodes; every other
+    # module asks `separators` for its flows
+    users = {p.stem for p in SRC.glob("*.py") if "_SplitNet" in set(named(ast.parse(p.read_text())))}
+    assert users == {"separators", "solver"}
+    assert "_SplitNet" in set(named(ast.parse("from .separators import _SplitNet as net")))
+    assert "_SplitNet" in set(named(ast.parse("separators._SplitNet(g)")))
+
+
 def test_the_import_scan_sees_the_witness_module():
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert "mwns.witness" in set(imported_modules(tree))

@@ -1,12 +1,14 @@
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 
 from mwns.graph import Graph
 from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
+import mwns.blocker as blocker_mod
 from mwns.blocker import (
     _step,
     blocker,
@@ -233,6 +235,28 @@ class TestBlockerStep:
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4)])
         with pytest.raises(ValueError):
             blocker_step(g, {2, 4}, 1)  # G-1 still has the T-cycle 2-3-4
+
+    @pytest.mark.parametrize("run", [blocker_run, blocker_step])
+    def test_the_pivot_check_reads_the_first_forest(self, run):
+        # {x} is checked on the first iteration's forest of G-x, not on a
+        # decomposition of its own; `is_mwns` is left to the result
+        g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4)])
+        with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests, \
+                mock.patch.object(blocker_mod, "is_mwns", wraps=is_mwns) as checks:
+            with pytest.raises(ValueError) as exc:
+                run(g, {2, 4}, 1)
+        assert str(exc.value) == ("{1} is not a multiway near-separator; "
+                                  "offending cycle in G-x: [2, 3, 4]")
+        assert (forests.call_count, checks.call_count) == (1, 0)
+
+    def test_a_run_decomposes_g_minus_x_once_per_iteration(self):
+        for seed in range(6):
+            inst, x = pivot_instance(14, 0.3, 3, seed)
+            with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests, \
+                    mock.patch.object(blocker_mod, "is_mwns", wraps=is_mwns) as checks:
+                run = blocker_run(inst.graph, inst.terminals, x)
+            assert forests.call_count == len(run.iterations) + 1
+            assert checks.call_count == 1  # the result's check
 
 
 class TestBlockerContract:

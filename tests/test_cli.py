@@ -195,7 +195,9 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert "[1, 70]" in err and "reduced graph" in err
 
-    @pytest.mark.parametrize("step, field", [("rr1 x=3", "t="), ("rr1 t=abc", "t=abc")])
+    @pytest.mark.parametrize("step, field", [("rr1 x=3", "t="), ("rr1 t=abc", "t=abc"),
+                                             ("rr1 t=3 t=4", "t=4"), ("rr1 t=3 junk", "junk"),
+                                             ("rr1 t=3 extra=9", "extra=9")])
     def test_lift_names_a_malformed_step(self, tmp_path, capsys, step, field):
         logf = tmp_path / "bad.log"
         logf.write_text(SIX_CYCLE + step + "\n")
@@ -272,6 +274,21 @@ class TestSubcommands:
         assert out1 == out2
         inst = parse_instance(out1)
         assert len(inst.terminals) == 3 and inst.k == 2
+
+    @pytest.mark.parametrize("p, message", [("-0.5", "outside [0, 1]"), ("1.7", "outside [0, 1]"),
+                                            ("1", "no independent set")])
+    def test_gen_random_rejects_an_impossible_probability(self, p, message):
+        # in a subprocess with a timeout, so an endless resampling loop fails the test
+        proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "5", "--p", p,
+                               "--terminals", "2", "--k", "1", "--seed", "1"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == "" and message in proc.stderr
+
+    def test_gen_random_complete_graph_without_independence(self, capsys):
+        args = ["gen", "random", "--n", "5", "--p", "1", "--terminals", "2", "--k", "1",
+                "--seed", "1", "--no-independent"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and parse_instance(out).graph.m == 10
 
     def test_gen_from_multiway_cut_adds_bridging_vertices(self, tmp_path, capsys):
         f = tmp_path / "src.txt"

@@ -15,7 +15,7 @@ from mwns.core import (
     is_mwns,
     nearly_separated_terminals,
 )
-from mwns.separators import SeparatorQuery, max_vertex_flow
+from mwns.separators import max_vertex_flow
 from mwns.witness import find_separable_leaf_terminal
 
 from brute import (
@@ -102,7 +102,7 @@ class TestFindTCycle:
         # broken flow cannot fall through to an IndexError on the second path
         import mwns.core as core_mod
 
-        monkeypatch.setattr(core_mod, "max_vertex_flow", lambda query: (1, [[3, 4, 5]]))
+        monkeypatch.setattr(core_mod, "max_vertex_flow", lambda *query: (1, [[3, 4, 5]]))
         with pytest.raises(RuntimeError, match="two disjoint routes"):
             find_t_cycle(six_cycle(), {3, 5})
 
@@ -148,7 +148,7 @@ def graph_and_terminals(draw, max_n: int):
 
 
 def flow_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
-    return g.has_edge(t1, t2) or max_vertex_flow(SeparatorQuery.of(g, {t1}, {t2}))[0] >= 2
+    return g.has_edge(t1, t2) or max_vertex_flow(g, {t1}, {t2})[0] >= 2
 
 
 def check_against(reference, g: Graph, T: frozenset[int]) -> None:

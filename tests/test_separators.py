@@ -11,7 +11,6 @@ import mwns.separators as separators
 from mwns.graph import Graph, reachable
 from mwns.separators import (
     MultiTerminalBlockError,
-    SeparatorQuery,
     _SplitNet,
     _blossom_matching,
     _is_important,
@@ -65,20 +64,19 @@ def q_path_exists(g, Q, removed):
 class TestMaxVertexFlow:
     def test_single_route(self):
         g = Graph(range(1, 4), [(1, 2), (2, 3)])
-        value, paths = max_vertex_flow(SeparatorQuery.of(g, {1}, {3}))
+        value, paths = max_vertex_flow(g, {1}, {3})
         assert value == 1
         assert paths == [[1, 2, 3]]
 
     def test_two_parallel_routes(self):
         g = Graph(range(1, 5), [(1, 2), (2, 4), (1, 3), (3, 4)])
-        value, paths = max_vertex_flow(SeparatorQuery.of(g, {1}, {4}))
+        value, paths = max_vertex_flow(g, {1}, {4})
         assert value == 2
         assert len(paths) == 2
 
     def test_undeletable_vertices_make_it_infinite(self):
         g = Graph(range(1, 5), [(1, 2), (2, 4), (1, 3), (3, 4)])
-        value, paths = max_vertex_flow(
-            SeparatorQuery.of(g, {1}, {4}, undeletable={2, 3}))
+        value, paths = max_vertex_flow(g, {1}, {4}, undeletable={2, 3})
         assert value is math.inf
         # brute force: no deletable subset separates
         assert not any(
@@ -87,7 +85,7 @@ class TestMaxVertexFlow:
 
     def test_touching_endpoint_sets(self):
         g = Graph(range(1, 3), [(1, 2)])
-        assert max_vertex_flow(SeparatorQuery.of(g, {1}, {2}))[0] is math.inf
+        assert max_vertex_flow(g, {1}, {2})[0] is math.inf
 
     def test_value_matches_brute_min_separator(self):
         rng = random.Random(17)
@@ -99,7 +97,7 @@ class TestMaxVertexFlow:
             if not rest:
                 continue
             Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
-            value, _ = max_vertex_flow(SeparatorQuery.of(g, X, Y))
+            value, _ = max_vertex_flow(g, X, Y)
             deletable = [v for v in vs if v not in X | Y]
             best = next((r for r in range(len(deletable) + 1)
                          for c in itertools.combinations(deletable, r)
@@ -110,20 +108,20 @@ class TestMaxVertexFlow:
 class TestMinSeparator:
     def test_middle_of_a_path(self):
         g = Graph(range(1, 4), [(1, 2), (2, 3)])
-        assert min_separator(SeparatorQuery.of(g, {1}, {3})) == {2}
+        assert min_separator(g, {1}, {3}) == {2}
 
     def test_leftmost_tie_break(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
-        assert min_separator(SeparatorQuery.of(g, {1}, {4})) == {2}
+        assert min_separator(g, {1}, {4}) == {2}
 
     def test_disconnected_sides_need_nothing(self):
         g = Graph(range(1, 5), [(1, 2), (3, 4)])
-        assert min_separator(SeparatorQuery.of(g, {1}, {3})) == set()
+        assert min_separator(g, {1}, {3}) == set()
 
     def test_adjacent_sides_raise(self):
         g = Graph(range(1, 3), [(1, 2)])
         with pytest.raises(ValueError):
-            min_separator(SeparatorQuery.of(g, {1}, {2}))
+            min_separator(g, {1}, {2})
 
     def test_closest_minimum_with_protected_endpoints(self):
         rng = random.Random(43)
@@ -139,9 +137,9 @@ class TestMinSeparator:
             minimum = smallest_separators(g, X, Y, [v for v in vs if v not in X | Y | V8])
             if not minimum:
                 with pytest.raises(ValueError):
-                    min_separator(SeparatorQuery.of(g, X, Y, V8))
+                    min_separator(g, X, Y, V8)
                 continue
-            assert_closest(g, X, Y, frozenset(min_separator(SeparatorQuery.of(g, X, Y, V8))),
+            assert_closest(g, X, Y, frozenset(min_separator(g, X, Y, V8)),
                            minimum)
 
     def test_closest_minimum_with_deletable_endpoints(self):
@@ -167,17 +165,17 @@ class TestMinSeparator:
 class TestImportantSeparators:
     def test_dominated_separator_is_dropped(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
-        out = enumerate_important_separators(SeparatorQuery.of(g, {1}, {4}), 1)
+        out = enumerate_important_separators(g, {1}, {4}, 1)
         assert [sorted(s) for s in out] == [[3]]
 
     def test_zero_budget_connected(self):
         g = Graph(range(1, 4), [(1, 2), (2, 3)])
-        out = enumerate_important_separators(SeparatorQuery.of(g, {1}, {3}), 0)
+        out = enumerate_important_separators(g, {1}, {3}, 0)
         assert len(out) == 0
 
     def test_two_vertex_separator(self):
         g = Graph(range(1, 5), [(1, 2), (1, 3), (2, 4), (3, 4)])
-        out = enumerate_important_separators(SeparatorQuery.of(g, {1}, {4}), 2)
+        out = enumerate_important_separators(g, {1}, {4}, 2)
         assert [sorted(s) for s in out] == [[2, 3]]
 
     def test_matches_brute_force_and_4k_bound(self):
@@ -191,7 +189,7 @@ class TestImportantSeparators:
                 continue
             Y = frozenset(rng.sample(rest, rng.randint(1, min(2, len(rest)))))
             k = rng.randint(0, 4)
-            got = set(enumerate_important_separators(SeparatorQuery.of(g, X, Y), k))
+            got = set(enumerate_important_separators(g, X, Y, k))
             assert got == important_separators_brute(g, X, Y, frozenset(), k)
             assert len(got) <= 4 ** k
 
@@ -239,14 +237,14 @@ class TestImportantSeparatorProperties:
     @given(separator_queries(max_n=13))
     def test_matches_the_closest_cut_enumeration(self, case):
         g, X, Y, V8, k = case
-        got = enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+        got = enumerate_important_separators(g, X, Y, k, V8)
         assert got == important_separators_closest_cut(g, X, Y, V8, k)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(separator_queries(max_n=9))
     def test_matches_brute_force(self, case):
         g, X, Y, V8, k = case
-        got = enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+        got = enumerate_important_separators(g, X, Y, k, V8)
         assert set(got) == important_separators_brute(g, X, Y, V8, k)
 
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -273,8 +271,8 @@ class TestImportantSeparatorProperties:
         D = frozenset(rng.sample(others, rng.randint(0, len(others))))
         h = g.without(D)
         net = _SplitNet(g)
-        got = enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8, D), k, net)
-        assert got == enumerate_important_separators(SeparatorQuery.of(h, X, Y, V8 - D), k)
+        got = enumerate_important_separators(g, X, Y, k, V8, D, net)
+        assert got == enumerate_important_separators(h, X, Y, k, V8 - D)
         deletable = [v for v in h.vertices if v not in X | Y | V8]
         copy = _SplitNet(h)
         for r in range(k + 1):
@@ -284,10 +282,10 @@ class TestImportantSeparatorProperties:
 
     def test_a_network_of_another_graph_is_rejected(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
-        q = SeparatorQuery.of(g.without({4}), {1}, {3})
-        assert enumerate_important_separators(q, 1, _SplitNet(q.graph)) == (frozenset({2}),)
+        h = g.without({4})
+        assert enumerate_important_separators(h, {1}, {3}, 1, net=_SplitNet(h)) == (frozenset({2}),)
         with pytest.raises(ValueError, match="another graph"):
-            enumerate_important_separators(q, 1, _SplitNet(g))
+            enumerate_important_separators(h, {1}, {3}, 1, net=_SplitNet(g))
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(separator_queries(max_n=13))
@@ -297,7 +295,7 @@ class TestImportantSeparatorProperties:
         g, X, Y, V8, k = case
         with mock.patch.object(separators._SplitNet, "min_cut", autospec=True,
                                side_effect=separators._SplitNet.min_cut) as spy:
-            enumerate_important_separators(SeparatorQuery.of(g, X, Y, V8), k)
+            enumerate_important_separators(g, X, Y, k, V8)
         assert 0 < spy.call_count < 3 * 4 ** k
 
 
