@@ -11,56 +11,49 @@ from .graph import Graph
 def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
     """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
 
-    Iterative DFS low-link; no subgraph is materialized, so this is the fast
-    path for predicates that repeatedly probe vertex deletions.
+    Iterative DFS low-link over a stack of vertices, neighbours in sorted
+    order; a block leaves the stack when the DFS backs up from its highest
+    vertex below its cut vertex. No subgraph is materialized, so this is the
+    fast path for predicates that repeatedly probe vertex deletions.
     """
     dropped = set(exclude)
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     blocks: list[frozenset[int]] = []
-    counter = 0
     for root in g.vertices:
         if root in disc or root in dropped:
             continue
-        edge_stack: list[tuple[int, int]] = []
-        disc[root] = low[root] = counter
-        counter += 1
-        # frame: (vertex, parent, iterator over remaining neighbors)
-        stack = [(root, 0, iter(sorted(g.neighbors(root))))]
-        isolated = True
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
+        disc[root] = low[root] = first = len(disc)
+        # the DFS path, each path vertex's iterator over its remaining
+        # neighbours, and the length of `pending` when it was entered
+        path, iters, starts = [root], [iter(sorted(g.neighbors(root)))], [0]
+        pending: list[int] = []  # vertices entered and not yet in a block
+        while path:
+            v = path[-1]
+            for w in iters[-1]:
                 if w in dropped:
                     continue
-                isolated = False
                 if w not in disc:
-                    edge_stack.append((v, w))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
-                    advanced = True
+                    disc[w] = low[w] = len(disc)
+                    starts.append(len(pending))
+                    pending.append(w)
+                    path.append(w)
+                    iters.append(iter(sorted(g.neighbors(w))))
                     break
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    verts = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        verts.add(a)
-                        verts.add(b)
-                        if (a, b) == (pv, v):
-                            break
-                    blocks.append(frozenset(verts))
-        if isolated:
+                if disc[w] < low[v]:  # the parent too, which leaves the test below alone
+                    low[v] = disc[w]
+            else:
+                path.pop()
+                iters.pop()
+                start = starts.pop()
+                if path:
+                    u = path[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        blocks.append(frozenset(pending[start:] + [u]))
+                        del pending[start:]
+        if len(disc) == first + 1:
             blocks.append(frozenset([root]))
     return blocks
 

@@ -7,13 +7,16 @@ import random
 from .graph import Graph
 from .core import Instance, terminals_independent
 
+GRAPH_RESAMPLES = 100  # the seeded calls in the tests and demos need at most 2
+
 
 def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
                     independent: bool = True) -> Instance:
     """Reproducible edge-probability graph with a sampled terminal set.
 
     With independent=True the sampling repeats until the terminal set is an
-    independent set (dependent terminals make the instance trivially NO).
+    independent set (dependent terminals make the instance trivially NO), in
+    at most GRAPH_RESAMPLES graphs, and raises ValueError after that.
     """
     if not 0 <= terminals <= n:
         raise ValueError("terminal count out of range")
@@ -22,7 +25,7 @@ def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
     if p == 1 and independent and terminals >= 2:
         raise ValueError("a complete graph has no independent set of two or more terminals")
     rng = random.Random(seed)
-    while True:
+    for _ in range(GRAPH_RESAMPLES):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                  if rng.random() < p]
         g = Graph(range(1, n + 1), edges)
@@ -31,6 +34,8 @@ def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
             if not independent or terminals_independent(g, T):
                 return Instance(g, T, k)
         # dense graph with no independent choice of this size: resample it
+    raise ValueError(f"no independent set of {terminals} terminals turned up in "
+                     f"{GRAPH_RESAMPLES} graphs with n={n}, p={p}")
 
 
 def from_multiway_cut(inst: Instance) -> Instance:

@@ -20,7 +20,8 @@ class MultiTerminalBlockError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _SplitNet:
-    """Split-vertex network of one graph, built once and reset for each query.
+    """Split-vertex network of one graph, built once and reset for each query,
+    whose flow `augment`, `widen` and `cancel` can carry on to a next query.
 
     Vertex g.vertices[i] is the in-node 2i+2 and the out-node 2i+3, joined by
     its through arc of capacity 1; an edge uv gives arcs out(u)->in(v) and
@@ -74,9 +75,13 @@ class _SplitNet:
         for v in deleted:
             i = index[v]
             cap[through[i]] = cap[4 * i] = cap[4 * i + 2] = 0
-        head, adj = self.head, self.adj
+        return self.augment(stop)
+
+    def augment(self, limit: int = INF) -> int:
+        """Grow the flow in `cap` by at most `limit`; returns the growth."""
+        cap, head, adj = self.cap, self.head, self.adj
         value = 0
-        while value < stop:
+        while value < limit:
             via = [-1] * len(adj)  # arc by which BFS first entered each node
             via[0] = -2
             queue = [0]
@@ -90,7 +95,7 @@ class _SplitNet:
                     break
             if via[1] == -1:
                 break
-            push, node = stop - value, 1
+            push, node = limit - value, 1
             while node:
                 push = min(push, cap[via[node]])
                 node = head[via[node] ^ 1]
@@ -103,18 +108,53 @@ class _SplitNet:
             value += push
         return value
 
+    def widen(self, sources: Iterable[int]) -> None:
+        """Make `sources` uncapacitated sources of the query, keeping the flow."""
+        index, through, cap = self.index, self.through, self.cap
+        for v in sources:
+            i = index[v]
+            for e in (4 * i, through[i]):
+                cap[e] = INF - cap[e ^ 1]  # capacity INF, less the flow on e
+
+    def cancel(self, v: int) -> None:
+        """Take the unit of flow through v, a vertex of capacity 1 that is
+        neither source nor sink, back to 0 and 1 along flow-carrying arcs, then
+        mark v absent. A flow on arc e, even, is cap[e ^ 1]; walking forward
+        takes even arcs, and backward the odd arcs that reverse them."""
+        head, adj, cap = self.head, self.adj, self.cap
+        i = self.index[v]
+        for back in (0, 1):  # forward from in(v), whose one even arc is v's through arc
+            node = 2 * i + 2
+            while node != 1 - back:
+                for e in adj[node]:
+                    if e & 1 == back and cap[e ^ 1 ^ back] > 0:
+                        cap[e ^ 1 ^ back] -= 1
+                        cap[e ^ back] += 1
+                        node = head[e]
+                        break
+                else:
+                    raise RuntimeError(f"no flow-carrying arc at network node {node} "
+                                       f"while cancelling the unit through {v}")
+        cap[self.through[i]] = 0
+
     def min_cut(self, X: frozenset[int], Y: frozenset[int], protected: frozenset[int] = frozenset(),
                 deleted: frozenset[int] = frozenset(), furthest: bool = False
                 ) -> tuple[int | float, frozenset[int], frozenset[int]]:
-        """`min_cut` on this network's graph: one flow, then a residual search
-        forward from 0 for the closest cut, or backward from 1 for the furthest."""
+        """`min_cut` on this network's graph: one flow, then `cut`."""
         g = self.graph
         if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
             return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
         value = self.flow(X, Y, protected, deleted)
         if value >= INF:
             return math.inf, frozenset(), frozenset()
-        head, cap, adj = self.head, self.cap, self.adj
+        return (value, *self.cut(deleted, furthest))
+
+    def cut(self, deleted: frozenset[int], furthest: bool = False
+            ) -> tuple[frozenset[int], frozenset[int]]:
+        """(cut, source side) of the maximum flow in `cap`, less `deleted`, by
+        one residual search forward from 0 for the closest minimum cut, or
+        backward from 1 for the furthest."""
+        g, head, cap, adj = self.graph, self.head, self.cap, self.adj
         start = back = int(furthest)  # backward, arc e enters u when arc e^1 has room
         seen = [False] * len(adj)
         seen[start] = True
@@ -127,7 +167,7 @@ class _SplitNet:
         near, far = seen[2 + back::2], seen[3 - back::2]
         cut = frozenset(v for v, a, b in zip(g.vertices, near, far) if a and not b)
         side = frozenset(v for v, out in zip(g.vertices, seen[3::2]) if out != furthest)
-        return value, cut - deleted, side - deleted
+        return cut - deleted, side - deleted
 
     def paths(self) -> list[list[int]]:
         """The flow as unit walks from 0 to 1, flow cycles erased, in graph vertices."""
@@ -213,6 +253,10 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
     R_max + v, which raises λ). Either lowers 2k - λ, so the recursion is at
     most 2k + 2 deep with at most 4^k leaves. Deleting v only promises a
     separator important in G - v, so one flow checks each candidate.
+
+    Only the root's flow starts from zero, and each stops at budget + 1. A
+    push child keeps its parent's, which stays feasible; a delete child cancels
+    its unit through v, and as S_max - v separates G - v, λ - 1 is maximum.
     """
     X, Y, deleted = frozenset(X), frozenset(Y), frozenset(deleted)
     protected = Y | frozenset(undeletable)
@@ -220,17 +264,23 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
     if net.graph is not g:
         raise ValueError("the network was built on another graph than the query's")
 
-    def candidates(gone: frozenset[int], source: frozenset[int], budget: int) -> set[frozenset[int]]:
-        value, cut, side = net.min_cut(source, Y, protected | source, gone, furthest=True)
-        if value > budget:  # inf included
+    def candidates(gone: frozenset[int], budget: int, value: int) -> set[frozenset[int]]:
+        # `net` holds this node's flow of `value`: maximum, or past the budget
+        if value > budget:
             return set()
         if value == 0:
             return {frozenset()}
+        cut, side = net.cut(gone, furthest=True)
         v = min(cut)
-        out = {s | {v} for s in candidates(gone | {v}, source, budget - 1)}
-        return out | candidates(gone, side | {v}, budget)
+        saved = net.cap[:]
+        net.cancel(v)
+        out = {s | {v} for s in candidates(gone | {v}, budget - 1,
+                                           value - 1 + net.augment(budget + 1 - value))}
+        net.cap = saved
+        net.widen(side | {v})
+        return out | candidates(gone, budget, value + net.augment(budget + 1 - value))
 
-    found = candidates(deleted, X, k)
+    found = candidates(deleted, k, net.flow(X, Y, protected | X, deleted, k + 1))
     return tuple(sorted((s for s in found if _is_important(net, X, Y, protected, s, deleted)),
                         key=lambda s: (len(s), sorted(s))))
 

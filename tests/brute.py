@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -82,6 +83,63 @@ def blocks_brute(g: Graph) -> list[frozenset[int]]:
         classes = [cls for cls in classes if not cls & ring] + [set().union(*hit)]
     out = [frozenset().union(*cls) for cls in classes]
     return out + [frozenset([v]) for v in g.vertices if not g.neighbors(v)]
+
+
+def biconnected_blocks_edge_stack(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
+    """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
+
+    The library's earlier edge-stack low-link, kept as the reference for the
+    vertex-stack one: the same blocks in the same order.
+    """
+    dropped = set(exclude)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[frozenset[int]] = []
+    counter = 0
+    for root in g.vertices:
+        if root in disc or root in dropped:
+            continue
+        edge_stack: list[tuple[int, int]] = []
+        disc[root] = low[root] = counter
+        counter += 1
+        # frame: (vertex, parent, iterator over remaining neighbors)
+        stack = [(root, 0, iter(sorted(g.neighbors(root))))]
+        isolated = True
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w in dropped:
+                    continue
+                isolated = False
+                if w not in disc:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
+                    advanced = True
+                    break
+                elif w != parent and disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    verts = set()
+                    while edge_stack:
+                        a, b = edge_stack.pop()
+                        verts.add(a)
+                        verts.add(b)
+                        if (a, b) == (pv, v):
+                            break
+                    blocks.append(frozenset(verts))
+        if isolated:
+            blocks.append(frozenset([root]))
+    return blocks
 
 
 def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:

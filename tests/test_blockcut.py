@@ -8,7 +8,7 @@ from mwns.graph import Graph, connected_components
 from mwns.blockcut import biconnected_blocks, block_cut_forest, cut_vertices
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
-from brute import all_simple_paths, random_graph
+from brute import all_simple_paths, biconnected_blocks_edge_stack, random_block_tree, random_graph
 
 
 def two_triangles():
@@ -118,6 +118,41 @@ def test_blocks_match_brute_force_maximal_biconnected():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.4, 0.6]))
         assert set(biconnected_blocks(g)) == brute_blocks(g)
+
+
+@st.composite
+def graphs_with_exclusions(draw, max_n: int):
+    """A graph on 1..max_n vertices with ids spread over 1..6 max_n, either
+    edge-probability or a tree of small blocks, and an excluded set that may
+    name ids outside the graph. All drawn from one seeded generator."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if rng.random() < 0.3:
+        h, _ = random_block_tree(rng, rng.randint(1, 10))
+        h = h.induced(rng.sample(h.vertices, min(h.n, rng.randint(1, max_n))))
+    else:
+        h = random_graph(rng, rng.randint(1, max_n), rng.choice([0.05, 0.1, 0.2, 0.4]))
+    ids = sorted(rng.sample(range(1, 6 * max_n + 1), h.n))
+    name = dict(zip(h.vertices, ids))
+    g = Graph(ids, [(name[u], name[v]) for u, v in h.edges()])
+    exclude = set(rng.sample(range(1, 6 * max_n + 1), rng.randint(0, max_n)))
+    return g, exclude & set(ids) if rng.random() < 0.5 else exclude
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(graphs_with_exclusions(max_n=30))
+def test_vertex_stack_blocks_equal_the_edge_stack_list(case):
+    g, exclude = case
+    assert biconnected_blocks(g, exclude) == biconnected_blocks_edge_stack(g, exclude)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_blocks_of_a_20000_vertex_path_and_cycle(closed):
+    n = 20_000
+    g = Graph(range(1, n + 1), [(v, v + 1) for v in range(1, n)] + [(n, 1)] * closed)
+    blocks = biconnected_blocks(g)
+    assert blocks == biconnected_blocks_edge_stack(g)
+    assert blocks == ([frozenset(g.vertices)] if closed else
+                      [frozenset((v, v + 1)) for v in range(n - 1, 0, -1)])
 
 
 def test_cut_vertex_deletion_changes_component_count():

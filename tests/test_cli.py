@@ -284,6 +284,16 @@ class TestSubcommands:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and proc.stdout == "" and message in proc.stderr
 
+    def test_gen_random_gives_up_on_a_near_complete_graph(self):
+        # five vertices at p = 0.99 almost never leave three independent ones;
+        # the resampling is bounded, so the CLI says so instead of running on
+        proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "5", "--p",
+                               "0.99", "--terminals", "3", "--k", "1", "--seed", "1"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "no independent set of 3 terminals" in proc.stderr
+        assert "n=5, p=0.99" in proc.stderr
+
     def test_gen_random_complete_graph_without_independence(self, capsys):
         args = ["gen", "random", "--n", "5", "--p", "1", "--terminals", "2", "--k", "1",
                 "--seed", "1", "--no-independent"]

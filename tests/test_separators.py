@@ -290,13 +290,84 @@ class TestImportantSeparatorProperties:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(separator_queries(max_n=13))
     def test_flow_count_is_bounded_by_k_not_n(self, case):
-        # at most 4^k leaves, so 2 * 4^k - 1 branching flows, and one
-        # importance flow per candidate, a leaf
+        # at most 4^k leaves, so 2 * 4^k - 1 branching queries, each one
+        # `augment` on the inherited flow, and one importance flow per
+        # candidate, a leaf, whose `flow` calls `augment` once
         g, X, Y, V8, k = case
-        with mock.patch.object(separators._SplitNet, "min_cut", autospec=True,
-                               side_effect=separators._SplitNet.min_cut) as spy:
+        with mock.patch.object(separators._SplitNet, "augment", autospec=True,
+                               side_effect=separators._SplitNet.augment) as spy:
             enumerate_important_separators(g, X, Y, k, V8)
         assert 0 < spy.call_count < 3 * 4 ** k
+
+
+def checked_flow(net, X, Y, protected, gone):
+    """The value of the flow in `net`, once it is checked to be a flow of the
+    query (X, Y, `protected`, `gone`): every arc pair holds the capacity a
+    cold `flow` of the query gives it, no arc carries a negative flow, and
+    every node but 0 and 1 passes on all it takes in."""
+    cold = _SplitNet(net.graph)
+    cold.flow(X, Y, protected | X, gone, stop=0)  # the query's capacities, no flow
+    cap, head = net.cap, net.head
+    excess = [0] * len(net.adj)
+    for e in range(0, len(cap), 2):
+        assert min(cap[e], cap[e ^ 1]) >= 0 and cap[e] + cap[e ^ 1] == cold.cap[e]
+        excess[head[e]] += cap[e ^ 1]
+        excess[head[e ^ 1]] -= cap[e ^ 1]
+    assert not any(excess[2:])
+    return excess[1]
+
+
+class TestWarmStartedBranching:
+    """The enumeration's branching on the furthest minimum cut, replayed on
+    one network with each child's inherited flow checked against the child's
+    own query."""
+
+    @staticmethod
+    def replay(g, X, Y, V8, k):
+        net, protected = _SplitNet(g), Y | V8
+        found = set()
+
+        def node(X, gone, budget, value):
+            assert checked_flow(net, X, Y, protected, gone) == value
+            assert value == _SplitNet(g).flow(X, Y, protected | X, gone, budget + 1)
+            if value > budget:
+                return
+            if value == 0:
+                found.add(gone)
+                return
+            cut, side = net.cut(gone, furthest=True)
+            v = min(cut)
+            saved = net.cap[:]
+            net.cancel(v)
+            # the inherited λ - 1 is maximum: one augmenting search, which fails
+            assert checked_flow(net, X, Y, protected, gone | {v}) == value - 1
+            assert net.augment() == 0
+            node(X, gone | {v}, budget - 1, value - 1)
+            net.cap = saved
+            net.widen(side | {v})
+            node(X | side | {v}, gone, budget, value + net.augment(budget + 1 - value))
+
+        node(X, frozenset(), k, net.flow(X, Y, protected | X, frozenset(), k + 1))
+        return found
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(separator_queries(max_n=13))
+    def test_every_child_inherits_a_flow_of_its_own_query(self, case):
+        # a delete child's flow is maximum at λ - 1; a push child's augments
+        # to the value of a cold flow on its query, stopped at budget + 1;
+        # and the replayed candidates hold every separator enumerated
+        g, X, Y, V8, k = case
+        found = self.replay(g, X, Y, V8, k)
+        assert set(enumerate_important_separators(g, X, Y, k, V8)) <= found
+
+    def test_a_cancel_without_flow_raises_even_without_asserts(self, monkeypatch):
+        # the cancel walk's dead end is a raise, not an assert, so it survives
+        # python -O; a cut naming the pendant 2, which carries no flow, is one
+        g = Graph(range(1, 5), [(1, 2), (1, 3), (3, 4)])
+        monkeypatch.setattr(_SplitNet, "cut", lambda net, gone, furthest=False:
+                            (frozenset({2}), frozenset({1})))
+        with pytest.raises(RuntimeError, match="cancelling the unit through 2"):
+            enumerate_important_separators(g, {1}, {4}, 1)
 
 
 class TestForcedVertexPath:
