@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from .graph import Graph
 from .core import Instance, terminals_independent
 
 GRAPH_RESAMPLES = 100  # the seeded calls in the tests and demos need at most 2
+TERMINAL_DRAWS = 200  # terminal sets drawn per graph
 
 
 def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
@@ -16,20 +18,24 @@ def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
 
     With independent=True the sampling repeats until the terminal set is an
     independent set (dependent terminals make the instance trivially NO), in
-    at most GRAPH_RESAMPLES graphs, and raises ValueError after that.
+    at most GRAPH_RESAMPLES graphs, and raises ValueError after that, or at
+    once when fewer than 0.01 independent sets are expected in all the draws.
     """
     if not 0 <= terminals <= n:
         raise ValueError("terminal count out of range")
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability {p} is outside [0, 1]")
-    if p == 1 and independent and terminals >= 2:
-        raise ValueError("a complete graph has no independent set of two or more terminals")
+    # each terminal pair is an edge with probability p, independently
+    expected = GRAPH_RESAMPLES * TERMINAL_DRAWS * (1 - p) ** math.comb(terminals, 2)
+    if independent and expected < 0.01:
+        raise ValueError(f"no independent set of {terminals} terminals is likely in "
+                         f"{GRAPH_RESAMPLES} graphs with n={n}, p={p} ({expected:.2g} expected)")
     rng = random.Random(seed)
     for _ in range(GRAPH_RESAMPLES):
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                  if rng.random() < p]
         g = Graph(range(1, n + 1), edges)
-        for _ in range(200):
+        for _ in range(TERMINAL_DRAWS):
             T = frozenset(rng.sample(range(1, n + 1), terminals))
             if not independent or terminals_independent(g, T):
                 return Instance(g, T, k)

@@ -180,11 +180,15 @@ class _RR2Index:
     `live` maps each pair of `_rr2_candidate_pairs` with no terminals (a
     terminal cut vertex between two others blocks no pair) to None until
     visited, then to the components D of G - {x, y} that may still fire, as
-    (least vertex, None or the T-sets of G[D + x + y]'s blocks with two, D or None)."""
+    (least vertex, None or T-sets of blocks of G[D + x + y] with two terminals,
+    whether that list is all of them or one witness's, D or None).
+    `witnesses` holds every block with two terminals a decomposition found,
+    with its terminals: a block of G lies in a block of any region holding it."""
     graph: Graph
     s_star: frozenset[int]
     terminals: frozenset[int]
     live: dict[tuple[int, int], list[tuple] | None] | None = None
+    witnesses: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
 
 
 def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = None
@@ -196,7 +200,10 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     more terminals, no T-cycle inside G[D + x + y], and an x-y path through
     two distinct terminals; the smallest other terminal of D is dropped.
     Calls on one G and S* whose T only shrinks may share `index` (else new): a
-    component with under three terminals, or two on its x-y path, stays so."""
+    component with under three terminals, or two on its x-y path, stays so.
+    Each pair's G - {x, y} is flooded once. A region holding a cached witness
+    block that still has two terminals is rejected undecomposed; only its
+    own full decomposition may find a region cycle-free."""
     g, T, s_star = inst.graph, inst.terminals, frozenset(s_star)
     if len(T) < 3:
         return None  # x and y are non-terminals, so D would need three of these
@@ -206,28 +213,38 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     index.terminals = T
     if index.live is None:
         index.live = dict.fromkeys(_rr2_candidate_pairs(g, frozenset(), s_star))
+    witnesses = index.witnesses = {w: wt & T for w, wt in index.witnesses.items() if len(wt & T) > 1}
     for (x, y), entries in index.live.items():
         if x in T or y in T:
             continue
         if entries is None:
-            entries = [(c[0], None, frozenset(c)) for c in connected_components(g.without([x, y]))]
+            entries, seen = [], {x, y}
+            for v in g.vertices:
+                if v not in seen:
+                    comp = frozenset(reachable(g, [v], [x, y]))
+                    seen |= comp
+                    entries.append((v, None, False, comp))
         live = index.live[x, y] = []
-        for i, (anchor, cyc, comp) in enumerate(entries):
+        for i, (anchor, cyc, whole, comp) in enumerate(entries):
             if cyc is None or not any(len(c & T) > 1 for c in cyc):
                 comp = comp or frozenset(reachable(g, [anchor], [x, y]))
                 terms = sorted(comp & T)
                 if len(terms) < 3:
                     continue  # and stays so as T shrinks, so D leaves `live`
                 region = comp | {x, y}
-                if cyc is None:
-                    cyc = tuple(b & T for b in biconnected_blocks(g.induced(region)) if len(b & T) > 1)
+                if not whole:  # unjudged, or its witness now holds under two terminals
+                    cyc = next(((wt,) for w, wt in witnesses.items() if w <= region), None)
+                    if cyc is None:
+                        blocks = [b for b in biconnected_blocks(g.induced(region)) if len(b & T) > 1]
+                        cyc, whole = tuple(b & T for b in blocks), True
+                        witnesses.update(zip(blocks, cyc))
             if any(len(c & T) > 1 for c in cyc):
-                live.append((anchor, cyc, None))
+                live.append((anchor, cyc, whole, None))
                 continue  # a T-cycle, and the tree counting needs one terminal per block
             on_path = terminals_on_path(g.induced(region), T & comp, x, y)
             if on_path is None or len(on_path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
-            live += [(anchor, cyc, None)] + entries[i + 1:]
+            live += [(anchor, cyc, whole, None)] + entries[i + 1:]
             kept = (on_path[0], on_path[1])
             drop = min(t for t in terms if t not in kept)  # D holds three or more
             step = DropComponentTerminal(drop, x, y, comp, kept)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,6 +294,18 @@ class TestSubcommands:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "no independent set of 3 terminals" in proc.stderr
         assert "n=5, p=0.99" in proc.stderr
+
+    def test_gen_random_fails_fast_when_no_draw_is_likely_independent(self):
+        # 20 000 draws at p = 0.995 expect 0.0025 independent triples: the
+        # command refuses before drawing any of the 400-vertex graphs
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "400", "--p",
+                               "0.995", "--terminals", "3", "--k", "1", "--seed", "1"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "no independent set of 3 terminals is likely" in proc.stderr
+        assert "n=400, p=0.995 (0.0025 expected)" in proc.stderr
+        assert time.perf_counter() - start < 5
 
     def test_gen_random_complete_graph_without_independence(self, capsys):
         args = ["gen", "random", "--n", "5", "--p", "1", "--terminals", "2", "--k", "1",

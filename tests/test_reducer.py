@@ -662,7 +662,53 @@ class TestRR2Index:
         assert apply_rr2(inst, {1}, index) is None
         entries = [e for es in index.live.values() for e in es]
         assert len(index.live) > L and len(entries) <= len(index.live)
-        assert all(comp is None and cyc == (inst.terminals,) for _, cyc, comp in entries)
+        assert all(comp is None and cyc == (inst.terminals,) for _, cyc, _, comp in entries)
+
+    def test_pendant_chain_decomposes_a_handful_of_regions(self):
+        # the first outer region's block {1, L, L+1, L+2, L+3} lies in every
+        # later pair's outer region and rejects it without a decomposition;
+        # one decomposition per pair would be over 1 600 here
+        L = 60
+        inst = pendant_chain(L, terminals=3)
+        index = reducer._RR2Index(inst.graph, frozenset({1}), inst.terminals)
+        with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
+            assert apply_rr2(inst, {1}, index) is None
+        assert len(index.live) > L and 1 <= spy.call_count <= 3
+        assert frozenset({1, L}) | inst.terminals in index.witnesses
+
+    def test_stale_witness_region_is_decomposed_again(self):
+        # path 1-2-3-4-5-6-7 with terminals 3 and 5, and at 4 a 5-cycle B
+        # through terminals 8, 10, 11 and a 4-cycle C through 12 and 14.
+        # Pair (2, 4) decomposes its region {4, 8..11} + 2 and caches B; pair
+        # (2, 6)'s region, D = {3, 4, 5, 8..14}, holds B and is rejected by it
+        # undecomposed. Once 8 and 11 are gone B holds one terminal, and D
+        # must be decomposed again: C still rejects it. Once 12 is gone too,
+        # D is cycle-free and fires twice through the terminals 3 and 5.
+        path, b_cycle, c_cycle = [1, 2, 3, 4, 5, 6, 7], [4, 8, 9, 10, 11], [4, 12, 13, 14]
+        edges = [(u, v) for cyc in (b_cycle, c_cycle) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
+        g = Graph(range(1, 15), list(zip(path, path[1:])) + edges)
+        region = frozenset({2, 3, 4, 5, 6} | set(range(8, 15)))
+        s_star, T = frozenset(), frozenset({3, 5, 8, 10, 11, 12, 14})
+        index = reducer._RR2Index(g, s_star, T)
+        fired = []
+        for T in (T, T - {8, 11}, T - {8, 11, 12}):
+            while True:
+                inst = Instance(g, T, 1)
+                with mock.patch.object(reducer, "biconnected_blocks",
+                                       wraps=reducer.biconnected_blocks) as spy:
+                    shared = apply_rr2(inst, s_star, index)
+                assert shared == rr2_reference(inst, s_star)
+                decomposed = [frozenset(c.args[0].vertices) for c in spy.call_args_list]
+                if T == {3, 5, 8, 10, 11, 12, 14}:  # B is cached, D is not decomposed
+                    assert decomposed == [frozenset({2, 4, 8, 9, 10, 11})]
+                elif T == {3, 5, 10, 12, 14}:  # B is stale, D is decomposed and C rejects it
+                    assert decomposed == [region] and shared is None
+                if shared is None:
+                    break
+                inst, step = shared
+                fired.append((step.x, step.y, step.t))
+                T = inst.terminals
+        assert fired == [(2, 6, 10), (2, 6, 14)]
 
     def test_pendant_chain_below_three_terminals_floods_nothing(self):
         # G - S* has about L cut vertices on one root-to-leaf path, but with
