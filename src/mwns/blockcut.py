@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .graph import Graph
 
@@ -68,8 +68,25 @@ def cut_vertices(g: Graph, exclude: Iterable[int] = ()) -> set[int]:
     return cuts
 
 
-@dataclass(frozen=True)
-class BCNode:
+def blocks_without(g: Graph, blocks: Iterable[frozenset[int]], z: Iterable[int]
+                   ) -> list[frozenset[int]]:
+    """Blocks of H - z, given `blocks`, the blocks of an induced subgraph H of g.
+
+    A block of H - z is 2-connected or an edge in H, so it lies inside one
+    block of H: the blocks z misses stay whole, and only the remnant of each
+    block z hits is decomposed again. A remnant's singleton {v} is a block of
+    H - z only if no other block of two or more vertices holds v.
+    """
+    z = frozenset(z)
+    out = [b for b in blocks if b.isdisjoint(z)]
+    out += [c for b in blocks if not b.isdisjoint(z) and (rest := b - z)
+            for c in biconnected_blocks(g.induced(rest))]
+    big = [b for b in out if len(b) > 1]
+    single = {v for b in out if len(b) == 1 for v in b}.difference(*big)
+    return big + [frozenset([v]) for v in sorted(single)]
+
+
+class BCNode(NamedTuple):
     id: int
     kind: str  # "block" | "cut"
     vertices: frozenset[int]
@@ -92,19 +109,21 @@ class BlockCutForest:
     One tree per connected component, bipartite between block nodes and cut
     nodes, rooted at the block whose sorted vertex set is lexicographically
     smallest. Node ids are assigned in pre-order so traversals and traces are
-    reproducible across runs.
+    reproducible across runs. The forest depends only on the set of blocks,
+    so `blocks`, when given, may list them in any order.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, blocks: list[frozenset[int]] | None = None):
         self.graph = graph
-        blocks = biconnected_blocks(graph)
-        cuts = set()
+        if blocks is None:
+            blocks = biconnected_blocks(graph)
+        cuts: set[int] = set()
         owner: set[int] = set()
         for b in blocks:
             cuts |= b & owner
             owner |= b
-        # cut -> incident blocks, block index -> cut vertices
-        block_key = {i: tuple(sorted(b)) for i, b in enumerate(blocks)}
+        # block index -> sort key, cut -> incident blocks
+        block_key = [tuple(sorted(b)) for b in blocks]
         cut_blocks: dict[int, list[int]] = {c: [] for c in cuts}
         for i, b in enumerate(blocks):
             for c in b & cuts:
@@ -115,61 +134,55 @@ class BlockCutForest:
         children: list[list[int]] = []
         depth: list[int] = []
         roots: list[int] = []
-        placed_blocks: set[int] = set()
-        placed_cuts: set[int] = set()
-
-        def new_node(kind: str, verts: frozenset[int], par: int | None) -> int:
-            nid = len(nodes)
-            nodes.append(BCNode(nid, kind, verts))
-            parent.append(par)
-            children.append([])
-            depth.append(0 if par is None else depth[par] + 1)
-            if par is not None:
-                children[par].append(nid)
-            return nid
-
+        cut_node: dict[int, int] = {}
+        placed = [False] * len(blocks)
         # the first unplaced block in key order is the smallest block of its
         # component and starts with the component's smallest vertex, so trees
         # come out in order of their smallest vertex
-        for root_idx in sorted(block_key, key=block_key.__getitem__):
-            if root_idx in placed_blocks:
+        for root in sorted(range(len(blocks)), key=block_key.__getitem__):
+            if placed[root]:
                 continue
-            placed_blocks.add(root_idx)
-            # work items create their node when popped; children pushed in
-            # reverse so ids come out in pre-order
-            work: list[tuple[str, int, int | None]] = [("block", root_idx, None)]
+            # work items (block index or cut vertex, parent id, is a block)
+            # create their node when popped; children pushed in reverse so ids
+            # come out in pre-order. A node's only placed neighbour is its parent
+            work: list[tuple[int, int | None, bool]] = [(root, None, True)]
             while work:
-                kind, key, par = work.pop()
-                if kind == "block":
-                    nid = new_node("block", blocks[key], par)
-                    if par is None:
-                        roots.append(nid)
-                    kids = [c for c in sorted(blocks[key] & cuts) if c not in placed_cuts]
-                    placed_cuts.update(kids)
-                    for c in reversed(kids):
-                        work.append(("cut", c, nid))
+                key, par, is_block = work.pop()
+                nid = len(nodes)
+                parent.append(par)
+                children.append([])
+                if par is None:
+                    roots.append(nid)
                 else:
-                    nid = new_node("cut", frozenset([key]), par)
-                    bkids = [j for j in sorted(cut_blocks[key], key=lambda j: block_key[j])
-                             if j not in placed_blocks]
-                    placed_blocks.update(bkids)
-                    for j in reversed(bkids):
-                        work.append(("block", j, nid))
+                    children[par].append(nid)
+                depth.append(0 if par is None else depth[par] + 1)
+                if is_block:
+                    placed[key] = True
+                    nodes.append(BCNode(nid, "block", blocks[key]))
+                    work += [(c, nid, False) for c in sorted(blocks[key] & cuts, reverse=True)
+                             if c not in cut_node]
+                else:
+                    cut_node[key] = nid
+                    nodes.append(BCNode(nid, "cut", frozenset((key,))))
+                    work += [(j, nid, True) for j in sorted(cut_blocks[key], key=block_key.__getitem__,
+                                                            reverse=True) if not placed[j]]
 
         self.nodes: tuple[BCNode, ...] = tuple(nodes)
         self.parent: tuple[int | None, ...] = tuple(parent)
-        self.children: tuple[tuple[int, ...], ...] = tuple(tuple(cs) for cs in children)
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
         self.depth: tuple[int, ...] = tuple(depth)
         self.roots: tuple[int, ...] = tuple(roots)
-        self._cut_node: dict[int, int] = {
-            nd.vertex: nd.id for nd in self.nodes if nd.kind == "cut"
-        }
-        # vertex -> ids of the block nodes holding it, ascending
-        self._blocks_of: dict[int, list[int]] = {}
+        self._cut_node = cut_node
+
+    @cached_property
+    def _blocks_of(self) -> dict[int, list[int]]:
+        """vertex -> ids of the block nodes holding it, ascending"""
+        out: dict[int, list[int]] = {}
         for nd in self.nodes:
             if nd.kind == "block":
                 for v in nd.vertices:
-                    self._blocks_of.setdefault(v, []).append(nd.id)
+                    out.setdefault(v, []).append(nd.id)
+        return out
 
     # -- basic lookups ----------------------------------------------------
 
@@ -235,5 +248,7 @@ class BlockCutForest:
         return frozenset().union(*(nd.vertices for nd in self.nodes[d:stop]))
 
 
-def block_cut_forest(g: Graph) -> BlockCutForest:
-    return BlockCutForest(g)
+def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> BlockCutForest:
+    """The block-cut forest of g, assembled from `blocks` when given (the
+    blocks of g, in any order) instead of decomposing g again."""
+    return BlockCutForest(g, blocks)

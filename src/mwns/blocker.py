@@ -1,11 +1,13 @@
 """Recursive 14-approximation for a smallest near-separator avoiding a pivot x.
 
-Each iteration builds the block-cut forest of G-x and makes one bottom-up
-pass over it (`_routes`). The pass finds, for every node, the most terminals
-a path from the node's top vertex down to a neighbor of x can collect, and
-the deepest node whose closure with x still carries a T-cycle. From those
-counts the iteration assembles a hitting set Z for the cycles living down
-there, deletes it, and recurses on the remainder.
+A run decomposes G-x once and carries its blocks across iterations: after
+deleting Z, only the blocks Z hits are decomposed again (`blocks_without`).
+Each iteration builds the block-cut forest of G-x from the carried blocks and
+makes one bottom-up pass over it (`_routes`). The pass finds, for every node,
+the most terminals a path from the node's top vertex down to a neighbor of x
+can collect, and the deepest node whose closure with x still carries a
+T-cycle. From those counts the iteration assembles a hitting set Z for the
+cycles living down there, deletes it, and recurses on the remainder.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, connected_components
-from .blockcut import BlockCutForest, block_cut_forest
+from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without
 from .core import find_t_cycle, is_mwns
 from .separators import gallai_q_paths, min_cut
 
@@ -71,12 +73,13 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
     on ties) where that first happens, None if nowhere.
     """
     nbrs = g.neighbors(x)
+    vertex = {nd.id: v for nd in f.nodes if nd.kind == "cut" for v in nd.vertices}
     reach = [-1] * len(f.nodes)
     deepest = None
     for nid in range(len(f.nodes) - 1, -1, -1):  # pre-order ids: children first
         nd = f.nodes[nid]
         if nd.kind == "cut":
-            v = nd.vertex
+            v = vertex[nid]
             ends = [reach[b] - (v in T) for b in f.children[nid] if reach[b] >= 0]
             if v in nbrs:
                 ends.append(0)
@@ -88,7 +91,7 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
             # out[w]: best route count from block vertex w down to N(x)
             out = {w: (w in T) if w in nbrs else -1 for w in nd.vertices}
             for c in f.children[nid]:
-                w = f.nodes[c].vertex
+                w = vertex[c]
                 out[w] = max(out[w], reach[c])
             # a block of three or more vertices routes any two of its vertices
             # through its terminal t (at most one, or G-x has a T-cycle)
@@ -99,7 +102,7 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
                     or t is not None and out[t] >= 0 and len(ends) >= 1 and out[t] + ends[0] >= 2)
             par = f.parent[nid]
             if par is not None:
-                top = f.nodes[par].vertex
+                top = vertex[par]
                 reach[nid] = max(((top in T) + out[w] + (t is not None and t not in (top, w))
                                   for w in nd.vertices if w != top and out[w] >= 0), default=-1)
         if meet and (deepest is None or f.depth[nid] >= f.depth[deepest]):
@@ -144,11 +147,14 @@ def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
     return _block_children(f, T, _routes(g, T, x, f)[0], d)
 
 
-def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
+def _step(g: Graph, T: frozenset[int], x: int, index: int,
+          blocks: list[frozenset[int]] | None = None) -> BlockerIteration | None:
     # once {x} nearly separates T, every T-cycle passes x and shows up in the
-    # closure of some subtree: no meeting node means no T-cycle is left
-    f = block_cut_forest(g.without([x]))
-    if any(len(nd.vertices & T) > 1 for nd in f.nodes):
+    # closure of some subtree: no meeting node means no T-cycle is left.
+    # Without `blocks` (those of G-x) G-x is decomposed here. Only the first
+    # forest checks the pivot: every later G-x is a subgraph of the first
+    f = block_cut_forest(g.without([x]), blocks)
+    if index == 0 and any(len(nd.vertices & T) > 1 for nd in f.nodes):
         raise ValueError(f"{{{x}}} is not a multiway near-separator; "
                          f"offending cycle in G-x: {find_t_cycle(f.graph, T)}")
     reach, d = _routes(g, T, x, f)
@@ -216,6 +222,8 @@ def blocker_step(g: Graph, T, x: int) -> set[int]:
 def _require_pivot(g: Graph, T: frozenset[int], x: int) -> None:
     if x not in g or x in T:
         raise ValueError(f"pivot {x} must be a non-terminal vertex")
+    if missing := sorted(v for v in T if v not in g):
+        raise ValueError(f"terminals {missing} are not vertices of the graph")
 
 
 def blocker_run(g: Graph, T, x: int) -> BlockerRun:
@@ -225,9 +233,10 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     acc: set[int] = set()
     iterations: list[BlockerIteration] = []
     cur = g
+    blocks = biconnected_blocks(g, exclude=[x])
     index = 0
     while True:
-        it = _step(cur, T, x, index)
+        it = _step(cur, T, x, index, blocks)
         if it is None:
             break
         z = set(it.removed)
@@ -236,6 +245,7 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
                                "not a nonempty set of non-pivot non-terminals")
         iterations.append(it)
         acc |= z
+        blocks = blocks_without(cur, blocks, z)
         cur = cur.without(z)
         index += 1
     result = frozenset(acc)

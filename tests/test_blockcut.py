@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import biconnected_blocks, block_cut_forest, cut_vertices
+from mwns.blockcut import biconnected_blocks, block_cut_forest, blocks_without, cut_vertices
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import all_simple_paths, biconnected_blocks_edge_stack, random_block_tree, random_graph
@@ -143,6 +143,64 @@ def graphs_with_exclusions(draw, max_n: int):
 def test_vertex_stack_blocks_equal_the_edge_stack_list(case):
     g, exclude = case
     assert biconnected_blocks(g, exclude) == biconnected_blocks_edge_stack(g, exclude)
+
+
+@st.composite
+def blocks_and_deletions(draw, max_n: int):
+    """A graph g, the blocks of g minus a first deletion set, and a second
+    set Z built block by block: each block keeps all its vertices, loses one
+    (a bridge loses an end, an edge's far end may be left isolated) or loses
+    all of them. Z may also name ids the blocks do not hold."""
+    g, first = draw(graphs_with_exclusions(max_n))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    blocks = biconnected_blocks(g, first)
+    z = set(rng.sample(range(1, 6 * max_n + 1), rng.randint(0, 2)))
+    for b in blocks:
+        pick = rng.random()
+        if pick < 0.15:
+            z |= b
+        elif pick < 0.45:
+            z.add(rng.choice(sorted(b)))
+    return g, first, blocks, z
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(blocks_and_deletions(max_n=30))
+def test_carried_blocks_equal_a_fresh_decomposition(case):
+    g, first, blocks, z = case
+    out = blocks_without(g, blocks, z)
+    assert len(out) == len(set(out))
+    assert set(out) == set(biconnected_blocks(g, first | z))
+
+
+def test_carried_blocks_of_bridges_isolated_vertices_and_emptied_blocks():
+    # triangle {1,2,3}, bridge 3-4, triangle {4,5,6}, pendant edge 6-7, isolated 8
+    g = Graph(range(1, 9), [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)])
+    blocks = biconnected_blocks(g)
+    cases = [
+        ({4}, [{1, 2, 3}, {5, 6}, {6, 7}, {8}]),  # the bridge loses an end
+        ({6}, [{1, 2, 3}, {3, 4}, {4, 5}, {7}, {8}]),  # 7 is left isolated
+        ({4, 5, 6}, [{1, 2, 3}, {7}, {8}]),  # a whole block emptied
+        ({3, 6}, [{1, 2}, {4, 5}, {7}, {8}]),
+        ({8}, [{1, 2, 3}, {3, 4}, {4, 5, 6}, {6, 7}]),
+        (set(range(1, 9)), []),
+    ]
+    for z, want in cases:
+        out = blocks_without(g, blocks, z)
+        assert sorted(map(sorted, out)) == sorted(map(sorted, want))
+        assert set(out) == set(biconnected_blocks(g, z))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(graphs_with_exclusions(max_n=30), st.randoms(use_true_random=False))
+def test_forest_from_shuffled_blocks_equals_a_fresh_forest(case, rng):
+    g, exclude = case
+    h = g.without(exclude)
+    blocks = biconnected_blocks(h)
+    rng.shuffle(blocks)
+    f, fresh = block_cut_forest(h, blocks), block_cut_forest(h)
+    assert f.nodes == fresh.nodes and f.parent == fresh.parent
+    assert f.children == fresh.children and f.depth == fresh.depth and f.roots == fresh.roots
 
 
 @pytest.mark.parametrize("closed", [False, True])

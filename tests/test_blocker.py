@@ -1,6 +1,11 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from mwns.graph import Graph
 from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
+import mwns.blockcut as blockcut_mod
 import mwns.blocker as blocker_mod
 from mwns.blocker import (
     _step,
@@ -249,14 +255,35 @@ class TestBlockerStep:
                                   "offending cycle in G-x: [2, 3, 4]")
         assert (forests.call_count, checks.call_count) == (1, 0)
 
-    def test_a_run_decomposes_g_minus_x_once_per_iteration(self):
-        for seed in range(6):
-            inst, x = pivot_instance(14, 0.3, 3, seed)
+    def test_a_run_decomposes_g_minus_x_once_and_then_only_hit_blocks(self):
+        # one full decomposition of G-x per run; after that, each iteration
+        # decomposes only the remnants B - Z of the blocks B its Z hits
+        for g, T, x in pivot_suite(12, seed=7) + block_tree_suite(12, seed=11):
+            sizes = []  # vertices decomposed, per biconnected_blocks call
+
+            def counted(h, exclude=()):
+                sizes.append(len(set(h.vertices) - set(exclude)))
+                return biconnected_blocks(h, exclude)
+
             with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests, \
+                    mock.patch.object(blocker_mod, "biconnected_blocks", side_effect=counted) as full, \
+                    mock.patch.object(blockcut_mod, "biconnected_blocks", side_effect=counted), \
                     mock.patch.object(blocker_mod, "is_mwns", wraps=is_mwns) as checks:
-                run = blocker_run(inst.graph, inst.terminals, x)
+                run = blocker_run(g, T, x)
+            assert full.call_args_list == [mock.call(g, exclude=[x])]
+            assert sizes[0] == g.n - 1
             assert forests.call_count == len(run.iterations) + 1
             assert checks.call_count == 1  # the result's check
+            cur, hit = g, 0
+            for it in run.iterations:
+                hit += sum(len(b) for b in biconnected_blocks(cur, [x]) if b & it.removed)
+                cur = cur.without(it.removed)
+            assert sum(sizes[1:]) <= hit
+
+    @pytest.mark.parametrize("run", [blocker_run, blocker_step])
+    def test_rejects_terminals_outside_the_graph(self, run):
+        with pytest.raises(ValueError, match=r"terminals \[99\] are not vertices"):
+            run(six_cycle(), {3, 5, 99}, 1)
 
 
 class TestBlockerContract:
@@ -269,7 +296,7 @@ class TestBlockerContract:
         # a step that finds nothing leaves the six-cycle's T-cycle in place
         import mwns.blocker as blocker_mod
 
-        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index: None)
+        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index, blocks: None)
         with pytest.raises(RuntimeError, match="not a near-separator"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -279,7 +306,7 @@ class TestBlockerContract:
         import mwns.blocker as blocker_mod
 
         empty = blocker_mod.BlockerIteration(0, 0, "b0", "c", (), frozenset())
-        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index: empty)
+        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index, blocks: empty)
         with pytest.raises(RuntimeError, match="removes \\[\\]"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -290,12 +317,36 @@ class TestBlockerContract:
 
     def test_pendant_chain_deeper_than_the_recursion_limit(self):
         # path 2..L, pivot 1 joined to 2, L+1 and L+2, terminals L+1 and L+2
-        # joined to L: the block-cut forest is about 2L levels deep
-        L = 500
-        edges = [(v, v + 1) for v in range(2, L)]
-        edges += [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)]
-        g = Graph(range(1, L + 3), edges)
-        assert blocker_run(g, {L + 1, L + 2}, 1).result == {L}
+        # joined to L: the block-cut forest is about 2L levels deep, and the
+        # run's second forest comes from the remnant of the hit block {L, L+1, L+2}
+        for L in (500, 3000):
+            edges = [(v, v + 1) for v in range(2, L)]
+            edges += [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)]
+            g = Graph(range(1, L + 3), edges)
+            assert blocker_run(g, {L + 1, L + 2}, 1).result == {L}
+
+    def test_contract_raises_under_python_O(self):
+        # the two stubbed steps above, run in an interpreter that drops asserts
+        script = textwrap.dedent('''
+            import mwns.blocker as b
+            from mwns.graph import Graph
+            c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+            empty = b.BlockerIteration(0, 0, "b0", "c", (), frozenset())
+            for step, message in ((lambda g, T, x, index, blocks: None, "not a near-separator"),
+                                  (lambda g, T, x, index, blocks: empty, "removes []")):
+                b._step = step
+                try:
+                    b.blocker_run(c6, {3, 5}, 1)
+                except RuntimeError as e:
+                    print(message in str(e))
+                else:
+                    print("returned")
+        ''')
+        src = str(Path(blocker_mod.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True", "True"]
 
     def test_randomized_ratio_and_validity(self):
         for g, T, x in pivot_suite(60, seed=83, max_n=12):
