@@ -110,7 +110,8 @@ class BlockCutForest:
     nodes, rooted at the block whose sorted vertex set is lexicographically
     smallest. Node ids are assigned in pre-order so traversals and traces are
     reproducible across runs. The forest depends only on the set of blocks,
-    so `blocks`, when given, may list them in any order.
+    so `blocks`, when given, may list them in any order; they may also be
+    those of an induced subgraph H of `graph`, whose forest this then is.
     """
 
     def __init__(self, graph: Graph, blocks: list[frozenset[int]] | None = None):
@@ -250,5 +251,6 @@ class BlockCutForest:
 
 def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> BlockCutForest:
     """The block-cut forest of g, assembled from `blocks` when given (the
-    blocks of g, in any order) instead of decomposing g again."""
+    blocks of g or of an induced subgraph of g, in any order) instead of
+    decomposing g again."""
     return BlockCutForest(g, blocks)

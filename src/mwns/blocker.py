@@ -2,12 +2,13 @@
 
 A run decomposes G-x once and carries its blocks across iterations: after
 deleting Z, only the blocks Z hits are decomposed again (`blocks_without`).
-Each iteration builds the block-cut forest of G-x from the carried blocks and
-makes one bottom-up pass over it (`_routes`). The pass finds, for every node,
-the most terminals a path from the node's top vertex down to a neighbor of x
-can collect, and the deepest node whose closure with x still carries a
-T-cycle. From those counts the iteration assembles a hitting set Z for the
-cycles living down there, deletes it, and recurses on the remainder.
+Each iteration builds the block-cut forest of what is left of G-x from the
+carried blocks, reading the one graph G, and makes one bottom-up pass over it
+(`_routes`). The pass finds, for every node, the most terminals a path from
+the node's top vertex down to a neighbor of x can collect, and the deepest
+node whose closure with x still carries a T-cycle. From those counts the
+iteration assembles a hitting set Z for the cycles living down there, deletes
+it, and recurses on the remainder.
 """
 
 from __future__ import annotations
@@ -151,12 +152,13 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
           blocks: list[frozenset[int]] | None = None) -> BlockerIteration | None:
     # once {x} nearly separates T, every T-cycle passes x and shows up in the
     # closure of some subtree: no meeting node means no T-cycle is left.
-    # Without `blocks` (those of G-x) G-x is decomposed here. Only the first
-    # forest checks the pivot: every later G-x is a subgraph of the first
-    f = block_cut_forest(g.without([x]), blocks)
+    # `blocks` are those of H = G-x-Z, Z deleted so far (g-x if None); g is
+    # read only within H and from x into H. Only the first forest checks the
+    # pivot: every later H is a subgraph of the first
+    f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]) if blocks is None else blocks)
     if index == 0 and any(len(nd.vertices & T) > 1 for nd in f.nodes):
         raise ValueError(f"{{{x}}} is not a multiway near-separator; "
-                         f"offending cycle in G-x: {find_t_cycle(f.graph, T)}")
+                         f"offending cycle in G-x: {find_t_cycle(g.without([x]), T)}")
     reach, d = _routes(g, T, x, f)
     if d is None:
         return None
@@ -232,11 +234,10 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     _require_pivot(g, T, x)
     acc: set[int] = set()
     iterations: list[BlockerIteration] = []
-    cur = g
     blocks = biconnected_blocks(g, exclude=[x])
     index = 0
     while True:
-        it = _step(cur, T, x, index, blocks)
+        it = _step(g, T, x, index, blocks)
         if it is None:
             break
         z = set(it.removed)
@@ -245,8 +246,7 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
                                "not a nonempty set of non-pivot non-terminals")
         iterations.append(it)
         acc |= z
-        blocks = blocks_without(cur, blocks, z)
-        cur = cur.without(z)
+        blocks = blocks_without(g, blocks, z)
         index += 1
     result = frozenset(acc)
     if not is_mwns(g, T, result):

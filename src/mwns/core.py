@@ -130,8 +130,9 @@ def crowded_kernel(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[i
     return out
 
 
-def nearly_separated_terminals(g: Graph, T: Iterable[int]) -> set[int]:
+def nearly_separated_terminals(g: Graph, T: Iterable[int],
+                               blocks: Iterable[frozenset[int]] | None = None) -> set[int]:
     """Terminals with no partner reachable by two internally disjoint paths:
-    those that share no block of g with another terminal."""
+    those that share no block of g (`blocks` when given) with another terminal."""
     T = frozenset(T)
-    return set(T) - crowded_kernel(biconnected_blocks(g), T)
+    return set(T) - crowded_kernel(biconnected_blocks(g) if blocks is None else blocks, T)

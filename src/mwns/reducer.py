@@ -143,14 +143,16 @@ def parse_steps(lines: Iterable[str]) -> list[Step]:
 
 # -- individual rules ----------------------------------------------------------
 
-def apply_rr1(inst: Instance) -> tuple[Instance, tuple[DropNearlySeparated, ...]] | None:
+def apply_rr1(inst: Instance, blocks: list[frozenset[int]] | None = None
+              ) -> tuple[Instance, tuple[DropNearlySeparated, ...]] | None:
     """Drop every nearly-separated terminal at once, steps in ascending id.
 
     Such a terminal shares no block with any terminal, so dropping it changes
     no other terminal's verdict: one decomposition reaches the fixpoint that
     dropping the smallest one at a time would reach, with the same steps.
+    `blocks`, if given, are those of the instance's graph.
     """
-    lonely = nearly_separated_terminals(inst.graph, inst.terminals)
+    lonely = nearly_separated_terminals(inst.graph, inst.terminals, blocks)
     if not lonely:
         return None
     steps = tuple(DropNearlySeparated(t) for t in sorted(lonely))
@@ -382,16 +384,18 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     Builds the 1-redundant set, then repeats RR1, RR2 and RR3 until none
     fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
     False when more vertices are essential than the budget allows, which
-    certifies a NO answer. The rules only shrink T, so RR2 keeps one index.
+    certifies a NO answer. The rules only shrink T, so RR2 keeps one index
+    and RR1 one decomposition of G.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
     feasible = inst.k - len(redundant.essential) >= 0
     cur = redundant.instance
     index = _RR2Index(cur.graph, redundant.s_star, cur.terminals)
+    blocks = biconnected_blocks(cur.graph)
     all_steps: list[Step] = list(steps)
     while True:
-        fired = apply_rr1(cur)
+        fired = apply_rr1(cur, blocks)
         if fired is not None:
             cur, rr1_steps = fired
             all_steps.extend(rr1_steps)

@@ -137,18 +137,6 @@ class _SplitNet:
                                        f"while cancelling the unit through {v}")
         cap[self.through[i]] = 0
 
-    def min_cut(self, X: frozenset[int], Y: frozenset[int], protected: frozenset[int] = frozenset(),
-                deleted: frozenset[int] = frozenset(), furthest: bool = False
-                ) -> tuple[int | float, frozenset[int], frozenset[int]]:
-        """`min_cut` on this network's graph: one flow, then `cut`."""
-        g = self.graph
-        if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
-            return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
-        value = self.flow(X, Y, protected, deleted)
-        if value >= INF:
-            return math.inf, frozenset(), frozenset()
-        return (value, *self.cut(deleted, furthest))
-
     def cut(self, deleted: frozenset[int], furthest: bool = False
             ) -> tuple[frozenset[int], frozenset[int]]:
         """(cut, source side) of the maximum flow in `cap`, less `deleted`, by
@@ -215,7 +203,13 @@ def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     included: the minimum cut closest to X, or with `furthest` the one closest
     to Y, whose source side is all that Y then no longer reaches. Value inf,
     and both sets empty, if no cut exists."""
-    return _SplitNet(g).min_cut(X, Y, protected, deleted, furthest)
+    if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
+        return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
+    net = _SplitNet(g)
+    value = net.flow(X, Y, protected, deleted)
+    if value >= INF:
+        return math.inf, frozenset(), frozenset()
+    return (value, *net.cut(deleted, furthest))
 
 
 def min_separator(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Iterable[int] = (),
@@ -230,16 +224,6 @@ def min_separator(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Ite
     return set(cut)
 
 
-def _is_important(net: _SplitNet, X: frozenset[int], Y: frozenset[int], protected: frozenset[int],
-                  S: frozenset[int], deleted: frozenset[int] = frozenset()) -> bool:
-    """Whether S, outside X, Y, `protected` and `deleted`, is an important
-    (X,Y)-separator avoiding `protected` in the network's graph - `deleted`:
-    with R what X reaches in it minus S, the furthest minimum (R,Y)-cut is S."""
-    R = frozenset(reachable(net.graph, X, S | deleted))
-    value, cut, _ = net.min_cut(R, Y, protected | R, deleted, furthest=True)
-    return value == len(S) and cut == S
-
-
 def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int], k: int,
                                    undeletable: Iterable[int] = (), deleted: Iterable[int] = (),
                                    net: _SplitNet | None = None) -> tuple[frozenset[int], ...]:
@@ -252,7 +236,12 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
     separator (delete v, budget - 1) or stays on the source side (X :=
     R_max + v, which raises λ). Either lowers 2k - λ, so the recursion is at
     most 2k + 2 deep with at most 4^k leaves. Deleting v only promises a
-    separator important in G - v, so one flow checks each candidate.
+    separator important in G - v, so a candidate S stays iff no other one S'
+    has |S'| <= |S| and R(S') ⊇ R(S), R(S) being what X reaches in g -
+    `deleted` - S. Each separator has an important S* with |S*| <= |S| and
+    R(S*) ⊇ R(S), a candidate if |S| <= k, so a non-minimal or dominated S
+    fails. An important S stays: a no larger S' reaching further would
+    contradict it, and one of equal reach holds N(R(S)) = S, so is S.
 
     Only the root's flow starts from zero, and each stops at budget + 1. A
     push child keeps its parent's, which stays feasible; a delete child cancels
@@ -281,7 +270,10 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
         return out | candidates(gone, budget, value + net.augment(budget + 1 - value))
 
     found = candidates(deleted, k, net.flow(X, Y, protected | X, deleted, k + 1))
-    return tuple(sorted((s for s in found if _is_important(net, X, Y, protected, s, deleted)),
+    reach = [(s, frozenset(reachable(g, X, s | deleted))) for s in found]
+    return tuple(sorted((s for s, r in reach
+                         if not any(len(s2) <= len(s) and len(r2) >= len(r) and s2 != s and r <= r2
+                                    for s2, r2 in reach)),
                         key=lambda s: (len(s), sorted(s))))
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
 from mwns.reducer import DropComponentTerminal, _apply_step, _rr2_candidate_pairs
-from mwns.separators import min_cut, terminals_on_path
+from mwns.separators import _SplitNet, min_cut, terminals_on_path
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -207,6 +207,19 @@ def important_separators_brute(g: Graph, X, Y, V8, k: int) -> set[frozenset[int]
                    for S2 in minimal):
             out.add(S)
     return out
+
+
+def is_important_by_flow(net: _SplitNet, X: frozenset[int], Y: frozenset[int],
+                         protected: frozenset[int], S: frozenset[int],
+                         deleted: frozenset[int] = frozenset()) -> bool:
+    """Whether S, outside X, Y, `protected` and `deleted`, is an important
+    (X,Y)-separator avoiding `protected` in the network's graph - `deleted`:
+    with R what X reaches in it minus S, the furthest minimum (R,Y)-cut is S.
+    One flood and one flow per set: the per-set reference for the
+    enumeration's filter by domination among its candidates."""
+    R = frozenset(reachable(net.graph, X, S | deleted))
+    value, cut, _ = min_cut(net.graph, R, Y, protected | R, deleted, furthest=True)
+    return value == len(S) and cut == S
 
 
 def important_separators_closest_cut(g: Graph, X, Y, V8, k: int) -> tuple[frozenset[int], ...]:

@@ -280,6 +280,16 @@ class TestBlockerStep:
                 cur = cur.without(it.removed)
             assert sum(sizes[1:]) <= hit
 
+    def test_a_run_copies_no_graph_larger_than_a_block(self):
+        # every step reads the one G; only case c copies, within one block
+        for g, T, x in pivot_suite(12, seed=7) + block_tree_suite(12, seed=11):
+            largest = max(len(b) for b in biconnected_blocks(g, [x]))
+            with mock.patch.object(Graph, "without", autospec=True, side_effect=Graph.without) as cut, \
+                    mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
+                blocker_run(g, T, x)
+            assert all(c.args[0].n <= largest for c in cut.call_args_list)
+            assert all(len(set(c.args[1])) <= largest for c in sub.call_args_list)
+
     @pytest.mark.parametrize("run", [blocker_run, blocker_step])
     def test_rejects_terminals_outside_the_graph(self, run):
         with pytest.raises(ValueError, match=r"terminals \[99\] are not vertices"):

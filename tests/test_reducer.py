@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mwns.reducer as reducer
+from mwns.blockcut import biconnected_blocks
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
@@ -313,6 +314,25 @@ class TestReduceAndLift:
         rr1 = [s for s in log.steps if isinstance(s, DropNearlySeparated)]
         assert rr1 == [DropNearlySeparated(7)]
         assert 7 not in reduced.terminals
+
+    def test_rr1_reads_one_decomposition_per_reduction(self):
+        # the rule loop never changes G, so every RR1 round reads the blocks
+        # of the reduced graph that one decomposition found
+        rounds = []
+        for inst in FLOWERS:
+            with mock.patch.object(reducer, "nearly_separated_terminals",
+                                   wraps=nearly_separated_terminals) as spy:
+                reduced, _, _ = reduce_terminals(inst, frozenset({1, 2, 3}))
+            seen = [c.args[2] for c in spy.call_args_list]
+            rounds.append(len(seen))
+            assert seen and all(b is seen[0] for b in seen)
+            assert sorted(map(sorted, seen[0])) == sorted(map(sorted, biconnected_blocks(reduced.graph)))
+        assert max(rounds) >= 3
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(small_instances(max_n=10))
+    def test_rr1_with_given_blocks_matches_a_fresh_decomposition(self, inst):
+        assert apply_rr1(inst, biconnected_blocks(inst.graph)) == apply_rr1(inst)
 
     def test_replay_check_raises_even_without_asserts(self, monkeypatch):
         # the log-replay check is a raise, not an assert, so it survives

@@ -13,7 +13,6 @@ from mwns.separators import (
     MultiTerminalBlockError,
     _SplitNet,
     _blossom_matching,
-    _is_important,
     enumerate_important_separators,
     gallai_q_paths,
     max_terminals_on_path,
@@ -29,6 +28,7 @@ from brute import (
     all_simple_paths,
     important_separators_brute,
     important_separators_closest_cut,
+    is_important_by_flow,
     is_separator,
     max_q_path_packing_brute,
     random_graph,
@@ -250,14 +250,14 @@ class TestImportantSeparatorProperties:
     @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(separator_queries(max_n=9))
     def test_one_flow_importance_check_on_every_small_set(self, case):
-        # the check the enumeration filters its candidates by, on every
-        # deletable set of at most k vertices
+        # the per-set reference for the enumeration's filter by domination,
+        # on every deletable set of at most k vertices
         g, X, Y, V8, k = case
         want = important_separators_brute(g, X, Y, V8, k)
         deletable = [v for v in g.vertices if v not in X | Y | V8]
         for r in range(k + 1):
             for S in map(frozenset, itertools.combinations(deletable, r)):
-                assert _is_important(_SplitNet(g), X, Y, Y | V8, S) == (S in want)
+                assert is_important_by_flow(_SplitNet(g), X, Y, Y | V8, S) == (S in want)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(separator_queries(max_n=13), st.integers(0, 2 ** 32))
@@ -277,8 +277,8 @@ class TestImportantSeparatorProperties:
         copy = _SplitNet(h)
         for r in range(k + 1):
             for S in map(frozenset, itertools.combinations(deletable, r)):
-                assert (_is_important(net, X, Y, Y | V8, S, D)
-                        == _is_important(copy, X, Y, Y | (V8 - D), S))
+                assert (is_important_by_flow(net, X, Y, Y | V8, S, D)
+                        == is_important_by_flow(copy, X, Y, Y | (V8 - D), S))
 
     def test_a_network_of_another_graph_is_rejected(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
@@ -290,14 +290,30 @@ class TestImportantSeparatorProperties:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(separator_queries(max_n=13))
     def test_flow_count_is_bounded_by_k_not_n(self, case):
-        # at most 4^k leaves, so 2 * 4^k - 1 branching queries, each one
-        # `augment` on the inherited flow, and one importance flow per
-        # candidate, a leaf, whose `flow` calls `augment` once
+        # at most 4^k leaves, so at most 4^k - 1 branching nodes, each one
+        # `augment` per child on the inherited flow, plus the root's `flow`,
+        # which calls `augment` once
         g, X, Y, V8, k = case
         with mock.patch.object(separators._SplitNet, "augment", autospec=True,
                                side_effect=separators._SplitNet.augment) as spy:
             enumerate_important_separators(g, X, Y, k, V8)
-        assert 0 < spy.call_count < 3 * 4 ** k
+        assert 0 < spy.call_count <= 2 * 4 ** k - 1
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(separator_queries(max_n=13), st.integers(0, 2 ** 32))
+    def test_only_the_root_flow_starts_from_zero(self, case, seed):
+        # the candidates are filtered among themselves, with no flow of their
+        # own, so each enumeration runs one cold `flow`, also on a shared
+        # network with absent vertices
+        g, X, Y, V8, k = case
+        others = [v for v in g.vertices if v not in X | Y]
+        D = frozenset(random.Random(seed).sample(others, len(others) // 3))
+        net = _SplitNet(g)
+        for deleted in (frozenset(), D):
+            with mock.patch.object(separators._SplitNet, "flow", autospec=True,
+                                   side_effect=separators._SplitNet.flow) as spy:
+                enumerate_important_separators(g, X, Y, k, V8, deleted, net)
+            assert spy.call_count == 1
 
 
 def checked_flow(net, X, Y, protected, gone):
@@ -359,6 +375,27 @@ class TestWarmStartedBranching:
         g, X, Y, V8, k = case
         found = self.replay(g, X, Y, V8, k)
         assert set(enumerate_important_separators(g, X, Y, k, V8)) <= found
+
+    @pytest.mark.parametrize("edges, dropped", [
+        # {2, 4, 6} is inclusion-minimal, but {4, 5, 6} is no larger and its
+        # reach {1, 2, 3} strictly holds {1, 3}
+        ([(1, 2), (1, 3), (2, 5), (2, 6), (3, 4), (3, 6), (4, 8), (5, 7), (6, 7), (6, 8)],
+         {2, 4, 6}),
+        # {2, 4, 5, 6} holds the separator {4, 5, 6}, which reaches further
+        ([(1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 7), (4, 8),
+          (5, 7), (5, 8), (6, 8)], {2, 4, 5, 6}),
+    ])
+    def test_a_candidate_that_is_not_important_is_dropped(self, edges, dropped):
+        # a delete branch only promises a separator important in G - v; the
+        # filter finds its dominator among the other candidates
+        g, X, Y, k = Graph(range(1, 9), edges), frozenset({1}), frozenset({7, 8}), 4
+        found = self.replay(g, X, Y, frozenset(), k)
+        got = enumerate_important_separators(g, X, Y, k)
+        assert found - set(got) == {frozenset(dropped)}
+        assert got == (frozenset({2, 3}), frozenset({4, 5, 6}))
+        assert set(got) == important_separators_brute(g, X, Y, frozenset(), k)
+        for S in found:
+            assert is_important_by_flow(_SplitNet(g), X, Y, Y, S) == (S in got)
 
     def test_a_cancel_without_flow_raises_even_without_asserts(self, monkeypatch):
         # the cancel walk's dead end is a raise, not an assert, so it survives
