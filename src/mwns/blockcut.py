@@ -58,16 +58,6 @@ def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[
     return blocks
 
 
-def cut_vertices(g: Graph, exclude: Iterable[int] = ()) -> set[int]:
-    """Articulation vertices: those appearing in two or more blocks."""
-    seen: set[int] = set()
-    cuts: set[int] = set()
-    for block in biconnected_blocks(g, exclude):
-        cuts |= block & seen
-        seen |= block
-    return cuts
-
-
 def blocks_without(g: Graph, blocks: Iterable[frozenset[int]], z: Iterable[int]
                    ) -> list[frozenset[int]]:
     """Blocks of H - z, given `blocks`, the blocks of an induced subgraph H of g.

@@ -13,6 +13,7 @@ it, and recurses on the remainder.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .graph import Graph, connected_components
@@ -21,13 +22,8 @@ from .core import find_t_cycle, is_mwns
 from .separators import gallai_q_paths, min_cut
 
 
-_trace_hook = None
-
-
-def set_trace_hook(fn) -> None:
-    """Install a callable receiving one formatted line per blocker iteration."""
-    global _trace_hook
-    _trace_hook = fn
+# the list a `solve` in progress collects its trace lines in, None outside one
+_recording: ContextVar[list[str] | None] = ContextVar("mwns_recording", default=None)
 
 
 @dataclass(frozen=True)
@@ -252,10 +248,10 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     if not is_mwns(g, T, result):
         raise RuntimeError(f"blocker result {sorted(result)} is not a near-separator")
     run = BlockerRun(result, tuple(iterations))
-    if _trace_hook is not None and iterations:
-        _trace_hook(f"blocker x={x}")
-        for line in run.trace_lines():
-            _trace_hook(line)
+    trace = _recording.get()
+    if trace is not None and iterations:
+        trace.append(f"blocker x={x}")
+        trace += run.trace_lines()
     return run
 
 

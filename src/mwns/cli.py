@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .blockcut import block_cut_forest
-from .blocker import blocker_run, set_trace_hook
+from .blocker import blocker_run
 from .core import Instance, is_mwns, terminals_independent
 from .dot import forest_to_dot, instance_to_dot
 from .gen import from_multiway_cut, random_instance
@@ -48,15 +48,12 @@ def _print_result(result) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load(args.file)
+    result = solve(_load(args.file))
     if args.trace:
-        set_trace_hook(lambda line: print(line, file=sys.stderr))
-    result = solve(inst)
-    if args.trace and result.stats is not None:
-        for c in result.stats.compressions:
-            print(c.line(), file=sys.stderr)
+        for line in result.stats.trace:
+            print(line, file=sys.stderr)
     code = _print_result(result)
-    if args.stats and result.stats is not None:
+    if args.stats:
         for line in result.stats.lines():
             print(line)
     return code
@@ -64,9 +61,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     inst = _load(args.file)
-    if args.trace:
-        set_trace_hook(lambda line: print(line, file=sys.stderr))
     run = blocker_run(inst.graph, inst.terminals, args.pivot)
+    if args.trace and run.iterations:
+        print(f"blocker x={args.pivot}", *run.trace_lines(), sep="\n", file=sys.stderr)
     print(" ".join(str(v) for v in sorted(run.result)))
     if args.ratio:
         opt = oracle_opt_x(inst.graph, inst.terminals, args.pivot)
@@ -191,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--stats", action="store_true", help="print search statistics")
     p.add_argument("--trace", action="store_true",
-                   help="print one line per search, and any blocker traces, to stderr")
+                   help="print one line per search, each after its blockers' lines, to stderr")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("approx", help="14-approximate near-separator avoiding a pivot")
@@ -260,8 +257,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps everything to exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        set_trace_hook(None)
 
 
 if __name__ == "__main__":

@@ -202,9 +202,7 @@ def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     `deleted`, where any vertex outside `protected` may be cut, X and Y
     included: the minimum cut closest to X, or with `furthest` the one closest
     to Y, whose source side is all that Y then no longer reaches. Value inf,
-    and both sets empty, if no cut exists."""
-    if X | Y <= protected and (X & Y or any(g.has_edge(x, y) for x in X for y in Y)):
-        return math.inf, frozenset(), frozenset()  # fast path: the flow would find it too
+    and both sets empty, if no cut exists, as when protected sides touch."""
     net = _SplitNet(g)
     value = net.flow(X, Y, protected, deleted)
     if value >= INF:
@@ -245,7 +243,8 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
 
     Only the root's flow starts from zero, and each stops at budget + 1. A
     push child keeps its parent's, which stays feasible; a delete child cancels
-    its unit through v, and as S_max - v separates G - v, λ - 1 is maximum.
+    its unit through v, and as S_max - v separates G - v, λ - 1 is maximum: it
+    augments no further.
     """
     X, Y, deleted = frozenset(X), frozenset(Y), frozenset(deleted)
     protected = Y | frozenset(undeletable)
@@ -263,8 +262,7 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
         v = min(cut)
         saved = net.cap[:]
         net.cancel(v)
-        out = {s | {v} for s in candidates(gone | {v}, budget - 1,
-                                           value - 1 + net.augment(budget + 1 - value))}
+        out = {s | {v} for s in candidates(gone | {v}, budget - 1, value - 1)}
         net.cap = saved
         net.widen(side | {v})
         return out | candidates(gone, budget, value + net.augment(budget + 1 - value))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph
 from .blockcut import biconnected_blocks
+from .blocker import _recording
 from .core import (
     Instance,
     SolveResult,
@@ -25,39 +26,16 @@ ORACLE_LIMIT = 10**7
 
 
 @dataclass
-class CompressionStats:
-    terminals: int = 0
-    budget: int = 0
-    nodes: int = 0
-    leaves: int = 0
-    enumerations: int = 0
-    max_depth: int = 0
-    reduction: str = "kernel"  # "full" in a compression step, after reduce_terminals
-
-    @property
-    def leaf_bound(self) -> int:
-        return max(1, (32 * self.terminals) ** self.budget)
-
-    def line(self) -> str:
-        return (f"compress terminals={self.terminals} budget={self.budget} nodes={self.nodes} "
-                f"leaves={self.leaves} reduction={self.reduction}")
-
-
-@dataclass
 class SearchStats:
+    """What one `solve` did: counters summed over its searches, and its trace,
+    one line per search, each after the lines of its reduction's blocker runs."""
     nodes: int = 0
     leaves: int = 0
     enumerations: int = 0
     max_depth: int = 0
+    compressions: int = 0  # searches run
     wall_time: float = 0.0
-    compressions: list[CompressionStats] = field(default_factory=list)
-
-    def absorb(self, c: CompressionStats) -> None:
-        self.compressions.append(c)
-        self.nodes += c.nodes
-        self.leaves += c.leaves
-        self.enumerations += c.enumerations
-        self.max_depth = max(self.max_depth, c.max_depth)
+    trace: list[str] = field(default_factory=list)
 
     def lines(self) -> list[str]:
         return [
@@ -65,9 +43,14 @@ class SearchStats:
             f"leaves={self.leaves}",
             f"enumerations={self.enumerations}",
             f"max_depth={self.max_depth}",
-            f"compressions={len(self.compressions)}",
+            f"compressions={self.compressions}",
             f"wall_time={self.wall_time:.3f}",
         ]
+
+
+def leaf_bound(terminals: int, k: int) -> int:
+    """(32|T'|)^k, the most leaves a search with |T'| crowded terminals may reach."""
+    return max(1, (32 * terminals) ** k)
 
 
 def oracle_solve(inst: Instance) -> SolveResult:
@@ -102,8 +85,8 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
     raise AssertionError("deleting every non-terminal always works for independent T")
 
 
-def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats,
-            kernel: set[int]) -> frozenset[int] | None:
+def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set[int],
+            reduction: str = "kernel") -> frozenset[int] | None:
     """A near-separator of (g, T) of size at most k, or None if none exists.
 
     Branches on important separators of each crowded terminal, one sharing a
@@ -114,26 +97,37 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats,
     every flow runs on one network of K. A node is the set D of vertices of K
     it leaves out, deleted or outside its parent's kernel: a block of a
     subgraph lies inside a block of K, so the node's kernel is that of K - D.
+
+    Counts go into `stats`, which gains one trace line for the search, tagged
+    `reduction` ("full" after `reduce_terminals`); a leaf past the bound raises.
     """
     g, T = g.induced(kernel), T & kernel
     net = _SplitNet(g)
+    nodes, leaves = stats.nodes, stats.leaves
+    last = leaves + leaf_bound(len(T), k)
+
+    def leaf() -> None:
+        stats.leaves += 1
+        if stats.leaves > last:
+            raise RuntimeError(f"search passed its leaf bound (32|T'|)^k with "
+                               f"|T'| = {len(T)}, k = {k}")
 
     def rec(gone: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:
-        cstats.nodes += 1
-        cstats.max_depth = max(cstats.max_depth, depth)
+        stats.nodes += 1
+        stats.max_depth = max(stats.max_depth, depth)
         # T stays independent in every node, so a block holding two terminals
         # has three or more vertices: the kernel is empty iff there is no T-cycle
         kernel = crowded_kernel(biconnected_blocks(g, gone), T)
         if not kernel:
-            cstats.leaves += 1
+            leaf()
             return frozenset()
         if budget <= 0:
-            cstats.leaves += 1
+            leaf()
             return None
         gone, crowded = frozenset(g.vertices) - kernel, kernel & T
         branched = False
         for t in sorted(crowded):
-            cstats.enumerations += 1
+            stats.enumerations += 1
             seps = enumerate_important_separators(g, {t}, crowded - {t}, budget + 1,
                                                   undeletable=T, deleted=gone, net=net)
             for sep in seps:
@@ -154,10 +148,14 @@ def _search(g: Graph, T: frozenset[int], k: int, cstats: CompressionStats,
                         if sol is not None:
                             return rest | sol
         if not branched:
-            cstats.leaves += 1
+            leaf()
         return None
 
-    return rec(frozenset(), k, 0)
+    found = rec(frozenset(), k, 0)
+    stats.compressions += 1
+    stats.trace.append(f"compress terminals={len(T)} budget={k} nodes={stats.nodes - nodes} "
+                       f"leaves={stats.leaves - leaves} reduction={reduction}")
+    return found
 
 
 def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
@@ -171,10 +169,8 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     if not feasible:
         return SolveResult.no()
     kernel = crowded_kernel(biconnected_blocks(reduced.graph), reduced.terminals)
-    cstats = CompressionStats(len(reduced.terminals), reduced.k, reduction="full")
-    found = _search(reduced.graph, reduced.terminals, reduced.k, cstats, kernel)
-    if stats is not None:
-        stats.absorb(cstats)
+    found = _search(reduced.graph, reduced.terminals, reduced.k,
+                    SearchStats() if stats is None else stats, kernel, "full")
     if found is None:
         return SolveResult.no()
     return SolveResult.yes(lift_solution(log, found))
@@ -187,32 +183,37 @@ def solve(inst: Instance) -> SolveResult:
     reduction can fire, does iterative compression run to give each step its
     Ŝ. A block of a prefix G[P + T] lies inside a block of G, so no prefix has
     more crowded terminals than G: below the bound no step would reduce.
+    The blockers of those reductions trace into the result's stats.
     """
     start = time.monotonic()
     stats = SearchStats()
+    token = _recording.set(stats.trace)
+    try:
+        solution = _decide(inst, stats)
+    finally:
+        _recording.reset(token)
+    stats.wall_time = time.monotonic() - start
     g, T, k = inst.graph, inst.terminals, inst.k
+    if solution is not None and not (is_mwns(g, T, solution) and len(solution) <= k):
+        raise RuntimeError(f"solver certificate {sorted(solution)} is not a "
+                           f"near-separator of size <= {k}")
+    return SolveResult(solution, stats)
 
-    def done(result: SolveResult) -> SolveResult:
-        stats.wall_time = time.monotonic() - start
-        if result.is_yes and not (is_mwns(g, T, result.solution) and len(result.solution) <= k):
-            raise RuntimeError(f"solver certificate {sorted(result.solution)} is not a "
-                               f"near-separator of size <= {k}")
-        return SolveResult(result.solution, stats)
 
+def _decide(inst: Instance, stats: SearchStats) -> frozenset[int] | None:
+    g, T, k = inst.graph, inst.terminals, inst.k
     if not terminals_independent(g, T):
-        return done(SolveResult.no())
+        return None
     # T is independent, so a block holding two terminals carries a T-cycle
     kernel = crowded_kernel(biconnected_blocks(g), T)
     crowded = kernel & T
     if not crowded:
-        return done(SolveResult.yes(frozenset()))
+        return frozenset()
     if k == 0:
-        return done(SolveResult.no())
+        return None
     if len(crowded) <= terminal_bound(k, k + 1):
-        cstats = CompressionStats(len(crowded), k)
-        found = _search(g, T, k, cstats, kernel)
-        stats.absorb(cstats)
-        return done(SolveResult.no() if found is None else SolveResult.yes(minimalize(g, T, found)))
+        found = _search(g, T, k, stats, kernel)
+        return None if found is None else minimalize(g, T, found)
 
     pool = sorted(v for v in g.vertices if v not in T)
     current = frozenset(pool[: k + 1])
@@ -226,9 +227,9 @@ def solve(inst: Instance) -> SolveResult:
         sub = g.induced(set(pool[:i]) | T)
         result = compression_step(Instance(sub, T, k), current, stats)
         if not result.is_yes:
-            return done(SolveResult.no())
+            return None
         if i < len(pool):
             current = result.solution | {pool[i]}
         else:
             current = result.solution
-    return done(SolveResult.yes(current))
+    return current

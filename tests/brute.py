@@ -328,6 +328,12 @@ def multiway_separator_brute(g: Graph, T, k: int) -> bool:
                for r in range(k + 1) for c in itertools.combinations(pool, r))
 
 
+def search_lines(stats) -> list[dict[str, str]]:
+    """The fields of each `compress ...` line in a solve's trace, one per search."""
+    return [dict(field.split("=", 1) for field in line.split()[1:])
+            for line in stats.trace if line.startswith("compress ")]
+
+
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < p]

@@ -82,6 +82,15 @@ def test_one_flow_network_outside_the_flow_layer_only_in_the_search():
     assert "_SplitNet" in set(named(ast.parse("separators._SplitNet(g)")))
 
 
+def test_no_module_holds_a_global_statement():
+    # state of a call lives in the call or a ContextVar, not in a module global
+    def has_global(text: str) -> bool:
+        return any(isinstance(node, ast.Global) for node in ast.walk(ast.parse(text)))
+
+    assert not [p.name for p in SRC.glob("*.py") if has_global(p.read_text())]
+    assert has_global("def hook(fn):\n    global _hook\n    _hook = fn\n")
+
+
 def test_the_import_scan_sees_the_witness_module():
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert "mwns.witness" in set(imported_modules(tree))

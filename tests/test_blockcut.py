@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import biconnected_blocks, block_cut_forest, blocks_without, cut_vertices
+from mwns.blockcut import biconnected_blocks, block_cut_forest, blocks_without
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import all_simple_paths, biconnected_blocks_edge_stack, random_block_tree, random_graph
@@ -217,12 +217,12 @@ def test_cut_vertex_deletion_changes_component_count():
     rng = random.Random(47)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), 0.35)
-        cuts = cut_vertices(g)
+        forest = block_cut_forest(g)
         before = len(connected_components(g))
         for v in g.vertices:
             after = len(connected_components(g.without([v])))
             lost_isolated = 1 if not g.neighbors(v) else 0
-            if v in cuts:
+            if forest.is_cut_vertex(v):
                 assert after > before - lost_isolated
             else:
                 assert after <= before

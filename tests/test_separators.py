@@ -123,6 +123,15 @@ class TestMinSeparator:
         with pytest.raises(ValueError):
             min_separator(g, {1}, {2})
 
+    def test_touching_protected_sides_have_no_cut(self):
+        # an edge or a shared vertex carries the flow itself to INF
+        g = Graph(range(1, 4), [(1, 2), (2, 3)])
+        for X, Y in (({1}, {2}), ({2}, {2, 3}), ({1, 2}, {2})):
+            X, Y = frozenset(X), frozenset(Y)
+            for furthest in (False, True):
+                assert min_cut(g, X, Y, X | Y, furthest=furthest) == \
+                    (math.inf, frozenset(), frozenset())
+
     def test_closest_minimum_with_protected_endpoints(self):
         rng = random.Random(43)
         for _ in range(150):
@@ -355,7 +364,7 @@ class TestWarmStartedBranching:
             v = min(cut)
             saved = net.cap[:]
             net.cancel(v)
-            # the inherited λ - 1 is maximum: one augmenting search, which fails
+            # the inherited λ - 1 is maximum, so the enumeration augments no further
             assert checked_flow(net, X, Y, protected, gone | {v}) == value - 1
             assert net.augment() == 0
             node(X, gone | {v}, budget - 1, value - 1)

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwns.blocker as blocker_mod
 import mwns.separators as separators
 import mwns.solver as solver_mod
 from mwns.graph import Graph
@@ -18,7 +24,8 @@ from mwns.solver import (
 )
 from mwns.witness import pushing_lemma_witness
 
-from brute import multiway_separator_brute, mwns_condition3, random_graph, small_instances
+from brute import (multiway_separator_brute, mwns_condition3, random_graph, search_lines,
+                   small_instances)
 
 
 def six_cycle_instance(k=1):
@@ -42,7 +49,7 @@ def check_oracle_suite(seed: int = 127, count: int = 120, min_n: int = 3) -> set
             assert len(got.solution) <= k
             assert not (got.solution & T)
             assert is_mwns(g, T, got.solution)
-        reductions |= {c.reduction for c in got.stats.compressions}
+        reductions |= {line["reduction"] for line in search_lines(got.stats)}
     return reductions
 
 
@@ -173,9 +180,10 @@ class TestSolve:
         rng = random.Random(137)
         for _ in range(40):
             inst = random_instance(rng.randint(5, 12), 0.35, 3, 2, rng.randint(0, 10**9))
-            result = solve(inst)
-            for c in result.stats.compressions:
-                assert c.leaves <= c.leaf_bound
+            # _search raises past the bound; its trace lines show the counts
+            for line in search_lines(solve(inst).stats):
+                bound = solver_mod.leaf_bound(int(line["terminals"]), int(line["budget"]))
+                assert int(line["leaves"]) <= bound
 
     def test_boundary_on_deep_block_trees(self):
         # instances built from glued blocks, answered at the exact optimum and
@@ -227,7 +235,8 @@ class TestSolve:
     def test_invalid_certificate_raises_even_without_asserts(self, monkeypatch):
         # the final check is a raise, not an assert, so it survives python -O;
         # an empty search answer leaves the six-cycle's T-cycle in place
-        monkeypatch.setattr(solver_mod, "_search", lambda g, T, k, cstats, kernel: frozenset())
+        monkeypatch.setattr(solver_mod, "_search",
+                            lambda g, T, k, stats, kernel, reduction="kernel": frozenset())
         with pytest.raises(RuntimeError, match="certificate"):
             solve(six_cycle_instance())
 
@@ -259,9 +268,9 @@ class TestSolve:
         assert builds.call_args.args[1].vertices == tuple(sorted(kernel))
         with mock.patch.object(Graph, "__init__", autospec=True, side_effect=Graph.__init__) as new, \
                 mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
-            cstats = solver_mod.CompressionStats()
-            solver_mod._search(g, inst.terminals, inst.k, cstats, kernel)
-        assert cstats.nodes > 1
+            stats = solver_mod.SearchStats()
+            solver_mod._search(g, inst.terminals, inst.k, stats, kernel)
+        assert stats.nodes > 1
         assert new.call_count == 0 and sub.call_count == 1  # the root kernel's copy only
         assert result.solution == solve(inst).solution
 
@@ -319,13 +328,110 @@ class TestSearchGate:
         with mock.patch.object(solver_mod, "terminal_bound", lambda k, size: -1):
             compressed = solve(inst)
         assert direct.is_yes == compressed.is_yes
-        assert {c.reduction for c in direct.stats.compressions} <= {"kernel"}
-        assert {c.reduction for c in compressed.stats.compressions} <= {"full"}
+        assert {line["reduction"] for line in search_lines(direct.stats)} <= {"kernel"}
+        assert {line["reduction"] for line in search_lines(compressed.stats)} <= {"full"}
         for got in (direct, compressed):
             if got.is_yes:
                 assert len(got.solution) <= k and is_mwns(g, T, got.solution)
         if direct.is_yes:
             assert not any(is_mwns(g, T, direct.solution - {v}) for v in direct.solution)
+
+
+def flower_instance():
+    # two terminal cycles sharing vertex 1; compressing it runs the blocker
+    g = Graph(range(1, 12), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6),
+                             (1, 7), (7, 8), (8, 9), (9, 10), (10, 11), (1, 11)])
+    return Instance.of(g, {3, 5, 8, 10}, 2)
+
+
+class TestOneStatsRecord:
+    """Each solve fills one SearchStats: counters summed over its searches,
+    and a trace that only the solve's own searches and blockers write to."""
+
+    def test_leaf_guard_fires_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "leaf_bound", lambda terminals, k: 0)
+        with pytest.raises(RuntimeError, match="leaf bound"):
+            solve(six_cycle_instance())
+
+    def test_leaf_guard_raises_under_python_O(self):
+        # the guard is a raise, not an assert, so it survives python -O
+        script = textwrap.dedent('''
+            import mwns.solver as s
+            from mwns.core import Instance
+            from mwns.graph import Graph
+            s.leaf_bound = lambda terminals, k: 0
+            c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+            try:
+                s.solve(Instance.of(c6, {3, 5}, 1))
+            except RuntimeError as e:
+                print("leaf bound" in str(e))
+            else:
+                print("returned")
+        ''')
+        src = str(Path(solver_mod.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True"]
+
+    def test_counters_sum_over_the_searches(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        stats = solve(flower_instance()).stats
+        lines = search_lines(stats)
+        assert stats.compressions == len(lines) >= 2
+        assert stats.nodes == sum(int(line["nodes"]) for line in lines)
+        assert stats.leaves == sum(int(line["leaves"]) for line in lines)
+
+    def test_a_raising_solve_leaves_no_recording(self, monkeypatch):
+        # the first step whose blockers wrote to the solve's trace raises;
+        # after that, a blocker run outside any solve writes nowhere
+        real, held = solver_mod.compression_step, []
+
+        def step_then_raise(inst, s_big, stats=None):
+            result = real(inst, s_big, stats)
+            trace = blocker_mod._recording.get()
+            if any(line.startswith("blocker x=") for line in trace):
+                held.append(trace)
+                raise RuntimeError("step failed")
+            return result
+
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        monkeypatch.setattr(solver_mod, "compression_step", step_then_raise)
+        with pytest.raises(RuntimeError, match="step failed"):
+            solve(flower_instance())
+        [trace] = held
+        before = list(trace)
+        assert blocker_mod._recording.get() is None
+        g = six_cycle_instance().graph
+        assert blocker_mod.blocker_run(g, {3, 5}, 1).iterations
+        assert trace == before
+
+    def test_two_solves_get_disjoint_traces(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        first = solve(flower_instance())
+        kept = list(first.stats.trace)
+        second = solve(flower_instance())
+        assert any(line.startswith("blocker x=") for line in kept)
+        assert first.stats.trace == kept == second.stats.trace
+        assert first.stats.trace is not second.stats.trace
+
+    def test_each_full_search_follows_its_own_blocker_lines(self, monkeypatch):
+        # a step's lines are its blockers' lines, then its one search line
+        real, starts = solver_mod.compression_step, []
+
+        def step(inst, s_big, stats=None):
+            starts.append(len(stats.trace))
+            return real(inst, s_big, stats)
+
+        monkeypatch.setattr(solver_mod, "terminal_bound", lambda k, size: -1)
+        monkeypatch.setattr(solver_mod, "compression_step", step)
+        trace = solve(flower_instance()).stats.trace
+        assert starts[0] == 0 and len(starts) >= 2
+        for a, b in zip(starts, starts[1:] + [len(trace)]):
+            *blockers, last = trace[a:b]
+            assert last.startswith("compress ") and last.endswith(" reduction=full")
+            assert all(line.startswith(("blocker x=", "iter=")) for line in blockers)
+        assert any(line.startswith("blocker x=") for line in trace)
 
 
 class TestPushingWitness:
