@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components
+from .graph import Graph, reachable
 from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without
 from .core import find_t_cycle, is_mwns
 from .separators import gallai_q_paths, min_cut
@@ -167,7 +167,7 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
 
     # d is a block
     block = nd.vertices
-    terms = sorted(block & T)
+    t = min(block & T, default=None)  # the pivot check leaves one per block
     d_t = g.induced(block - T)
     c_ge2, c_1, c_0, _ = _block_children(f, T, reach, d)
     q = c_ge2 | c_1
@@ -181,19 +181,12 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
     else:
         z2 = frozenset()
 
-    z3: set[int] = set()
+    z3: frozenset[int] = frozenset()
     z4: frozenset[int] = frozenset()
-    if terms:
-        t = terms[0]
-        hit = z1 | z2
-        for comp in connected_components(d_t.without(hit)):
-            comp_set = set(comp)
-            if not (g.neighbors(t) & comp_set):
-                continue
-            in_q = comp_set & q
-            if in_q:
-                assert len(in_q) == 1, "the Q-path cover leaves one Q vertex per component"
-                z3 |= in_q
+    if t is not None:
+        # Q-vertices of the components of d_t - Z1 - Z2 next to t; with no
+        # Q-path left there, each holds at most one
+        z3 = q & reachable(d_t, g.neighbors(t) & (block - T), z1 | z2)
         t_child = next((c for c in f.children[d] if f.nodes[c].vertex == t), None)
         if t_child is not None and reach[t_child] >= 2:
             z4 = _grandchildren(f, T, reach, t).with_terminal_path
@@ -204,7 +197,7 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
     if parent is not None and f.nodes[parent].vertex not in T:
         z5 = frozenset([f.nodes[parent].vertex])
 
-    parts = (frozenset(z1), frozenset(z2), frozenset(z3), z4, z5)
+    parts = (frozenset(z1), frozenset(z2), z3, z4, z5)
     removed = frozenset().union(*parts)
     return BlockerIteration(index, d, nd.label(), "c", parts, removed)
 

@@ -55,7 +55,7 @@ class SolveResult:
 
 def terminals_independent(g: Graph, T: Iterable[int]) -> bool:
     T = frozenset(T)
-    return all(not g.has_edge(u, v) for u in T for v in g.neighbors(u) if v in T)
+    return not any(g.neighbors(u) & T for u in T)
 
 
 def is_mwns(g: Graph, T: Iterable[int], S: Iterable[int]) -> bool:

@@ -317,6 +317,8 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
     """
     g, T, k = inst.graph, inst.terminals, inst.k
     s_hat = frozenset(s_hat)
+    if missing := sorted(v for v in s_hat if v not in g):
+        raise ValueError(f"vertices {missing} of the provided set are not in the graph")
     if s_hat & T or not is_mwns(g, T, s_hat):
         raise ValueError("the provided set is not a multiway near-separator")
     essential: list[int] = []
@@ -329,13 +331,10 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
         else:
             s_star |= s_x | {x}
     g1 = g.without(essential)
-    k1 = k - len(essential)
     steps = [EssentialVertex(x) for x in essential]
-    s_star -= set(essential)
-    if k1 >= 0:
-        out_inst = Instance(g1, T, k1)
-    else:
-        out_inst = Instance(g1, T, 0)  # budget already exceeded; callers treat as NO
+    # each s_x avoids all of Ŝ, so S* holds no essential vertex; a budget
+    # already exceeded stays 0, and callers treat it as NO
+    out_inst = Instance(g1, T, max(k - len(essential), 0))
     result = RedundantSetResult(out_inst, frozenset(s_star), frozenset(essential))
     _check_1_redundant(g1, T, result.s_star)
     return result, steps

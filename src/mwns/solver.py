@@ -94,14 +94,16 @@ def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set
     its vertices; at most (32|T'|)^k leaves, T' the crowded terminals of g.
     g is cut once to `kernel`, its crowded kernel K read by the caller (the
     blocks holding two or more terminals), which keeps exactly its solutions;
-    every flow runs on one network of K. A node is the set D of vertices of K
-    it leaves out, deleted or outside its parent's kernel: a block of a
-    subgraph lies inside a block of K, so the node's kernel is that of K - D.
+    every flow runs on one network of K. A node is its own crowded kernel U,
+    read where its parent branches: a block of a subgraph lies inside a block
+    of K, so deleting `part` from U leaves the crowded kernel of g[U - part].
+    The root is K, since each crowded block of g is 2-connected in g[K] and
+    so one of its blocks.
 
     Counts go into `stats`, which gains one trace line for the search, tagged
     `reduction` ("full" after `reduce_terminals`); a leaf past the bound raises.
     """
-    g, T = g.induced(kernel), T & kernel
+    g, T, K = g.induced(kernel), T & kernel, frozenset(kernel)
     net = _SplitNet(g)
     nodes, leaves = stats.nodes, stats.leaves
     last = leaves + leaf_bound(len(T), k)
@@ -112,46 +114,36 @@ def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set
             raise RuntimeError(f"search passed its leaf bound (32|T'|)^k with "
                                f"|T'| = {len(T)}, k = {k}")
 
-    def rec(gone: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:
+    def rec(kernel: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         # T stays independent in every node, so a block holding two terminals
         # has three or more vertices: the kernel is empty iff there is no T-cycle
-        kernel = crowded_kernel(biconnected_blocks(g, gone), T)
         if not kernel:
             leaf()
             return frozenset()
         if budget <= 0:
             leaf()
             return None
-        gone, crowded = frozenset(g.vertices) - kernel, kernel & T
+        gone, crowded = K - kernel, kernel & T
         branched = False
         for t in sorted(crowded):
             stats.enumerations += 1
-            seps = enumerate_important_separators(g, {t}, crowded - {t}, budget + 1,
-                                                  undeletable=T, deleted=gone, net=net)
-            for sep in seps:
-                if not sep:
-                    continue
-                if len(sep) <= budget:
+            # t shares a block with a sink, so no separator is empty
+            for sep in enumerate_important_separators(g, {t}, crowded - {t}, budget + 1,
+                                                      undeletable=T, deleted=gone, net=net):
+                parts = [sep] + [sep - {v} for v in sorted(sep)] if len(sep) >= 2 else [sep]
+                for part in (p for p in parts if len(p) <= budget):
                     branched = True
-                    sol = rec(gone | sep, budget - len(sep), depth + 1)
+                    child = crowded_kernel(biconnected_blocks(g, gone | part), T)
+                    sol = rec(frozenset(child), budget - len(part), depth + 1)
                     if sol is not None:
-                        return sep | sol
-                if len(sep) >= 2:
-                    for v in sorted(sep):
-                        rest = sep - {v}
-                        if len(rest) > budget:
-                            break
-                        branched = True
-                        sol = rec(gone | rest, budget - len(rest), depth + 1)
-                        if sol is not None:
-                            return rest | sol
+                        return part | sol
         if not branched:
             leaf()
         return None
 
-    found = rec(frozenset(), k, 0)
+    found = rec(K, k, 0)
     stats.compressions += 1
     stats.trace.append(f"compress terminals={len(T)} budget={k} nodes={stats.nodes - nodes} "
                        f"leaves={stats.leaves - leaves} reduction={reduction}")

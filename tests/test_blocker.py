@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from mwns.graph import Graph
+from mwns.graph import Graph, connected_components
 from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
 import mwns.blockcut as blockcut_mod
@@ -287,8 +287,40 @@ class TestBlockerStep:
             with mock.patch.object(Graph, "without", autospec=True, side_effect=Graph.without) as cut, \
                     mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
                 blocker_run(g, T, x)
-            assert all(c.args[0].n <= largest for c in cut.call_args_list)
+            assert cut.call_count == 0
             assert all(len(set(c.args[1])) <= largest for c in sub.call_args_list)
+
+    def test_case_c_z3_matches_the_component_picks(self):
+        # Z3 floods d_t - Z1 - Z2 from t's neighbours once; the reference
+        # lists its components and keeps the Q-vertices of those next to t.
+        # In the first step of hand_made, Z1 = {15, 16} leaves the Q-vertex 6
+        # in a component of d_t that misses t = 13's neighbours, so Z3 is empty
+        edges = [(1, 6), (1, 7), (1, 8), (1, 10), (1, 12), (1, 13), (1, 16), (1, 17), (1, 18),
+                 (1, 19), (2, 15), (2, 16), (3, 18), (4, 20), (5, 9), (5, 14), (6, 11), (6, 14),
+                 (6, 16), (7, 11), (8, 10), (9, 10), (10, 16), (10, 19), (12, 13), (13, 15),
+                 (13, 16), (14, 15), (14, 19), (15, 18), (16, 17), (16, 19)]
+        hand_made = (Graph(range(1, 21), edges), {7, 13, 17, 18}, 1)
+        picked = 0
+        for g, T, x in [hand_made] + pivot_suite(60, seed=3) + block_tree_suite(60, seed=5):
+            T, cur = frozenset(T), g
+            for it in blocker_run(g, T, x).iterations:
+                if it.case == "c":
+                    f = block_cut_forest(cur.without([x]))
+                    block = f.nodes[it.d_node].vertices
+                    c_ge2, c_1, _, _ = classify_block_children(cur, T, x, f, it.d_node)
+                    d_t = cur.induced(block - T)
+                    hit = it.z_parts[0] | it.z_parts[1]
+                    want: set[int] = set()
+                    for t in block & T:
+                        for comp in connected_components(d_t.without(hit)):
+                            if cur.neighbors(t) & set(comp):
+                                in_q = set(comp) & (c_ge2 | c_1)
+                                assert len(in_q) <= 1
+                                want |= in_q
+                    assert it.z_parts[2] == want
+                    picked += len(want)
+                cur = cur.without(it.removed)
+        assert picked > 0
 
     @pytest.mark.parametrize("run", [blocker_run, blocker_step])
     def test_rejects_terminals_outside_the_graph(self, run):

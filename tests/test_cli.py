@@ -1,13 +1,20 @@
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mwns
 from mwns.cli import main
 from mwns.core import is_mwns
 from mwns.instance_io import ParseError, format_instance, parse_instance
 
+
+# a CLI subprocess imports the mwns these tests import, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(mwns.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 SIX_CYCLE = "p mwns 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\nt 3\nt 5\nk 1\n"
 
@@ -234,6 +241,15 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert message in err and str(sfile) in err
 
+    def test_reduce_rejects_a_solution_vertex_outside_the_graph(self, tmp_path, capsys):
+        f = tmp_path / "c6.txt"
+        f.write_text(SIX_CYCLE)
+        sfile = tmp_path / "shat.txt"
+        sfile.write_text("4 99\n")
+        code, out, err = run_cli(["reduce", str(f), "--with-solution", str(sfile)], capsys)
+        assert code == 2 and out == ""
+        assert "[99]" in err and "pivot" not in err
+
     def test_reduce_infeasible_budget_reports_no(self, tmp_path, capsys):
         f = tmp_path / "c6k0.txt"
         f.write_text(SIX_CYCLE.replace("k 1", "k 0"))
@@ -282,7 +298,7 @@ class TestSubcommands:
         # in a subprocess with a timeout, so an endless resampling loop fails the test
         proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "5", "--p", p,
                                "--terminals", "2", "--k", "1", "--seed", "1"],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=ENV)
         assert proc.returncode == 2 and proc.stdout == "" and message in proc.stderr
 
     def test_gen_random_gives_up_on_a_near_complete_graph(self):
@@ -290,7 +306,7 @@ class TestSubcommands:
         # the resampling is bounded, so the CLI says so instead of running on
         proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "5", "--p",
                                "0.99", "--terminals", "3", "--k", "1", "--seed", "1"],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=ENV)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "no independent set of 3 terminals" in proc.stderr
         assert "n=5, p=0.99" in proc.stderr
@@ -301,7 +317,7 @@ class TestSubcommands:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "mwns", "gen", "random", "--n", "400", "--p",
                                "0.995", "--terminals", "3", "--k", "1", "--seed", "1"],
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60, env=ENV)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "no independent set of 3 terminals is likely" in proc.stderr
         assert "n=400, p=0.995 (0.0025 expected)" in proc.stderr
@@ -363,6 +379,6 @@ class TestSubcommands:
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)
         proc = subprocess.run([sys.executable, "-m", "mwns.cli", "solve", str(f)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "YES"

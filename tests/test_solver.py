@@ -111,6 +111,12 @@ class TestCompressionStep:
         with pytest.raises(ValueError):
             compression_step(inst, frozenset({2}))
 
+    def test_rejects_a_vertex_outside_the_graph(self):
+        # {4} alone breaks the six-cycle, so only the unknown 99 is wrong
+        with pytest.raises(ValueError) as exc:
+            compression_step(six_cycle_instance(), frozenset({4, 99}))
+        assert "[99]" in str(exc.value) and "pivot" not in str(exc.value)
+
     def test_rejects_non_separator_of_size_k_plus_1(self):
         # terminals 1, 2 with four common neighbours: deleting 3 and 4 leaves
         # the T-cycle 1-5-2-6
@@ -286,6 +292,22 @@ class TestSolve:
         on_g = [c.args[0] is g for c in spy.call_args_list]
         assert on_g[0] and on_g.count(True) == 1
 
+    def test_a_search_node_is_its_kernel(self):
+        # the root is the caller's kernel, and each child's kernel is read once,
+        # where its parent branches: one decomposition per non-root node
+        nodes = 0
+        for seed in range(12):
+            inst = random_instance(22, .14, 5, 3, seed)
+            kernel = crowded_kernel(biconnected_blocks(inst.graph), inst.terminals)
+            if not kernel:
+                continue
+            stats = solver_mod.SearchStats()
+            with mock.patch.object(solver_mod, "biconnected_blocks", wraps=biconnected_blocks) as spy:
+                solver_mod._search(inst.graph, inst.terminals, inst.k, stats, kernel)
+            assert spy.call_count == stats.nodes - 1
+            nodes += stats.nodes
+        assert nodes > 50
+
     def test_wrong_no_on_seventeen_vertices(self):
         """solve answers YES at k = 3, where {4, 8, 16} is one solution.
 
@@ -318,6 +340,15 @@ class TestSearchGate:
         P = T | {v for v in g.vertices if rnd.random() < 0.6}
         crowded = crowded_kernel(biconnected_blocks(g), T) & T
         assert crowded_kernel(biconnected_blocks(g.induced(P)), T) & T <= crowded
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(small_instances(max_n=10, dense=True))
+    def test_the_kernel_is_its_own_crowded_kernel(self, inst):
+        # why the search's root reuses the caller's kernel K: each crowded
+        # block of G is 2-connected in G[K], so a block of it
+        g, T = inst.graph, inst.terminals
+        kernel = crowded_kernel(biconnected_blocks(g), T)
+        assert crowded_kernel(biconnected_blocks(g.induced(kernel)), T) == kernel
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(small_instances(max_n=9, dense=True))
