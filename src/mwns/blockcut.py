@@ -113,8 +113,9 @@ class BlockCutForest:
         for b in blocks:
             cuts |= b & owner
             owner |= b
-        # block index -> sort key, cut -> incident blocks
-        block_key = [tuple(sorted(b)) for b in blocks]
+        # blocks in order of their sorted vertex lists; each cut vertex's
+        # list of incident blocks then comes out in that order too
+        blocks = sorted(blocks, key=sorted)
         cut_blocks: dict[int, list[int]] = {c: [] for c in cuts}
         for i, b in enumerate(blocks):
             for c in b & cuts:
@@ -127,36 +128,39 @@ class BlockCutForest:
         roots: list[int] = []
         cut_node: dict[int, int] = {}
         placed = [False] * len(blocks)
-        # the first unplaced block in key order is the smallest block of its
-        # component and starts with the component's smallest vertex, so trees
-        # come out in order of their smallest vertex
-        for root in sorted(range(len(blocks)), key=block_key.__getitem__):
+        # the first unplaced block is the smallest block of its component and
+        # starts with the component's smallest vertex, so trees come out in
+        # order of their smallest vertex
+        for root in range(len(blocks)):
             if placed[root]:
                 continue
-            # work items (block index or cut vertex, parent id, is a block)
-            # create their node when popped; children pushed in reverse so ids
-            # come out in pre-order. A node's only placed neighbour is its parent
-            work: list[tuple[int, int | None, bool]] = [(root, None, True)]
+            # work items (block index or cut vertex, parent id, depth, is a
+            # block) create their node when popped; children pushed in reverse
+            # so ids come out in pre-order. A node's only placed neighbour is
+            # its parent
+            work: list[tuple[int, int | None, int, bool]] = [(root, None, 0, True)]
             while work:
-                key, par, is_block = work.pop()
+                key, par, d, is_block = work.pop()
                 nid = len(nodes)
                 parent.append(par)
                 children.append([])
+                depth.append(d)
                 if par is None:
                     roots.append(nid)
                 else:
                     children[par].append(nid)
-                depth.append(0 if par is None else depth[par] + 1)
                 if is_block:
                     placed[key] = True
                     nodes.append(BCNode(nid, "block", blocks[key]))
-                    work += [(c, nid, False) for c in sorted(blocks[key] & cuts, reverse=True)
-                             if c not in cut_node]
+                    for c in sorted(blocks[key] & cuts, reverse=True):
+                        if c not in cut_node:
+                            work.append((c, nid, d + 1, False))
                 else:
                     cut_node[key] = nid
                     nodes.append(BCNode(nid, "cut", frozenset((key,))))
-                    work += [(j, nid, True) for j in sorted(cut_blocks[key], key=block_key.__getitem__,
-                                                            reverse=True) if not placed[j]]
+                    for j in reversed(cut_blocks[key]):
+                        if not placed[j]:
+                            work.append((j, nid, d + 1, True))
 
         self.nodes: tuple[BCNode, ...] = tuple(nodes)
         self.parent: tuple[int | None, ...] = tuple(parent)

@@ -5,16 +5,19 @@ deleting Z, only the blocks Z hits are decomposed again (`blocks_without`).
 Each iteration builds the block-cut forest of what is left of G-x from the
 carried blocks, reading the one graph G, and makes one bottom-up pass over it
 (`_routes`). The pass finds, for every node, the most terminals a path from
-the node's top vertex down to a neighbor of x can collect, and the deepest
-node whose closure with x still carries a T-cycle. From those counts the
-iteration assembles a hitting set Z for the cycles living down there, deletes
-it, and recurses on the remainder.
+the node's top vertex down to a neighbor of x can collect, the deepest node
+whose closure with x still carries a T-cycle, and the trees holding such a
+node. From those counts the iteration assembles a hitting set Z for the
+cycles living down there, deletes it, and recurses on the remainder. Z lies
+in one tree, so a tree without a T-cycle stays a component that never gets
+one: the run stops carrying its blocks, and keeps only its least vertex and
+node count to report node ids of the forest of all of G-x-Z.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import Graph, reachable
 from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without
@@ -58,7 +61,7 @@ class BlockerRun:
 
 
 def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
-            ) -> tuple[list[int], int | None]:
+            ) -> tuple[list[int], int | None, set[int]]:
     """Terminal counts of the routes down to N(x), in one bottom-up pass over f.
 
     reach[n] is the largest number of terminals on a path inside n's subtree
@@ -67,52 +70,85 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
     every T-cycle of a subtree closure with x passes x, so the closure carries
     one iff two routes from distinct vertices meet in the subtree with two
     terminals between them. The second value is the deepest node (smallest id
-    on ties) where that first happens, None if nowhere.
+    on ties) where that first happens, None if nowhere; the third holds the
+    roots of the trees with such a meeting node.
     """
     nbrs = g.neighbors(x)
-    vertex = {nd.id: v for nd in f.nodes if nd.kind == "cut" for v in nd.vertices}
-    reach = [-1] * len(f.nodes)
+    nodes, children, parent, depth = f.nodes, f.children, f.parent, f.depth
+    vertex = {nd.id: v for nd in nodes if nd.kind == "cut" for v in nd.vertices}
+    reach = [-1] * len(nodes)
     deepest = None
-    for nid in range(len(f.nodes) - 1, -1, -1):  # pre-order ids: children first
-        nd = f.nodes[nid]
+    met: set[int] = set()
+    tree_met = False
+    for nid in range(len(nodes) - 1, -1, -1):  # pre-order ids: children first
+        nd = nodes[nid]
+        par = parent[nid]
+        # e0 >= e1: the two largest route counts ending here, -1 for none
         if nd.kind == "cut":
             v = vertex[nid]
-            ends = [reach[b] - (v in T) for b in f.children[nid] if reach[b] >= 0]
-            if v in nbrs:
-                ends.append(0)
-            ends.sort(reverse=True)
-            if ends:
-                reach[nid] = (v in T) + ends[0]
-            meet = len(ends) >= 2 and (v in T) + ends[0] + ends[1] >= 2
+            own = v in T
+            e0, e1 = (0 if v in nbrs else -1), -1
+            for b in children[nid]:
+                r = reach[b] - own  # a block's route counts its top v, unless none
+                if r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
+            if e0 >= 0:
+                reach[nid] = own + e0
+            meet = e1 >= 0 and own + e0 + e1 >= 2
         else:
-            # out[w]: best route count from block vertex w down to N(x)
-            out = {w: (w in T) if w in nbrs else -1 for w in nd.vertices}
-            for c in f.children[nid]:
-                w = vertex[c]
-                out[w] = max(out[w], reach[c])
             # a block of three or more vertices routes any two of its vertices
-            # through its terminal t (at most one, or G-x has a T-cycle)
+            # through its terminal t (at most one, or G-x has a T-cycle); the
+            # routes from t and from the top vertex are kept apart
             t = min(nd.vertices & T, default=None) if len(nd.vertices) >= 3 else None
+            top = None if par is None else vertex[par]
+            # routes from the child cut vertices and from the other neighbors
+            # of x in the block; the top vertex's own route joins after reach
+            # is read, since a route up through the top cannot start there
+            ends = [(vertex[c], reach[c]) for c in children[nid]]
+            ends += [(w, w in T) for w in nd.vertices & nbrs if not f.is_cut_vertex(w)]
+            out_t = e0 = e1 = -1
+            for w, r in ends:
+                if w == t:
+                    out_t = r
+                elif r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
+            if top is not None:
+                # a route from the top vertex leaves the block at another
+                # vertex, passing t on the way if t is neither
+                best = e0 if t is None or t == top else max(out_t, e0 + 1 if e0 >= 0 else -1)
+                if best >= 0:
+                    reach[nid] = (top in T) + best
+                r = (top in T) if top in nbrs else -1
+                if top == t:
+                    out_t = r
+                elif r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
             # two routes meet here by avoiding t and passing it, or one ends at t
-            ends = sorted((out[w] for w in nd.vertices if w != t and out[w] >= 0), reverse=True)
-            meet = (len(ends) >= 2 and ends[0] + ends[1] + (t is not None) >= 2
-                    or t is not None and out[t] >= 0 and len(ends) >= 1 and out[t] + ends[0] >= 2)
-            par = f.parent[nid]
-            if par is not None:
-                top = vertex[par]
-                reach[nid] = max(((top in T) + out[w] + (t is not None and t not in (top, w))
-                                  for w in nd.vertices if w != top and out[w] >= 0), default=-1)
-        if meet and (deepest is None or f.depth[nid] >= f.depth[deepest]):
-            deepest = nid
-    return reach, deepest
+            meet = (e1 >= 0 and e0 + e1 + (t is not None) >= 2
+                    or out_t >= 0 and e0 >= 0 and out_t + e0 >= 2)
+        if meet:
+            tree_met = True
+            if deepest is None or depth[nid] >= depth[deepest]:
+                deepest = nid
+        if par is None:
+            if tree_met:
+                met.add(nid)
+            tree_met = False
+    return reach, deepest, met
 
 
 def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: int
                    ) -> GrandchildClassification:
     grand = [c for y in f.children[f.cut_node_of(v)] for c in f.children[y]]
     verts = frozenset(f.nodes[c].vertex for c in grand)
-    if v in T:
-        assert not (verts & T), "grandchildren of a terminal cut vertex are non-terminals"
+    if v in T and verts & T:
+        raise RuntimeError(f"terminal cut vertex {v} has terminal grandchildren {sorted(verts & T)}")
     carrying = frozenset(f.nodes[c].vertex for c in grand if reach[c] >= 1)
     return GrandchildClassification(v, verts, carrying)
 
@@ -144,26 +180,33 @@ def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
     return _block_children(f, T, _routes(g, T, x, f)[0], d)
 
 
-def _step(g: Graph, T: frozenset[int], x: int, index: int,
-          blocks: list[frozenset[int]] | None = None) -> BlockerIteration | None:
-    # once {x} nearly separates T, every T-cycle passes x and shows up in the
-    # closure of some subtree: no meeting node means no T-cycle is left.
-    # `blocks` are those of H = G-x-Z, Z deleted so far (g-x if None); g is
-    # read only within H and from x into H. Only the first forest checks the
-    # pivot: every later H is a subgraph of the first
-    f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]) if blocks is None else blocks)
+def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
+    """The iteration on H = G-x, from a fresh decomposition."""
+    return _read_forest(g, T, x, index, block_cut_forest(g, biconnected_blocks(g, exclude=[x])))[0]
+
+
+def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutForest
+                 ) -> tuple[BlockerIteration | None, set[int]]:
+    """The iteration on f, the forest of H = G-x-Z or of some of its trees,
+    with Z deleted so far, and the roots of f's trees holding a meeting node.
+
+    Once {x} nearly separates T, every T-cycle passes x and shows up in the
+    closure of some subtree: no meeting node means no T-cycle is left. g is
+    read only within H and from x into H. Only the first forest checks the
+    pivot: every later H is a subgraph of the first.
+    """
     if index == 0 and any(len(nd.vertices & T) > 1 for nd in f.nodes):
         raise ValueError(f"{{{x}}} is not a multiway near-separator; "
                          f"offending cycle in G-x: {find_t_cycle(g.without([x]), T)}")
-    reach, d = _routes(g, T, x, f)
+    reach, d, met = _routes(g, T, x, f)
     if d is None:
-        return None
+        return None, met
     nd = f.nodes[d]
     if nd.kind == "cut" and nd.vertex not in T:
-        return BlockerIteration(index, d, nd.label(), "a", (), frozenset([nd.vertex]))
+        return BlockerIteration(index, d, nd.label(), "a", (), frozenset([nd.vertex])), met
     if nd.kind == "cut":
         cls = _grandchildren(f, T, reach, nd.vertex)
-        return BlockerIteration(index, d, nd.label(), "b", (), cls.with_terminal_path)
+        return BlockerIteration(index, d, nd.label(), "b", (), cls.with_terminal_path), met
 
     # d is a block
     block = nd.vertices
@@ -190,7 +233,9 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
         t_child = next((c for c in f.children[d] if f.nodes[c].vertex == t), None)
         if t_child is not None and reach[t_child] >= 2:
             z4 = _grandchildren(f, T, reach, t).with_terminal_path
-            assert len(z4) <= 1, "at most one terminal-reaching grandchild below a cycle-free subtree"
+            if len(z4) > 1:
+                raise RuntimeError(f"terminal {t} has terminal-reaching grandchildren {sorted(z4)} "
+                                   "below a cycle-free subtree, not at most one")
 
     parent = f.parent[d]
     z5: frozenset[int] = frozenset()
@@ -199,7 +244,7 @@ def _step(g: Graph, T: frozenset[int], x: int, index: int,
 
     parts = (frozenset(z1), frozenset(z2), z3, z4, z5)
     removed = frozenset().union(*parts)
-    return BlockerIteration(index, d, nd.label(), "c", parts, removed)
+    return BlockerIteration(index, d, nd.label(), "c", parts, removed), met
 
 
 def blocker_step(g: Graph, T, x: int) -> set[int]:
@@ -223,18 +268,33 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     _require_pivot(g, T, x)
     acc: set[int] = set()
     iterations: list[BlockerIteration] = []
+    # the blocks of the trees of H = G-x-Z that can still meet. A tree with
+    # no meeting node is a component C of H with no T-cycle in G[C + x], and
+    # every later Z lies in the tree of its d, so C stays a component of H
+    # that never meets again: `dropped` keeps its least vertex and node count
     blocks = biconnected_blocks(g, exclude=[x])
+    dropped: list[tuple[int, int]] = []
     index = 0
     while True:
-        it = _step(g, T, x, index, blocks)
+        f = block_cut_forest(g, blocks)
+        it, met = _read_forest(g, T, x, index, f)
         if it is None:
             break
         z = set(it.removed)
         if not z or z & (T | {x}):  # an empty z would repeat the step forever
             raise RuntimeError(f"blocker iteration {index} removes {sorted(z)}, "
                                "not a nonempty set of non-pivot non-terminals")
-        iterations.append(it)
+        # the trees of H's forest come in order of least vertex, so d's id
+        # there counts the nodes of the dropped trees below d's tree
+        least = min(f.nodes[f.root_of(it.d_node)].vertices)
+        iterations.append(replace(it, d_node=it.d_node + sum(n for v, n in dropped if v < least)))
         acc |= z
+        blocks = []
+        for root, stop in zip(f.roots, f.roots[1:] + (len(f.nodes),)):
+            if root in met:
+                blocks += [nd.vertices for nd in f.nodes[root:stop] if nd.kind == "block"]
+            else:
+                dropped.append((min(f.nodes[root].vertices), stop - root))
         blocks = blocks_without(g, blocks, z)
         index += 1
     result = frozenset(acc)

@@ -60,10 +60,14 @@ def terminals_independent(g: Graph, T: Iterable[int]) -> bool:
 
 def is_mwns(g: Graph, T: Iterable[int], S: Iterable[int]) -> bool:
     """True iff deleting S leaves the terminals pairwise nearly separated: no
-    block of G-S carries two terminals (an edge joining two is such a block)."""
+    block of G-S carries two terminals (an edge joining two is such a block).
+    S must be a set of non-terminal vertices of g."""
     T, S = frozenset(T), frozenset(S)
     if S & T:
         raise ValueError("deletion set intersects the terminal set")
+    if not all(v in g for v in S):
+        raise ValueError(f"deletion-set vertices {sorted(v for v in S if v not in g)} "
+                         "are not in the graph")
     return all(len(b & T) <= 1 for b in biconnected_blocks(g, exclude=S))
 
 

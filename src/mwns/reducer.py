@@ -317,8 +317,6 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
     """
     g, T, k = inst.graph, inst.terminals, inst.k
     s_hat = frozenset(s_hat)
-    if missing := sorted(v for v in s_hat if v not in g):
-        raise ValueError(f"vertices {missing} of the provided set are not in the graph")
     if s_hat & T or not is_mwns(g, T, s_hat):
         raise ValueError("the provided set is not a multiway near-separator")
     essential: list[int] = []

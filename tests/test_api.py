@@ -91,6 +91,16 @@ def test_no_module_holds_a_global_statement():
     assert has_global("def hook(fn):\n    global _hook\n    _hook = fn\n")
 
 
+def test_no_pipeline_module_holds_an_assert_statement():
+    # `python -O` drops asserts, so a check the pipeline relies on raises;
+    # the witness constructions keep theirs as internal sanity checks
+    def has_assert(text: str) -> bool:
+        return any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(text)))
+
+    assert not [p.name for p in SRC.glob("*.py") if p.name != "witness.py" and has_assert(p.read_text())]
+    assert has_assert("def check(z):\n    assert len(z) <= 1\n")
+
+
 def test_the_import_scan_sees_the_witness_module():
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert "mwns.witness" in set(imported_modules(tree))

@@ -151,6 +151,14 @@ class TestClassification:
         assert cls.grandchildren == frozenset({4})
         assert cls.with_terminal_path == frozenset()
 
+    def test_terminal_grandchild_of_a_terminal_raises(self):
+        # the edge 3-4 joins two terminals, so {1} is no near-separator and
+        # terminal 3's grandchild 4 is a terminal; a raise survives python -O
+        g = Graph(range(1, 8), [(7, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)])
+        f = block_cut_forest(g.without([1]))
+        with pytest.raises(RuntimeError, match=r"terminal cut vertex 3 has terminal grandchildren \[4\]"):
+            classify_grandchildren(g, {3, 4}, 1, f, 3)
+
     def test_block_children_partition(self):
         # triangle block {2,3,4} with three hanging chains; x=1 reaches the
         # chain below 4 through terminal 5, the chain below 3 terminal-free,
@@ -280,6 +288,59 @@ class TestBlockerStep:
                 cur = cur.without(it.removed)
             assert sum(sizes[1:]) <= hit
 
+    def test_a_run_drops_the_trees_that_cannot_meet(self):
+        # pivot 1 closes the T-cycles of three paths 5..9, 10..14, 15..19;
+        # the paths 2-3-4 and 20-21-22 carry one terminal or none, so their
+        # trees never meet. The first sits below every path, so each d_node
+        # counts its three nodes; the second sits above, so none counts it
+        edges = [(1, 2), (2, 3), (3, 4), (20, 21), (21, 22), (1, 22)]
+        T = {3}
+        for a in (5, 10, 15):
+            edges += [(1, a), (a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a + 4), (1, a + 4)]
+            T |= {a + 1, a + 3}
+        g, T, dead = Graph(range(1, 23), edges), frozenset(T), {2, 3, 4, 20, 21, 22}
+        with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests:
+            run = blocker_run(g, T, 1)
+        cur = g
+        for it in run.iterations:
+            assert _step(cur, T, 1, it.index) == it
+            cur = cur.without(it.removed)
+        assert [it.d_node for it in run.iterations] == [3, 5, 7]
+        assert forests.call_count == 4
+        assert not [b for c in forests.call_args_list[1:] for b in c.args[1] if b & dead]
+
+    def test_a_run_matches_fresh_steps_on_unions_of_block_trees(self):
+        # 2-4 block trees, vertex ids shuffled across them, share one pivot:
+        # trees that never meet get dropped below and above the live ones
+        rng = random.Random(2024)
+        runs = dropped = 0
+        while runs < 150:
+            edges, n = [], 0
+            for _ in range(rng.randint(2, 4)):
+                h, nxt = random_block_tree(rng, rng.randint(1, 6))
+                edges += [(u + n, v + n) for u, v in h.edges()]
+                n += nxt - 1
+            label = dict(zip(range(1, n + 1), rng.sample(range(2, n + 2), n)))
+            h = Graph(range(2, n + 2), [(label[u], label[v]) for u, v in edges])
+            blocks = biconnected_blocks(h)
+            T = set()
+            for v in rng.sample(list(h.vertices), h.n):
+                if len(T) < 8 and not any(v in b and b & T for b in blocks) and not h.neighbors(v) & T:
+                    T.add(v)
+            g = Graph(range(1, n + 2), h.edges() + [(1, v) for v in h.vertices if rng.random() < 0.4])
+            T = frozenset(T)
+            with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests:
+                run = blocker_run(g, T, 1)
+            cur = g
+            for it, call in zip(run.iterations, forests.call_args_list):
+                assert _step(cur, T, 1, it.index) == it
+                # the forest this iteration read left some vertex of H out
+                dropped += sum(map(len, call.args[1])) < sum(map(len, biconnected_blocks(cur, [1])))
+                cur = cur.without(it.removed)
+            assert _step(cur, T, 1, 0) is None
+            runs += 1
+        assert dropped > 50
+
     def test_a_run_copies_no_graph_larger_than_a_block(self):
         # every step reads the one G; only case c copies, within one block
         for g, T, x in pivot_suite(12, seed=7) + block_tree_suite(12, seed=11):
@@ -338,7 +399,7 @@ class TestBlockerContract:
         # a step that finds nothing leaves the six-cycle's T-cycle in place
         import mwns.blocker as blocker_mod
 
-        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index, blocks: None)
+        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (None, set()))
         with pytest.raises(RuntimeError, match="not a near-separator"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -348,7 +409,7 @@ class TestBlockerContract:
         import mwns.blocker as blocker_mod
 
         empty = blocker_mod.BlockerIteration(0, 0, "b0", "c", (), frozenset())
-        monkeypatch.setattr(blocker_mod, "_step", lambda g, T, x, index, blocks: empty)
+        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (empty, set()))
         with pytest.raises(RuntimeError, match="removes \\[\\]"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -374,9 +435,9 @@ class TestBlockerContract:
             from mwns.graph import Graph
             c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
             empty = b.BlockerIteration(0, 0, "b0", "c", (), frozenset())
-            for step, message in ((lambda g, T, x, index, blocks: None, "not a near-separator"),
-                                  (lambda g, T, x, index, blocks: empty, "removes []")):
-                b._step = step
+            for step, message in ((lambda g, T, x, index, f: (None, set()), "not a near-separator"),
+                                  (lambda g, T, x, index, f: (empty, set()), "removes []")):
+                b._read_forest = step
                 try:
                     b.blocker_run(c6, {3, 5}, 1)
                 except RuntimeError as e:

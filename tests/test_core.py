@@ -51,6 +51,11 @@ class TestIsMwns:
         with pytest.raises(ValueError):
             is_mwns(six_cycle(), {3, 5}, {3})
 
+    def test_rejects_deletion_ids_outside_the_graph(self):
+        # {4} alone breaks the six-cycle, so only the unknown 99 is wrong
+        with pytest.raises(ValueError, match=r"\[99\] are not in the graph"):
+            is_mwns(six_cycle(), {3, 5}, {4, 99})
+
     def test_agrees_with_all_three_characterizations(self):
         rng = random.Random(61)
         for _ in range(150):
