@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -11,46 +12,48 @@ from .graph import Graph
 def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
     """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
 
-    Iterative DFS low-link over a stack of vertices, neighbours in sorted
-    order; a block leaves the stack when the DFS backs up from its highest
-    vertex below its cut vertex. No subgraph is materialized, so this is the
-    fast path for predicates that repeatedly probe vertex deletions.
+    Iterative DFS low-link over a stack of vertices, neighbours in ascending
+    order (g's shared tuples); a block leaves the stack when the DFS backs up
+    from its highest vertex below its cut vertex. No subgraph is
+    materialized, so this is the fast path for predicates that repeatedly
+    probe vertex deletions.
     """
-    dropped = set(exclude)
-    disc: dict[int, int] = {}
+    adj = g.ascending_adjacency()
+    # an excluded vertex counts as discovered, at a time above every low-link
+    disc: dict[int, int] = dict.fromkeys(exclude, sys.maxsize)
     low: dict[int, int] = {}
     blocks: list[frozenset[int]] = []
     for root in g.vertices:
-        if root in disc or root in dropped:
+        if root in disc:
             continue
         disc[root] = low[root] = first = len(disc)
         # the DFS path, each path vertex's iterator over its remaining
         # neighbours, and the length of `pending` when it was entered
-        path, iters, starts = [root], [iter(sorted(g.neighbors(root)))], [0]
+        path, iters, starts = [root], [iter(adj[root])], [0]
         pending: list[int] = []  # vertices entered and not yet in a block
         while path:
             v = path[-1]
+            lv = low[v]  # written back before the DFS leaves v for a child
             for w in iters[-1]:
-                if w in dropped:
-                    continue
                 if w not in disc:
+                    low[v] = lv
                     disc[w] = low[w] = len(disc)
                     starts.append(len(pending))
                     pending.append(w)
                     path.append(w)
-                    iters.append(iter(sorted(g.neighbors(w))))
+                    iters.append(iter(adj[w]))
                     break
-                if disc[w] < low[v]:  # the parent too, which leaves the test below alone
-                    low[v] = disc[w]
+                if disc[w] < lv:  # the parent too, which leaves the test below alone
+                    lv = disc[w]
             else:
                 path.pop()
                 iters.pop()
                 start = starts.pop()
                 if path:
                     u = path[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
+                    if lv < low[u]:
+                        low[u] = lv
+                    if lv >= disc[u]:
                         blocks.append(frozenset(pending[start:] + [u]))
                         del pending[start:]
         if len(disc) == first + 1:

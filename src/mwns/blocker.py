@@ -258,7 +258,7 @@ def blocker_step(g: Graph, T, x: int) -> set[int]:
 def _require_pivot(g: Graph, T: frozenset[int], x: int) -> None:
     if x not in g or x in T:
         raise ValueError(f"pivot {x} must be a non-terminal vertex")
-    if missing := sorted(v for v in T if v not in g):
+    if missing := g.foreign(T):
         raise ValueError(f"terminals {missing} are not vertices of the graph")
 
 

@@ -120,8 +120,8 @@ def _cmd_lift(args) -> int:
 def _cmd_verify(args) -> int:
     inst = _load(args.file)
     S = _vertex_set(args.solution, "--solution")
-    if not S <= set(inst.graph.vertices):
-        print("invalid: unknown vertices", sorted(S - set(inst.graph.vertices)))
+    if unknown := inst.graph.foreign(S):
+        print("invalid: unknown vertices", unknown)
         return EXIT_NO
     if S & inst.terminals:
         print("invalid: deletes terminals", sorted(S & inst.terminals))

@@ -65,9 +65,8 @@ def is_mwns(g: Graph, T: Iterable[int], S: Iterable[int]) -> bool:
     T, S = frozenset(T), frozenset(S)
     if S & T:
         raise ValueError("deletion set intersects the terminal set")
-    if not all(v in g for v in S):
-        raise ValueError(f"deletion-set vertices {sorted(v for v in S if v not in g)} "
-                         "are not in the graph")
+    if foreign := g.foreign(S):
+        raise ValueError(f"deletion-set vertices {foreign} are not in the graph")
     return all(len(b & T) <= 1 for b in biconnected_blocks(g, exclude=S))
 
 

@@ -13,7 +13,7 @@ class Graph:
     adjacency structure of an existing instance never changes.
     """
 
-    __slots__ = ("_adj", "_vertices")
+    __slots__ = ("_adj", "_vertices", "_ascending")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -32,6 +32,7 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(self._adj))
+        self._ascending = None
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -48,8 +49,19 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
+    def foreign(self, vs: Iterable[int]) -> list[int]:
+        """The ids among `vs` that are not vertices of this graph, ascending."""
+        return sorted(frozenset(vs).difference(self._adj))
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
+
+    def ascending_adjacency(self) -> dict[int, tuple[int, ...]]:
+        """vertex -> its neighbours as an ascending tuple, built on first use
+        and shared by every later caller, which must not modify it."""
+        if self._ascending is None:
+            self._ascending = {v: tuple(sorted(ns)) for v, ns in self._adj.items()}
+        return self._ascending
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -68,6 +80,7 @@ class Graph:
         sub = Graph.__new__(Graph)  # this graph's ids and edges are already valid
         sub._adj = {v: adj[v] & keep for v in keep}
         sub._vertices = tuple(sorted(keep))
+        sub._ascending = None
         return sub
 
     def without(self, vs: Iterable[int]) -> "Graph":

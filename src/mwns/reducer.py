@@ -164,15 +164,14 @@ def _rr2_candidate_pairs(g: Graph, T: frozenset[int], s_star: frozenset[int]
     """Non-terminal cut-vertex pairs lying on a common root-to-leaf path of the
     block-cut forest of G - S*."""
     f = block_cut_forest(g.without(s_star))
-    pairs = set()
-    for nd in f.nodes:
-        if nd.kind == "cut" and nd.vertex not in T:
-            anc = f.parent[nd.id]
-            while anc is not None:
-                up = f.nodes[anc]
-                if up.kind == "cut" and up.vertex not in T:
-                    pairs.add((min(up.vertex, nd.vertex), max(up.vertex, nd.vertex)))
-                anc = f.parent[anc]
+    pairs = []
+    above: list[tuple[int, int]] = []  # (depth, vertex) of the node's such ancestors
+    for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
+        while above and above[-1][0] >= depth:
+            above.pop()
+        if nd.kind == "cut" and (v := nd.vertex) not in T:
+            pairs += [(min(u, v), max(u, v)) for _, u in above]
+            above.append((depth, v))
     return sorted(pairs)
 
 
@@ -254,40 +253,82 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     return None
 
 
-def mark_components(inst: Instance, s_star: Iterable[int]) -> dict[tuple[int, int], list[frozenset[int]]]:
+@dataclass
+class _RR3Index:
+    """RR3's record of one G and S*, which stay fixed while T shrinks: the
+    components of G - S* by least vertex, for each pair of S* the indices of
+    those next to both, and `on_path[x, y, i]`, built when first asked with a
+    terminal in component i, the vertices of i on a simple x-y path."""
+    graph: Graph
+    s_star: frozenset[int]
+    components: list[frozenset[int]]
+    pairs: dict[tuple[int, int], list[int]]
+    on_path: dict[tuple[int, int, int], frozenset[int]] = field(default_factory=dict)
+
+
+def _rr3_index(g: Graph, s_star: frozenset[int]) -> _RR3Index:
+    """RR3's record of G and S*, with no path read yet; S* must lie in G."""
+    if foreign := g.foreign(s_star):
+        raise ValueError(f"S* vertices {foreign} are not in the graph")
+    comps = [frozenset(c) for c in connected_components(g.without(s_star))]
+    pairs: dict[tuple[int, int], list[int]] = {p: [] for p in itertools.combinations(sorted(s_star), 2)}
+    for i, comp in enumerate(comps):
+        touching = s_star.intersection(set().union(*(g.neighbors(v) for v in comp)))
+        for p in itertools.combinations(sorted(touching), 2):
+            pairs[p].append(i)
+    return _RR3Index(g, s_star, comps, pairs)
+
+
+def mark_components(inst: Instance, s_star: Iterable[int], index: _RR3Index | None = None
+                    ) -> dict[tuple[int, int], list[frozenset[int]]]:
     """Greedy marking: per pair {x,y} in S*, up to k+2 components of G-S*
-    holding a path from a neighbor of x to a neighbor of y through a terminal."""
+    holding a path from a neighbor of x to a neighbor of y through a terminal.
+    Calls on one G and S* may share `index` (else new) for any T."""
     g, T, k = inst.graph, inst.terminals, inst.k
     s_star = frozenset(s_star)
-    comps = [frozenset(c) for c in connected_components(g.without(s_star))]
+    index = index or _rr3_index(g, s_star)
+    if index.graph is not g or index.s_star != s_star:
+        raise ValueError("the index was built on another graph or S*")
+    comps, on_path = index.components, index.on_path
     marked: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for x, y in itertools.combinations(sorted(s_star), 2):
-        chosen: list[frozenset[int]] = []
-        for comp in comps:
+    for (x, y), candidates in index.pairs.items():
+        chosen = marked[x, y] = []
+        for i in candidates:
             if len(chosen) >= k + 2:
                 break
-            if _component_qualifies(g, T, comp, x, y):
-                chosen.append(comp)
-        marked[(x, y)] = chosen
+            on = on_path.get((x, y, i))
+            if on is None:
+                if T.isdisjoint(comps[i]):
+                    continue  # no forest for a component without terminals
+                on = on_path[x, y, i] = _on_path(g, comps[i], x, y)
+            if not T.isdisjoint(on):
+                chosen.append(comps[i])
     return marked
+
+
+def _on_path(g: Graph, comp: frozenset[int], x: int, y: int) -> frozenset[int]:
+    """Vertices of comp on a simple x-y path of H = G[comp + x + y]: those in
+    a block on H's x-y block-cut tree path. Empty unless x and y both have
+    a neighbour in comp."""
+    if not g.neighbors(x) & comp or not g.neighbors(y) & comp:
+        return frozenset()
+    f = block_cut_forest(g.induced(comp | {x, y}))
+    on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
+    return comp.intersection(set().union(*(f.nodes[n].vertices for n in on_path)))
 
 
 def _component_qualifies(g: Graph, T: frozenset[int], comp: frozenset[int],
                          x: int, y: int) -> bool:
     """Whether G[comp] has a path from N(x) to N(y) through a terminal, that is
-    a simple x-y path of H = G[comp + x + y] through one: a vertex lies on such
-    a path iff it lies in a block on H's x-y block-cut tree path."""
-    terms = T & comp
-    if not g.neighbors(x) & comp or not g.neighbors(y) & comp or not terms:
-        return False
-    f = block_cut_forest(g.induced(comp | {x, y}))
-    on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
-    return any(f.nodes[n].vertices & terms for n in on_path)
+    a simple x-y path of H = G[comp + x + y] through one."""
+    return not T.isdisjoint(comp) and not T.isdisjoint(_on_path(g, comp, x, y))
 
 
-def apply_rr3(inst: Instance, s_star: Iterable[int]) -> tuple[Instance, DropUnmarked] | None:
-    """Convert terminals outside every marked component to non-terminals."""
-    marked = mark_components(inst, s_star)
+def apply_rr3(inst: Instance, s_star: Iterable[int], index: _RR3Index | None = None
+              ) -> tuple[Instance, DropUnmarked] | None:
+    """Convert terminals outside every marked component to non-terminals.
+    Calls on one G and S* may share `index` (see `mark_components`)."""
+    marked = mark_components(inst, s_star, index)
     covered: set[int] = set()
     for comps in marked.values():
         for comp in comps:
@@ -381,14 +422,15 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     Builds the 1-redundant set, then repeats RR1, RR2 and RR3 until none
     fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
     False when more vertices are essential than the budget allows, which
-    certifies a NO answer. The rules only shrink T, so RR2 keeps one index
-    and RR1 one decomposition of G.
+    certifies a NO answer. The rules only shrink T and keep G and S*, so RR2
+    and RR3 keep one index each and RR1 one decomposition of G.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
     feasible = inst.k - len(redundant.essential) >= 0
     cur = redundant.instance
     index = _RR2Index(cur.graph, redundant.s_star, cur.terminals)
+    marking = _rr3_index(cur.graph, redundant.s_star)
     blocks = biconnected_blocks(cur.graph)
     all_steps: list[Step] = list(steps)
     while True:
@@ -398,7 +440,7 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
             all_steps.extend(rr1_steps)
         fired = apply_rr2(cur, redundant.s_star, index)
         if fired is None:
-            fired = apply_rr3(cur, redundant.s_star)
+            fired = apply_rr3(cur, redundant.s_star, marking)
         if fired is None:
             break
         cur, step = fired
@@ -426,22 +468,42 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
     solution inclusion-minimal, the component rule substitutes its cut vertex
     x when the solution touches the component, and essential vertices are
     unioned back in.
+
+    Going backwards only adds terminals, and a set inclusion-minimal for T
+    stays so for any T' ⊇ T: a conversion step finding the solution it last
+    minimalized, on the same graph, keeps it as it is. Every stage is checked;
+    a stage graph and solution checked before only have their kept blocks
+    counted against the new terminals.
     """
     stages = log.replay()
     cur = frozenset(solution)
     final = stages[-1]
-    if cur & final.terminals or len(cur) > final.k or not is_mwns(final.graph, final.terminals, cur):
+    # keyed on the id of a stage graph, which `stages` keeps alive
+    decomposed: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
+
+    def separates(g: Graph, T: frozenset[int], S: frozenset[int]) -> bool:
+        blocks = decomposed.get((id(g), S))
+        if blocks is None:
+            if foreign := g.foreign(S):
+                raise ValueError(f"solution vertices {foreign} are not in the graph")
+            blocks = decomposed[id(g), S] = biconnected_blocks(g, exclude=S)
+        return not S & T and all(len(b & T) <= 1 for b in blocks)
+
+    if len(cur) > final.k or not separates(final.graph, final.terminals, cur):
         raise ValueError("not a valid solution of the reduced instance")
     cur = minimalize(final.graph, final.terminals, cur)
+    minimal = (final.graph, cur)
     for step, before, after in zip(reversed(log.steps), reversed(stages[:-1]), reversed(stages[1:])):
         if isinstance(step, (DropNearlySeparated, DropUnmarked)):
-            cur = minimalize(after.graph, after.terminals, cur)
+            if minimal[0] is not after.graph or minimal[1] != cur:
+                cur = minimalize(after.graph, after.terminals, cur)
+                minimal = (after.graph, cur)
         elif isinstance(step, DropComponentTerminal):
             if cur & step.component:
                 cur = (cur - step.component) | {step.x}
         elif isinstance(step, EssentialVertex):
             cur = cur | {step.x}
-        if cur & before.terminals or not is_mwns(before.graph, before.terminals, cur):
+        if not separates(before.graph, before.terminals, cur):
             raise RuntimeError(f"lift through {step} lost validity")
     if len(cur) > log.original.k:
         raise RuntimeError(f"lifted solution {sorted(cur)} exceeds the budget {log.original.k}")

@@ -248,6 +248,8 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
     """
     X, Y, deleted = frozenset(X), frozenset(Y), frozenset(deleted)
     protected = Y | frozenset(undeletable)
+    if foreign := g.foreign(X | protected | deleted):
+        raise ValueError(f"vertices {foreign} of X, Y, undeletable or deleted are not in the graph")
     net = net or _SplitNet(g)
     if net.graph is not g:
         raise ValueError("the network was built on another graph than the query's")

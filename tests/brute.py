@@ -142,6 +142,54 @@ def biconnected_blocks_edge_stack(g: Graph, exclude: Iterable[int] = ()) -> list
     return blocks
 
 
+def biconnected_blocks_vertex_stack(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
+    """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
+
+    The library's vertex-stack low-link as it was before it read shared
+    ascending neighbour tuples, kept as the reference for the blocks' order:
+    every vertex's neighbours are sorted again on each visit, and excluded
+    vertices are skipped by a separate test.
+    """
+    dropped = set(exclude)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[frozenset[int]] = []
+    for root in g.vertices:
+        if root in disc or root in dropped:
+            continue
+        disc[root] = low[root] = first = len(disc)
+        path, iters, starts = [root], [iter(sorted(g.neighbors(root)))], [0]
+        pending: list[int] = []
+        while path:
+            v = path[-1]
+            for w in iters[-1]:
+                if w in dropped:
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    starts.append(len(pending))
+                    pending.append(w)
+                    path.append(w)
+                    iters.append(iter(sorted(g.neighbors(w))))
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                path.pop()
+                iters.pop()
+                start = starts.pop()
+                if path:
+                    u = path[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        blocks.append(frozenset(pending[start:] + [u]))
+                        del pending[start:]
+        if len(disc) == first + 1:
+            blocks.append(frozenset([root]))
+    return blocks
+
+
 def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:
     """Pairs x < y of non-terminal cut vertices of H = G - S* where one lies
     below the other in the block-cut forest of H, each tree rooted at the

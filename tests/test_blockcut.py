@@ -8,7 +8,8 @@ from mwns.graph import Graph, connected_components
 from mwns.blockcut import biconnected_blocks, block_cut_forest, blocks_without
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
-from brute import all_simple_paths, biconnected_blocks_edge_stack, random_block_tree, random_graph
+from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
+                   random_block_tree, random_graph)
 
 
 def two_triangles():
@@ -143,6 +144,15 @@ def graphs_with_exclusions(draw, max_n: int):
 def test_vertex_stack_blocks_equal_the_edge_stack_list(case):
     g, exclude = case
     assert biconnected_blocks(g, exclude) == biconnected_blocks_edge_stack(g, exclude)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(graphs_with_exclusions(max_n=30))
+def test_shared_neighbour_tuples_keep_the_block_order(case):
+    # the second and third calls read the tuples the first one built
+    g, exclude = case
+    for dropped in (exclude, set(), set(g.vertices[::3]) | exclude):
+        assert biconnected_blocks(g, dropped) == biconnected_blocks_vertex_stack(g, dropped)
 
 
 @st.composite

@@ -229,6 +229,82 @@ class TestRR3:
         assert apply_rr3(inst, {2, 3}) is None
 
 
+def mark_reference(inst: Instance, s_star) -> dict[tuple[int, int], list[frozenset[int]]]:
+    """mark_components as first written: every call floods G - S* and tests
+    each pair's components terminal by terminal for a path from N(x) to N(y)."""
+    g, T, k = inst.graph, inst.terminals, inst.k
+    comps = [frozenset(c) for c in connected_components(g.without(s_star))]
+    marked = {}
+    for x, y in itertools.combinations(sorted(s_star), 2):
+        chosen = marked[x, y] = []
+        for comp in comps:
+            a_side, b_side = g.neighbors(x) & comp, g.neighbors(y) & comp
+            if len(chosen) < k + 2 and a_side and b_side and any(
+                    t in a_side | b_side
+                    or path_through_forced_vertex(g.induced(comp), a_side, b_side, t)
+                    for t in sorted(T & comp)):
+                chosen.append(comp)
+    return marked
+
+
+class TestRR3Index:
+    """reduce_terminals shares one RR3 record of G and S* across its rule
+    loop; its marks must equal those of a fresh call."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["flower", "random"]))
+    def test_shared_record_along_shrinking_terminals(self, seed, kind):
+        rng = random.Random(seed)
+        if kind == "flower":
+            petals = [(rng.choice(HUB_PAIRS), rng.randint(2, 7)) for _ in range(rng.randint(2, 8))]
+            inst = flower(petals, rng.randint(1, 4))
+            g, T, s_star = inst.graph, inst.terminals, frozenset({1, 2, 3})
+        else:
+            g = random_graph(rng, rng.randint(4, 14), rng.choice([0.15, 0.25, 0.35]))
+            T = frozenset(v for v in g.vertices if rng.random() < 0.45)
+            s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.35)
+        k = rng.randint(0, 2)
+        record = reducer._rr3_index(g, s_star)
+        while True:
+            inst = Instance(g, T, k)
+            shared = mark_components(inst, s_star, record)
+            assert shared == mark_components(inst, s_star) == mark_reference(inst, s_star)
+            assert apply_rr3(inst, s_star, record) == apply_rr3(inst, s_star)
+            if not T:
+                break
+            T -= set(rng.sample(sorted(T), min(len(T), rng.randint(1, 3))))
+
+    def test_one_forest_per_pair_and_component(self):
+        # six petals on hubs 1 and 2 exceed the k + 2 = 5 marks, RR3 fires and
+        # runs again; every later call reads the forests of the first
+        inst = flower([((1, 2), 7)] * 6 + [((2, 3), 7), ((1, 3), 7)], 4)
+        with mock.patch.object(reducer, "block_cut_forest", wraps=reducer.block_cut_forest) as spy, \
+                mock.patch.object(reducer, "apply_rr3", wraps=reducer.apply_rr3) as rr3:
+            reduced, log, _ = reduce_terminals(inst, {1, 2, 3})
+        assert any(isinstance(s, DropUnmarked) for s in log.steps) and rr3.call_count >= 2
+        g, s_star = reduced.graph, frozenset({1, 2, 3})
+        regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
+        assert regions.pop(frozenset(g.without(s_star).vertices)) == 1  # RR2's candidate pairs
+        assert regions and max(regions.values()) == 1
+        for region in regions:
+            assert len(region & s_star) == 2 and region - s_star in map(
+                frozenset, connected_components(g.without(s_star)))
+
+    def test_record_of_another_graph_or_s_star_is_refused(self):
+        g = Graph(range(1, 7), [(5, 1), (1, 6), (2, 3)])
+        inst = Instance.of(g, {1, 2}, 0)
+        with pytest.raises(ValueError, match="another graph"):
+            mark_components(inst, {5, 6}, reducer._rr3_index(g.without([4]), frozenset({5, 6})))
+        with pytest.raises(ValueError, match="another graph"):
+            apply_rr3(inst, {5, 6}, reducer._rr3_index(g, frozenset({5})))
+
+    @pytest.mark.parametrize("entry", [mark_components, apply_rr3])
+    def test_s_star_ids_outside_the_graph_are_named(self, entry):
+        inst = chain_of_triangles(3, terminals=(2, 4), k=1)
+        with pytest.raises(ValueError, match=r"S\* vertices \[99\] are not in the graph"):
+            entry(inst, {3, 99})
+
+
 class TestBuildOneRedundant:
     def test_trivial_instance_empty_sets(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
@@ -797,6 +873,29 @@ class TestLiftAgainstPerStepReference:
             for S in small_solutions(reduced, 40):
                 assert lift_solution(log, S) == reference_lift(log, S)
         assert rr2
+
+    def test_checks_decompose_each_stage_graph_and_solution_once(self):
+        # a lift checks every stage; stages share a graph object until an
+        # essential step, and the solution changes at a few steps only
+        checks = decompositions = 0
+        for inst in FLOWERS:
+            reduced, log, _ = reduce_terminals(inst, frozenset({1, 2, 3}))
+            for S in small_solutions(reduced, 10):
+                with mock.patch.object(reducer, "biconnected_blocks",
+                                       wraps=reducer.biconnected_blocks) as spy:
+                    lifted = lift_solution(log, S)
+                assert lifted == reference_lift(log, S)
+                seen = Counter((id(c.args[0]), frozenset(c.kwargs["exclude"]))
+                               for c in spy.call_args_list)
+                assert max(seen.values()) == 1
+                checks += len(log.steps) + 1
+                decompositions += len(seen)
+        assert decompositions * 2 < checks
+
+    def test_solution_ids_outside_the_reduced_graph_are_named(self):
+        log = ReductionLog(six_cycle_instance(k=2), ())
+        with pytest.raises(ValueError, match=r"solution vertices \[99\] are not in the graph"):
+            lift_solution(log, {4, 99})
 
     def test_rr1_after_a_substitution_minimalizes_again(self):
         # lifting {1, 2} back through the last rr2 step swaps hub 1 for 14,

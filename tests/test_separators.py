@@ -296,6 +296,15 @@ class TestImportantSeparatorProperties:
         with pytest.raises(ValueError, match="another graph"):
             enumerate_important_separators(h, {1}, {3}, 1, net=_SplitNet(g))
 
+    @pytest.mark.parametrize("field", ["X", "Y", "undeletable", "deleted"])
+    def test_ids_outside_the_graph_are_named(self, field):
+        g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
+        query = {"X": {1}, "Y": {4}, "undeletable": set(), "deleted": set()}
+        query[field] = query[field] | {99}
+        with pytest.raises(ValueError, match=r"vertices \[99\] of X, Y, undeletable or deleted"):
+            enumerate_important_separators(g, query["X"], query["Y"], 1,
+                                           query["undeletable"], query["deleted"])
+
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(separator_queries(max_n=13))
     def test_flow_count_is_bounded_by_k_not_n(self, case):
