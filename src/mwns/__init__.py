@@ -21,7 +21,7 @@ from .separators import (
 )
 # the pivot-avoiding approximation itself lives at mwns.blocker.blocker;
 # re-exporting it here would shadow the submodule attribute
-from .blocker import blocker_run, blocker_step
+from .blocker import blocker_run
 from .reducer import ReductionLog, build_1_redundant, lift_solution, reduce_terminals
 from .solver import SearchStats, compression_step, oracle_opt_x, oracle_solve, solve
 # lemma witnesses: the tests call them, the pipeline above never does
@@ -51,7 +51,6 @@ __all__ = [
     "max_terminals_on_path",
     "gallai_q_paths",
     "blocker_run",
-    "blocker_step",
     "ReductionLog",
     "build_1_redundant",
     "lift_solution",

@@ -10,14 +10,13 @@ whose closure with x still carries a T-cycle, and the trees holding such a
 node. From those counts the iteration assembles a hitting set Z for the
 cycles living down there, deletes it, and recurses on the remainder. Z lies
 in one tree, so a tree without a T-cycle stays a component that never gets
-one: the run stops carrying its blocks, and keeps only its least vertex and
-node count to report node ids of the forest of all of G-x-Z.
+one: the run stops carrying its blocks.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import Graph, reachable
 from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without
@@ -30,17 +29,9 @@ _recording: ContextVar[list[str] | None] = ContextVar("mwns_recording", default=
 
 
 @dataclass(frozen=True)
-class GrandchildClassification:
-    cut_vertex: int
-    grandchildren: frozenset[int]
-    with_terminal_path: frozenset[int]  # members whose pending subgraph reaches N(x) through a terminal
-
-
-@dataclass(frozen=True)
 class BlockerIteration:
     index: int
-    d_node: int
-    d_label: str
+    d_label: str  # d's node label, unique in a forest
     case: str  # "a" | "b" | "c"
     z_parts: tuple[frozenset[int], ...]  # Z1..Z5 (empty for cases a/b)
     removed: frozenset[int]
@@ -143,46 +134,26 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
     return reach, deepest, met
 
 
-def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: int
-                   ) -> GrandchildClassification:
+def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: int) -> frozenset[int]:
+    """The members of C(v), the grandchildren of cut vertex v, whose subtree
+    reaches a neighbor of x through a terminal."""
     grand = [c for y in f.children[f.cut_node_of(v)] for c in f.children[y]]
     verts = frozenset(f.nodes[c].vertex for c in grand)
     if v in T and verts & T:
         raise RuntimeError(f"terminal cut vertex {v} has terminal grandchildren {sorted(verts & T)}")
-    carrying = frozenset(f.nodes[c].vertex for c in grand if reach[c] >= 1)
-    return GrandchildClassification(v, verts, carrying)
+    return frozenset(f.nodes[c].vertex for c in grand if reach[c] >= 1)
 
 
 def _block_children(f: BlockCutForest, T: frozenset[int], reach: list[int], d: int
-                    ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
-    if f.nodes[d].kind != "block":
-        raise ValueError("d must be a block node")
-    classes: tuple[set[int], ...] = (set(), set(), set(), set())  # reach >= 2, 1, 0, none
+                    ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The non-terminal cut children of block node d whose routes down to a
+    neighbor of x carry two or more terminals, one, or none."""
+    classes: tuple[set[int], ...] = (set(), set(), set())
     for c in f.children[d]:
-        if f.nodes[c].vertex not in T:
-            classes[3 if reach[c] < 0 else 2 - min(reach[c], 2)].add(f.nodes[c].vertex)
-    c_ge2, c_1, c_0, c_none = (frozenset(s) for s in classes)
-    return c_ge2, c_1, c_0, c_none
-
-
-def classify_grandchildren(g: Graph, T, x: int, f: BlockCutForest, v: int
-                           ) -> GrandchildClassification:
-    """C(v) and its members reaching a neighbor of x via a terminal-carrying path."""
-    T = frozenset(T)
-    return _grandchildren(f, T, _routes(g, T, x, f)[0], v)
-
-
-def classify_block_children(g: Graph, T, x: int, f: BlockCutForest, d: int
-                            ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
-    """Partition the non-terminal cut children of block node d by the largest
-    terminal count on a path from the child down to a neighbor of x."""
-    T = frozenset(T)
-    return _block_children(f, T, _routes(g, T, x, f)[0], d)
-
-
-def _step(g: Graph, T: frozenset[int], x: int, index: int) -> BlockerIteration | None:
-    """The iteration on H = G-x, from a fresh decomposition."""
-    return _read_forest(g, T, x, index, block_cut_forest(g, biconnected_blocks(g, exclude=[x])))[0]
+        if f.nodes[c].vertex not in T and reach[c] >= 0:
+            classes[2 - min(reach[c], 2)].add(f.nodes[c].vertex)
+    c_ge2, c_1, c_0 = (frozenset(s) for s in classes)
+    return c_ge2, c_1, c_0
 
 
 def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutForest
@@ -203,16 +174,15 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
         return None, met
     nd = f.nodes[d]
     if nd.kind == "cut" and nd.vertex not in T:
-        return BlockerIteration(index, d, nd.label(), "a", (), frozenset([nd.vertex])), met
+        return BlockerIteration(index, nd.label(), "a", (), frozenset([nd.vertex])), met
     if nd.kind == "cut":
-        cls = _grandchildren(f, T, reach, nd.vertex)
-        return BlockerIteration(index, d, nd.label(), "b", (), cls.with_terminal_path), met
+        return BlockerIteration(index, nd.label(), "b", (), _grandchildren(f, T, reach, nd.vertex)), met
 
     # d is a block
     block = nd.vertices
     t = min(block & T, default=None)  # the pivot check leaves one per block
     d_t = g.induced(block - T)
-    c_ge2, c_1, c_0, _ = _block_children(f, T, reach, d)
+    c_ge2, c_1, c_0 = _block_children(f, T, reach, d)
     q = c_ge2 | c_1
     _, z1 = gallai_q_paths(d_t, q)
 
@@ -232,7 +202,7 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
         z3 = q & reachable(d_t, g.neighbors(t) & (block - T), z1 | z2)
         t_child = next((c for c in f.children[d] if f.nodes[c].vertex == t), None)
         if t_child is not None and reach[t_child] >= 2:
-            z4 = _grandchildren(f, T, reach, t).with_terminal_path
+            z4 = _grandchildren(f, T, reach, t)
             if len(z4) > 1:
                 raise RuntimeError(f"terminal {t} has terminal-reaching grandchildren {sorted(z4)} "
                                    "below a cycle-free subtree, not at most one")
@@ -244,36 +214,23 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
 
     parts = (frozenset(z1), frozenset(z2), z3, z4, z5)
     removed = frozenset().union(*parts)
-    return BlockerIteration(index, d, nd.label(), "c", parts, removed), met
-
-
-def blocker_step(g: Graph, T, x: int) -> set[int]:
-    """One iteration's hitting set Z; empty iff no T-cycle on x remains."""
-    T = frozenset(T)
-    _require_pivot(g, T, x)
-    it = _step(g, T, x, 0)
-    return set(it.removed) if it else set()
-
-
-def _require_pivot(g: Graph, T: frozenset[int], x: int) -> None:
-    if x not in g or x in T:
-        raise ValueError(f"pivot {x} must be a non-terminal vertex")
-    if missing := g.foreign(T):
-        raise ValueError(f"terminals {missing} are not vertices of the graph")
+    return BlockerIteration(index, nd.label(), "c", parts, removed), met
 
 
 def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     """Full run returning the accumulated set and the per-iteration trace."""
     T = frozenset(T)
-    _require_pivot(g, T, x)
+    if x not in g or x in T:
+        raise ValueError(f"pivot {x} must be a non-terminal vertex")
+    if missing := g.foreign(T):
+        raise ValueError(f"terminals {missing} are not vertices of the graph")
     acc: set[int] = set()
     iterations: list[BlockerIteration] = []
     # the blocks of the trees of H = G-x-Z that can still meet. A tree with
     # no meeting node is a component C of H with no T-cycle in G[C + x], and
     # every later Z lies in the tree of its d, so C stays a component of H
-    # that never meets again: `dropped` keeps its least vertex and node count
+    # that never meets again
     blocks = biconnected_blocks(g, exclude=[x])
-    dropped: list[tuple[int, int]] = []
     index = 0
     while True:
         f = block_cut_forest(g, blocks)
@@ -284,17 +241,10 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
         if not z or z & (T | {x}):  # an empty z would repeat the step forever
             raise RuntimeError(f"blocker iteration {index} removes {sorted(z)}, "
                                "not a nonempty set of non-pivot non-terminals")
-        # the trees of H's forest come in order of least vertex, so d's id
-        # there counts the nodes of the dropped trees below d's tree
-        least = min(f.nodes[f.root_of(it.d_node)].vertices)
-        iterations.append(replace(it, d_node=it.d_node + sum(n for v, n in dropped if v < least)))
+        iterations.append(it)
         acc |= z
-        blocks = []
-        for root, stop in zip(f.roots, f.roots[1:] + (len(f.nodes),)):
-            if root in met:
-                blocks += [nd.vertices for nd in f.nodes[root:stop] if nd.kind == "block"]
-            else:
-                dropped.append((min(f.nodes[root].vertices), stop - root))
+        blocks = [nd.vertices for root, stop in zip(f.roots, f.roots[1:] + (len(f.nodes),))
+                  if root in met for nd in f.nodes[root:stop] if nd.kind == "block"]
         blocks = blocks_without(g, blocks, z)
         index += 1
     result = frozenset(acc)

@@ -107,12 +107,7 @@ def _cmd_lift(args) -> int:
                       if l.split("#", 1)[0].split()[:1] in (["p"], ["e"], ["t"], ["k"])]
     original = parse_instance("\n".join(instance_lines))
     log = ReductionLog(original, tuple(parse_steps(lines)))
-    reduced = log.reduced()
-    solution = _vertex_set(args.solution, "--solution")
-    unknown = solution - set(reduced.graph.vertices)
-    if unknown:
-        raise ValueError(f"solution vertices {sorted(unknown)} are not in the reduced graph")
-    lifted = lift_solution(log, solution)
+    lifted = lift_solution(log, _vertex_set(args.solution, "--solution"))
     print(" ".join(str(v) for v in sorted(lifted)))
     return EXIT_YES
 

@@ -114,8 +114,8 @@ def has_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
     block with three or more vertices is 2-connected, and a 2-vertex block
     is the edge itself.
     """
-    if t1 == t2:
-        raise ValueError("vertices must be distinct")
+    if t1 == t2 or g.foreign((t1, t2)):
+        raise ValueError(f"{t1} and {t2} must be distinct vertices of the graph")
     return any(t1 in b and t2 in b for b in biconnected_blocks(g))
 
 
@@ -138,4 +138,6 @@ def nearly_separated_terminals(g: Graph, T: Iterable[int],
     """Terminals with no partner reachable by two internally disjoint paths:
     those that share no block of g (`blocks` when given) with another terminal."""
     T = frozenset(T)
+    if foreign := g.foreign(T):
+        raise ValueError(f"terminals {foreign} are not in the graph")
     return set(T) - crowded_kernel(biconnected_blocks(g) if blocks is None else blocks, T)

@@ -81,9 +81,7 @@ class ReductionLog:
 
 
 def _apply_step(inst: Instance, step: Step) -> Instance:
-    if isinstance(step, DropNearlySeparated):
-        return Instance(inst.graph, inst.terminals - {step.t}, inst.k)
-    if isinstance(step, DropComponentTerminal):
+    if isinstance(step, (DropNearlySeparated, DropComponentTerminal)):
         return Instance(inst.graph, inst.terminals - {step.t}, inst.k)
     if isinstance(step, DropUnmarked):
         return Instance(inst.graph, inst.terminals - step.removed, inst.k)
@@ -159,17 +157,17 @@ def apply_rr1(inst: Instance, blocks: list[frozenset[int]] | None = None
     return Instance(inst.graph, inst.terminals - lonely, inst.k), steps
 
 
-def _rr2_candidate_pairs(g: Graph, T: frozenset[int], s_star: frozenset[int]
-                         ) -> list[tuple[int, int]]:
-    """Non-terminal cut-vertex pairs lying on a common root-to-leaf path of the
-    block-cut forest of G - S*."""
+def _rr2_candidate_pairs(g: Graph, s_star: frozenset[int]) -> list[tuple[int, int]]:
+    """Cut-vertex pairs lying on a common root-to-leaf path of the block-cut
+    forest of G - S*."""
     f = block_cut_forest(g.without(s_star))
     pairs = []
-    above: list[tuple[int, int]] = []  # (depth, vertex) of the node's such ancestors
+    above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
     for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
         while above and above[-1][0] >= depth:
             above.pop()
-        if nd.kind == "cut" and (v := nd.vertex) not in T:
+        if nd.kind == "cut":
+            v = nd.vertex
             pairs += [(min(u, v), max(u, v)) for _, u in above]
             above.append((depth, v))
     return sorted(pairs)
@@ -182,7 +180,10 @@ class _RR2Index:
     terminal cut vertex between two others blocks no pair) to None until
     visited, then to the components D of G - {x, y} that may still fire, as
     (least vertex, None or T-sets of blocks of G[D + x + y] with two terminals,
-    whether that list is all of them or one witness's, D or None).
+    whether that list is all of them or one witness's, D or None, and None or
+    the terminals of D's x-y path once read). A cycle-free region stays so
+    and G fixes its x-y tree path, so that path's terminals are the list read
+    first, filtered by the current T.
     `witnesses` holds every block with two terminals a decomposition found,
     with its terminals: a block of G lies in a block of any region holding it."""
     graph: Graph
@@ -213,7 +214,7 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
         raise ValueError("the index was built on another graph or S*, or for fewer terminals")
     index.terminals = T
     if index.live is None:
-        index.live = dict.fromkeys(_rr2_candidate_pairs(g, frozenset(), s_star))
+        index.live = dict.fromkeys(_rr2_candidate_pairs(g, s_star))
     witnesses = index.witnesses = {w: wt & T for w, wt in index.witnesses.items() if len(wt & T) > 1}
     for (x, y), entries in index.live.items():
         if x in T or y in T:
@@ -224,9 +225,9 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
                 if v not in seen:
                     comp = frozenset(reachable(g, [v], [x, y]))
                     seen |= comp
-                    entries.append((v, None, False, comp))
+                    entries.append((v, None, False, comp, None))
         live = index.live[x, y] = []
-        for i, (anchor, cyc, whole, comp) in enumerate(entries):
+        for i, (anchor, cyc, whole, comp, path) in enumerate(entries):
             if cyc is None or not any(len(c & T) > 1 for c in cyc):
                 comp = comp or frozenset(reachable(g, [anchor], [x, y]))
                 terms = sorted(comp & T)
@@ -240,13 +241,16 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
                         cyc, whole = tuple(b & T for b in blocks), True
                         witnesses.update(zip(blocks, cyc))
             if any(len(c & T) > 1 for c in cyc):
-                live.append((anchor, cyc, whole, None))
+                live.append((anchor, cyc, whole, None, None))
                 continue  # a T-cycle, and the tree counting needs one terminal per block
-            on_path = terminals_on_path(g.induced(region), T & comp, x, y)
-            if on_path is None or len(on_path) < 2:
+            if path is None:
+                path = terminals_on_path(g.induced(region), T & comp, x, y)
+            else:
+                path = [t for t in path if t in T]
+            if path is None or len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
-            live += [(anchor, cyc, whole, None)] + entries[i + 1:]
-            kept = (on_path[0], on_path[1])
+            live += [(anchor, cyc, whole, None, path)] + entries[i + 1:]
+            kept = (path[0], path[1])
             drop = min(t for t in terms if t not in kept)  # D holds three or more
             step = DropComponentTerminal(drop, x, y, comp, kept)
             return _apply_step(inst, step), step
@@ -315,13 +319,6 @@ def _on_path(g: Graph, comp: frozenset[int], x: int, y: int) -> frozenset[int]:
     f = block_cut_forest(g.induced(comp | {x, y}))
     on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
     return comp.intersection(set().union(*(f.nodes[n].vertices for n in on_path)))
-
-
-def _component_qualifies(g: Graph, T: frozenset[int], comp: frozenset[int],
-                         x: int, y: int) -> bool:
-    """Whether G[comp] has a path from N(x) to N(y) through a terminal, that is
-    a simple x-y path of H = G[comp + x + y] through one."""
-    return not T.isdisjoint(comp) and not T.isdisjoint(_on_path(g, comp, x, y))
 
 
 def apply_rr3(inst: Instance, s_star: Iterable[int], index: _RR3Index | None = None
@@ -478,16 +475,17 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
     stages = log.replay()
     cur = frozenset(solution)
     final = stages[-1]
+    if foreign := final.graph.foreign(cur):
+        raise ValueError(f"solution vertices {foreign} are not in the reduced graph")
     # keyed on the id of a stage graph, which `stages` keeps alive
     decomposed: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
 
     def separates(g: Graph, T: frozenset[int], S: frozenset[int]) -> bool:
         blocks = decomposed.get((id(g), S))
         if blocks is None:
-            if foreign := g.foreign(S):
-                raise ValueError(f"solution vertices {foreign} are not in the graph")
             blocks = decomposed[id(g), S] = biconnected_blocks(g, exclude=S)
-        return not S & T and all(len(b & T) <= 1 for b in blocks)
+        # a step of a hand-made log may name a vertex outside its stage graph
+        return not S & T and not g.foreign(S) and all(len(b & T) <= 1 for b in blocks)
 
     if len(cur) > final.k or not separates(final.graph, final.terminals, cur):
         raise ValueError("not a valid solution of the reduced instance")

@@ -184,38 +184,47 @@ class _SplitNet:
             out.append([vs[(u - 3) // 2] for u in walk[2::2]])  # 0, in, out, ..., out, 1
 
 
+def _require_vertices(g: Graph, X: frozenset[int], Y: frozenset[int],
+                      undeletable: frozenset[int], deleted: frozenset[int]) -> None:
+    """The check of a query's ids: a ValueError names those outside g."""
+    if foreign := g.foreign(X | Y | undeletable | deleted):
+        raise ValueError(f"vertices {foreign} of X, Y, undeletable or deleted are not in the graph")
+
+
 def max_vertex_flow(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Iterable[int] = (),
                     deleted: Iterable[int] = ()) -> tuple[int | float, list[list[int]]]:
     """Min size of an (X,Y)-separator in g - `deleted` outside X, Y and
     `undeletable` (inf if none), plus unit paths witnessing the matching flow."""
-    X, Y, net = frozenset(X), frozenset(Y), _SplitNet(g)
-    value = net.flow(X, Y, X | Y | frozenset(undeletable), deleted)
+    X, Y, undeletable, deleted = frozenset(X), frozenset(Y), frozenset(undeletable), frozenset(deleted)
+    _require_vertices(g, X, Y, undeletable, deleted)
+    net = _SplitNet(g)
+    value = net.flow(X, Y, X | Y | undeletable, deleted)
     if value >= INF:
         return math.inf, []
     return value, net.paths()
 
 
 def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
-            protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset(),
-            furthest: bool = False) -> tuple[int | float, frozenset[int], frozenset[int]]:
+            protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()
+            ) -> tuple[int | float, frozenset[int], frozenset[int]]:
     """(value, cut, source side) of the vertex flow from X to Y in g minus
     `deleted`, where any vertex outside `protected` may be cut, X and Y
-    included: the minimum cut closest to X, or with `furthest` the one closest
-    to Y, whose source side is all that Y then no longer reaches. Value inf,
-    and both sets empty, if no cut exists, as when protected sides touch."""
+    included: the minimum cut closest to X. Value inf, and both sets empty,
+    if no cut exists, as when protected sides touch."""
     net = _SplitNet(g)
     value = net.flow(X, Y, protected, deleted)
     if value >= INF:
         return math.inf, frozenset(), frozenset()
-    return (value, *net.cut(deleted, furthest))
+    return (value, *net.cut(deleted))
 
 
 def min_separator(g: Graph, X: Iterable[int], Y: Iterable[int], undeletable: Iterable[int] = (),
                   deleted: Iterable[int] = ()) -> set[int]:
     """Minimum-cardinality (X,Y)-separator in g - `deleted`, disjoint from X,
     Y and `undeletable`; ties broken toward the X side (leftmost cut)."""
-    X, Y = frozenset(X), frozenset(Y)
-    value, cut, _ = min_cut(g, X, Y, X | Y | frozenset(undeletable), frozenset(deleted))
+    X, Y, undeletable, deleted = frozenset(X), frozenset(Y), frozenset(undeletable), frozenset(deleted)
+    _require_vertices(g, X, Y, undeletable, deleted)
+    value, cut, _ = min_cut(g, X, Y, X | Y | undeletable, deleted)
     if value is math.inf:
         raise ValueError("no finite separator: source and sink sides touch or "
                          "every cut needs an undeletable vertex")
@@ -246,10 +255,9 @@ def enumerate_important_separators(g: Graph, X: Iterable[int], Y: Iterable[int],
     its unit through v, and as S_max - v separates G - v, λ - 1 is maximum: it
     augments no further.
     """
-    X, Y, deleted = frozenset(X), frozenset(Y), frozenset(deleted)
-    protected = Y | frozenset(undeletable)
-    if foreign := g.foreign(X | protected | deleted):
-        raise ValueError(f"vertices {foreign} of X, Y, undeletable or deleted are not in the graph")
+    X, Y, undeletable, deleted = frozenset(X), frozenset(Y), frozenset(undeletable), frozenset(deleted)
+    _require_vertices(g, X, Y, undeletable, deleted)
+    protected = Y | undeletable
     net = net or _SplitNet(g)
     if net.graph is not g:
         raise ValueError("the network was built on another graph than the query's")
@@ -290,9 +298,11 @@ def path_through_forced_vertex(g: Graph, A: Iterable[int], B: Iterable[int], t: 
     the units run t..a and t..b, disjoint but for t.
     """
     A, B = frozenset(A), frozenset(B)
+    if foreign := g.foreign(A | B | {t}):
+        raise ValueError(f"vertices {foreign} of A, B or t are not in the graph")
     if t in A or t in B:
         raise ValueError("forced vertex must not lie in the endpoint sets")
-    if not A or not B or t not in g:
+    if not A or not B:
         return None
     a0, b0 = g.vertices[-1] + 1, g.vertices[-1] + 2
     h = Graph([*g.vertices, a0, b0], [*g.edges(), *((a0, a) for a in A), *((b0, b) for b in B)])
@@ -318,6 +328,8 @@ def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] |
     one path can visit in that order.
     """
     T = frozenset(T)
+    if foreign := g.foreign((a, b)):
+        raise ValueError(f"endpoints {foreign} are not in the graph")
     if a == b:
         return [a] if a in T else []
     f = block_cut_forest(g)

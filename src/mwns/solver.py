@@ -73,6 +73,8 @@ def oracle_solve(inst: Instance) -> SolveResult:
 def oracle_opt_x(g: Graph, T, x: int) -> int:
     """Minimum size of a near-separator avoiding x, by enumeration."""
     T = frozenset(T)
+    if foreign := g.foreign(T | {x}):
+        raise ValueError(f"vertices {foreign} of T or x are not in the graph")
     if not terminals_independent(g, T):
         raise ValueError("no near-separator exists: terminals are adjacent")
     pool = sorted(v for v in g.vertices if v not in T and v != x)

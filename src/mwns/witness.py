@@ -65,9 +65,11 @@ def threaded_path(
     """Simple x-y path (x, y cut vertices of one tree) visiting one forced
     vertex per named block on the x-y tree path.
 
-    None when x or y is not a cut vertex of a common tree; malformed forced
-    picks raise instead.
+    None when x or y is not a cut vertex of a common tree; ids outside g and
+    malformed forced picks raise instead.
     """
+    if foreign := g.foreign((x, y)):
+        raise ValueError(f"endpoints {foreign} are not in the graph")
     if not (f.is_cut_vertex(x) and f.is_cut_vertex(y)):
         return None
     nx_, ny_ = f.cut_node_of(x), f.cut_node_of(y)

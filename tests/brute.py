@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable
 
 from hypothesis import strategies as st
 
+from mwns.blockcut import biconnected_blocks, block_cut_forest
+from mwns.blocker import BlockerIteration, _read_forest
 from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
 from mwns.reducer import DropComponentTerminal, _apply_step, _rr2_candidate_pairs
-from mwns.separators import _SplitNet, min_cut, terminals_on_path
+from mwns.separators import INF, _SplitNet, min_cut, terminals_on_path
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -213,7 +216,9 @@ def rr2_reference(inst: Instance, s_star):
     candidate pairs, each pair's components of G - {x, y} and each
     region's T-cycle test from scratch."""
     g, T = inst.graph, inst.terminals
-    for x, y in _rr2_candidate_pairs(g, T, frozenset(s_star)):
+    for x, y in _rr2_candidate_pairs(g, frozenset(s_star)):
+        if x in T or y in T:
+            continue
         for comp in connected_components(g.without([x, y])):
             comp_set = frozenset(comp)
             terms = sorted(comp_set & T)
@@ -231,6 +236,14 @@ def rr2_reference(inst: Instance, s_star):
             step = DropComponentTerminal(drop, x, y, comp_set, kept)
             return _apply_step(inst, step), step
     return None
+
+
+def fresh_step(g: Graph, T, x: int, index: int) -> BlockerIteration | None:
+    """Blocker iteration `index` on G, read off a fresh decomposition of
+    G - x: the reference for a run that carries its blocks across iterations
+    and drops the trees that cannot meet."""
+    f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]))
+    return _read_forest(g, frozenset(T), x, index, f)[0]
 
 
 def is_separator(g: Graph, X, Y, S) -> bool:
@@ -266,8 +279,20 @@ def is_important_by_flow(net: _SplitNet, X: frozenset[int], Y: frozenset[int],
     One flood and one flow per set: the per-set reference for the
     enumeration's filter by domination among its candidates."""
     R = frozenset(reachable(net.graph, X, S | deleted))
-    value, cut, _ = min_cut(net.graph, R, Y, protected | R, deleted, furthest=True)
+    value, cut, _ = furthest_min_cut(net.graph, R, Y, protected | R, deleted)
     return value == len(S) and cut == S
+
+
+def furthest_min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
+                     protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()
+                     ) -> tuple[int | float, frozenset[int], frozenset[int]]:
+    """`min_cut` with the minimum cut closest to Y, the one the enumeration
+    branches on: its source side is all that Y then no longer reaches."""
+    net = _SplitNet(g)
+    value = net.flow(X, Y, protected, deleted)
+    if value >= INF:
+        return math.inf, frozenset(), frozenset()
+    return (value, *net.cut(deleted, furthest=True))
 
 
 def important_separators_closest_cut(g: Graph, X, Y, V8, k: int) -> tuple[frozenset[int], ...]:

@@ -15,19 +15,12 @@ from mwns.blockcut import biconnected_blocks, block_cut_forest
 from mwns.core import has_t_cycle, is_mwns
 import mwns.blockcut as blockcut_mod
 import mwns.blocker as blocker_mod
-from mwns.blocker import (
-    _step,
-    blocker,
-    blocker_run,
-    blocker_step,
-    classify_block_children,
-    classify_grandchildren,
-)
+from mwns.blocker import _block_children, _grandchildren, _routes, blocker, blocker_run
 from mwns.gen import pivot_instance
 from mwns.separators import max_terminals_on_path
 from mwns.solver import oracle_opt_x
 
-from brute import has_t_cycle_brute, random_block_tree
+from brute import fresh_step, has_t_cycle_brute, random_block_tree
 
 
 def six_cycle():
@@ -69,12 +62,26 @@ def block_tree_suite(count, seed):
 
 def subtree_reach(g, T, x, f, nid):
     """Reference for reach: the most terminals on a path inside G[subtree of nid]
-    from its cut vertex to a neighbor of x, by a fresh forest of that subgraph
-    per neighbor; -1 if none."""
-    sub = f.subtree_vertices(nid)
-    c = f.nodes[nid].vertex
+    from its top vertex (a cut node's own vertex, a block's parent cut vertex)
+    to a neighbor of x, by a fresh forest of that subgraph per neighbor; -1 if
+    none. A block's route leaves the block, so it does not end at its top."""
+    top = nid if f.nodes[nid].kind == "cut" else f.parent[nid]
+    if top is None:
+        return -1
+    sub, c = f.subtree_vertices(nid), f.nodes[top].vertex
     return max((max_terminals_on_path(g.induced(sub), T & sub, c, p)
-                for p in g.neighbors(x) & sub), default=-1)
+                for p in g.neighbors(x) & sub if p != c or top == nid), default=-1)
+
+
+def node_of(f, label):
+    """The id of the node of forest f with this label; labels are unique in a forest."""
+    return next(nd.id for nd in f.nodes if nd.label() == label)
+
+
+def routes(g, T, x):
+    """The forest of G - x and `_routes`' reach on it."""
+    f = block_cut_forest(g.without([x]))
+    return f, _routes(g, frozenset(T), x, f)[0]
 
 
 class TestRoutesAgainstClosures:
@@ -96,68 +103,52 @@ class TestRoutesAgainstClosures:
             cur = g
             for it in blocker_run(g, T, x).iterations:
                 # a step finds something exactly while a T-cycle is left
-                assert _step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
-                f = block_cut_forest(cur.without([x]))
+                assert fresh_step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
+                f, reach = routes(cur, T, x)
                 closures = {nd.id: cur.induced(f.subtree_vertices(nd.id) | {x}) for nd in f.nodes}
                 cyclic = [n for n, c in closures.items() if has_t_cycle_brute(c, T)]
-                assert it.d_node == max(cyclic, key=lambda n: (f.depth[n], -n))
-                closure = set(closures[it.d_node].vertices)
-                assert is_mwns(closures[it.d_node], T & closure, it.removed & closure)
-                for nd in f.nodes:
-                    if nd.kind == "block":
-                        want = [set(), set(), set(), set()]  # >= 2, 1, 0, none
-                        for c in f.children[nd.id]:
-                            if f.nodes[c].vertex not in T:
-                                r = subtree_reach(cur, T, x, f, c)
-                                want[3 if r < 0 else 2 - min(r, 2)].add(f.nodes[c].vertex)
-                        assert list(classify_block_children(cur, T, x, f, nd.id)) == want
-                    else:
-                        cls = classify_grandchildren(cur, T, x, f, nd.vertex)
-                        grand = [c for y in f.children[nd.id] for c in f.children[y]]
-                        assert cls.grandchildren == {f.nodes[c].vertex for c in grand}
-                        assert cls.with_terminal_path == {
-                            f.nodes[c].vertex for c in grand if subtree_reach(cur, T, x, f, c) >= 1}
+                d = node_of(f, it.d_label)
+                assert d == max(cyclic, key=lambda n: (f.depth[n], -n))
+                closure = set(closures[d].vertices)
+                assert is_mwns(closures[d], T & closure, it.removed & closure)
+                assert reach == [subtree_reach(cur, T, x, f, nd.id) for nd in f.nodes]
                 cur = cur.without(it.removed)
                 cases.append(it.case)
-            assert _step(cur, T, x, 0) is None and not has_t_cycle_brute(cur, T)
+            assert fresh_step(cur, T, x, 0) is None and not has_t_cycle_brute(cur, T)
         assert len(cases) >= 90 and set(cases) == {"a", "b", "c"}
 
 
 class TestClassification:
+    """The classes case (b) and case (c) read off `_routes`' reach."""
+
     def test_no_grandchildren(self):
-        # x=1 attached to 3; G-x is the path 2-3
-        g = Graph(range(1, 4), [(1, 3), (2, 3)])
-        f = block_cut_forest(g.without([1]))
-        # no cut vertices at all: nothing to classify; use a chain instead
+        # G-x is the path 2-3-4: cut vertex 3 has two block children and no
+        # grandchildren
         g = Graph(range(1, 5), [(1, 4), (2, 3), (3, 4)])
-        f = block_cut_forest(g.without([1]))
-        cls = classify_grandchildren(g, set(), 1, f, 3)
-        assert cls.grandchildren == frozenset() and cls.with_terminal_path == frozenset()
+        f, reach = routes(g, set(), 1)
+        assert _grandchildren(f, frozenset(), reach, 3) == frozenset()
 
     def test_grandchild_with_terminal_on_route(self):
         # chain 2-3-4-5-6 rooted at block {2,3}: cut 3 has grandchild cut 4,
         # and the route 4-5-6 to x's neighbor 6 carries terminal 5
         g = Graph(range(1, 8), [(7, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)])
-        T = {5}
-        f = block_cut_forest(g.without([1]))
-        cls = classify_grandchildren(g, T, 1, f, 3)
-        assert cls.grandchildren == frozenset({4})
-        assert cls.with_terminal_path == frozenset({4})
+        T = frozenset({5})
+        f, reach = routes(g, T, 1)
+        assert _grandchildren(f, T, reach, 3) == frozenset({4})
 
     def test_grandchild_without_terminal(self):
         g = Graph(range(1, 8), [(7, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)])
-        f = block_cut_forest(g.without([1]))
-        cls = classify_grandchildren(g, set(), 1, f, 3)
-        assert cls.grandchildren == frozenset({4})
-        assert cls.with_terminal_path == frozenset()
+        f, reach = routes(g, set(), 1)
+        assert reach[f.cut_node_of(4)] == 0  # grandchild 4 routes to x, but with no terminal
+        assert _grandchildren(f, frozenset(), reach, 3) == frozenset()
 
     def test_terminal_grandchild_of_a_terminal_raises(self):
         # the edge 3-4 joins two terminals, so {1} is no near-separator and
         # terminal 3's grandchild 4 is a terminal; a raise survives python -O
         g = Graph(range(1, 8), [(7, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)])
-        f = block_cut_forest(g.without([1]))
+        f, reach = routes(g, {3, 4}, 1)
         with pytest.raises(RuntimeError, match=r"terminal cut vertex 3 has terminal grandchildren \[4\]"):
-            classify_grandchildren(g, {3, 4}, 1, f, 3)
+            _grandchildren(f, frozenset({3, 4}), reach, 3)
 
     def test_block_children_partition(self):
         # triangle block {2,3,4} with three hanging chains; x=1 reaches the
@@ -171,14 +162,12 @@ class TestClassification:
             (1, 12), (1, 7), (1, 10),
             (10, 11),
         ])
-        T = {5}
-        f = block_cut_forest(g.without([1]))
-        d = next(nd.id for nd in f.nodes if nd.kind == "block" and nd.vertices == frozenset({2, 3, 4}))
-        ge2, one, zero, none = classify_block_children(g, T, 1, f, d)
+        T = frozenset({5})
+        f, reach = routes(g, T, 1)
+        ge2, one, zero = _block_children(f, T, reach, node_of(f, "{2,3,4}"))
         assert ge2 == frozenset()
         assert one == {4}
-        assert zero == {3}
-        assert none == {2}
+        assert zero == {3}  # 2, with no route to x's neighbours, is in no class
 
     def test_block_children_two_terminal_route(self):
         # the chain below cut 4 carries two terminals before reaching N(x)
@@ -187,21 +176,21 @@ class TestClassification:
             (4, 5), (5, 6), (6, 7), (7, 8),
             (1, 8), (1, 3),
         ])
-        T = {5, 7}
-        f = block_cut_forest(g.without([1]))
-        d = next(nd.id for nd in f.nodes if nd.kind == "block" and nd.vertices == frozenset({2, 3, 4}))
-        ge2, one, zero, none = classify_block_children(g, T, 1, f, d)
+        T = frozenset({5, 7})
+        f, reach = routes(g, T, 1)
+        ge2, one, zero = _block_children(f, T, reach, node_of(f, "{2,3,4}"))
         # 4 is the only cut child: 2 and 3 lost their outside attachment with x
-        assert (ge2, one, zero, none) == ({4}, frozenset(), frozenset(), frozenset())
+        assert (ge2, one, zero) == ({4}, frozenset(), frozenset())
 
 
 class TestBlockerStep:
     def test_no_cycle_returns_empty(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
-        assert blocker_step(g, {2, 4}, 1) == set()
+        run = blocker_run(g, {2, 4}, 1)
+        assert run.iterations == () and run.result == frozenset()
 
     def test_six_cycle_step_hits_every_cycle(self):
-        z = blocker_step(six_cycle(), {3, 5}, 1)
+        z = blocker_run(six_cycle(), {3, 5}, 1).iterations[0].removed
         assert z and is_mwns(six_cycle(), {3, 5}, z)
         assert not z & {1, 3, 5}
 
@@ -248,9 +237,9 @@ class TestBlockerStep:
     def test_rejects_invalid_pivot(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (4, 1), (2, 4)])
         with pytest.raises(ValueError):
-            blocker_step(g, {2, 4}, 1)  # G-1 still has the T-cycle 2-3-4
+            blocker_run(g, {2, 4}, 1)  # G-1 still has the T-cycle 2-3-4
 
-    @pytest.mark.parametrize("run", [blocker_run, blocker_step])
+    @pytest.mark.parametrize("run", [blocker_run, blocker])
     def test_the_pivot_check_reads_the_first_forest(self, run):
         # {x} is checked on the first iteration's forest of G-x, not on a
         # decomposition of its own; `is_mwns` is left to the result
@@ -291,8 +280,7 @@ class TestBlockerStep:
     def test_a_run_drops_the_trees_that_cannot_meet(self):
         # pivot 1 closes the T-cycles of three paths 5..9, 10..14, 15..19;
         # the paths 2-3-4 and 20-21-22 carry one terminal or none, so their
-        # trees never meet. The first sits below every path, so each d_node
-        # counts its three nodes; the second sits above, so none counts it
+        # trees never meet, and no forest after the first holds them
         edges = [(1, 2), (2, 3), (3, 4), (20, 21), (21, 22), (1, 22)]
         T = {3}
         for a in (5, 10, 15):
@@ -303,9 +291,9 @@ class TestBlockerStep:
             run = blocker_run(g, T, 1)
         cur = g
         for it in run.iterations:
-            assert _step(cur, T, 1, it.index) == it
+            assert fresh_step(cur, T, 1, it.index) == it
             cur = cur.without(it.removed)
-        assert [it.d_node for it in run.iterations] == [3, 5, 7]
+        assert [it.d_label for it in run.iterations] == ["{5,6}", "{10,11}", "{15,16}"]
         assert forests.call_count == 4
         assert not [b for c in forests.call_args_list[1:] for b in c.args[1] if b & dead]
 
@@ -333,11 +321,11 @@ class TestBlockerStep:
                 run = blocker_run(g, T, 1)
             cur = g
             for it, call in zip(run.iterations, forests.call_args_list):
-                assert _step(cur, T, 1, it.index) == it
+                assert fresh_step(cur, T, 1, it.index) == it
                 # the forest this iteration read left some vertex of H out
                 dropped += sum(map(len, call.args[1])) < sum(map(len, biconnected_blocks(cur, [1])))
                 cur = cur.without(it.removed)
-            assert _step(cur, T, 1, 0) is None
+            assert fresh_step(cur, T, 1, 0) is None
             runs += 1
         assert dropped > 50
 
@@ -367,15 +355,17 @@ class TestBlockerStep:
             for it in blocker_run(g, T, x).iterations:
                 if it.case == "c":
                     f = block_cut_forest(cur.without([x]))
-                    block = f.nodes[it.d_node].vertices
-                    c_ge2, c_1, _, _ = classify_block_children(cur, T, x, f, it.d_node)
+                    d = node_of(f, it.d_label)
+                    block = f.nodes[d].vertices
+                    q = {f.nodes[c].vertex for c in f.children[d]
+                         if f.nodes[c].vertex not in T and subtree_reach(cur, T, x, f, c) >= 1}
                     d_t = cur.induced(block - T)
                     hit = it.z_parts[0] | it.z_parts[1]
                     want: set[int] = set()
                     for t in block & T:
                         for comp in connected_components(d_t.without(hit)):
                             if cur.neighbors(t) & set(comp):
-                                in_q = set(comp) & (c_ge2 | c_1)
+                                in_q = set(comp) & q
                                 assert len(in_q) <= 1
                                 want |= in_q
                     assert it.z_parts[2] == want
@@ -383,7 +373,7 @@ class TestBlockerStep:
                 cur = cur.without(it.removed)
         assert picked > 0
 
-    @pytest.mark.parametrize("run", [blocker_run, blocker_step])
+    @pytest.mark.parametrize("run", [blocker_run, blocker])
     def test_rejects_terminals_outside_the_graph(self, run):
         with pytest.raises(ValueError, match=r"terminals \[99\] are not vertices"):
             run(six_cycle(), {3, 5, 99}, 1)
@@ -408,7 +398,7 @@ class TestBlockerContract:
         # the progress check is a raise, so it survives python -O too
         import mwns.blocker as blocker_mod
 
-        empty = blocker_mod.BlockerIteration(0, 0, "b0", "c", (), frozenset())
+        empty = blocker_mod.BlockerIteration(0, "b0", "c", (), frozenset())
         monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (empty, set()))
         with pytest.raises(RuntimeError, match="removes \\[\\]"):
             blocker_run(six_cycle(), {3, 5}, 1)
@@ -434,7 +424,7 @@ class TestBlockerContract:
             import mwns.blocker as b
             from mwns.graph import Graph
             c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
-            empty = b.BlockerIteration(0, 0, "b0", "c", (), frozenset())
+            empty = b.BlockerIteration(0, "b0", "c", (), frozenset())
             for step, message in ((lambda g, T, x, index, f: (None, set()), "not a near-separator"),
                                   (lambda g, T, x, index, f: (empty, set()), "removes []")):
                 b._read_forest = step
@@ -478,9 +468,9 @@ class TestBlockerContract:
             cur = g
             for it in blocker_run(g, T, x).iterations:
                 # a step finds something exactly while a T-cycle is left
-                assert _step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
+                assert fresh_step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
                 f = block_cut_forest(cur.without([x]))
-                d = it.d_node
+                d = node_of(f, it.d_label)
                 closure = cur.induced(f.subtree_vertices(d) | {x})
                 assert has_t_cycle(closure, T & set(closure.vertices))
                 for child in f.children[d]:

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mwns.blockcut as blockcut_mod
 import mwns.reducer as reducer
 from mwns.blockcut import biconnected_blocks
 from mwns.graph import Graph, connected_components
@@ -147,7 +148,8 @@ class TestRR2:
         g = random_graph(rng, n, p)
         T = frozenset(v for v in g.vertices if rng.random() < 0.2)
         s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
-        assert _rr2_candidate_pairs(g, T, s_star) == rr2_pairs_brute(g, T, s_star)
+        pairs = [p for p in _rr2_candidate_pairs(g, s_star) if not T & set(p)]
+        assert pairs == rr2_pairs_brute(g, T, s_star)
 
 
 class TestMarking:
@@ -203,7 +205,7 @@ class TestMarking:
         per_terminal = bool(a_side and b_side) and any(
             t in a_side | b_side or path_through_forced_vertex(g.induced(comp), a_side, b_side, t)
             for t in sorted(T))
-        assert reducer._component_qualifies(g, T, comp, x, y) == per_terminal
+        assert (not T.isdisjoint(comp) and not T.isdisjoint(reducer._on_path(g, comp, x, y))) == per_terminal
 
 
 class TestRR3:
@@ -705,7 +707,7 @@ class TestRR2Index:
             shared = apply_rr2(inst, s_star, index)
             assert shared == apply_rr2(inst, s_star) == rr2_reference(inst, s_star)
             if index.live is not None:  # filled by the first query with three terminals
-                assert [p for p in index.live if not T & set(p)] == _rr2_candidate_pairs(g, T, s_star)
+                assert list(index.live) == _rr2_candidate_pairs(g, s_star)
             T = shared[0].terminals if shared else T - set(rng.sample(sorted(T), min(len(T), 3)))
 
     def test_component_behind_a_firing_one_fires_on_a_later_call(self):
@@ -736,17 +738,25 @@ class TestRR2Index:
             apply_rr2(inst, frozenset(), reducer._RR2Index(g, frozenset(), T - {2}))
 
     def test_each_pair_component_decomposed_once(self):
-        # two pairs may cut off one region D + x + y; no pair decomposes one twice
-        with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
+        # two pairs may cut off one region D + x + y; no pair decomposes one
+        # twice for its T-cycle check, nor more than once more for its x-y
+        # path (`terminals_on_path`), since a region that fired keeps that
+        # path's terminals. The pair (6, 8) fires six times here
+        wrapped = blockcut_mod.biconnected_blocks
+        with mock.patch.object(reducer, "biconnected_blocks", wraps=wrapped) as spy, \
+                mock.patch.object(blockcut_mod, "biconnected_blocks", wraps=wrapped) as inner:
             reduced, log, _ = reduce_terminals(FLOWERS[0], {1, 2, 3})
         assert any(isinstance(s, DropComponentTerminal) for s in log.steps)
         g = reduced.graph
         regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
+        every = regions + Counter(frozenset(c.args[0].vertices) for c in inner.call_args_list)
         assert regions
-        for region, calls in regions.items():
+        for region, calls in every.items():
             cutting = [p for p in itertools.combinations(sorted(region), 2)
                        if region - set(p) in map(frozenset, connected_components(g.without(p)))]
-            assert calls <= len(cutting)
+            assert regions[region] <= len(cutting)
+            if cutting:  # RR3 and the blocker decompose regions that no pair cuts off
+                assert calls <= 2 * len(cutting), sorted(region)
 
     def test_index_keeps_no_component_of_a_rejected_pair(self):
         # on the pendant chain with three terminals every pair's outer
@@ -758,7 +768,7 @@ class TestRR2Index:
         assert apply_rr2(inst, {1}, index) is None
         entries = [e for es in index.live.values() for e in es]
         assert len(index.live) > L and len(entries) <= len(index.live)
-        assert all(comp is None and cyc == (inst.terminals,) for _, cyc, _, comp in entries)
+        assert all(comp is path is None and cyc == (inst.terminals,) for _, cyc, _, comp, path in entries)
 
     def test_pendant_chain_decomposes_a_handful_of_regions(self):
         # the first outer region's block {1, L, L+1, L+2, L+3} lies in every
@@ -894,8 +904,21 @@ class TestLiftAgainstPerStepReference:
 
     def test_solution_ids_outside_the_reduced_graph_are_named(self):
         log = ReductionLog(six_cycle_instance(k=2), ())
-        with pytest.raises(ValueError, match=r"solution vertices \[99\] are not in the graph"):
+        with pytest.raises(ValueError, match=r"solution vertices \[99\] are not in the reduced graph"):
             lift_solution(log, {4, 99})
+
+    def test_solution_ids_are_named_before_the_budget_is_checked(self):
+        # three vertices exceed k = 1, but the unknown id is the first fault
+        log = ReductionLog(six_cycle_instance(k=1), ())
+        with pytest.raises(ValueError, match=r"solution vertices \[70\] are not in the reduced graph"):
+            lift_solution(log, {2, 4, 70})
+
+    def test_a_step_naming_a_vertex_outside_its_graph_fails_the_lift(self):
+        # a hand-made rr2 step substitutes 99 for the solution's vertex 4
+        step = DropComponentTerminal(6, 99, 1, frozenset({4}), (3, 5))
+        log = ReductionLog(six_cycle_instance(k=1), (step,))
+        with pytest.raises(RuntimeError, match="lost validity"):
+            lift_solution(log, {4})
 
     def test_rr1_after_a_substitution_minimalizes_again(self):
         # lifting {1, 2} back through the last rr2 step swaps hub 1 for 14,

@@ -26,6 +26,7 @@ from mwns.blockcut import biconnected_blocks
 
 from brute import (
     all_simple_paths,
+    furthest_min_cut,
     important_separators_brute,
     important_separators_closest_cut,
     is_important_by_flow,
@@ -128,9 +129,8 @@ class TestMinSeparator:
         g = Graph(range(1, 4), [(1, 2), (2, 3)])
         for X, Y in (({1}, {2}), ({2}, {2, 3}), ({1, 2}, {2})):
             X, Y = frozenset(X), frozenset(Y)
-            for furthest in (False, True):
-                assert min_cut(g, X, Y, X | Y, furthest=furthest) == \
-                    (math.inf, frozenset(), frozenset())
+            for cut in (min_cut, furthest_min_cut):
+                assert cut(g, X, Y, X | Y) == (math.inf, frozenset(), frozenset())
 
     def test_closest_minimum_with_protected_endpoints(self):
         rng = random.Random(43)
@@ -165,7 +165,7 @@ class TestMinSeparator:
             assert_closest(g, X, Y, cut, minimum)
             # the furthest cut: its source side, components of G - cut away
             # from Y, holds the source side of every minimum cut
-            value, cut, side = min_cut(g, X, Y, furthest=True)
+            value, cut, side = furthest_min_cut(g, X, Y)
             assert value == len(cut) and cut in minimum
             assert not side & (Y | cut) and reachable(g, side, cut) == side
             assert all(reachable(g, X - S, S) <= side for S in minimum)
