@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import sys
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -173,6 +176,17 @@ class BlockCutForest:
         self._cut_node = cut_node
 
     @cached_property
+    def subtree_end(self) -> tuple[int, ...]:
+        """node id -> one past the last id of its subtree: ids are pre-order,
+        so node d's subtree is the id range d..subtree_end[d]-1"""
+        end = list(range(1, len(self.nodes) + 1))
+        for nid in reversed(range(len(self.nodes))):
+            par = self.parent[nid]
+            if par is not None and end[nid] > end[par]:
+                end[par] = end[nid]
+        return tuple(end)
+
+    @cached_property
     def _blocks_of(self) -> dict[int, list[int]]:
         """vertex -> ids of the block nodes holding it, ascending"""
         out: dict[int, list[int]] = {}
@@ -239,11 +253,7 @@ class BlockCutForest:
     def subtree_vertices(self, d: int) -> frozenset[int]:
         """Graph vertices occurring in blocks of the subtree rooted at node d."""
         self.node(d)
-        # ids are pre-order: d's subtree is the id range d..stop-1
-        stop = d + 1
-        while stop < len(self.nodes) and self.depth[stop] > self.depth[d]:
-            stop += 1
-        return frozenset().union(*(nd.vertices for nd in self.nodes[d:stop]))
+        return frozenset().union(*(nd.vertices for nd in self.nodes[d:self.subtree_end[d]]))
 
 
 def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> BlockCutForest:
@@ -251,3 +261,310 @@ def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> Bl
     blocks of g or of an induced subgraph of g, in any order) instead of
     decomposing g again."""
     return BlockCutForest(g, blocks)
+
+
+def nested_cut_pairs(f: BlockCutForest) -> list[tuple[int, int]]:
+    """Cut-vertex pairs of f lying on a common root-to-leaf path, ascending."""
+    pairs = []
+    above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
+    for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
+        while above and above[-1][0] >= depth:
+            above.pop()
+        if nd.kind == "cut":
+            v = nd.vertex
+            pairs += [(min(u, v), max(u, v)) for _, u in above]
+            above.append((depth, v))
+    return sorted(pairs)
+
+
+class PairComponent(NamedTuple):
+    """A component D of G - {x, y} as `CutPairReader.read` gives it: its
+    least vertex, the id ranges of F's nodes whose owned vertices it holds,
+    its other vertices as sets, and whether it is `plain`: one piece missing
+    S, so that the blocks of G[D + x + y] are F's blocks in D's ranges and
+    its x-y tree path is F's."""
+    least: int
+    ranges: tuple[tuple[int, int], ...]
+    sets: tuple[frozenset[int], ...]
+    plain: bool
+
+
+_UPPER = -1  # the key of the upper piece; a child block's piece is keyed by its
+# node id, and the i-th part of the middle by -2 - i
+
+
+class CutPairReader:
+    """The components of G - {x, y}, for cut vertices x and y on one
+    root-to-leaf path of the block-cut forest F of G - S, read off F (the
+    block-cut tree of Hopcroft and Tarjan 1973) instead of flooding G, with
+    counts of a marked vertex set that only shrinks.
+
+    Node ids are pre-order, so node i's subtree is the id range
+    [i, end[i]). Each vertex of G - S is owned by one node, a cut vertex by
+    its cut node and any other vertex by its only block; `verts` lists them
+    by owner, node i's from start[i] on, so an id range is a slice of
+    `verts`, and `before[i]` counts the marked vertices owned below id i.
+    Of x and y, one is the ancestor a and the other the descendant b, and
+    P - {a, b}, P being their tree, falls into pieces: the subtree of each
+    child block of b; of each child block of a but Ba, the one towards b;
+    the middle, Ba's subtree less b's; and the upper part, P outside a's
+    subtree. When Ba holds b too, Ba - {a, b} may fall apart, and so the
+    middle with it. A vertex of P has neighbours only in P and S, so pieces
+    join only through the components of G - V(P) next to P, which one flood
+    per tree finds, stepping over each other tree of F whole.
+    """
+
+    def __init__(self, g: Graph, f: BlockCutForest, marked: frozenset[int]):
+        """`f` is the forest of G - S, of which the reader keeps only the
+        parts it reads, not its graph."""
+        self.graph, self.marked = g, marked
+        self.nodes, self.parent, self.children, self.depth = f.nodes, f.parent, f.children, f.depth
+        self.end = f.subtree_end
+        self.cut = {nd.vertex: nd.id for nd in f.nodes if nd.kind == "cut"}
+        self.owner: dict[int, int] = {}
+        self.start: list[int] = []
+        self.verts: list[int] = []
+        self.root: list[int] = []
+        # per node: the marked vertices it owns, and for a block those it holds
+        self.owned_m: list[int] = []
+        self.block_m: list[int] = []
+        for nd, par in zip(f.nodes, f.parent):
+            self.root.append(nd.id if par is None else self.root[par])
+            self.start.append(len(self.verts))
+            own = nd.vertices if nd.kind == "cut" else nd.vertices.difference(self.cut)
+            self.verts += own
+            self.owner.update(dict.fromkeys(own, nd.id))
+            self.owned_m.append(len(own & marked))
+            self.block_m.append(len(nd.vertices & marked) if nd.kind == "block" else 0)
+        self.start.append(len(self.verts))
+        self._sum()
+        self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
+        self.around: dict[int, frozenset[int]] = {}
+
+    def _sum(self) -> None:
+        """Prefix sums by node id: `before` of the owned marked vertices,
+        `crowded` of the blocks holding two; and no set counted yet."""
+        self.before = [0, *itertools.accumulate(self.owned_m)]
+        self.crowded = [0, *itertools.accumulate(c > 1 for c in self.block_m)]
+        self.set_m: dict[frozenset[int], int] = {}
+
+    def shrink(self, marked: frozenset[int]) -> None:
+        """Recount for `marked`, a subset of those counted so far."""
+        if len(marked) == len(self.marked):
+            return
+        for t in self.marked - marked:
+            nid = self.owner.get(t)
+            if nid is None:
+                continue  # t lies in S
+            self.owned_m[nid] -= 1
+            # a cut vertex lies in its parent and child blocks
+            for b in [nid] if self.nodes[nid].kind == "block" else [self.parent[nid], *self.children[nid]]:
+                self.block_m[b] -= 1
+        self.marked = marked
+        self._sum()
+
+    def _around(self, root: int) -> frozenset[int]:
+        """The vertices of S next to the tree of F at `root`."""
+        if root not in self.around:
+            tree = self.verts[self.start[root]:self.start[self.end[root]]]
+            nbrs = self.graph.neighbors
+            self.around[root] = frozenset(s for v in tree for s in nbrs(v) if s not in self.owner)
+        return self.around[root]
+
+    def _tree(self, root: int) -> tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]:
+        """The components of G - V(P) next to the tree P at `root`, each as
+        the id ranges of the other trees of F in it, its vertices in S and
+        its least vertex; and P's attachment vertices, those next to S, as
+        (owner, vertex, indices of the components next to it)."""
+        if root not in self.trees:
+            g, owner, start, end, verts = self.graph, self.owner, self.start, self.end, self.verts
+            comps: list[tuple] = []
+            label: dict[int, int] = {}  # vertex of S -> its component
+            attach = []
+            for v in verts[start[root]:start[end[root]]]:
+                out = [s for s in g.neighbors(v) if s not in owner]
+                for s in out:
+                    if s in label:
+                        continue
+                    stars, trees, todo = {s}, [], [s]
+                    while todo:
+                        for w in g.neighbors(todo.pop()):
+                            if w not in owner:
+                                if w not in stars:
+                                    stars.add(w)
+                                    todo.append(w)
+                            elif (r := self.root[owner[w]]) != root and r not in trees:
+                                trees.append(r)
+                                todo += self._around(r) - stars
+                                stars |= self._around(r)
+                    label.update(dict.fromkeys(stars, len(comps)))
+                    trees.sort()
+                    least = min([*stars] + [min(verts[start[r]:start[end[r]]]) for r in trees])
+                    comps.append((tuple((r, end[r]) for r in trees), frozenset(stars), least))
+                if out:
+                    attach.append((owner[v], v, tuple(sorted({label[s] for s in out}))))
+            self.trees[root] = comps, attach
+        return self.trees[root]
+
+    def _middle(self, x: int, y: int, a: int, b: int, towards: int
+                ) -> tuple[list[tuple[tuple[tuple[int, int], ...], frozenset[int]]], dict[int, int] | None]:
+        """The parts of the middle, each as id ranges and the vertices of Ba
+        it owns, and the part of each vertex of Ba - {x, y}, or None when the
+        middle is whole: when Ba misses y, or Ba - {x, y} is connected."""
+        end, nodes = self.end, self.nodes
+        whole = [(((towards, b), (end[b], end[towards])), frozenset())]
+        if self.parent[b] != towards or len(nodes[towards].vertices) < 4:
+            return whole, None
+        rest = nodes[towards].vertices - {x, y}
+        part: dict[int, int] = {}
+        count = 0
+        for v in rest:  # flood Ba - {x, y}; an edge between vertices of Ba is Ba's
+            if v not in part:
+                part[v], todo = count, [v]
+                while todo:
+                    for w in self.graph.neighbors(todo.pop()):
+                        if w in rest and w not in part:
+                            part[w] = count
+                            todo.append(w)
+                count += 1
+        if count < 2:
+            return whole, None
+        parts = [((), frozenset(v for v in rest if part[v] == i and v not in self.cut))
+                 for i in range(count)]
+        for c in self.children[towards]:
+            if c != b:  # each subtree hangs off the part of its cut vertex
+                i = part[nodes[c].vertex]
+                parts[i] = (parts[i][0] + ((c, end[c]),), parts[i][1])
+        return parts, part
+
+    def read(self, x: int, y: int, least_marked: int) -> list[PairComponent]:
+        """The components of G - {x, y} next to both x and y with at least
+        `least_marked` marked vertices, by least vertex."""
+        end, verts, start, kids = self.end, self.verts, self.start, self.children
+        a, b = self.cut[x], self.cut[y]
+        if self.depth[a] > self.depth[b]:
+            a, b, x, y = b, a, y, x
+        towards = kids[a][bisect.bisect_right(kids[a], b) - 1]
+        root = self.root[a]
+        comps, attach = self._tree(root)
+        middle, part = self._middle(x, y, a, b, towards)
+        # per piece an attachment vertex joins to components of G - V(P), by
+        # key: [ranges, vertices of Ba, next to a, next to b, those components]
+        joined: dict[int, list] = {}
+        near_a: tuple[int, ...] = ()
+        near_b: tuple[int, ...] = ()
+        for p, v, ids in attach:
+            if p == a:
+                near_a = ids
+                continue
+            if p == b:
+                near_b = ids
+                continue
+            if b < p < end[b]:
+                key = kids[b][bisect.bisect_right(kids[b], p) - 1]
+                piece = ((key, end[key]),), frozenset(), False, True
+            elif a < p < end[a]:
+                key = kids[a][bisect.bisect_right(kids[a], p) - 1]
+                if key != towards:
+                    piece = ((key, end[key]),), frozenset(), True, False
+                else:  # the part of v, or of the cut vertex its subtree hangs off
+                    if part is not None and p != towards:
+                        v = self.nodes[kids[towards][bisect.bisect_right(kids[towards], p) - 1]].vertex
+                    key = -2 - (part[v] if part is not None else 0)
+                    piece = *middle[-2 - key], True, True
+            else:
+                key, piece = _UPPER, (((root, a), (end[a], end[root])), frozenset(), True, False)
+            if key in joined:
+                joined[key][4] += ids
+            else:
+                joined[key] = [*piece, ids]
+        # label[i]: the least index of the components of G - V(P) joined to the i-th
+        label = list(range(len(comps)))
+        if len(comps) > 1:
+            for *_, ids in joined.values():
+                if len(labels := {label[i] for i in ids}) > 1:
+                    label = [min(labels) if lab in labels else lab for lab in label]
+        # group label -> [ranges of pieces, of other trees, vertex sets, least
+        # vertex outside the pieces, next to a, next to b]
+        groups = {lab: [[], [], [], math.inf, False, False] for lab in label}
+        for i, lab in enumerate(label):
+            trees, stars, least = comps[i]
+            grp = groups[lab]
+            grp[1] += trees
+            grp[2].append(stars)
+            grp[3] = min(grp[3], least)
+            grp[4] |= i in near_a
+            grp[5] |= i in near_b
+        for ranges, share, to_a, to_b, ids in joined.values():
+            grp = groups[label[ids[0]]]
+            grp[0] += ranges
+            if share:
+                grp[2].append(share)
+                grp[3] = min(grp[3], min(share))
+            grp[4] |= to_a
+            grp[5] |= to_b
+        for i, (ranges, share) in enumerate(middle):  # the parts no vertex joins
+            if -2 - i not in joined:
+                groups[-2 - i] = [list(ranges), [], [share] if share else [], min(share, default=math.inf),
+                                  True, True]
+        out = []
+        for lab, (pieces, trees, sets, least, to_a, to_b) in groups.items():
+            if to_a and to_b and self.count(pieces + trees, sets) >= least_marked:
+                least = min([least] + [min(verts[start[lo]:start[hi]])
+                                       for lo, hi in pieces if start[lo] < start[hi]])
+                out.append(PairComponent(least, (*pieces, *trees), tuple(sets), lab == -2 and part is None))
+        return sorted(out) if len(out) > 1 else out
+
+    def count(self, ranges: Iterable[tuple[int, int]], sets: Iterable[frozenset[int]]) -> int:
+        """The marked vertices owned in the id `ranges` or lying in `sets`,
+        as a `PairComponent` holds them."""
+        before, counted = self.before, self.set_m
+        n = 0
+        for lo, hi in ranges:
+            n += before[hi] - before[lo]
+        for c in sets:
+            if c not in counted:
+                counted[c] = len(c & self.marked)
+            n += counted[c]
+        return n
+
+    def size(self, comp: PairComponent) -> int:
+        start = self.start
+        return sum(start[hi] - start[lo] for lo, hi in comp.ranges) + sum(map(len, comp.sets))
+
+    def vertices(self, comp: PairComponent) -> frozenset[int]:
+        verts, start = self.verts, self.start
+        return frozenset().union(*comp.sets, *(verts[start[lo]:start[hi]] for lo, hi in comp.ranges))
+
+    def holds(self, comp: PairComponent, v: int) -> bool:
+        """Whether the component holds v: by the id of v's owner if it has
+        one in P, else by its sets, which miss P."""
+        p = self.owner.get(v, -1)
+        return any(lo <= p < hi for lo, hi in comp.ranges) or any(v in c for c in comp.sets)
+
+    def crowded_blocks(self, comp: PairComponent) -> list[frozenset[int]]:
+        """The blocks of G[D + x + y] with two marked vertices, for a plain
+        component D: those of F in D's ranges."""
+        nodes, crowded, block_m = self.nodes, self.crowded, self.block_m
+        return [nodes[nid].vertices for lo, hi in comp.ranges if crowded[hi] > crowded[lo]
+                for nid in range(lo, hi) if block_m[nid] > 1]
+
+    def path_marked(self, x: int, y: int) -> list[int]:
+        """The marked vertices on the x-y path of F, strictly between x and
+        y, in order from x, once each; x and y unmarked."""
+        parent, marked = self.parent, self.marked
+        a, b = self.cut[x], self.cut[y]
+        flip = self.depth[a] < self.depth[b]  # the walk goes up from the deeper one
+        if flip:
+            a, b = b, a
+        on: list[int] = []
+        nid = parent[a]
+        while nid != b:
+            on.append(nid)
+            nid = parent[nid]
+        found: list[int] = []
+        for nid in reversed(on) if flip else on:
+            for t in self.nodes[nid].vertices & marked:
+                if t not in found:
+                    found.append(t)
+        return found

@@ -54,7 +54,10 @@ class SolveResult:
 
 
 def terminals_independent(g: Graph, T: Iterable[int]) -> bool:
+    """True iff no two terminals are adjacent; T must lie in g."""
     T = frozenset(T)
+    if foreign := g.foreign(T):
+        raise ValueError(f"terminals {foreign} are not in the graph")
     return not any(g.neighbors(u) & T for u in T)
 
 

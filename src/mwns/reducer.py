@@ -7,8 +7,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graph import Graph, connected_components, reachable
-from .blockcut import biconnected_blocks, block_cut_forest
+from .graph import Graph, connected_components
+from .blockcut import (CutPairReader, PairComponent, biconnected_blocks, block_cut_forest,
+                       nested_cut_pairs)
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
 from .separators import terminals_on_path
@@ -81,13 +82,28 @@ class ReductionLog:
 
 
 def _apply_step(inst: Instance, step: Step) -> Instance:
-    if isinstance(step, (DropNearlySeparated, DropComponentTerminal)):
-        return Instance(inst.graph, inst.terminals - {step.t}, inst.k)
-    if isinstance(step, DropUnmarked):
-        return Instance(inst.graph, inst.terminals - step.removed, inst.k)
+    """The instance after `step`; a ValueError names a step no reduction of
+    `inst` could write: one naming a vertex outside the graph, dropping a
+    vertex that is no terminal, or marking a terminal essential."""
+    if isinstance(step, DropComponentTerminal):
+        named, dropped = {step.t, step.x, step.y, *step.kept} | step.component, {step.t}
+    elif isinstance(step, DropNearlySeparated):
+        named = dropped = {step.t}
+    elif isinstance(step, DropUnmarked):
+        named = dropped = step.removed
+    elif isinstance(step, EssentialVertex):
+        named, dropped = {step.x}, set()
+    else:
+        raise TypeError(f"unknown step {step!r}")
+    if foreign := inst.graph.foreign(named):
+        raise ValueError(f"reduction step {step.serialize()!r} names vertices {foreign} outside its graph")
+    if lost := sorted(dropped - inst.terminals):
+        raise ValueError(f"reduction step {step.serialize()!r} drops {lost}, which are not terminals")
     if isinstance(step, EssentialVertex):
+        if step.x in inst.terminals:
+            raise ValueError(f"reduction step {step.serialize()!r} marks the terminal {step.x} essential")
         return Instance(inst.graph.without([step.x]), inst.terminals, max(inst.k - 1, 0))
-    raise TypeError(f"unknown step {step!r}")
+    return Instance(inst.graph, inst.terminals - dropped, inst.k)
 
 
 def _ints(fields: dict[str, str], line: str, name: str, count: int | None = 1) -> list[int]:
@@ -160,37 +176,55 @@ def apply_rr1(inst: Instance, blocks: list[frozenset[int]] | None = None
 def _rr2_candidate_pairs(g: Graph, s_star: frozenset[int]) -> list[tuple[int, int]]:
     """Cut-vertex pairs lying on a common root-to-leaf path of the block-cut
     forest of G - S*."""
-    f = block_cut_forest(g.without(s_star))
-    pairs = []
-    above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
-    for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
-        while above and above[-1][0] >= depth:
-            above.pop()
-        if nd.kind == "cut":
-            v = nd.vertex
-            pairs += [(min(u, v), max(u, v)) for _, u in above]
-            above.append((depth, v))
-    return sorted(pairs)
+    return nested_cut_pairs(block_cut_forest(g.without(s_star)))
+
+
+def _witness(forest: CutPairReader, d: PairComponent, x: int, y: int,
+             witnesses: dict[frozenset[int], frozenset[int]]
+             ) -> tuple[frozenset[int] | None, frozenset[int] | None]:
+    """The terminals of a block of `witnesses` inside G[D + x + y], or None;
+    and D's vertices if they were built. A block missing x or y stays
+    connected without them, so it lies in D if one of its terminals does;
+    those are tried first."""
+    for w, wt in witnesses.items():
+        if (x not in w or y not in w) and forest.holds(d, next(iter(wt))):
+            return wt, None
+    comp, size = None, forest.size(d)
+    for w, wt in witnesses.items():
+        if x in w and y in w and len(w) <= size + 2:
+            comp = comp or forest.vertices(d)
+            if len(w - comp) == 2:
+                return wt, comp
+    return None, comp
 
 
 @dataclass
 class _RR2Index:
     """RR2's record of one G and S* while T shrinks (`terminals` is the last).
-    `live` maps each pair of `_rr2_candidate_pairs` with no terminals (a
-    terminal cut vertex between two others blocks no pair) to None until
-    visited, then to the components D of G - {x, y} that may still fire, as
-    (least vertex, None or T-sets of blocks of G[D + x + y] with two terminals,
-    whether that list is all of them or one witness's, D or None, and None or
-    the terminals of D's x-y path once read). A cycle-free region stays so
-    and G fixes its x-y tree path, so that path's terminals are the list read
-    first, filtered by the current T.
-    `witnesses` holds every block with two terminals a decomposition found,
-    with its terminals: a block of G lies in a block of any region holding it."""
+    `forest` reads the block-cut forest of G - S*, built on the first query
+    with three terminals. `live` maps each pair of `_rr2_candidate_pairs`
+    with no terminals (a terminal cut vertex between two others blocks no
+    pair) to None until visited, then to the components D of G - {x, y} that
+    may still fire, as (least vertex, None or T-sets of blocks of
+    G[D + x + y] with two terminals, whether that list is all of them or one
+    witness's, None or D as `forest` read it, and None or the terminals of
+    D's x-y path once read). Only a D that holds a T-cycle drops its
+    reading, and it is read again once its T-sets show none. A cycle-free
+    region stays so and G fixes its x-y tree path, so that path's terminals
+    are the list read first, filtered by the current T.
+    `witnesses` holds every block with two terminals a verdict found, with
+    its terminals: a block of G lies in a block of any region holding it.
+    A pair whose entries all hold T-cycles is `asleep`, and `watch` wakes it
+    when one of two terminals of a T-set of one of them goes (or, for a pair
+    with a terminal, that terminal): till then no entry can change."""
     graph: Graph
     s_star: frozenset[int]
     terminals: frozenset[int]
     live: dict[tuple[int, int], list[tuple] | None] | None = None
     witnesses: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
+    forest: CutPairReader | None = None
+    asleep: set[tuple[int, int]] = field(default_factory=set)
+    watch: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
 
 def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = None
@@ -203,57 +237,89 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     two distinct terminals; the smallest other terminal of D is dropped.
     Calls on one G and S* whose T only shrinks may share `index` (else new): a
     component with under three terminals, or two on its x-y path, stays so.
-    Each pair's G - {x, y} is flooded once. A region holding a cached witness
-    block that still has two terminals is rejected undecomposed; only its
-    own full decomposition may find a region cycle-free."""
+    The components of each G - {x, y} are read off the block-cut forest of
+    G - S*, not flooded; only D next to both x and y can join them through
+    two terminals. The forest's blocks and tree path judge a D that is one
+    piece of it missing S*, with no decomposition. Any other region holding
+    a cached witness block that still has two terminals is rejected
+    undecomposed; only its own full decomposition may find it cycle-free."""
     g, T, s_star = inst.graph, inst.terminals, frozenset(s_star)
     if len(T) < 3:
         return None  # x and y are non-terminals, so D would need three of these
     index = index or _RR2Index(g, s_star, T)
     if index.graph is not g or index.s_star != s_star or not T <= index.terminals:
         raise ValueError("the index was built on another graph or S*, or for fewer terminals")
+    for t in index.terminals - T:  # wake the pairs asleep on a terminal now gone
+        for pair in index.watch.pop(t, ()):
+            index.asleep.discard(pair)
     index.terminals = T
-    if index.live is None:
-        index.live = dict.fromkeys(_rr2_candidate_pairs(g, s_star))
-    witnesses = index.witnesses = {w: wt & T for w, wt in index.witnesses.items() if len(wt & T) > 1}
-    for (x, y), entries in index.live.items():
-        if x in T or y in T:
+    if index.forest is None:
+        f = block_cut_forest(g.without(s_star))
+        index.forest, index.live = CutPairReader(g, f, T), dict.fromkeys(nested_cut_pairs(f))
+    forest, asleep, watch = index.forest, index.asleep, index.watch
+    forest.shrink(T)
+    witnesses = index.witnesses = {w: wt if wt <= T else wt & T
+                                   for w, wt in index.witnesses.items() if len(wt & T) > 1}
+    for pair, entries in index.live.items():
+        if pair in asleep:
             continue
-        if entries is None:
-            entries, seen = [], {x, y}
-            for v in g.vertices:
-                if v not in seen:
-                    comp = frozenset(reachable(g, [v], [x, y]))
-                    seen |= comp
-                    entries.append((v, None, False, comp, None))
-        live = index.live[x, y] = []
-        for i, (anchor, cyc, whole, comp, path) in enumerate(entries):
-            if cyc is None or not any(len(c & T) > 1 for c in cyc):
-                comp = comp or frozenset(reachable(g, [anchor], [x, y]))
-                terms = sorted(comp & T)
-                if len(terms) < 3:
-                    continue  # and stays so as T shrinks, so D leaves `live`
-                region = comp | {x, y}
+        x, y = pair
+        if x in T or y in T:
+            asleep.add(pair)
+            watch.setdefault(x if x in T else y, []).append(pair)
+            continue
+        fresh = entries is None  # read for this T
+        if fresh:
+            entries = [(d.least, None, False, d, None) for d in forest.read(x, y, 3)]
+        live = index.live[pair] = []
+        held: list[int] = []  # two terminals of a T-set with two, per entry left
+        for i, (anchor, cyc, whole, d, path) in enumerate(entries):
+            crowd = next((c for c in cyc if len(c & T) > 1), None) if cyc else None
+            if crowd is None:
+                if d is None:  # kept no reading beside its T-cycle
+                    d = next((c for c in forest.read(x, y, 3) if c.least == anchor), None)
+                elif not fresh and forest.count(d.ranges, d.sets) < 3:
+                    d = None
+                if d is None:
+                    continue  # under three terminals, and stays so as T shrinks
+                comp = None
                 if not whole:  # unjudged, or its witness now holds under two terminals
-                    cyc = next(((wt,) for w, wt in witnesses.items() if w <= region), None)
-                    if cyc is None:
-                        blocks = [b for b in biconnected_blocks(g.induced(region)) if len(b & T) > 1]
+                    if d.plain:
+                        blocks = forest.crowded_blocks(d)
+                    else:
+                        found, comp = _witness(forest, d, x, y, witnesses)
+                        cyc, blocks = (found,) if found else None, None
+                        if found is None:
+                            comp = comp or forest.vertices(d)
+                            blocks = [b for b in biconnected_blocks(g.induced(comp | {x, y}))
+                                      if len(b & T) > 1]
+                    if blocks is not None:
                         cyc, whole = tuple(b & T for b in blocks), True
                         witnesses.update(zip(blocks, cyc))
-            if any(len(c & T) > 1 for c in cyc):
+                    crowd = cyc[0] if cyc else None
+            if crowd is not None:
                 live.append((anchor, cyc, whole, None, None))
+                held += itertools.islice(crowd & T, 2)
                 continue  # a T-cycle, and the tree counting needs one terminal per block
-            if path is None:
-                path = terminals_on_path(g.induced(region), T & comp, x, y)
+            if path is None and d.plain:
+                path = forest.path_marked(x, y)
+            elif path is None:
+                comp = comp or forest.vertices(d)
+                path = terminals_on_path(g.induced(comp | {x, y}), T & comp, x, y)
             else:
                 path = [t for t in path if t in T]
             if path is None or len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
-            live += [(anchor, cyc, whole, None, path)] + entries[i + 1:]
+            live += [(anchor, cyc, whole, d, path)] + entries[i + 1:]
+            comp = comp or forest.vertices(d)
             kept = (path[0], path[1])
-            drop = min(t for t in terms if t not in kept)  # D holds three or more
+            drop = min(t for t in comp & T if t not in kept)  # D holds three or more
             step = DropComponentTerminal(drop, x, y, comp, kept)
             return _apply_step(inst, step), step
+        # only T-cycles are left, and each stays one while its two held terminals do
+        asleep.add(pair)
+        for t in held:
+            watch.setdefault(t, []).append(pair)
     return None
 
 
@@ -481,11 +547,12 @@ def lift_solution(log: ReductionLog, solution: Iterable[int]) -> frozenset[int]:
     decomposed: dict[tuple[int, frozenset[int]], list[frozenset[int]]] = {}
 
     def separates(g: Graph, T: frozenset[int], S: frozenset[int]) -> bool:
+        # S lies in g: it starts in the last graph, the stage graphs only
+        # grow backwards, and each vertex a step adds was checked in the replay
         blocks = decomposed.get((id(g), S))
         if blocks is None:
             blocks = decomposed[id(g), S] = biconnected_blocks(g, exclude=S)
-        # a step of a hand-made log may name a vertex outside its stage graph
-        return not S & T and not g.foreign(S) and all(len(b & T) <= 1 for b in blocks)
+        return not S & T and all(len(b & T) <= 1 for b in blocks)
 
     if len(cur) > final.k or not separates(final.graph, final.terminals, cur):
         raise ValueError("not a valid solution of the reduced instance")

@@ -210,7 +210,10 @@ def min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
     """(value, cut, source side) of the vertex flow from X to Y in g minus
     `deleted`, where any vertex outside `protected` may be cut, X and Y
     included: the minimum cut closest to X. Value inf, and both sets empty,
-    if no cut exists, as when protected sides touch."""
+    if no cut exists, as when protected sides touch. A ValueError names ids
+    outside g."""
+    if foreign := g.foreign(X | Y | protected | deleted):
+        raise ValueError(f"vertices {foreign} of X, Y, protected or deleted are not in the graph")
     net = _SplitNet(g)
     value = net.flow(X, Y, protected, deleted)
     if value >= INF:

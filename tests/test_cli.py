@@ -213,6 +213,18 @@ class TestSubcommands:
         assert code == 2 and out == ""
         assert repr(step) in err and field in err
 
+    @pytest.mark.parametrize("step, message", [
+        ("rr1 t=77", "'rr1 t=77' names vertices [77] outside its graph"),
+        ("rr1 t=2", "'rr1 t=2' drops [2], which are not terminals"),
+        ("essential x=3", "'essential x=3' marks the terminal 3 essential")])
+    def test_lift_rejects_a_step_no_reduction_writes_under_python_O(self, tmp_path, step, message):
+        # the replay's step checks are raises, so they hold under python -O too
+        logf = tmp_path / "bad.log"
+        logf.write_text(SIX_CYCLE + step + "\n")
+        proc = subprocess.run([sys.executable, "-O", "-m", "mwns", "lift", str(logf), "--solution", "4"],
+                              capture_output=True, text=True, timeout=60, env=ENV)
+        assert proc.returncode == 2 and proc.stdout == "" and message in proc.stderr
+
     def test_reduce_with_provided_separator(self, tmp_path, capsys):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)

@@ -14,6 +14,7 @@ from mwns.core import (
     has_two_ivd_paths,
     is_mwns,
     nearly_separated_terminals,
+    terminals_independent,
 )
 from mwns.separators import max_vertex_flow
 from mwns.witness import find_separable_leaf_terminal
@@ -55,6 +56,11 @@ class TestIsMwns:
         # {4} alone breaks the six-cycle, so only the unknown 99 is wrong
         with pytest.raises(ValueError, match=r"\[99\] are not in the graph"):
             is_mwns(six_cycle(), {3, 5}, {4, 99})
+
+    def test_terminal_independence_names_ids_outside_the_graph(self):
+        assert terminals_independent(six_cycle(), {3, 5}) and not terminals_independent(six_cycle(), {3, 4})
+        with pytest.raises(ValueError, match=r"terminals \[70, 99\] are not in the graph"):
+            terminals_independent(six_cycle(), {3, 99, 70})
 
     def test_agrees_with_all_three_characterizations(self):
         rng = random.Random(61)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mwns.blockcut as blockcut_mod
 import mwns.reducer as reducer
-from mwns.blockcut import biconnected_blocks
+from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
@@ -30,7 +30,7 @@ from mwns.reducer import (
     reduce_terminals,
     terminal_bound,
 )
-from mwns.separators import path_through_forced_vertex
+from mwns.separators import path_through_forced_vertex, terminals_on_path
 from mwns.solver import oracle_solve
 
 from brute import random_block_tree, random_graph, rr2_pairs_brute, rr2_reference, small_instances
@@ -783,21 +783,24 @@ class TestRR2Index:
         assert frozenset({1, L}) | inst.terminals in index.witnesses
 
     def test_stale_witness_region_is_decomposed_again(self):
-        # path 1-2-3-4-5-6-7 with terminals 3 and 5, and at 4 a 5-cycle B
-        # through terminals 8, 10, 11 and a 4-cycle C through 12 and 14.
-        # Pair (2, 4) decomposes its region {4, 8..11} + 2 and caches B; pair
-        # (2, 6)'s region, D = {3, 4, 5, 8..14}, holds B and is rejected by it
-        # undecomposed. Once 8 and 11 are gone B holds one terminal, and D
-        # must be decomposed again: C still rejects it. Once 12 is gone too,
-        # D is cycle-free and fires twice through the terminals 3 and 5.
-        path, b_cycle, c_cycle = [1, 2, 3, 4, 5, 6, 7], [4, 8, 9, 10, 11], [4, 12, 13, 14]
+        # path 1-..-9 with terminals 3 and 5, a 5-cycle B = 5-10-11-12-13 at 5
+        # with terminals 11 and 13, S* = {17} hanging off 12, and a 4-cycle
+        # C = 7-14-15-16 at 7 with terminals 14 and 16. Pair (2, 6)
+        # decomposes its region, which holds B and touches S*, and caches B;
+        # pair (2, 8)'s region holds B and C and is rejected by B
+        # undecomposed, and no region with C alone has three terminals. Once
+        # 11 and 13 are gone B holds one terminal, and (2, 8)'s region must
+        # be decomposed again: C rejects it. Once 14 is gone too, that region
+        # is cycle-free and fires through the terminals 3 and 5.
+        path, b_cycle, c_cycle = list(range(1, 10)), [5, 10, 11, 12, 13], [7, 14, 15, 16]
         edges = [(u, v) for cyc in (b_cycle, c_cycle) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
-        g = Graph(range(1, 15), list(zip(path, path[1:])) + edges)
-        region = frozenset({2, 3, 4, 5, 6} | set(range(8, 15)))
-        s_star, T = frozenset(), frozenset({3, 5, 8, 10, 11, 12, 14})
+        g = Graph(range(1, 18), list(zip(path, path[1:])) + edges + [(12, 17)])
+        first = frozenset({2, 3, 4, 5, 6, 10, 11, 12, 13, 17})
+        region = first | {7, 8, 14, 15, 16}
+        s_star, T = frozenset({17}), frozenset({3, 5, 11, 13, 14, 16})
         index = reducer._RR2Index(g, s_star, T)
         fired = []
-        for T in (T, T - {8, 11}, T - {8, 11, 12}):
+        for T in (T, T - {11, 13}, T - {11, 13, 14}):
             while True:
                 inst = Instance(g, T, 1)
                 with mock.patch.object(reducer, "biconnected_blocks",
@@ -805,16 +808,47 @@ class TestRR2Index:
                     shared = apply_rr2(inst, s_star, index)
                 assert shared == rr2_reference(inst, s_star)
                 decomposed = [frozenset(c.args[0].vertices) for c in spy.call_args_list]
-                if T == {3, 5, 8, 10, 11, 12, 14}:  # B is cached, D is not decomposed
-                    assert decomposed == [frozenset({2, 4, 8, 9, 10, 11})]
-                elif T == {3, 5, 10, 12, 14}:  # B is stale, D is decomposed and C rejects it
+                if T == {3, 5, 11, 13, 14, 16}:  # B is cached, (2, 8)'s region is not decomposed
+                    assert decomposed == [first] and shared is None
+                elif T == {3, 5, 14, 16}:  # B is stale, the region is decomposed and C rejects it
                     assert decomposed == [region] and shared is None
                 if shared is None:
                     break
                 inst, step = shared
                 fired.append((step.x, step.y, step.t))
                 T = inst.terminals
-        assert fired == [(2, 6, 10), (2, 6, 14)]
+        assert fired == [(2, 8, 16)]
+
+    @pytest.mark.parametrize("inst, s_hat", [(FLOWERS[0], {1, 2, 3}), (FLOWERS[2], {1, 2, 3}),
+                                             (pendant_chain(120, terminals=3), {1})])
+    def test_rr2_floods_once_per_tree_not_per_pair(self, inst, s_hat):
+        # each pair's components are read off the block-cut forest of G - S*,
+        # and only each tree's surroundings are flooded, once: RR2's calls in
+        # a reduction look up fewer neighbours than one sweep of G per tree,
+        # where a flood of G - {x, y} per pair read would sweep G per pair
+        lookups, neighbors, inside, indexes = [], Graph.neighbors, [False], []
+
+        def counted(h, v):
+            if inside[0]:
+                lookups.append(v)
+            return neighbors(h, v)
+
+        def rr2(inst, s_star, index):
+            inside[0] = True
+            indexes.append(index)
+            try:
+                return apply_rr2(inst, s_star, index)
+            finally:
+                inside[0] = False
+
+        with mock.patch.object(Graph, "neighbors", counted), mock.patch.object(reducer, "apply_rr2", rr2):
+            reduce_terminals(inst, s_hat)
+        index = indexes[-1]
+        g, trees = index.graph, len(block_cut_forest(index.graph.without(index.s_star)).roots)
+        read = sum(entries is not None for entries in index.live.values())
+        assert len(index.forest.trees) <= trees and len(lookups) <= (trees + 1) * g.n
+        # FLOWERS[0] is small: it reads five pairs, about one per tree
+        assert inst is FLOWERS[0] or len(lookups) < read * (g.n - 2)
 
     def test_pendant_chain_below_three_terminals_floods_nothing(self):
         # G - S* has about L cut vertices on one root-to-leaf path, but with
@@ -828,6 +862,78 @@ class TestRR2Index:
         assert feasible and reduced.terminals == inst.terminals and not log.steps
         assert pairs.call_count == 0
         assert floods.call_count == rr3.call_count >= 1
+
+
+def reader_cases(seed: int, kind: str, s_kind: str):
+    """A graph, terminals and S* for the forest reader: a flower, a block
+    tree or a random graph, and S* empty, a few random non-terminals, or
+    one vertex of each of several blocks, which touches several trees."""
+    rng = random.Random(seed)
+    if kind == "flower":
+        petals = [(rng.choice(HUB_PAIRS), rng.randint(3, 9)) for _ in range(rng.randint(2, 4))]
+        inst = flower(petals, rng.randint(1, 5))
+        g, T = inst.graph, inst.terminals
+    else:
+        if kind == "block tree":
+            g = random_block_tree(rng, rng.randint(3, 12))[0]
+        else:
+            g = random_graph(rng, rng.randint(5, 14), rng.choice([0.15, 0.25, 0.35]))
+        T = frozenset(v for v in g.vertices if rng.random() < 0.45)
+    if s_kind == "none":
+        s_star = frozenset()
+    elif s_kind == "random":
+        s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.15)
+    else:
+        blocks = [b for b in biconnected_blocks(g) if len(b) > 1]
+        s_star = frozenset(rng.choice(sorted(b)) for b in rng.sample(blocks, min(len(blocks), 3)))
+    return g, T, s_star
+
+
+class TestCutPairReader:
+    """RR2's reader of the block-cut forest of G - S* against floods and
+    decompositions of G itself."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]),
+           st.sampled_from(["none", "random", "several"]))
+    # a block holding both x and y that falls apart without them, with and
+    # without S* next to one of its parts
+    @example(seed=25, kind="block tree", s_kind="none")
+    @example(seed=25, kind="block tree", s_kind="several")
+    @example(seed=5, kind="block tree", s_kind="random")
+    @example(seed=806, kind="random", s_kind="none")
+    def test_components_verdicts_and_paths_match_g(self, seed, kind, s_kind):
+        g, T, s_star = reader_cases(seed, kind, s_kind)
+        forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
+        blocks = biconnected_blocks(g.without(s_star))
+        pairs = _rr2_candidate_pairs(g, s_star)
+        rng = random.Random(seed)
+        for T in (T, frozenset(t for t in T if rng.random() < 0.6)):  # and once T has shrunk
+            forest.shrink(T)
+            for x, y in pairs:
+                if x in T or y in T:
+                    continue  # RR2 asks for no such pair
+                recs = forest.read(x, y, 3)
+                # F's blocks give a verdict for a D that misses S*, unless D
+                # is one of the parts a block holding x and y falls into
+                shared = [b for b in blocks if x in b and y in b]
+                split = bool(shared) and len(connected_components(g.induced(shared[0] - {x, y}))) > 1
+                want = [frozenset(c) for c in connected_components(g.without([x, y]))
+                        if len(T.intersection(c)) >= 3
+                        and g.neighbors(x).intersection(c) and g.neighbors(y).intersection(c)]
+                assert [forest.vertices(r) for r in recs] == want
+                assert [r.least for r in recs] == [min(c) for c in want]
+                for rec, comp in zip(recs, want):
+                    assert forest.count(rec.ranges, rec.sets) == len(T & comp) and forest.size(rec) == len(comp)
+                    assert all(forest.holds(rec, v) == (v in comp) for v in g.vertices)
+                    assert rec.plain == (s_star.isdisjoint(comp) and not split)
+                    if not rec.plain:
+                        continue
+                    region = g.induced(comp | {x, y})
+                    crowded = [b for b in biconnected_blocks(region) if len(b & T) > 1]
+                    assert sorted(map(sorted, forest.crowded_blocks(rec))) == sorted(map(sorted, crowded))
+                    if not crowded:
+                        assert forest.path_marked(x, y) == terminals_on_path(region, T & comp, x, y)
 
 
 def reference_lift(log: ReductionLog, solution) -> frozenset[int]:
@@ -914,10 +1020,28 @@ class TestLiftAgainstPerStepReference:
             lift_solution(log, {2, 4, 70})
 
     def test_a_step_naming_a_vertex_outside_its_graph_fails_the_lift(self):
-        # a hand-made rr2 step substitutes 99 for the solution's vertex 4
+        # a hand-made rr2 step would substitute 99 for the solution's vertex
+        # 4; the replay rejects the step before any stage is checked
         step = DropComponentTerminal(6, 99, 1, frozenset({4}), (3, 5))
         log = ReductionLog(six_cycle_instance(k=1), (step,))
-        with pytest.raises(RuntimeError, match="lost validity"):
+        with pytest.raises(ValueError, match=r"'rr2 x=99 y=1 drop=6 kept=3,5 D=\{4\}' names vertices \[99\]"):
+            lift_solution(log, {4})
+
+    @pytest.mark.parametrize("line, message", [
+        ("rr1 t=77", r"'rr1 t=77' names vertices \[77\] outside its graph"),
+        ("rr1 t=2", r"'rr1 t=2' drops \[2\], which are not terminals"),
+        ("rr3 drop={70,71}", r"'rr3 drop=\{70,71\}' names vertices \[70, 71\] outside its graph"),
+        ("rr3 drop={3,4}", r"'rr3 drop=\{3,4\}' drops \[4\], which are not terminals"),
+        ("rr2 x=2 y=6 drop=4 kept=3,5 D={3,4,5}", r"drops \[4\], which are not terminals"),
+        ("essential x=3", r"'essential x=3' marks the terminal 3 essential"),
+        ("essential x=9", r"'essential x=9' names vertices \[9\] outside its graph"),
+    ])
+    def test_a_step_no_reduction_could_write_fails_the_replay(self, line, message):
+        # each of these used to lift {4} to {4} on the six-cycle without error
+        log = ReductionLog(six_cycle_instance(k=1), tuple(parse_steps([line])))
+        with pytest.raises(ValueError, match=message):
+            log.replay()
+        with pytest.raises(ValueError, match=message):
             lift_solution(log, {4})
 
     def test_rr1_after_a_substitution_minimalizes_again(self):

@@ -171,6 +171,17 @@ class TestMinSeparator:
             assert all(reachable(g, X - S, S) <= side for S in minimum)
 
 
+    @pytest.mark.parametrize("args, foreign", [(({1, 99}, {5}), "[99]"),
+                                               (({1}, {5}, {70}), "[70]"),
+                                               (({1}, {5}, set(), {99, 70}), "[70, 99]")])
+    def test_min_cut_names_ids_outside_the_graph(self, args, foreign):
+        g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+        assert min_cut(g, frozenset({1}), frozenset({4}), frozenset({1, 4}))[0] == 2
+        with pytest.raises(ValueError) as err:
+            min_cut(g, *map(frozenset, args))
+        assert f"vertices {foreign} of X, Y, protected or deleted are not in the graph" in str(err.value)
+
+
 class TestImportantSeparators:
     def test_dominated_separator_is_dropped(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
