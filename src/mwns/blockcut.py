@@ -263,8 +263,9 @@ def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> Bl
     return BlockCutForest(g, blocks)
 
 
-def nested_cut_pairs(f: BlockCutForest) -> list[tuple[int, int]]:
-    """Cut-vertex pairs of f lying on a common root-to-leaf path, ascending."""
+def nested_cut_pairs(f: BlockCutForest | CutPairReader) -> list[tuple[int, int]]:
+    """Cut-vertex pairs of f, a forest or a reader of one, lying on a common
+    root-to-leaf path, ascending."""
     pairs = []
     above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
     for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
@@ -319,6 +320,7 @@ class CutPairReader:
         parts it reads, not its graph."""
         self.graph, self.marked = g, marked
         self.nodes, self.parent, self.children, self.depth = f.nodes, f.parent, f.children, f.depth
+        self.roots = f.roots  # one per tree, which come out by least vertex
         self.end = f.subtree_end
         self.cut = {nd.vertex: nd.id for nd in f.nodes if nd.kind == "cut"}
         self.owner: dict[int, int] = {}
@@ -339,7 +341,7 @@ class CutPairReader:
         self.start.append(len(self.verts))
         self._sum()
         self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
-        self.around: dict[int, frozenset[int]] = {}
+        self._around: dict[int, frozenset[int]] = {}
 
     def _sum(self) -> None:
         """Prefix sums by node id: `before` of the owned marked vertices,
@@ -363,13 +365,17 @@ class CutPairReader:
         self.marked = marked
         self._sum()
 
-    def _around(self, root: int) -> frozenset[int]:
+    def tree_vertices(self, root: int) -> list[int]:
+        """The vertices of the tree of F at `root`."""
+        return self.verts[self.start[root]:self.start[self.end[root]]]
+
+    def around(self, root: int) -> frozenset[int]:
         """The vertices of S next to the tree of F at `root`."""
-        if root not in self.around:
-            tree = self.verts[self.start[root]:self.start[self.end[root]]]
-            nbrs = self.graph.neighbors
-            self.around[root] = frozenset(s for v in tree for s in nbrs(v) if s not in self.owner)
-        return self.around[root]
+        if root not in self._around:
+            nbrs, owner = self.graph.neighbors, self.owner
+            near = (s for v in self.tree_vertices(root) for s in nbrs(v) if s not in owner)
+            self._around[root] = frozenset(near)
+        return self._around[root]
 
     def _tree(self, root: int) -> tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]:
         """The components of G - V(P) next to the tree P at `root`, each as
@@ -377,11 +383,11 @@ class CutPairReader:
         its least vertex; and P's attachment vertices, those next to S, as
         (owner, vertex, indices of the components next to it)."""
         if root not in self.trees:
-            g, owner, start, end, verts = self.graph, self.owner, self.start, self.end, self.verts
+            g, owner, end = self.graph, self.owner, self.end
             comps: list[tuple] = []
             label: dict[int, int] = {}  # vertex of S -> its component
             attach = []
-            for v in verts[start[root]:start[end[root]]]:
+            for v in self.tree_vertices(root):
                 out = [s for s in g.neighbors(v) if s not in owner]
                 for s in out:
                     if s in label:
@@ -395,11 +401,11 @@ class CutPairReader:
                                     todo.append(w)
                             elif (r := self.root[owner[w]]) != root and r not in trees:
                                 trees.append(r)
-                                todo += self._around(r) - stars
-                                stars |= self._around(r)
+                                todo += self.around(r) - stars
+                                stars |= self.around(r)
                     label.update(dict.fromkeys(stars, len(comps)))
                     trees.sort()
-                    least = min([*stars] + [min(verts[start[r]:start[end[r]]]) for r in trees])
+                    least = min([*stars] + [min(self.tree_vertices(r)) for r in trees])
                     comps.append((tuple((r, end[r]) for r in trees), frozenset(stars), least))
                 if out:
                     attach.append((owner[v], v, tuple(sorted({label[s] for s in out}))))
@@ -527,10 +533,6 @@ class CutPairReader:
                 counted[c] = len(c & self.marked)
             n += counted[c]
         return n
-
-    def size(self, comp: PairComponent) -> int:
-        start = self.start
-        return sum(start[hi] - start[lo] for lo, hi in comp.ranges) + sum(map(len, comp.sets))
 
     def vertices(self, comp: PairComponent) -> frozenset[int]:
         verts, start = self.verts, self.start

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, connected_components
-from .blockcut import (CutPairReader, PairComponent, biconnected_blocks, block_cut_forest,
-                       nested_cut_pairs)
+from .graph import Graph
+from .blockcut import CutPairReader, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
-from .separators import terminals_on_path
 
 
 # -- log steps ---------------------------------------------------------------
@@ -173,61 +171,63 @@ def apply_rr1(inst: Instance, blocks: list[frozenset[int]] | None = None
     return Instance(inst.graph, inst.terminals - lonely, inst.k), steps
 
 
-def _rr2_candidate_pairs(g: Graph, s_star: frozenset[int]) -> list[tuple[int, int]]:
-    """Cut-vertex pairs lying on a common root-to-leaf path of the block-cut
-    forest of G - S*."""
-    return nested_cut_pairs(block_cut_forest(g.without(s_star)))
+class _Record:
+    """RR2's and RR3's record of one G and S*, which stay fixed while T
+    shrinks (`terminals` is the last T RR2 saw); S* must lie in G.
+
+    `forest` reads the block-cut forest of G - S*. RR3's components of
+    G - S* are its trees, by least vertex; `pairs` lists per pair of S* the
+    indices of those next to both, and `on_path[x, y, i]`, built when first
+    asked with a terminal in component i, the vertices of i on a simple x-y
+    path.
+
+    RR2's `live` maps each pair of `nested_cut_pairs`, built on the first
+    query with three terminals, with no terminals (a terminal cut vertex
+    between two others blocks no pair) to None until visited, then to the
+    components D of G - {x, y} that may still fire, as (least vertex, None
+    or T-sets of blocks of G[D + x + y] with two terminals, whether that
+    list is all of them or one witness's, None or D as `forest` read it, and
+    None or the terminals of D's x-y path once read). Only a D that holds a
+    T-cycle drops its reading, and it is read again once its T-sets show
+    none. A cycle-free region stays so and G fixes its x-y tree path, so
+    that path's terminals are the list read first, filtered by the current
+    T. `witnesses` holds every block with two terminals a verdict found,
+    with its terminals: a block of G lies in a block of any region holding
+    it. A pair whose entries all hold T-cycles is `asleep`, and `watch`
+    wakes it when one of two terminals of a T-set of one of them goes (or,
+    for a pair with a terminal, that terminal): till then no entry can
+    change."""
+
+    def __init__(self, g: Graph, s_star: frozenset[int], terminals: frozenset[int]):
+        if foreign := g.foreign(s_star):
+            raise ValueError(f"S* vertices {foreign} are not in the graph")
+        self.graph, self.s_star, self.terminals = g, s_star, terminals
+        forest = self.forest = CutPairReader(g, block_cut_forest(g.without(s_star)), terminals)
+        self.live: dict[tuple[int, int], list[tuple] | None] | None = None
+        self.witnesses: dict[frozenset[int], frozenset[int]] = {}
+        self.asleep: set[tuple[int, int]] = set()
+        self.watch: dict[int, list[tuple[int, int]]] = {}
+        self.components = [frozenset(forest.tree_vertices(r)) for r in forest.roots]
+        self.pairs: dict[tuple[int, int], list[int]] = {
+            p: [] for p in itertools.combinations(sorted(s_star), 2)}
+        for i, r in enumerate(forest.roots):
+            for p in itertools.combinations(sorted(forest.around(r)), 2):
+                self.pairs[p].append(i)
+        self.on_path: dict[tuple[int, int, int], list[int]] = {}
 
 
-def _witness(forest: CutPairReader, d: PairComponent, x: int, y: int,
-             witnesses: dict[frozenset[int], frozenset[int]]
-             ) -> tuple[frozenset[int] | None, frozenset[int] | None]:
-    """The terminals of a block of `witnesses` inside G[D + x + y], or None;
-    and D's vertices if they were built. A block missing x or y stays
-    connected without them, so it lies in D if one of its terminals does;
-    those are tried first."""
-    for w, wt in witnesses.items():
-        if (x not in w or y not in w) and forest.holds(d, next(iter(wt))):
-            return wt, None
-    comp, size = None, forest.size(d)
-    for w, wt in witnesses.items():
-        if x in w and y in w and len(w) <= size + 2:
-            comp = comp or forest.vertices(d)
-            if len(w - comp) == 2:
-                return wt, comp
-    return None, comp
+def _checked(inst: Instance, s_star: Iterable[int], record: _Record | None) -> _Record:
+    """`record` if it was built on inst's graph and S*, for T or more
+    terminals; a new record if it is None."""
+    s_star = frozenset(s_star)
+    if record is None:
+        return _Record(inst.graph, s_star, inst.terminals)
+    if record.graph is not inst.graph or record.s_star != s_star or not inst.terminals <= record.terminals:
+        raise ValueError("the record was built on another graph or S*, or for fewer terminals")
+    return record
 
 
-@dataclass
-class _RR2Index:
-    """RR2's record of one G and S* while T shrinks (`terminals` is the last).
-    `forest` reads the block-cut forest of G - S*, built on the first query
-    with three terminals. `live` maps each pair of `_rr2_candidate_pairs`
-    with no terminals (a terminal cut vertex between two others blocks no
-    pair) to None until visited, then to the components D of G - {x, y} that
-    may still fire, as (least vertex, None or T-sets of blocks of
-    G[D + x + y] with two terminals, whether that list is all of them or one
-    witness's, None or D as `forest` read it, and None or the terminals of
-    D's x-y path once read). Only a D that holds a T-cycle drops its
-    reading, and it is read again once its T-sets show none. A cycle-free
-    region stays so and G fixes its x-y tree path, so that path's terminals
-    are the list read first, filtered by the current T.
-    `witnesses` holds every block with two terminals a verdict found, with
-    its terminals: a block of G lies in a block of any region holding it.
-    A pair whose entries all hold T-cycles is `asleep`, and `watch` wakes it
-    when one of two terminals of a T-set of one of them goes (or, for a pair
-    with a terminal, that terminal): till then no entry can change."""
-    graph: Graph
-    s_star: frozenset[int]
-    terminals: frozenset[int]
-    live: dict[tuple[int, int], list[tuple] | None] | None = None
-    witnesses: dict[frozenset[int], frozenset[int]] = field(default_factory=dict)
-    forest: CutPairReader | None = None
-    asleep: set[tuple[int, int]] = field(default_factory=set)
-    watch: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-
-def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = None
+def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = None
               ) -> tuple[Instance, DropComponentTerminal] | None:
     """Turn a surplus terminal of a cycle-free attachment component into a
     non-terminal.
@@ -235,32 +235,30 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     Looks for non-terminals x, y and a component D of G-{x,y} with three or
     more terminals, no T-cycle inside G[D + x + y], and an x-y path through
     two distinct terminals; the smallest other terminal of D is dropped.
-    Calls on one G and S* whose T only shrinks may share `index` (else new): a
-    component with under three terminals, or two on its x-y path, stays so.
-    The components of each G - {x, y} are read off the block-cut forest of
-    G - S*, not flooded; only D next to both x and y can join them through
-    two terminals. The forest's blocks and tree path judge a D that is one
-    piece of it missing S*, with no decomposition. Any other region holding
-    a cached witness block that still has two terminals is rejected
-    undecomposed; only its own full decomposition may find it cycle-free."""
-    g, T, s_star = inst.graph, inst.terminals, frozenset(s_star)
+    Calls on one G and S* whose T only shrinks may share `record` (else
+    new): a component with under three terminals, or two on its x-y path,
+    stays so. The components of each G - {x, y} are read off the block-cut
+    forest of G - S*, not flooded; only D next to both x and y can join them
+    through two terminals. The forest's blocks and tree path judge a D that
+    is one piece of it missing S*, with no decomposition. Any other region
+    holding a cached witness block that misses x or y and still has two
+    terminals is rejected undecomposed; only its own full decomposition may
+    find it cycle-free, and its blocks then give its x-y path."""
+    g, T = inst.graph, inst.terminals
+    record = _checked(inst, s_star, record)
     if len(T) < 3:
         return None  # x and y are non-terminals, so D would need three of these
-    index = index or _RR2Index(g, s_star, T)
-    if index.graph is not g or index.s_star != s_star or not T <= index.terminals:
-        raise ValueError("the index was built on another graph or S*, or for fewer terminals")
-    for t in index.terminals - T:  # wake the pairs asleep on a terminal now gone
-        for pair in index.watch.pop(t, ()):
-            index.asleep.discard(pair)
-    index.terminals = T
-    if index.forest is None:
-        f = block_cut_forest(g.without(s_star))
-        index.forest, index.live = CutPairReader(g, f, T), dict.fromkeys(nested_cut_pairs(f))
-    forest, asleep, watch = index.forest, index.asleep, index.watch
+    forest, asleep, watch = record.forest, record.asleep, record.watch
+    for t in record.terminals - T:  # wake the pairs asleep on a terminal now gone
+        for pair in watch.pop(t, ()):
+            asleep.discard(pair)
+    record.terminals = T
+    if record.live is None:
+        record.live = dict.fromkeys(nested_cut_pairs(forest))
     forest.shrink(T)
-    witnesses = index.witnesses = {w: wt if wt <= T else wt & T
-                                   for w, wt in index.witnesses.items() if len(wt & T) > 1}
-    for pair, entries in index.live.items():
+    witnesses = record.witnesses = {w: wt if wt <= T else wt & T
+                                    for w, wt in record.witnesses.items() if len(wt & T) > 1}
+    for pair, entries in record.live.items():
         if pair in asleep:
             continue
         x, y = pair
@@ -271,10 +269,11 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
         fresh = entries is None  # read for this T
         if fresh:
             entries = [(d.least, None, False, d, None) for d in forest.read(x, y, 3)]
-        live = index.live[pair] = []
+        live = record.live[pair] = []
         held: list[int] = []  # two terminals of a T-set with two, per entry left
         for i, (anchor, cyc, whole, d, path) in enumerate(entries):
             crowd = next((c for c in cyc if len(c & T) > 1), None) if cyc else None
+            comp = region = None  # D's vertices and the blocks of G[D + x + y], once built
             if crowd is None:
                 if d is None:  # kept no reading beside its T-cycle
                     d = next((c for c in forest.read(x, y, 3) if c.least == anchor), None)
@@ -282,17 +281,18 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
                     d = None
                 if d is None:
                     continue  # under three terminals, and stays so as T shrinks
-                comp = None
                 if not whole:  # unjudged, or its witness now holds under two terminals
                     if d.plain:
                         blocks = forest.crowded_blocks(d)
+                    # a witness block missing x or y stays connected without
+                    # them, so it lies in D if one of its terminals does
+                    elif found := next((wt for w, wt in witnesses.items() if (x not in w or y not in w)
+                                        and forest.holds(d, next(iter(wt)))), None):
+                        cyc, blocks = (found,), None
                     else:
-                        found, comp = _witness(forest, d, x, y, witnesses)
-                        cyc, blocks = (found,) if found else None, None
-                        if found is None:
-                            comp = comp or forest.vertices(d)
-                            blocks = [b for b in biconnected_blocks(g.induced(comp | {x, y}))
-                                      if len(b & T) > 1]
+                        comp = forest.vertices(d)
+                        region = biconnected_blocks(g.induced(comp | {x, y}))
+                        blocks = [b for b in region if len(b & T) > 1]
                     if blocks is not None:
                         cyc, whole = tuple(b & T for b in blocks), True
                         witnesses.update(zip(blocks, cyc))
@@ -305,10 +305,10 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
                 path = forest.path_marked(x, y)
             elif path is None:
                 comp = comp or forest.vertices(d)
-                path = terminals_on_path(g.induced(comp | {x, y}), T & comp, x, y)
+                path = [t for t in _on_path(g, comp, x, y, region) if t in T]
             else:
                 path = [t for t in path if t in T]
-            if path is None or len(path) < 2:
+            if len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
             live += [(anchor, cyc, whole, d, path)] + entries[i + 1:]
             comp = comp or forest.vertices(d)
@@ -323,45 +323,16 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], index: _RR2Index | None = N
     return None
 
 
-@dataclass
-class _RR3Index:
-    """RR3's record of one G and S*, which stay fixed while T shrinks: the
-    components of G - S* by least vertex, for each pair of S* the indices of
-    those next to both, and `on_path[x, y, i]`, built when first asked with a
-    terminal in component i, the vertices of i on a simple x-y path."""
-    graph: Graph
-    s_star: frozenset[int]
-    components: list[frozenset[int]]
-    pairs: dict[tuple[int, int], list[int]]
-    on_path: dict[tuple[int, int, int], frozenset[int]] = field(default_factory=dict)
-
-
-def _rr3_index(g: Graph, s_star: frozenset[int]) -> _RR3Index:
-    """RR3's record of G and S*, with no path read yet; S* must lie in G."""
-    if foreign := g.foreign(s_star):
-        raise ValueError(f"S* vertices {foreign} are not in the graph")
-    comps = [frozenset(c) for c in connected_components(g.without(s_star))]
-    pairs: dict[tuple[int, int], list[int]] = {p: [] for p in itertools.combinations(sorted(s_star), 2)}
-    for i, comp in enumerate(comps):
-        touching = s_star.intersection(set().union(*(g.neighbors(v) for v in comp)))
-        for p in itertools.combinations(sorted(touching), 2):
-            pairs[p].append(i)
-    return _RR3Index(g, s_star, comps, pairs)
-
-
-def mark_components(inst: Instance, s_star: Iterable[int], index: _RR3Index | None = None
+def mark_components(inst: Instance, s_star: Iterable[int], record: _Record | None = None
                     ) -> dict[tuple[int, int], list[frozenset[int]]]:
     """Greedy marking: per pair {x,y} in S*, up to k+2 components of G-S*
     holding a path from a neighbor of x to a neighbor of y through a terminal.
-    Calls on one G and S* may share `index` (else new) for any T."""
+    Calls on one G and S* whose T only shrinks may share `record` (else new)."""
     g, T, k = inst.graph, inst.terminals, inst.k
-    s_star = frozenset(s_star)
-    index = index or _rr3_index(g, s_star)
-    if index.graph is not g or index.s_star != s_star:
-        raise ValueError("the index was built on another graph or S*")
-    comps, on_path = index.components, index.on_path
+    record = _checked(inst, s_star, record)
+    comps, on_path = record.components, record.on_path
     marked: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for (x, y), candidates in index.pairs.items():
+    for (x, y), candidates in record.pairs.items():
         chosen = marked[x, y] = []
         for i in candidates:
             if len(chosen) >= k + 2:
@@ -376,22 +347,24 @@ def mark_components(inst: Instance, s_star: Iterable[int], index: _RR3Index | No
     return marked
 
 
-def _on_path(g: Graph, comp: frozenset[int], x: int, y: int) -> frozenset[int]:
-    """Vertices of comp on a simple x-y path of H = G[comp + x + y]: those in
-    a block on H's x-y block-cut tree path. Empty unless x and y both have
-    a neighbour in comp."""
+def _on_path(g: Graph, comp: frozenset[int], x: int, y: int,
+             blocks: list[frozenset[int]] | None = None) -> list[int]:
+    """Vertices of comp on a simple x-y path of H = G[comp + x + y], in order
+    from x: those in a block on H's x-y block-cut tree path, each block's in
+    any order. Empty unless x and y both have a neighbour in comp.
+    `blocks`, if given, are H's."""
     if not g.neighbors(x) & comp or not g.neighbors(y) & comp:
-        return frozenset()
-    f = block_cut_forest(g.induced(comp | {x, y}))
+        return []
+    f = block_cut_forest(g.induced(comp | {x, y}), blocks)
     on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
-    return comp.intersection(set().union(*(f.nodes[n].vertices for n in on_path)))
+    return list(dict.fromkeys(v for n in on_path for v in f.nodes[n].vertices if v in comp))
 
 
-def apply_rr3(inst: Instance, s_star: Iterable[int], index: _RR3Index | None = None
+def apply_rr3(inst: Instance, s_star: Iterable[int], record: _Record | None = None
               ) -> tuple[Instance, DropUnmarked] | None:
     """Convert terminals outside every marked component to non-terminals.
-    Calls on one G and S* may share `index` (see `mark_components`)."""
-    marked = mark_components(inst, s_star, index)
+    Calls on one G and S* may share `record` (see `mark_components`)."""
+    marked = mark_components(inst, s_star, record)
     covered: set[int] = set()
     for comps in marked.values():
         for comp in comps:
@@ -486,14 +459,13 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
     False when more vertices are essential than the budget allows, which
     certifies a NO answer. The rules only shrink T and keep G and S*, so RR2
-    and RR3 keep one index each and RR1 one decomposition of G.
+    and RR3 share one record of G and S*, and RR1 one decomposition of G.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
     feasible = inst.k - len(redundant.essential) >= 0
     cur = redundant.instance
-    index = _RR2Index(cur.graph, redundant.s_star, cur.terminals)
-    marking = _rr3_index(cur.graph, redundant.s_star)
+    record = _Record(cur.graph, redundant.s_star, cur.terminals)
     blocks = biconnected_blocks(cur.graph)
     all_steps: list[Step] = list(steps)
     while True:
@@ -501,9 +473,9 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
         if fired is not None:
             cur, rr1_steps = fired
             all_steps.extend(rr1_steps)
-        fired = apply_rr2(cur, redundant.s_star, index)
+        fired = apply_rr2(cur, redundant.s_star, record)
         if fired is None:
-            fired = apply_rr3(cur, redundant.s_star, marking)
+            fired = apply_rr3(cur, redundant.s_star, record)
         if fired is None:
             break
         cur, step = fired

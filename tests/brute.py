@@ -8,11 +8,11 @@ from typing import Iterable
 
 from hypothesis import strategies as st
 
-from mwns.blockcut import biconnected_blocks, block_cut_forest
+from mwns.blockcut import biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.blocker import BlockerIteration, _read_forest
 from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
-from mwns.reducer import DropComponentTerminal, _apply_step, _rr2_candidate_pairs
+from mwns.reducer import DropComponentTerminal, _apply_step
 from mwns.separators import INF, _SplitNet, min_cut, terminals_on_path
 
 
@@ -211,12 +211,18 @@ def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def rr2_candidate_pairs(g: Graph, s_star) -> list[tuple[int, int]]:
+    """Cut-vertex pairs on a common root-to-leaf path of a fresh block-cut
+    forest of G - S*."""
+    return nested_cut_pairs(block_cut_forest(g.without(s_star)))
+
+
 def rr2_reference(inst: Instance, s_star):
     """`apply_rr2` as it was before its index: every call builds the
     candidate pairs, each pair's components of G - {x, y} and each
     region's T-cycle test from scratch."""
     g, T = inst.graph, inst.terminals
-    for x, y in _rr2_candidate_pairs(g, frozenset(s_star)):
+    for x, y in rr2_candidate_pairs(g, s_star):
         if x in T or y in T:
             continue
         for comp in connected_components(g.without([x, y])):

@@ -64,6 +64,11 @@ def test_block_layer_sits_below_the_flow_layer():
     assert not {m for m in imported_modules(tree) if m.startswith("mwns.separators")}
 
 
+def test_the_reducer_reads_paths_off_block_cut_forests_not_the_flow_layer():
+    tree = ast.parse((SRC / "reducer.py").read_text())
+    assert not {m for m in imported_modules(tree) if m.startswith("mwns.separators")}
+
+
 def named(tree: ast.AST, skip: ast.AST | None = None):
     """Every identifier a module's code uses outside the node `skip`:
     variables, attributes, imported names and the dotted parts of strings
@@ -94,15 +99,14 @@ def test_one_flow_network_outside_the_flow_layer_only_in_the_search():
 
 
 def test_every_public_pipeline_function_has_a_caller_outside_the_tests():
-    # a public function that only tests call is a seam the program does not
-    # need: make it private, or move it to tests/brute.py
+    # a function or class that only tests use is a seam the program does not
+    # need, private or not: move it to tests/brute.py
     paths = [*SRC.glob("*.py"), *(REPO / "bench").glob("*.py"), *(REPO / "demos").glob("*.py")]
     trees = {p: ast.parse(p.read_text()) for p in paths}
     unused = []
     for name in PIPELINE:
         for fn in trees[SRC / f"{name}.py"].body:
-            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                    and fn.name not in mwns.__all__
+            if (isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name not in mwns.__all__
                     and not any(fn.name in set(named(tree, fn)) for tree in trees.values())):
                 unused.append(f"{name}.{fn.name}")
     assert not unused

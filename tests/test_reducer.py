@@ -13,7 +13,6 @@ from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
 from mwns.reducer import (
-    _rr2_candidate_pairs,
     DropComponentTerminal,
     DropNearlySeparated,
     DropUnmarked,
@@ -33,7 +32,8 @@ from mwns.reducer import (
 from mwns.separators import path_through_forced_vertex, terminals_on_path
 from mwns.solver import oracle_solve
 
-from brute import random_block_tree, random_graph, rr2_pairs_brute, rr2_reference, small_instances
+from brute import (random_block_tree, random_graph, rr2_candidate_pairs, rr2_pairs_brute, rr2_reference,
+                   small_instances)
 
 
 def six_cycle_instance(k=1):
@@ -148,7 +148,7 @@ class TestRR2:
         g = random_graph(rng, n, p)
         T = frozenset(v for v in g.vertices if rng.random() < 0.2)
         s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
-        pairs = [p for p in _rr2_candidate_pairs(g, s_star) if not T & set(p)]
+        pairs = [p for p in rr2_candidate_pairs(g, s_star) if not T & set(p)]
         assert pairs == rr2_pairs_brute(g, T, s_star)
 
 
@@ -266,7 +266,7 @@ class TestRR3Index:
             T = frozenset(v for v in g.vertices if rng.random() < 0.45)
             s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.35)
         k = rng.randint(0, 2)
-        record = reducer._rr3_index(g, s_star)
+        record = reducer._Record(g, s_star, T)
         while True:
             inst = Instance(g, T, k)
             shared = mark_components(inst, s_star, record)
@@ -292,15 +292,19 @@ class TestRR3Index:
             assert len(region & s_star) == 2 and region - s_star in map(
                 frozenset, connected_components(g.without(s_star)))
 
-    def test_record_of_another_graph_or_s_star_is_refused(self):
-        g = Graph(range(1, 7), [(5, 1), (1, 6), (2, 3)])
-        inst = Instance.of(g, {1, 2}, 0)
-        with pytest.raises(ValueError, match="another graph"):
-            mark_components(inst, {5, 6}, reducer._rr3_index(g.without([4]), frozenset({5, 6})))
-        with pytest.raises(ValueError, match="another graph"):
-            apply_rr3(inst, {5, 6}, reducer._rr3_index(g, frozenset({5})))
+    @pytest.mark.parametrize("entry", [apply_rr2, mark_components, apply_rr3])
+    def test_record_of_another_graph_s_star_or_fewer_terminals_is_refused(self, entry):
+        # one check covers all three rules: RR2 and RR3 share the record, and
+        # a component RR2 dropped for too few terminals could fire again with more
+        inst = chain_of_triangles(5, terminals=(2, 4, 6, 8, 10))
+        g, T, s_star = inst.graph, inst.terminals, frozenset({3})
+        for record in (reducer._Record(g.without([1]), s_star, T), reducer._Record(g, frozenset({5}), T),
+                       reducer._Record(g, s_star, T - {2})):
+            with pytest.raises(ValueError, match="another graph or S\\*, or for fewer terminals"):
+                entry(inst, s_star, record)
+        assert entry(inst, s_star, reducer._Record(g, s_star, T)) == entry(inst, s_star)
 
-    @pytest.mark.parametrize("entry", [mark_components, apply_rr3])
+    @pytest.mark.parametrize("entry", [apply_rr2, mark_components, apply_rr3])
     def test_s_star_ids_outside_the_graph_are_named(self, entry):
         inst = chain_of_triangles(3, terminals=(2, 4), k=1)
         with pytest.raises(ValueError, match=r"S\* vertices \[99\] are not in the graph"):
@@ -701,13 +705,13 @@ class TestRR2Index:
                 g = random_graph(rng, rng.randint(5, 12), rng.choice([0.15, 0.25, 0.35]))
             T = frozenset(v for v in g.vertices if rng.random() < 0.45)
             s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
-        index = reducer._RR2Index(g, s_star, T)
+        index = reducer._Record(g, s_star, T)
         while T:
             inst = Instance(g, T, 1)
             shared = apply_rr2(inst, s_star, index)
             assert shared == apply_rr2(inst, s_star) == rr2_reference(inst, s_star)
             if index.live is not None:  # filled by the first query with three terminals
-                assert list(index.live) == _rr2_candidate_pairs(g, s_star)
+                assert list(index.live) == rr2_candidate_pairs(g, s_star)
             T = shared[0].terminals if shared else T - set(rng.sample(sorted(T), min(len(T), 3)))
 
     def test_component_behind_a_firing_one_fires_on_a_later_call(self):
@@ -717,7 +721,7 @@ class TestRR2Index:
         a, b = [2, 4, 5, 6, 7, 8, 9, 10, 3], [2] + list(range(11, 20)) + [3]
         g = Graph(range(1, 20), [(1, 2)] + list(zip(a, a[1:])) + list(zip(b, b[1:])))
         inst, s_star = Instance.of(g, {5, 7, 9, 12, 14, 16, 18}, 1), frozenset({15})
-        index = reducer._RR2Index(g, s_star, inst.terminals)
+        index = reducer._Record(g, s_star, inst.terminals)
         steps = []
         while (ref := rr2_reference(inst, s_star)) is not None:
             assert apply_rr2(inst, s_star, index) == ref
@@ -726,22 +730,13 @@ class TestRR2Index:
         assert apply_rr2(inst, s_star, index) is None
         assert [s.component for s in steps[:2]] == [frozenset(a[1:-1]), frozenset(b[1:-1])]
 
-    def test_index_of_another_graph_or_more_terminals_is_refused(self):
-        inst = chain_of_triangles(5, terminals=(2, 4, 6, 8, 10))
-        g, T = inst.graph, inst.terminals
-        with pytest.raises(ValueError, match="another graph"):
-            apply_rr2(inst, frozenset(), reducer._RR2Index(g.without([1]), frozenset(), T))
-        with pytest.raises(ValueError, match="another graph"):
-            apply_rr2(inst, frozenset({3}), reducer._RR2Index(g, frozenset(), T))
-        # components dropped for too few terminals could fire again with more
-        with pytest.raises(ValueError, match="fewer terminals"):
-            apply_rr2(inst, frozenset(), reducer._RR2Index(g, frozenset(), T - {2}))
-
     def test_each_pair_component_decomposed_once(self):
         # two pairs may cut off one region D + x + y; no pair decomposes one
-        # twice for its T-cycle check, nor more than once more for its x-y
-        # path (`terminals_on_path`), since a region that fired keeps that
-        # path's terminals. The pair (6, 8) fires six times here
+        # twice for its T-cycle check, and a region found cycle-free takes
+        # its x-y path from that decomposition's blocks and keeps the path's
+        # terminals once it fires. Only a region whose T-cycles all lose a
+        # terminal is decomposed once more for its path, and none does
+        # here. The pair (6, 8) fires six times
         wrapped = blockcut_mod.biconnected_blocks
         with mock.patch.object(reducer, "biconnected_blocks", wraps=wrapped) as spy, \
                 mock.patch.object(blockcut_mod, "biconnected_blocks", wraps=wrapped) as inner:
@@ -756,7 +751,7 @@ class TestRR2Index:
                        if region - set(p) in map(frozenset, connected_components(g.without(p)))]
             assert regions[region] <= len(cutting)
             if cutting:  # RR3 and the blocker decompose regions that no pair cuts off
-                assert calls <= 2 * len(cutting), sorted(region)
+                assert calls <= len(cutting), sorted(region)
 
     def test_index_keeps_no_component_of_a_rejected_pair(self):
         # on the pendant chain with three terminals every pair's outer
@@ -764,7 +759,7 @@ class TestRR2Index:
         # vertex and the one block's three terminals, not the component
         L = 60
         inst = pendant_chain(L, terminals=3)
-        index = reducer._RR2Index(inst.graph, frozenset({1}), inst.terminals)
+        index = reducer._Record(inst.graph, frozenset({1}), inst.terminals)
         assert apply_rr2(inst, {1}, index) is None
         entries = [e for es in index.live.values() for e in es]
         assert len(index.live) > L and len(entries) <= len(index.live)
@@ -776,7 +771,7 @@ class TestRR2Index:
         # one decomposition per pair would be over 1 600 here
         L = 60
         inst = pendant_chain(L, terminals=3)
-        index = reducer._RR2Index(inst.graph, frozenset({1}), inst.terminals)
+        index = reducer._Record(inst.graph, frozenset({1}), inst.terminals)
         with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
             assert apply_rr2(inst, {1}, index) is None
         assert len(index.live) > L and 1 <= spy.call_count <= 3
@@ -798,7 +793,7 @@ class TestRR2Index:
         first = frozenset({2, 3, 4, 5, 6, 10, 11, 12, 13, 17})
         region = first | {7, 8, 14, 15, 16}
         s_star, T = frozenset({17}), frozenset({3, 5, 11, 13, 14, 16})
-        index = reducer._RR2Index(g, s_star, T)
+        index = reducer._Record(g, s_star, T)
         fired = []
         for T in (T, T - {11, 13}, T - {11, 13, 14}):
             while True:
@@ -852,16 +847,19 @@ class TestRR2Index:
 
     def test_pendant_chain_below_three_terminals_floods_nothing(self):
         # G - S* has about L cut vertices on one root-to-leaf path, but with
-        # two terminals RR2 cannot fire, so it builds no pair and floods no
-        # G - {x, y}; RR3 floods G - S* once per call
+        # two terminals RR2 cannot fire, so it lists no pair and floods no
+        # G - {x, y}; RR3 reads the trees of the one forest of G - S*
         inst = pendant_chain(1200)
-        with mock.patch.object(reducer, "connected_components", wraps=connected_components) as floods, \
+        with mock.patch.object(reducer, "block_cut_forest", wraps=reducer.block_cut_forest) as forests, \
                 mock.patch.object(reducer, "apply_rr3", wraps=reducer.apply_rr3) as rr3, \
-                mock.patch.object(reducer, "_rr2_candidate_pairs", wraps=_rr2_candidate_pairs) as pairs:
+                mock.patch.object(reducer, "nested_cut_pairs", wraps=reducer.nested_cut_pairs) as pairs:
             reduced, log, feasible = reduce_terminals(inst, {1})
         assert feasible and reduced.terminals == inst.terminals and not log.steps
-        assert pairs.call_count == 0
-        assert floods.call_count == rr3.call_count >= 1
+        s_star = build_1_redundant(inst, {1})[0].s_star
+        assert pairs.call_count == 0 and rr3.call_count >= 1
+        regions = Counter(frozenset(c.args[0].vertices) for c in forests.call_args_list)
+        assert regions.pop(frozenset(inst.graph.without(s_star).vertices)) == 1
+        assert all(len(r - s_star) == 1 for r in regions)  # RR3's paths through a lone terminal
 
 
 def reader_cases(seed: int, kind: str, s_kind: str):
@@ -906,7 +904,7 @@ class TestCutPairReader:
         g, T, s_star = reader_cases(seed, kind, s_kind)
         forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
         blocks = biconnected_blocks(g.without(s_star))
-        pairs = _rr2_candidate_pairs(g, s_star)
+        pairs = rr2_candidate_pairs(g, s_star)
         rng = random.Random(seed)
         for T in (T, frozenset(t for t in T if rng.random() < 0.6)):  # and once T has shrunk
             forest.shrink(T)
@@ -924,7 +922,7 @@ class TestCutPairReader:
                 assert [forest.vertices(r) for r in recs] == want
                 assert [r.least for r in recs] == [min(c) for c in want]
                 for rec, comp in zip(recs, want):
-                    assert forest.count(rec.ranges, rec.sets) == len(T & comp) and forest.size(rec) == len(comp)
+                    assert forest.count(rec.ranges, rec.sets) == len(T & comp)
                     assert all(forest.holds(rec, v) == (v in comp) for v in g.vertices)
                     assert rec.plain == (s_star.isdisjoint(comp) and not split)
                     if not rec.plain:
