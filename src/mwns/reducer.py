@@ -181,29 +181,24 @@ class _Record:
     asked with a terminal in component i, the vertices of i on a simple x-y
     path.
 
-    RR2's `live` maps each pair of `nested_cut_pairs`, built on the first
-    query with three terminals, with no terminals (a terminal cut vertex
-    between two others blocks no pair) to None until visited, then to the
-    components D of G - {x, y} that may still fire, as (least vertex, None
-    or T-sets of blocks of G[D + x + y] with two terminals, whether that
-    list is all of them or one witness's, None or D as `forest` read it, and
-    None or the terminals of D's x-y path once read). Only a D that holds a
-    T-cycle drops its reading, and it is read again once its T-sets show
-    none. A cycle-free region stays so and G fixes its x-y tree path, so
-    that path's terminals are the list read first, filtered by the current
-    T. `witnesses` holds every block with two terminals a verdict found,
-    with its terminals: a block of G lies in a block of any region holding
-    it. A pair whose entries all hold T-cycles is `asleep`, and `watch`
-    wakes it when one of two terminals of a T-set of one of them goes (or,
-    for a pair with a terminal, that terminal): till then no entry can
-    change."""
+    RR2's `bound` holds, for the T of its first query with three
+    terminals, the terminals of each block of G[S* + T] with two, while
+    the block binds them: while two are left and at most one is gone.
+    `live` lists the pairs of `nested_cut_pairs`, built when a query first
+    finds three terminals outside them. `witnesses` holds every block with
+    two terminals a verdict found, with its terminals: a block of G lies in
+    a block of any region holding it. A pair whose components all hold
+    T-cycles is `asleep`, and `watch` wakes it when one of two terminals of
+    a block with two in one of them goes (or, for a pair with a terminal,
+    that terminal): till then none can fire."""
 
     def __init__(self, g: Graph, s_star: frozenset[int], terminals: frozenset[int]):
         if foreign := g.foreign(s_star):
             raise ValueError(f"S* vertices {foreign} are not in the graph")
         self.graph, self.s_star, self.terminals = g, s_star, terminals
         forest = self.forest = CutPairReader(g, block_cut_forest(g.without(s_star)), terminals)
-        self.live: dict[tuple[int, int], list[tuple] | None] | None = None
+        self.bound: list[frozenset[int]] | None = None
+        self.live: list[tuple[int, int]] | None = None
         self.witnesses: dict[frozenset[int], frozenset[int]] = {}
         self.asleep: set[tuple[int, int]] = set()
         self.watch: dict[int, list[tuple[int, int]]] = {}
@@ -236,14 +231,13 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
     more terminals, no T-cycle inside G[D + x + y], and an x-y path through
     two distinct terminals; the smallest other terminal of D is dropped.
     Calls on one G and S* whose T only shrinks may share `record` (else
-    new): a component with under three terminals, or two on its x-y path,
-    stays so. The components of each G - {x, y} are read off the block-cut
-    forest of G - S*, not flooded; only D next to both x and y can join them
-    through two terminals. The forest's blocks and tree path judge a D that
-    is one piece of it missing S*, with no decomposition. Any other region
-    holding a cached witness block that misses x or y and still has two
-    terminals is rejected undecomposed; only its own full decomposition may
-    find it cycle-free, and its blocks then give its x-y path."""
+    new). Such a D holds three free terminals, in no block of G[S* + T]
+    with two terminals, which x and y, outside S* + T, leave connected.
+    Each awake pair's components next to both x and y with three terminals
+    are read off the block-cut forest of G - S* and judged afresh: by the
+    forest's blocks and tree path for one piece of it missing S*, else by
+    a cached witness block that misses x or y and still has two terminals,
+    else by a decomposition, whose blocks give a cycle-free D its x-y path."""
     g, T = inst.graph, inst.terminals
     record = _checked(inst, s_star, record)
     if len(T) < 3:
@@ -253,12 +247,17 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
         for pair in watch.pop(t, ()):
             asleep.discard(pair)
     record.terminals = T
+    if record.bound is None:
+        record.bound = [c for b in biconnected_blocks(g.induced(record.s_star | T)) if len(c := b & T) > 1]
+    record.bound = [c for c in record.bound if len(c - T) < 2 and len(c & T) > 1]
+    if len(T.difference(*record.bound)) < 3:
+        return None
     if record.live is None:
-        record.live = dict.fromkeys(nested_cut_pairs(forest))
+        record.live = nested_cut_pairs(forest)
     forest.shrink(T)
     witnesses = record.witnesses = {w: wt if wt <= T else wt & T
                                     for w, wt in record.witnesses.items() if len(wt & T) > 1}
-    for pair, entries in record.live.items():
+    for pair in record.live:
         if pair in asleep:
             continue
         x, y = pair
@@ -266,52 +265,28 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
             asleep.add(pair)
             watch.setdefault(x if x in T else y, []).append(pair)
             continue
-        fresh = entries is None  # read for this T
-        if fresh:
-            entries = [(d.least, None, False, d, None) for d in forest.read(x, y, 3)]
-        live = record.live[pair] = []
-        held: list[int] = []  # two terminals of a T-set with two, per entry left
-        for i, (anchor, cyc, whole, d, path) in enumerate(entries):
-            crowd = next((c for c in cyc if len(c & T) > 1), None) if cyc else None
-            comp = region = None  # D's vertices and the blocks of G[D + x + y], once built
-            if crowd is None:
-                if d is None:  # kept no reading beside its T-cycle
-                    d = next((c for c in forest.read(x, y, 3) if c.least == anchor), None)
-                elif not fresh and forest.count(d.ranges, d.sets) < 3:
-                    d = None
-                if d is None:
-                    continue  # under three terminals, and stays so as T shrinks
-                if not whole:  # unjudged, or its witness now holds under two terminals
-                    if d.plain:
-                        blocks = forest.crowded_blocks(d)
-                    # a witness block missing x or y stays connected without
-                    # them, so it lies in D if one of its terminals does
-                    elif found := next((wt for w, wt in witnesses.items() if (x not in w or y not in w)
-                                        and forest.holds(d, next(iter(wt)))), None):
-                        cyc, blocks = (found,), None
-                    else:
-                        comp = forest.vertices(d)
-                        region = biconnected_blocks(g.induced(comp | {x, y}))
-                        blocks = [b for b in region if len(b & T) > 1]
-                    if blocks is not None:
-                        cyc, whole = tuple(b & T for b in blocks), True
-                        witnesses.update(zip(blocks, cyc))
-                    crowd = cyc[0] if cyc else None
-            if crowd is not None:
-                live.append((anchor, cyc, whole, None, None))
-                held += itertools.islice(crowd & T, 2)
+        held: list[int] = []  # two terminals of a block with two, per D with a T-cycle
+        for d in forest.read(x, y, 3):
+            if d.plain:
+                blocks = forest.crowded_blocks(d)
+            # a witness block missing x or y stays connected without them,
+            # so it lies in D if one of its terminals does
+            elif found := next((w for w, wt in witnesses.items() if (x not in w or y not in w)
+                                and forest.holds(d, next(iter(wt)))), None):
+                blocks = [found]
+            else:  # D's vertices and the blocks of G[D + x + y]
+                comp = forest.vertices(d)
+                region = biconnected_blocks(g.induced(comp | {x, y}))
+                blocks = [b for b in region if len(b & T) > 1]
+            if blocks:
+                witnesses.update((b, b & T) for b in blocks)
+                held += itertools.islice(blocks[0] & T, 2)
                 continue  # a T-cycle, and the tree counting needs one terminal per block
-            if path is None and d.plain:
-                path = forest.path_marked(x, y)
-            elif path is None:
-                comp = comp or forest.vertices(d)
-                path = [t for t in _on_path(g, comp, x, y, region) if t in T]
-            else:
-                path = [t for t in path if t in T]
+            path = (forest.path_marked(x, y) if d.plain
+                    else [t for t in _on_path(g, comp, x, y, region) if t in T])
             if len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
-            live += [(anchor, cyc, whole, d, path)] + entries[i + 1:]
-            comp = comp or forest.vertices(d)
+            comp = forest.vertices(d)
             kept = (path[0], path[1])
             drop = min(t for t in comp & T if t not in kept)  # D holds three or more
             step = DropComponentTerminal(drop, x, y, comp, kept)
@@ -355,7 +330,7 @@ def _on_path(g: Graph, comp: frozenset[int], x: int, y: int,
     `blocks`, if given, are H's."""
     if not g.neighbors(x) & comp or not g.neighbors(y) & comp:
         return []
-    f = block_cut_forest(g.induced(comp | {x, y}), blocks)
+    f = block_cut_forest(g if blocks is not None else g.induced(comp | {x, y}), blocks)
     on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
     return list(dict.fromkeys(v for n in on_path for v in f.nodes[n].vertices if v in comp))
 

@@ -217,6 +217,14 @@ def rr2_candidate_pairs(g: Graph, s_star) -> list[tuple[int, int]]:
     return nested_cut_pairs(block_cut_forest(g.without(s_star)))
 
 
+def free_terminals(g: Graph, T, s_star) -> frozenset[int]:
+    """The terminals in no block of G[S* + T] with two terminals, off a
+    fresh decomposition of G[S* + T]."""
+    T = frozenset(T)
+    blocks = biconnected_blocks(g.induced(frozenset(s_star) | T))
+    return T.difference(*(b for b in blocks if len(b & T) > 1))
+
+
 def rr2_reference(inst: Instance, s_star):
     """`apply_rr2` as it was before its index: every call builds the
     candidate pairs, each pair's components of G - {x, y} and each

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mwns.blockcut as blockcut_mod
 import mwns.reducer as reducer
-from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest
+from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
@@ -32,8 +32,8 @@ from mwns.reducer import (
 from mwns.separators import path_through_forced_vertex, terminals_on_path
 from mwns.solver import oracle_solve
 
-from brute import (random_block_tree, random_graph, rr2_candidate_pairs, rr2_pairs_brute, rr2_reference,
-                   small_instances)
+from brute import (free_terminals, random_block_tree, random_graph, rr2_candidate_pairs, rr2_pairs_brute,
+                   rr2_reference, small_instances)
 
 
 def six_cycle_instance(k=1):
@@ -656,6 +656,22 @@ def pendant_chain(L, terminals=2):
     return Instance.of(Graph(range(1, L + 1 + terminals), edges), ts, 1)
 
 
+def shrinking_case(rng: random.Random, kind: str) -> tuple[Graph, frozenset[int], frozenset[int]]:
+    """A graph, terminals and S* for RR2 along shrinking terminals: a flower
+    with its hubs as S*, or a block tree or random graph with a few random
+    non-terminals as S*."""
+    if kind == "flower":
+        petals = [(rng.choice(HUB_PAIRS), rng.randint(5, 13)) for _ in range(rng.randint(2, 4))]
+        inst = flower(petals, rng.randint(1, 6))
+        return inst.graph, inst.terminals, frozenset({1, 2, 3})
+    if kind == "block tree":
+        g = random_block_tree(rng, rng.randint(3, 10))[0]
+    else:
+        g = random_graph(rng, rng.randint(5, 12), rng.choice([0.15, 0.25, 0.35]))
+    T = frozenset(v for v in g.vertices if rng.random() < 0.45)
+    return g, T, frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
+
+
 @st.composite
 def rr2_flowers(draw):
     """Flowers with a petal of 11 to 13 vertices and a second petal on the
@@ -694,25 +710,32 @@ class TestRR2Index:
         # T shrinks by RR2's own drops where it fires, by up to three random
         # terminals elsewhere; the index is built once, before the first query
         rng = random.Random(seed)
-        if kind == "flower":
-            petals = [(rng.choice(HUB_PAIRS), rng.randint(5, 13)) for _ in range(rng.randint(2, 4))]
-            inst = flower(petals, rng.randint(1, 6))
-            g, T, s_star = inst.graph, inst.terminals, frozenset({1, 2, 3})
-        else:
-            if kind == "block tree":
-                g = random_block_tree(rng, rng.randint(3, 10))[0]
-            else:
-                g = random_graph(rng, rng.randint(5, 12), rng.choice([0.15, 0.25, 0.35]))
-            T = frozenset(v for v in g.vertices if rng.random() < 0.45)
-            s_star = frozenset(v for v in g.vertices if v not in T and rng.random() < 0.1)
+        g, T, s_star = shrinking_case(rng, kind)
         index = reducer._Record(g, s_star, T)
         while T:
             inst = Instance(g, T, 1)
             shared = apply_rr2(inst, s_star, index)
             assert shared == apply_rr2(inst, s_star) == rr2_reference(inst, s_star)
-            if index.live is not None:  # filled by the first query with three terminals
-                assert list(index.live) == rr2_candidate_pairs(g, s_star)
+            if index.live is not None:  # filled by the first query with three free terminals
+                assert index.live == rr2_candidate_pairs(g, s_star)
             T = shared[0].terminals if shared else T - set(rng.sample(sorted(T), min(len(T), 3)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]))
+    def test_rr2_fires_only_on_free_terminals(self, seed, kind):
+        # a block of G[S* + T] with two terminals misses x and y, which lie
+        # outside S* + T, so a D holding one of its terminals holds all of it
+        # and, with x and y, a T-cycle: RR2 needs three free terminals
+        rng = random.Random(seed)
+        g, T, s_star = shrinking_case(rng, kind)
+        while T:
+            inst = Instance(g, T, 1)
+            free, fired = free_terminals(g, T, s_star), rr2_reference(inst, s_star)
+            if fired is not None:
+                assert fired[1].component & T <= free
+            if len(free) < 3:
+                assert fired is None
+            T = fired[0].terminals if fired else T - set(rng.sample(sorted(T), min(len(T), 3)))
 
     def test_component_behind_a_firing_one_fires_on_a_later_call(self):
         # G - {2, 3} has two cycle-free components joining 2 to 3, each with
@@ -731,39 +754,46 @@ class TestRR2Index:
         assert [s.component for s in steps[:2]] == [frozenset(a[1:-1]), frozenset(b[1:-1])]
 
     def test_each_pair_component_decomposed_once(self):
-        # two pairs may cut off one region D + x + y; no pair decomposes one
-        # twice for its T-cycle check, and a region found cycle-free takes
-        # its x-y path from that decomposition's blocks and keeps the path's
-        # terminals once it fires. Only a region whose T-cycles all lose a
-        # terminal is decomposed once more for its path, and none does
-        # here. The pair (6, 8) fires six times
+        # two pairs may cut off one region D + x + y; a pair decomposes one
+        # at most once per visit for its T-cycle check, and a region found
+        # cycle-free takes its x-y path from that decomposition's blocks. A
+        # pair is visited again only once it fires or a terminal it sleeps
+        # on goes, so a region is decomposed at most once per pair cutting
+        # it off and once more per firing of such a pair. The pair (6, 8)
+        # fires six times, each visit judging G - 7 afresh; RR2's one
+        # decomposition of G[S* + T] is of no region
         wrapped = blockcut_mod.biconnected_blocks
         with mock.patch.object(reducer, "biconnected_blocks", wraps=wrapped) as spy, \
                 mock.patch.object(blockcut_mod, "biconnected_blocks", wraps=wrapped) as inner:
             reduced, log, _ = reduce_terminals(FLOWERS[0], {1, 2, 3})
-        assert any(isinstance(s, DropComponentTerminal) for s in log.steps)
-        g = reduced.graph
+        fired = Counter((s.x, s.y) for s in log.steps if isinstance(s, DropComponentTerminal))
+        g, s_star = reduced.graph, build_1_redundant(FLOWERS[0], {1, 2, 3})[0].s_star
         regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
+        [bound] = [r for r in regions if r <= s_star | FLOWERS[0].terminals]
+        assert regions.pop(bound) == 1
         every = regions + Counter(frozenset(c.args[0].vertices) for c in inner.call_args_list)
-        assert regions
+        assert fired[6, 8] == 6 and regions[frozenset(g.vertices) - {7}] == 6
         for region, calls in every.items():
             cutting = [p for p in itertools.combinations(sorted(region), 2)
                        if region - set(p) in map(frozenset, connected_components(g.without(p)))]
-            assert regions[region] <= len(cutting)
+            allowed = len(cutting) + sum(fired[p] for p in cutting)
+            assert regions[region] <= allowed
             if cutting:  # RR3 and the blocker decompose regions that no pair cuts off
-                assert calls <= len(cutting), sorted(region)
+                assert calls <= allowed, sorted(region)
 
     def test_index_keeps_no_component_of_a_rejected_pair(self):
-        # on the pendant chain with three terminals every pair's outer
-        # component holds a T-cycle through 1; the index keeps its least
-        # vertex and the one block's three terminals, not the component
+        # on the pendant chain with three terminals and S* = {1}, G[S* + T]
+        # is a star and binds no terminal, so RR2 reads every pair; each
+        # pair's outer component holds a T-cycle through 1, and the index
+        # keeps the pairs, asleep, and two terminals each sleeps on: no
+        # component
         L = 60
         inst = pendant_chain(L, terminals=3)
         index = reducer._Record(inst.graph, frozenset({1}), inst.terminals)
         assert apply_rr2(inst, {1}, index) is None
-        entries = [e for es in index.live.values() for e in es]
-        assert len(index.live) > L and len(entries) <= len(index.live)
-        assert all(comp is path is None and cyc == (inst.terminals,) for _, cyc, _, comp, path in entries)
+        assert index.bound == [] and index.live == nested_cut_pairs(index.forest) and len(index.live) > L
+        assert index.asleep == set(index.live) and set(index.watch) <= inst.terminals
+        assert sorted(p for ps in index.watch.values() for p in ps) == sorted(index.live * 2)
 
     def test_pendant_chain_decomposes_a_handful_of_regions(self):
         # the first outer region's block {1, L, L+1, L+2, L+3} lies in every
@@ -804,7 +834,8 @@ class TestRR2Index:
                 assert shared == rr2_reference(inst, s_star)
                 decomposed = [frozenset(c.args[0].vertices) for c in spy.call_args_list]
                 if T == {3, 5, 11, 13, 14, 16}:  # B is cached, (2, 8)'s region is not decomposed
-                    assert decomposed == [first] and shared is None
+                    # after the one decomposition of G[S* + T], whose edge 5-13 binds 5 and 13
+                    assert decomposed == [s_star | T, first] and shared is None
                 elif T == {3, 5, 14, 16}:  # B is stale, the region is decomposed and C rejects it
                     assert decomposed == [region] and shared is None
                 if shared is None:
@@ -836,14 +867,27 @@ class TestRR2Index:
             finally:
                 inside[0] = False
 
-        with mock.patch.object(Graph, "neighbors", counted), mock.patch.object(reducer, "apply_rr2", rr2):
+        with mock.patch.object(Graph, "neighbors", counted), mock.patch.object(reducer, "apply_rr2", rr2), \
+                mock.patch.object(CutPairReader, "read", autospec=True, side_effect=CutPairReader.read) as reads:
             reduce_terminals(inst, s_hat)
         index = indexes[-1]
         g, trees = index.graph, len(block_cut_forest(index.graph.without(index.s_star)).roots)
-        read = sum(entries is not None for entries in index.live.values())
         assert len(index.forest.trees) <= trees and len(lookups) <= (trees + 1) * g.n
-        # FLOWERS[0] is small: it reads five pairs, about one per tree
-        assert inst is FLOWERS[0] or len(lookups) < read * (g.n - 2)
+        if s_hat == {1}:  # the chain's three terminals share a block of G[S* + T]: no D can fire
+            assert reads.call_count == len(lookups) == 0
+        else:
+            assert len(lookups) < reads.call_count * (g.n - 2)
+
+    def test_pendant_chain_with_three_bound_terminals_reads_no_pair(self):
+        # S* holds 1 and L, and each terminal is joined to both: one block
+        # of G[S* + T] holds all three, so every D holding a terminal holds
+        # a T-cycle, and RR2 lists and reads no pair of the ~L²/2 there are
+        inst = pendant_chain(400, terminals=3)
+        with mock.patch.object(reducer, "nested_cut_pairs", wraps=reducer.nested_cut_pairs) as pairs, \
+                mock.patch.object(CutPairReader, "read", autospec=True, side_effect=CutPairReader.read) as reads:
+            reduced, log, feasible = reduce_terminals(inst, {1})
+        assert feasible and reduced.terminals == inst.terminals and not log.steps
+        assert pairs.call_count == reads.call_count == 0
 
     def test_pendant_chain_below_three_terminals_floods_nothing(self):
         # G - S* has about L cut vertices on one root-to-leaf path, but with
