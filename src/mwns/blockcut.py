@@ -99,6 +99,17 @@ class BCNode(NamedTuple):
         return "{" + ",".join(str(v) for v in sorted(self.vertices)) + "}"
 
 
+class VertexIndex(NamedTuple):
+    """A forest's `index`: the node owning each vertex, a cut vertex its cut
+    node and any other vertex its only block; the root of each node's tree;
+    and the vertices by owner in pre-order, node i's from start[i] on, so
+    that the id range [lo, hi) owns verts[start[lo]:start[hi]]."""
+    owner: dict[int, int]
+    root: tuple[int, ...]
+    verts: list[int]
+    start: list[int]
+
+
 class BlockCutForest:
     """Rooted block-cut forest of a graph.
 
@@ -187,14 +198,20 @@ class BlockCutForest:
         return tuple(end)
 
     @cached_property
-    def _blocks_of(self) -> dict[int, list[int]]:
-        """vertex -> ids of the block nodes holding it, ascending"""
-        out: dict[int, list[int]] = {}
-        for nd in self.nodes:
-            if nd.kind == "block":
-                for v in nd.vertices:
-                    out.setdefault(v, []).append(nd.id)
-        return out
+    def index(self) -> VertexIndex:
+        cut = self._cut_node
+        owner: dict[int, int] = {}
+        root: list[int] = []
+        verts: list[int] = []
+        start: list[int] = []
+        for nd, par in zip(self.nodes, self.parent):
+            root.append(nd.id if par is None else root[par])
+            start.append(len(verts))
+            own = nd.vertices if nd.kind == "cut" else nd.vertices.difference(cut)
+            verts += own
+            owner.update(dict.fromkeys(own, nd.id))
+        start.append(len(verts))
+        return VertexIndex(owner, tuple(root), verts, start)
 
     # -- basic lookups ----------------------------------------------------
 
@@ -207,32 +224,38 @@ class BlockCutForest:
         return v in self._cut_node
 
     def cut_node_of(self, v: int) -> int:
+        if v not in self._cut_node:
+            raise KeyError(f"vertex {v} is not a cut vertex")
         return self._cut_node[v]
 
     def blocks_containing(self, v: int) -> list[int]:
-        return list(self._blocks_of.get(v, ()))
+        """Ids of the block nodes holding v, ascending: its cut node's parent and children, or its owner."""
+        if v in self._cut_node:
+            c = self._cut_node[v]
+            return [self.parent[c], *self.children[c]]
+        return [self.index.owner[v]] if v in self.index.owner else []
 
     def node_of_vertex(self, v: int) -> int:
-        """Cut node for a cut vertex, else the unique block containing v."""
+        """Cut node for a cut vertex, else the unique block containing v (a scan, no index)."""
         if v in self._cut_node:
             return self._cut_node[v]
-        if v not in self._blocks_of:
-            raise KeyError(f"vertex {v} not in decomposed graph")
-        return self._blocks_of[v][0]
+        for nd in self.nodes:
+            if v in nd.vertices:
+                return nd.id
+        raise KeyError(f"vertex {v} not in decomposed graph")
 
     def tree_edges(self) -> list[tuple[int, int]]:
         return [(p, c.id) for c in self.nodes if (p := self.parent[c.id]) is not None]
 
     def root_of(self, nid: int) -> int:
-        while self.parent[nid] is not None:
-            nid = self.parent[nid]
+        self.node(nid)
+        while (par := self.parent[nid]) is not None:
+            nid = par
         return nid
 
     def tree_path(self, a: int, b: int) -> list[int]:
         """Node ids on the unique tree path from a to b, inclusive."""
         self.node(a), self.node(b)
-        if self.root_of(a) != self.root_of(b):
-            raise ValueError("nodes lie in different trees")
         up_a, up_b = [a], [b]
         x, y = a, b
         while self.depth[x] > self.depth[y]:
@@ -242,18 +265,25 @@ class BlockCutForest:
             y = self.parent[y]
             up_b.append(y)
         while x != y:
+            if self.parent[x] is None:  # two roots
+                raise ValueError("nodes lie in different trees")
             x = self.parent[x]
             y = self.parent[y]
             up_a.append(x)
             up_b.append(y)
         return up_a + up_b[-2::-1]
 
+    def path_vertices(self, a: int, b: int, among: frozenset[int]) -> list[int]:
+        """The vertices of `among` in the nodes on the a-b tree path, node by
+        node from a, each listed once."""
+        return list(dict.fromkeys(v for n in self.tree_path(a, b) for v in self.nodes[n].vertices & among))
+
     # -- spec queries ------------------------------------------------------
 
     def subtree_vertices(self, d: int) -> frozenset[int]:
-        """Graph vertices occurring in blocks of the subtree rooted at node d."""
-        self.node(d)
-        return frozenset().union(*(nd.vertices for nd in self.nodes[d:self.subtree_end[d]]))
+        """Graph vertices of the subtree rooted at node d: d's own and those owned in it."""
+        verts, start = self.index.verts, self.index.start
+        return self.node(d).vertices.union(verts[start[d]:start[self.subtree_end[d]]])
 
 
 def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> BlockCutForest:
@@ -300,11 +330,9 @@ class CutPairReader:
     block-cut tree of Hopcroft and Tarjan 1973) instead of flooding G, with
     counts of a marked vertex set that only shrinks.
 
-    Node ids are pre-order, so node i's subtree is the id range
-    [i, end[i]). Each vertex of G - S is owned by one node, a cut vertex by
-    its cut node and any other vertex by its only block; `verts` lists them
-    by owner, node i's from start[i] on, so an id range is a slice of
-    `verts`, and `before[i]` counts the marked vertices owned below id i.
+    By F's vertex index (`VertexIndex`) each vertex of G - S is owned by
+    one node, and node i's subtree, the id range [i, end[i]), owns a slice
+    of `verts`; `before[i]` counts the marked vertices owned below id i.
     Of x and y, one is the ancestor a and the other the descendant b, and
     P - {a, b}, P being their tree, falls into pieces: the subtree of each
     child block of b; of each child block of a but Ba, the one towards b;
@@ -316,29 +344,14 @@ class CutPairReader:
     """
 
     def __init__(self, g: Graph, f: BlockCutForest, marked: frozenset[int]):
-        """`f` is the forest of G - S, of which the reader keeps only the
-        parts it reads, not its graph."""
-        self.graph, self.marked = g, marked
+        """`f` is the forest of G - S, whose arrays and index the reader shares."""
+        self.graph, self.f, self.marked = g, f, marked
         self.nodes, self.parent, self.children, self.depth = f.nodes, f.parent, f.children, f.depth
-        self.roots = f.roots  # one per tree, which come out by least vertex
-        self.end = f.subtree_end
-        self.cut = {nd.vertex: nd.id for nd in f.nodes if nd.kind == "cut"}
-        self.owner: dict[int, int] = {}
-        self.start: list[int] = []
-        self.verts: list[int] = []
-        self.root: list[int] = []
+        self.roots, self.end, self.cut = f.roots, f.subtree_end, f._cut_node
+        self.owner, self.root, self.verts, self.start = f.index
         # per node: the marked vertices it owns, and for a block those it holds
-        self.owned_m: list[int] = []
-        self.block_m: list[int] = []
-        for nd, par in zip(f.nodes, f.parent):
-            self.root.append(nd.id if par is None else self.root[par])
-            self.start.append(len(self.verts))
-            own = nd.vertices if nd.kind == "cut" else nd.vertices.difference(self.cut)
-            self.verts += own
-            self.owner.update(dict.fromkeys(own, nd.id))
-            self.owned_m.append(len(own & marked))
-            self.block_m.append(len(nd.vertices & marked) if nd.kind == "block" else 0)
-        self.start.append(len(self.verts))
+        self.owned_m = [len(marked.intersection(self.verts[i:j])) for i, j in itertools.pairwise(self.start)]
+        self.block_m = [len(nd.vertices & marked) if nd.kind == "block" else 0 for nd in f.nodes]
         self._sum()
         self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
         self._around: dict[int, frozenset[int]] = {}
@@ -359,8 +372,7 @@ class CutPairReader:
             if nid is None:
                 continue  # t lies in S
             self.owned_m[nid] -= 1
-            # a cut vertex lies in its parent and child blocks
-            for b in [nid] if self.nodes[nid].kind == "block" else [self.parent[nid], *self.children[nid]]:
+            for b in self.f.blocks_containing(t):
                 self.block_m[b] -= 1
         self.marked = marked
         self._sum()
@@ -554,19 +566,4 @@ class CutPairReader:
     def path_marked(self, x: int, y: int) -> list[int]:
         """The marked vertices on the x-y path of F, strictly between x and
         y, in order from x, once each; x and y unmarked."""
-        parent, marked = self.parent, self.marked
-        a, b = self.cut[x], self.cut[y]
-        flip = self.depth[a] < self.depth[b]  # the walk goes up from the deeper one
-        if flip:
-            a, b = b, a
-        on: list[int] = []
-        nid = parent[a]
-        while nid != b:
-            on.append(nid)
-            nid = parent[nid]
-        found: list[int] = []
-        for nid in reversed(on) if flip else on:
-            for t in self.nodes[nid].vertices & marked:
-                if t not in found:
-                    found.append(t)
-        return found
+        return self.f.path_vertices(self.cut[x], self.cut[y], self.marked)

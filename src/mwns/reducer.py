@@ -331,8 +331,7 @@ def _on_path(g: Graph, comp: frozenset[int], x: int, y: int,
     if not g.neighbors(x) & comp or not g.neighbors(y) & comp:
         return []
     f = block_cut_forest(g if blocks is not None else g.induced(comp | {x, y}), blocks)
-    on_path = f.tree_path(f.node_of_vertex(x), f.node_of_vertex(y))
-    return list(dict.fromkeys(v for n in on_path for v in f.nodes[n].vertices if v in comp))
+    return f.path_vertices(f.node_of_vertex(x), f.node_of_vertex(y), comp)
 
 
 def apply_rr3(inst: Instance, s_star: Iterable[int], record: _Record | None = None

@@ -341,14 +341,7 @@ def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] |
             raise MultiTerminalBlockError(
                 f"block {sorted(nd.vertices)} carries {sorted(nd.vertices & T)}")
     na, nb_ = f.node_of_vertex(a), f.node_of_vertex(b)
-    if f.root_of(na) != f.root_of(nb_):
-        return None
-    found: list[int] = []
-    for nid in f.tree_path(na, nb_):
-        for t in f.nodes[nid].vertices & T:
-            if t not in found:
-                found.append(t)
-    return found
+    return f.path_vertices(na, nb_, T) if f.root_of(na) == f.root_of(nb_) else None
 
 
 def max_terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> int:

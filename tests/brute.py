@@ -217,6 +217,29 @@ def rr2_candidate_pairs(g: Graph, s_star) -> list[tuple[int, int]]:
     return nested_cut_pairs(block_cut_forest(g.without(s_star)))
 
 
+def path_marked_walk(reader, x: int, y: int) -> list[int]:
+    """`CutPairReader.path_marked` as a parent walk: the marked vertices of
+    the nodes strictly between the cut nodes of x and y, which lie on one
+    root-to-leaf path, walked up from the deeper one and listed from x, once
+    each."""
+    parent, marked = reader.parent, reader.marked
+    a, b = reader.cut[x], reader.cut[y]
+    flip = reader.depth[a] < reader.depth[b]
+    if flip:
+        a, b = b, a
+    on: list[int] = []
+    nid = parent[a]
+    while nid != b:
+        on.append(nid)
+        nid = parent[nid]
+    found: list[int] = []
+    for nid in reversed(on) if flip else on:
+        for t in reader.nodes[nid].vertices & marked:
+            if t not in found:
+                found.append(t)
+    return found
+
+
 def free_terminals(g: Graph, T, s_star) -> frozenset[int]:
     """The terminals in no block of G[S* + T] with two terminals, off a
     fresh decomposition of G[S* + T]."""

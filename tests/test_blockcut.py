@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import biconnected_blocks, block_cut_forest, blocks_without
+from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, blocks_without
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
@@ -63,6 +63,31 @@ def test_subtree_vertices_unknown_node():
     f = block_cut_forest(two_triangles())
     with pytest.raises(KeyError):
         f.subtree_vertices(99)
+
+
+def test_root_of_and_cut_node_of_name_what_is_not_there():
+    f = block_cut_forest(two_triangles())  # blocks {1,2,3} and {3,4,5}, cut vertex 3
+    assert len(f.nodes) == 3 and [f.root_of(nid) for nid in range(3)] == [0, 0, 0]
+    for nid in (-1, 3, 99):
+        with pytest.raises(KeyError, match=f"unknown node id {nid}"):
+            f.root_of(nid)
+    assert f.cut_node_of(3) == 1
+    for v in (1, 99):  # a vertex that is no cut vertex, and one not in the graph
+        with pytest.raises(KeyError, match=f"vertex {v} is not a cut vertex"):
+            f.cut_node_of(v)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 8), st.sampled_from([0.2, 0.35, 0.5]), st.integers(0, 10**6))
+def test_path_vertices_are_the_union_of_all_simple_paths(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    f = block_cut_forest(g)
+    vertices = frozenset(g.vertices)
+    for comp in connected_components(g):
+        for a, b in itertools.permutations(comp, 2):
+            on = f.path_vertices(f.node_of_vertex(a), f.node_of_vertex(b), vertices)
+            assert len(on) == len(set(on))
+            assert set(on) == set().union(*all_simple_paths(g, a, b))
 
 
 def test_separating_cut_vertex_examples():
@@ -221,6 +246,10 @@ def test_blocks_of_a_20000_vertex_path_and_cycle(closed):
     assert blocks == biconnected_blocks_edge_stack(g)
     assert blocks == ([frozenset(g.vertices)] if closed else
                       [frozenset((v, v + 1)) for v in range(n - 1, 0, -1)])
+    # the path's forest is one tree of depth 2n - 4: a parent walk per node
+    # would be quadratic, so root_of is checked at every 1000th node and the last
+    f = block_cut_forest(g, blocks)
+    check_index(g, f, walked=[*range(0, len(f.nodes), 1000), len(f.nodes) - 1])
 
 
 def test_cut_vertex_deletion_changes_component_count():
@@ -280,11 +309,42 @@ def test_roots_are_smallest_blocks_in_component_order_and_ids_pre_order(n, p, se
     assert order == list(range(len(f.nodes)))
 
 
+def check_index(g: Graph, f, walked=None) -> None:
+    """f's vertex index against g: the owned slices partition V, each
+    vertex's owner is its cut node or its only block, `root` agrees with
+    root_of's parent walk at the nodes `walked` (all by default), and a
+    root's subtree holds its whole component."""
+    owner, root, verts, start = f.index
+    assert len(start) == len(f.nodes) + 1 and start[0] == 0 and start[-1] == len(verts)
+    assert all(lo <= hi for lo, hi in itertools.pairwise(start))
+    assert len(verts) == len(g.vertices) and set(verts) == set(g.vertices)
+    holders: dict[int, list[int]] = {}
+    for nd in f.nodes:
+        assert all(owner[v] == nd.id for v in verts[start[nd.id]:start[nd.id + 1]])
+        for v in nd.vertices:
+            holders.setdefault(v, []).append(nd.id)
+    for v in g.vertices:
+        assert owner[v] == (f.cut_node_of(v) if f.is_cut_vertex(v) else holders[v][0])
+        assert f.nodes[owner[v]].kind == "cut" or holders[v] == [owner[v]]
+    for nid in range(len(f.nodes)) if walked is None else walked:
+        top = nid
+        while f.parent[top] is not None:
+            top = f.parent[top]
+        assert root[nid] == f.root_of(nid) == top
+    comps = connected_components(g)  # by least vertex, as the trees come out
+    assert [f.subtree_vertices(r) for r in f.roots] == [frozenset(c) for c in comps]
+
+
 def test_vertex_lookups_and_subtrees_match_a_node_scan():
     rng = random.Random(5)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 9), 0.3)
         f = block_cut_forest(g)
+        check_index(g, f)
+        reader = CutPairReader(g, f, frozenset())
+        # one index, the forest's, which the reader reads as it is
+        shared = (reader.owner, reader.root, reader.verts, reader.start)
+        assert all(mine is its for mine, its in zip(shared, f.index, strict=True))
         for v in g.vertices:
             scan = [nd.id for nd in f.nodes if nd.kind == "block" and v in nd.vertices]
             assert f.blocks_containing(v) == scan

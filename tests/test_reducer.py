@@ -32,8 +32,8 @@ from mwns.reducer import (
 from mwns.separators import path_through_forced_vertex, terminals_on_path
 from mwns.solver import oracle_solve
 
-from brute import (free_terminals, random_block_tree, random_graph, rr2_candidate_pairs, rr2_pairs_brute,
-                   rr2_reference, small_instances)
+from brute import (free_terminals, path_marked_walk, random_block_tree, random_graph, rr2_candidate_pairs,
+                   rr2_pairs_brute, rr2_reference, small_instances)
 
 
 def six_cycle_instance(k=1):
@@ -976,6 +976,31 @@ class TestCutPairReader:
                     assert sorted(map(sorted, forest.crowded_blocks(rec))) == sorted(map(sorted, crowded))
                     if not crowded:
                         assert forest.path_marked(x, y) == terminals_on_path(region, T & comp, x, y)
+
+    def test_path_marked_matches_the_parent_walk(self):
+        # RR2 logs the first two vertices of path_marked as `kept=`, so its
+        # order from x is checked, not only its set
+        rng = random.Random(27)
+        chain = pendant_chain(60, 3)
+        cases = [("flower", inst.graph, inst.terminals, frozenset({1, 2, 3})) for inst in FLOWERS]
+        cases += [("flower", *shrinking_case(rng, "flower")) for _ in range(40)]
+        # the chain's terminals hang off its end, off every x-y path; marking
+        # every third path vertex as well puts marked vertices on the paths
+        cases += [("chain", chain.graph, T, frozenset({1}))
+                  for T in (chain.terminals, chain.terminals | set(range(3, 60, 3)))]
+        plain = Counter()
+        for kind, g, T, s_star in cases:
+            forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
+            for marked in (T, frozenset(t for t in T if rng.random() < 0.7)):
+                forest.shrink(marked)
+                for x, y in nested_cut_pairs(forest):
+                    if x in marked or y in marked:
+                        continue
+                    assert forest.path_marked(x, y) == path_marked_walk(forest, x, y)
+                    assert forest.path_marked(y, x) == path_marked_walk(forest, y, x)
+                    # the components whose x-y path RR2 reads off the forest
+                    plain[kind] += any(d.plain and not forest.crowded_blocks(d) for d in forest.read(x, y, 3))
+        assert plain["flower"] > 0 and plain["chain"] > 0
 
 
 def reference_lift(log: ReductionLog, solution) -> frozenset[int]:
