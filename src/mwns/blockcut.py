@@ -118,11 +118,11 @@ class BlockCutForest:
     smallest. Node ids are assigned in pre-order so traversals and traces are
     reproducible across runs. The forest depends only on the set of blocks,
     so `blocks`, when given, may list them in any order; they may also be
-    those of an induced subgraph H of `graph`, whose forest this then is.
+    those of an induced subgraph H of `graph`, whose forest this then is;
+    else `graph` is decomposed.
     """
 
     def __init__(self, graph: Graph, blocks: list[frozenset[int]] | None = None):
-        self.graph = graph
         if blocks is None:
             blocks = biconnected_blocks(graph)
         cuts: set[int] = set()
@@ -278,6 +278,22 @@ class BlockCutForest:
         node from a, each listed once."""
         return list(dict.fromkeys(v for n in self.tree_path(a, b) for v in self.nodes[n].vertices & among))
 
+    def span_vertices(self, ends: Iterable[int]) -> frozenset[int]:
+        """The vertices on simple paths between `ends`, which lie in one tree:
+        those of the least subtree holding their owners, or `ends` if it is
+        one vertex. Ids are pre-order, so the owners' least common ancestor
+        is that of the least and greatest id, and each owner walks up to the
+        nodes already in the subtree."""
+        ids = [self.index.owner[e] for e in ends]
+        if len(ids) == 1:
+            return frozenset(ends)
+        on = set(self.tree_path(min(ids), max(ids)))
+        for n in ids:
+            while n not in on:
+                on.add(n)
+                n = self.parent[n]
+        return frozenset().union(*(self.nodes[n].vertices for n in on))
+
     # -- spec queries ------------------------------------------------------
 
     def subtree_vertices(self, d: int) -> frozenset[int]:
@@ -312,8 +328,7 @@ class PairComponent(NamedTuple):
     """A component D of G - {x, y} as `CutPairReader.read` gives it: its
     least vertex, the id ranges of F's nodes whose owned vertices it holds,
     its other vertices as sets, and whether it is `plain`: one piece missing
-    S, so that the blocks of G[D + x + y] are F's blocks in D's ranges and
-    its x-y tree path is F's."""
+    S, so that every block of G[D + x + y] and its x-y tree path are F's."""
     least: int
     ranges: tuple[tuple[int, int], ...]
     sets: tuple[frozenset[int], ...]
@@ -328,7 +343,7 @@ class CutPairReader:
     """The components of G - {x, y}, for cut vertices x and y on one
     root-to-leaf path of the block-cut forest F of G - S, read off F (the
     block-cut tree of Hopcroft and Tarjan 1973) instead of flooding G, with
-    counts of a marked vertex set that only shrinks.
+    the count of a marked vertex set, which only shrinks, in each of them.
 
     By F's vertex index (`VertexIndex`) each vertex of G - S is owned by
     one node, and node i's subtree, the id range [i, end[i]), owns a slice
@@ -349,18 +364,16 @@ class CutPairReader:
         self.nodes, self.parent, self.children, self.depth = f.nodes, f.parent, f.children, f.depth
         self.roots, self.end, self.cut = f.roots, f.subtree_end, f._cut_node
         self.owner, self.root, self.verts, self.start = f.index
-        # per node: the marked vertices it owns, and for a block those it holds
+        # per node: the marked vertices it owns
         self.owned_m = [len(marked.intersection(self.verts[i:j])) for i, j in itertools.pairwise(self.start)]
-        self.block_m = [len(nd.vertices & marked) if nd.kind == "block" else 0 for nd in f.nodes]
         self._sum()
         self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
         self._around: dict[int, frozenset[int]] = {}
 
     def _sum(self) -> None:
-        """Prefix sums by node id: `before` of the owned marked vertices,
-        `crowded` of the blocks holding two; and no set counted yet."""
+        """`before`, the prefix sums of the owned marked vertices by node id;
+        and no set counted yet."""
         self.before = [0, *itertools.accumulate(self.owned_m)]
-        self.crowded = [0, *itertools.accumulate(c > 1 for c in self.block_m)]
         self.set_m: dict[frozenset[int], int] = {}
 
     def shrink(self, marked: frozenset[int]) -> None:
@@ -368,12 +381,8 @@ class CutPairReader:
         if len(marked) == len(self.marked):
             return
         for t in self.marked - marked:
-            nid = self.owner.get(t)
-            if nid is None:
-                continue  # t lies in S
-            self.owned_m[nid] -= 1
-            for b in self.f.blocks_containing(t):
-                self.block_m[b] -= 1
+            if (nid := self.owner.get(t)) is not None:  # else t lies in S
+                self.owned_m[nid] -= 1
         self.marked = marked
         self._sum()
 
@@ -555,13 +564,6 @@ class CutPairReader:
         one in P, else by its sets, which miss P."""
         p = self.owner.get(v, -1)
         return any(lo <= p < hi for lo, hi in comp.ranges) or any(v in c for c in comp.sets)
-
-    def crowded_blocks(self, comp: PairComponent) -> list[frozenset[int]]:
-        """The blocks of G[D + x + y] with two marked vertices, for a plain
-        component D: those of F in D's ranges."""
-        nodes, crowded, block_m = self.nodes, self.crowded, self.block_m
-        return [nodes[nid].vertices for lo, hi in comp.ranges if crowded[hi] > crowded[lo]
-                for nid in range(lo, hi) if block_m[nid] > 1]
 
     def path_marked(self, x: int, y: int) -> list[int]:
         """The marked vertices on the x-y path of F, strictly between x and

@@ -176,10 +176,9 @@ class _Record:
     shrinks (`terminals` is the last T RR2 saw); S* must lie in G.
 
     `forest` reads the block-cut forest of G - S*. RR3's components of
-    G - S* are its trees, by least vertex; `pairs` lists per pair of S* the
-    indices of those next to both, and `on_path[x, y, i]`, built when first
-    asked with a terminal in component i, the vertices of i on a simple x-y
-    path.
+    G - S* are its trees, by least vertex, and `pairs` lists per pair of S*
+    the indices of those next to both. If `separated`, no block of the
+    forest holds two terminals of the first T, or of any later, smaller T.
 
     RR2's `bound` holds, for the T of its first query with three
     terminals, the terminals of each block of G[S* + T] with two, while
@@ -197,6 +196,7 @@ class _Record:
             raise ValueError(f"S* vertices {foreign} are not in the graph")
         self.graph, self.s_star, self.terminals = g, s_star, terminals
         forest = self.forest = CutPairReader(g, block_cut_forest(g.without(s_star)), terminals)
+        self.separated = all(len(nd.vertices & terminals) < 2 for nd in forest.nodes)
         self.bound: list[frozenset[int]] | None = None
         self.live: list[tuple[int, int]] | None = None
         self.witnesses: dict[frozenset[int], frozenset[int]] = {}
@@ -208,7 +208,6 @@ class _Record:
         for i, r in enumerate(forest.roots):
             for p in itertools.combinations(sorted(forest.around(r)), 2):
                 self.pairs[p].append(i)
-        self.on_path: dict[tuple[int, int, int], list[int]] = {}
 
 
 def _checked(inst: Instance, s_star: Iterable[int], record: _Record | None) -> _Record:
@@ -234,9 +233,10 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
     new). Such a D holds three free terminals, in no block of G[S* + T]
     with two terminals, which x and y, outside S* + T, leave connected.
     Each awake pair's components next to both x and y with three terminals
-    are read off the block-cut forest of G - S* and judged afresh: by the
-    forest's blocks and tree path for one piece of it missing S*, else by
-    a cached witness block that misses x or y and still has two terminals,
+    are read off the block-cut forest of G - S* and judged afresh. If the
+    record is `separated`, one piece of the forest missing S* has no
+    T-cycle, and its x-y path is the forest's; any other D is judged by a
+    cached witness block that misses x or y and still has two terminals,
     else by a decomposition, whose blocks give a cycle-free D its x-y path."""
     g, T = inst.graph, inst.terminals
     record = _checked(inst, s_star, record)
@@ -267,8 +267,8 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
             continue
         held: list[int] = []  # two terminals of a block with two, per D with a T-cycle
         for d in forest.read(x, y, 3):
-            if d.plain:
-                blocks = forest.crowded_blocks(d)
+            if d.plain and record.separated:  # the blocks of G[D + x + y] are the forest's
+                blocks, path = [], forest.path_marked(x, y)
             # a witness block missing x or y stays connected without them,
             # so it lies in D if one of its terminals does
             elif found := next((w for w, wt in witnesses.items() if (x not in w or y not in w)
@@ -277,13 +277,13 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
             else:  # D's vertices and the blocks of G[D + x + y]
                 comp = forest.vertices(d)
                 region = biconnected_blocks(g.induced(comp | {x, y}))
-                blocks = [b for b in region if len(b & T) > 1]
+                if not (blocks := [b for b in region if len(b & T) > 1]):
+                    f = block_cut_forest(g, region)
+                    path = f.path_vertices(f.node_of_vertex(x), f.node_of_vertex(y), comp & T)
             if blocks:
                 witnesses.update((b, b & T) for b in blocks)
                 held += itertools.islice(blocks[0] & T, 2)
                 continue  # a T-cycle, and the tree counting needs one terminal per block
-            path = (forest.path_marked(x, y) if d.plain
-                    else [t for t in _on_path(g, comp, x, y, region) if t in T])
             if len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
             comp = forest.vertices(d)
@@ -302,36 +302,22 @@ def mark_components(inst: Instance, s_star: Iterable[int], record: _Record | Non
                     ) -> dict[tuple[int, int], list[frozenset[int]]]:
     """Greedy marking: per pair {x,y} in S*, up to k+2 components of G-S*
     holding a path from a neighbor of x to a neighbor of y through a terminal.
-    Calls on one G and S* whose T only shrinks may share `record` (else new)."""
+    Calls on one G and S* whose T only shrinks may share `record` (else new).
+    x joins its neighbours in a component C into one block, as y does, so a
+    vertex of C lies on such a path iff it lies in their span in C's tree."""
     g, T, k = inst.graph, inst.terminals, inst.k
     record = _checked(inst, s_star, record)
-    comps, on_path = record.components, record.on_path
+    comps, f = record.components, record.forest.f
     marked: dict[tuple[int, int], list[frozenset[int]]] = {}
     for (x, y), candidates in record.pairs.items():
         chosen = marked[x, y] = []
+        ends = g.neighbors(x) | g.neighbors(y)
         for i in candidates:
             if len(chosen) >= k + 2:
                 break
-            on = on_path.get((x, y, i))
-            if on is None:
-                if T.isdisjoint(comps[i]):
-                    continue  # no forest for a component without terminals
-                on = on_path[x, y, i] = _on_path(g, comps[i], x, y)
-            if not T.isdisjoint(on):
+            if not T.isdisjoint(comps[i]) and not T.isdisjoint(f.span_vertices(ends & comps[i])):
                 chosen.append(comps[i])
     return marked
-
-
-def _on_path(g: Graph, comp: frozenset[int], x: int, y: int,
-             blocks: list[frozenset[int]] | None = None) -> list[int]:
-    """Vertices of comp on a simple x-y path of H = G[comp + x + y], in order
-    from x: those in a block on H's x-y block-cut tree path, each block's in
-    any order. Empty unless x and y both have a neighbour in comp.
-    `blocks`, if given, are H's."""
-    if not g.neighbors(x) & comp or not g.neighbors(y) & comp:
-        return []
-    f = block_cut_forest(g if blocks is not None else g.induced(comp | {x, y}), blocks)
-    return f.path_vertices(f.node_of_vertex(x), f.node_of_vertex(y), comp)
 
 
 def apply_rr3(inst: Instance, s_star: Iterable[int], record: _Record | None = None

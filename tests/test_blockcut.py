@@ -90,6 +90,19 @@ def test_path_vertices_are_the_union_of_all_simple_paths(n, p, seed):
             assert set(on) == set().union(*all_simple_paths(g, a, b))
 
 
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 8), st.sampled_from([0.2, 0.35, 0.5]), st.integers(0, 10**6))
+def test_span_vertices_are_the_union_of_all_simple_paths_between_ends(n, p, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    f = block_cut_forest(g)
+    for comp in connected_components(g):
+        for ends in {frozenset(rng.sample(comp, rng.randint(1, len(comp)))) for _ in range(4)}:
+            on = set().union(*(q for a, b in itertools.combinations_with_replacement(ends, 2)
+                               for q in all_simple_paths(g, a, b)))
+            assert f.span_vertices(ends) == on
+
+
 def test_separating_cut_vertex_examples():
     f = block_cut_forest(two_triangles())
     root = f.roots[0]
@@ -250,6 +263,8 @@ def test_blocks_of_a_20000_vertex_path_and_cycle(closed):
     # would be quadratic, so root_of is checked at every 1000th node and the last
     f = block_cut_forest(g, blocks)
     check_index(g, f, walked=[*range(0, len(f.nodes), 1000), len(f.nodes) - 1])
+    assert f.span_vertices([1, n]) == frozenset(g.vertices)
+    assert f.span_vertices([2, n - 1]) == (frozenset(g.vertices) if closed else frozenset(range(2, n)))
 
 
 def test_cut_vertex_deletion_changes_component_count():

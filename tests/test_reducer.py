@@ -130,6 +130,39 @@ class TestRR2:
         inst = Instance.of(g, {2, 4, 5}, 1)
         assert apply_rr2(inst, frozenset()) is None
 
+    def test_separated_plain_component_fires_without_a_decomposition(self):
+        # one terminal per triangle: no block of G - S* holds two, so the
+        # plain D = {4, ..., 8} of G - {3, 9} has no T-cycle and fires off
+        # the forest; RR2 decomposes only G[S* + T], for its bound blocks
+        inst = chain_of_triangles(5, terminals=(2, 4, 6, 8, 10))
+        record = reducer._Record(inst.graph, frozenset(), inst.terminals)
+        assert record.separated
+        with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy, \
+                mock.patch.object(reducer, "block_cut_forest", wraps=reducer.block_cut_forest) as forests:
+            out = apply_rr2(inst, frozenset(), record)
+        assert out is not None and out[1].component == frozenset(range(4, 9)) and (out[1].x, out[1].y) == (3, 9)
+        assert [c.args[0] for c in spy.call_args_list] == [inst.graph.induced(inst.terminals)]
+        assert forests.call_count == 0
+
+    def test_block_with_two_terminals_is_not_separated(self):
+        # the 6-cycle holds the terminals 2, 4 and 5: the record does not
+        # separate T, and RR2 does not fire
+        g = Graph(range(1, 9), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 7), (6, 8)])
+        inst = Instance.of(g, {2, 4, 5}, 1)
+        record = reducer._Record(g, frozenset(), inst.terminals)
+        assert not record.separated
+        assert apply_rr2(inst, frozenset(), record) is None
+        # the last triangle's terminals 12 and 13 leave no T separated, so
+        # the plain D = {4, ..., 8} is judged by a decomposition of its region
+        inst = chain_of_triangles(6, terminals=(2, 4, 6, 8, 12, 13))
+        record = reducer._Record(inst.graph, frozenset(), inst.terminals)
+        assert not record.separated
+        with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
+            out = apply_rr2(inst, frozenset(), record)
+        assert out == rr2_reference(inst, frozenset()) and out[1].component == frozenset(range(4, 9))
+        assert [c.args[0] for c in spy.call_args_list] == [inst.graph.induced(inst.terminals),
+                                                            inst.graph.induced(range(3, 10))]
+
     def test_two_terminals_not_enough(self):
         inst = chain_of_triangles(3, terminals=(2, 4))
         assert apply_rr2(inst, frozenset()) is None
@@ -196,16 +229,20 @@ class TestMarking:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(st.integers(4, 12), st.sampled_from([0.2, 0.3, 0.4]), st.integers(0, 10**6))
     def test_block_cut_check_matches_the_per_terminal_paths(self, n, p, seed):
+        # RR3 marks a component C of G - {x, y} off C's own block-cut tree:
+        # a vertex of C lies on a simple x-y path through C iff it lies in
+        # the span of C's neighbours of x and y, checked vertex by vertex
         rng = random.Random(seed)
         g = random_graph(rng, n, p)
         x, y = rng.sample(list(g.vertices), 2)
-        comp = frozenset(rng.choice(connected_components(g.without([x, y])) or [[]]))
-        T = frozenset(v for v in comp if rng.random() < 0.4)
-        a_side, b_side = g.neighbors(x) & comp, g.neighbors(y) & comp
-        per_terminal = bool(a_side and b_side) and any(
-            t in a_side | b_side or path_through_forced_vertex(g.induced(comp), a_side, b_side, t)
-            for t in sorted(T))
-        assert (not T.isdisjoint(comp) and not T.isdisjoint(reducer._on_path(g, comp, x, y))) == per_terminal
+        for comp in map(frozenset, connected_components(g.without([x, y]))):
+            a_side, b_side = g.neighbors(x) & comp, g.neighbors(y) & comp
+            if not (a_side and b_side):
+                continue  # RR3 reads no component next to one side only
+            h = g.induced(comp)
+            on_path = {v for v in comp
+                       if v in a_side | b_side or path_through_forced_vertex(h, a_side, b_side, v)}
+            assert block_cut_forest(h).span_vertices(a_side | b_side) == on_path
 
 
 class TestRR3:
@@ -278,19 +315,14 @@ class TestRR3Index:
 
     def test_one_forest_per_pair_and_component(self):
         # six petals on hubs 1 and 2 exceed the k + 2 = 5 marks, RR3 fires and
-        # runs again; every later call reads the forests of the first
+        # runs again; every call marks off the record's one forest of G - S*
         inst = flower([((1, 2), 7)] * 6 + [((2, 3), 7), ((1, 3), 7)], 4)
         with mock.patch.object(reducer, "block_cut_forest", wraps=reducer.block_cut_forest) as spy, \
                 mock.patch.object(reducer, "apply_rr3", wraps=reducer.apply_rr3) as rr3:
             reduced, log, _ = reduce_terminals(inst, {1, 2, 3})
         assert any(isinstance(s, DropUnmarked) for s in log.steps) and rr3.call_count >= 2
         g, s_star = reduced.graph, frozenset({1, 2, 3})
-        regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
-        assert regions.pop(frozenset(g.without(s_star).vertices)) == 1  # RR2's candidate pairs
-        assert regions and max(regions.values()) == 1
-        for region in regions:
-            assert len(region & s_star) == 2 and region - s_star in map(
-                frozenset, connected_components(g.without(s_star)))
+        assert [c.args[0] for c in spy.call_args_list] == [g.without(s_star)]
 
     @pytest.mark.parametrize("entry", [apply_rr2, mark_components, apply_rr3])
     def test_record_of_another_graph_s_star_or_fewer_terminals_is_refused(self, entry):
@@ -971,10 +1003,12 @@ class TestCutPairReader:
                     assert rec.plain == (s_star.isdisjoint(comp) and not split)
                     if not rec.plain:
                         continue
+                    # every block of G[D + x + y] is one of G - S*, so RR2
+                    # needs no decomposition of a plain D when those separate T
                     region = g.induced(comp | {x, y})
-                    crowded = [b for b in biconnected_blocks(region) if len(b & T) > 1]
-                    assert sorted(map(sorted, forest.crowded_blocks(rec))) == sorted(map(sorted, crowded))
-                    if not crowded:
+                    region_blocks = biconnected_blocks(region)
+                    assert set(region_blocks) <= set(blocks)
+                    if all(len(b & T) < 2 for b in region_blocks):
                         assert forest.path_marked(x, y) == terminals_on_path(region, T & comp, x, y)
 
     def test_path_marked_matches_the_parent_walk(self):
@@ -993,13 +1027,14 @@ class TestCutPairReader:
             forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
             for marked in (T, frozenset(t for t in T if rng.random() < 0.7)):
                 forest.shrink(marked)
+                separated = all(len(nd.vertices & marked) < 2 for nd in forest.nodes)
                 for x, y in nested_cut_pairs(forest):
                     if x in marked or y in marked:
                         continue
                     assert forest.path_marked(x, y) == path_marked_walk(forest, x, y)
                     assert forest.path_marked(y, x) == path_marked_walk(forest, y, x)
                     # the components whose x-y path RR2 reads off the forest
-                    plain[kind] += any(d.plain and not forest.crowded_blocks(d) for d in forest.read(x, y, 3))
+                    plain[kind] += separated and any(d.plain for d in forest.read(x, y, 3))
         assert plain["flower"] > 0 and plain["chain"] > 0
 
 
