@@ -16,7 +16,8 @@ def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[
     """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
 
     Iterative DFS low-link over a stack of vertices, neighbours in ascending
-    order (g's shared tuples); a block leaves the stack when the DFS backs up
+    order (g's shared tuples), each DFS path vertex's low-link kept on a
+    stack beside the path; a block leaves the stack when the DFS backs up
     from its highest vertex below its cut vertex. No subgraph is
     materialized, so this is the fast path for predicates that repeatedly
     probe vertex deletions.
@@ -24,38 +25,39 @@ def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[
     adj = g.ascending_adjacency()
     # an excluded vertex counts as discovered, at a time above every low-link
     disc: dict[int, int] = dict.fromkeys(exclude, sys.maxsize)
-    low: dict[int, int] = {}
     blocks: list[frozenset[int]] = []
     for root in g.vertices:
         if root in disc:
             continue
-        disc[root] = low[root] = first = len(disc)
-        # the DFS path, each path vertex's iterator over its remaining
-        # neighbours, and the length of `pending` when it was entered
-        path, iters, starts = [root], [iter(adj[root])], [0]
+        disc[root] = first = len(disc)
+        # the DFS path, and for each path vertex its low-link, its iterator
+        # over its remaining neighbours and the length of `pending` on entry
+        path, lows, iters, starts = [root], [first], [iter(adj[root])], [0]
         pending: list[int] = []  # vertices entered and not yet in a block
         while path:
-            v = path[-1]
-            lv = low[v]  # written back before the DFS leaves v for a child
+            lv = lows[-1]  # written back before the DFS leaves the vertex for a child
             for w in iters[-1]:
-                if w not in disc:
-                    low[v] = lv
-                    disc[w] = low[w] = len(disc)
+                d = disc.get(w)
+                if d is None:
+                    lows[-1] = lv
+                    disc[w] = d = len(disc)
+                    lows.append(d)
                     starts.append(len(pending))
                     pending.append(w)
                     path.append(w)
                     iters.append(iter(adj[w]))
                     break
-                if disc[w] < lv:  # the parent too, which leaves the test below alone
-                    lv = disc[w]
+                if d < lv:  # the parent too, which leaves the test below alone
+                    lv = d
             else:
                 path.pop()
+                lows.pop()
                 iters.pop()
                 start = starts.pop()
                 if path:
                     u = path[-1]
-                    if lv < low[u]:
-                        low[u] = lv
+                    if lv < lows[-1]:
+                        lows[-1] = lv
                     if lv >= disc[u]:
                         blocks.append(frozenset(pending[start:] + [u]))
                         del pending[start:]

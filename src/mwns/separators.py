@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import gt, not_
 from typing import Iterable
 
 from .graph import Graph, reachable
@@ -29,34 +31,39 @@ class _SplitNet:
     super-sink, with arcs 0->in(v) and out(v)->1 of capacity 0 until a query
     names v a source or sink (INF); a query also gives protected vertices
     through capacity INF and deleted ones 0. Arc e^1 is the reverse of arc e.
+    Arcs 4i and 4i + 2 are vertex i's source and sink arcs; then, vertex by
+    vertex, its through arc and its edge arcs in g.neighbors order. Each node
+    lists its arcs in that build order, and every search scans them in it.
+    No capacity goes negative, so a search reads `cap[e]` as "e has room".
     """
 
     __slots__ = ("graph", "index", "head", "adj", "base", "through", "cap")
 
     def __init__(self, g: Graph):
         vs = g.vertices
+        n = len(vs)
         index = {v: i for i, v in enumerate(vs)}
-        head: list[int] = []
-        base: list[int] = []
-        adj: list[list[int]] = [[] for _ in range(2 * len(vs) + 2)]
+        head = [0, 0, 1, 0] * n
+        head[::4], head[3::4] = range(2, 2 * n + 2, 2), range(3, 2 * n + 3, 2)
+        # 0 and 1 hold the source arcs and the sink arcs' reverses; in(i), out(i) the rest
+        adj = [list(range(0, 4 * n, 4)), list(range(3, 4 * n, 4))]
+        adj += ([e] for a in range(1, 4 * n, 4) for e in (a, a + 1))
         through: list[int] = []
-
-        def arc(u: int, w: int, c: int) -> None:
-            adj[u].append(len(head))
-            head.append(w)
-            base.append(c)
-            adj[w].append(len(head))
-            head.append(u)
-            base.append(0)
-
-        for i in range(len(vs)):  # vertex i's source arc is 4i, its sink arc 4i + 2
-            arc(0, 2 * i + 2, 0)
-            arc(2 * i + 3, 1, 0)
         for i, v in enumerate(vs):
-            through.append(len(head))
-            arc(2 * i + 2, 2 * i + 3, 1)
+            vin, vout, e = 2 * i + 2, 2 * i + 3, len(head)
+            through.append(e)
+            adj[vin].append(e)
+            adj[vout].append(e + 1)
+            head += (vout, vin)
             for w in g.neighbors(v):
-                arc(2 * i + 3, 2 * index[w] + 2, INF)
+                win, e = 2 * index[w] + 2, e + 2
+                adj[vout].append(e)
+                adj[win].append(e + 1)
+                head += (win, vout)
+        base = [0] * len(head)  # reverse arcs 0, edge arcs INF, through arcs 1
+        base[4 * n::2] = [INF] * (len(head) // 2 - 2 * n)
+        for e in through:
+            base[e] = 1
         self.graph, self.index, self.head, self.adj = g, index, head, adj
         self.base, self.through = base, through
 
@@ -87,18 +94,21 @@ class _SplitNet:
             queue = [0]
             for u in queue:
                 for e in adj[u]:
-                    w = head[e]
-                    if via[w] == -1 and cap[e] > 0:
-                        via[w] = e
-                        queue.append(w)
+                    if cap[e]:
+                        w = head[e]
+                        if via[w] == -1:
+                            via[w] = e
+                            queue.append(w)
                 if via[1] != -1:
                     break
-            if via[1] == -1:
+            else:
                 break
             push, node = limit - value, 1
             while node:
-                push = min(push, cap[via[node]])
-                node = head[via[node] ^ 1]
+                e = via[node]
+                if cap[e] < push:
+                    push = cap[e]
+                node = head[e ^ 1]
             node = 1
             while node:
                 e = via[node]
@@ -149,12 +159,14 @@ class _SplitNet:
         queue = [start]
         for u in queue:
             for e in adj[u]:
-                if cap[e ^ back] > 0 and not seen[head[e]]:
-                    seen[head[e]] = True
-                    queue.append(head[e])
-        near, far = seen[2 + back::2], seen[3 - back::2]
-        cut = frozenset(v for v, a, b in zip(g.vertices, near, far) if a and not b)
-        side = frozenset(v for v, out in zip(g.vertices, seen[3::2]) if out != furthest)
+                if cap[e ^ back]:
+                    w = head[e]
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+        vs, out = g.vertices, seen[3::2]
+        cut = frozenset(compress(vs, map(gt, seen[2 + back::2], seen[3 - back::2])))
+        side = frozenset(compress(vs, map(not_, out) if furthest else out))
         return cut - deleted, side - deleted
 
     def paths(self) -> list[list[int]]:

@@ -320,6 +320,93 @@ def is_important_by_flow(net: _SplitNet, X: frozenset[int], Y: frozenset[int],
     return value == len(S) and cut == S
 
 
+class _ReferenceSplitNet(_SplitNet):
+    """`_SplitNet` with its build, `augment` and `cut` written plainly: one
+    `arc` call per arc pair, a `cap[e] > 0` test and `min` for the
+    bottleneck, and a generator per cut set. The library's loops must give
+    the same arrays, flows, cuts and paths."""
+
+    def __init__(self, g: Graph):
+        vs = g.vertices
+        index = {v: i for i, v in enumerate(vs)}
+        head: list[int] = []
+        base: list[int] = []
+        adj: list[list[int]] = [[] for _ in range(2 * len(vs) + 2)]
+        through: list[int] = []
+
+        def arc(u: int, w: int, c: int) -> None:
+            adj[u].append(len(head))
+            head.append(w)
+            base.append(c)
+            adj[w].append(len(head))
+            head.append(u)
+            base.append(0)
+
+        for i in range(len(vs)):
+            arc(0, 2 * i + 2, 0)
+            arc(2 * i + 3, 1, 0)
+        for i, v in enumerate(vs):
+            through.append(len(head))
+            arc(2 * i + 2, 2 * i + 3, 1)
+            for w in g.neighbors(v):
+                arc(2 * i + 3, 2 * index[w] + 2, INF)
+        self.graph, self.index, self.head, self.adj = g, index, head, adj
+        self.base, self.through = base, through
+
+    def augment(self, limit: int = INF) -> int:
+        cap, head, adj = self.cap, self.head, self.adj
+        value = 0
+        while value < limit:
+            via = [-1] * len(adj)
+            via[0] = -2
+            queue = [0]
+            for u in queue:
+                for e in adj[u]:
+                    w = head[e]
+                    if via[w] == -1 and cap[e] > 0:
+                        via[w] = e
+                        queue.append(w)
+                if via[1] != -1:
+                    break
+            if via[1] == -1:
+                break
+            push, node = limit - value, 1
+            while node:
+                push = min(push, cap[via[node]])
+                node = head[via[node] ^ 1]
+            node = 1
+            while node:
+                e = via[node]
+                cap[e] -= push
+                cap[e ^ 1] += push
+                node = head[e ^ 1]
+            value += push
+        return value
+
+    def cut(self, deleted: frozenset[int], furthest: bool = False
+            ) -> tuple[frozenset[int], frozenset[int]]:
+        g, head, cap, adj = self.graph, self.head, self.cap, self.adj
+        start = back = int(furthest)
+        seen = [False] * len(adj)
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e ^ back] > 0 and not seen[head[e]]:
+                    seen[head[e]] = True
+                    queue.append(head[e])
+        near, far = seen[2 + back::2], seen[3 - back::2]
+        cut = frozenset(v for v, a, b in zip(g.vertices, near, far) if a and not b)
+        side = frozenset(v for v, out in zip(g.vertices, seen[3::2]) if out != furthest)
+        return cut - deleted, side - deleted
+
+
+def split_net_reference(g: Graph) -> _SplitNet:
+    """A network of g on the reference engine; its `flow`, `widen`,
+    `cancel` and `paths` are the library's."""
+    return _ReferenceSplitNet(g)
+
+
 def furthest_min_cut(g: Graph, X: frozenset[int], Y: frozenset[int],
                      protected: frozenset[int] = frozenset(), deleted: frozenset[int] = frozenset()
                      ) -> tuple[int | float, frozenset[int], frozenset[int]]:

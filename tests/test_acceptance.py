@@ -214,6 +214,7 @@ def test_criterion_7_branching_leaf_bound(solver_suite):
     print(f"\nPASS criterion 7: leaves within (32|T'|)^k' on {compressions} compressions")
 
 
+@pytest.mark.sweep
 def test_criterion_8_three_characterizations_exhaustive():
     graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() <= 6]
     combos = 0

@@ -88,6 +88,7 @@ class TestRoutesAgainstClosures:
     """One bottom-up pass over the block-cut forest of G-x against induced
     subtree closures, checked at every blocker step."""
 
+    @pytest.mark.sweep
     def test_every_step_matches_the_closure_oracle(self):
         hand_made = [
             (Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)]),

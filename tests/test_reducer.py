@@ -736,6 +736,7 @@ class TestRR2Index:
     def test_random_flowers_match_the_per_call_scan(self, inst):
         assert self.check_against_reference(inst, {1, 2, 3}) > 0
 
+    @pytest.mark.sweep
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]))
     def test_shared_index_along_shrinking_terminals(self, seed, kind):

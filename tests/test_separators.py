@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mwns.separators as separators
+from mwns.core import find_t_cycle
 from mwns.graph import Graph, reachable
 from mwns.separators import (
+    INF,
     MultiTerminalBlockError,
     _SplitNet,
     _blossom_matching,
@@ -33,6 +35,7 @@ from brute import (
     is_separator,
     max_q_path_packing_brute,
     random_graph,
+    split_net_reference,
 )
 
 
@@ -434,6 +437,99 @@ class TestWarmStartedBranching:
                             (frozenset({2}), frozenset({1})))
         with pytest.raises(RuntimeError, match="cancelling the unit through 2"):
             enumerate_important_separators(g, {1}, {4}, 1)
+
+
+@st.composite
+def flow_queries(draw):
+    """A graph on 1..12 ids drawn from 1..40, so sparse, often with isolated
+    vertices, and a query on it: sources, sinks, protected and deleted sets
+    of at most two vertices each, drawn independently so they may overlap,
+    and a `stop` value."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    ids = sorted(rng.sample(range(1, 41), rng.randint(1, 12)))
+    p = rng.choice([0.15, 0.3, 0.5])
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+    X, Y, P, D = (frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))) for _ in range(4))
+    return g, X, Y, P, D, rng.choice([0, 1, 2, 3, INF])
+
+
+class NonNegativeNet(_SplitNet):
+    """A network that checks, after each change to its flow, that no
+    capacity is negative, and counts the checks."""
+
+    checks = 0
+
+    def check(self) -> None:
+        assert min(self.cap) >= 0
+        self.checks += 1
+
+    def augment(self, limit=INF):
+        value = super().augment(limit)
+        self.check()
+        return value
+
+    def widen(self, sources):
+        super().widen(sources)
+        self.check()
+
+    def cancel(self, v):
+        super().cancel(v)
+        self.check()
+
+
+class TestEngineAgainstReference:
+    """The split network's build, `augment` and `cut` against
+    `split_net_reference`, a plain copy of them: every array, flow, cut and
+    unit path is the same, so the searches scan arcs in the same order."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(flow_queries())
+    def test_same_network_flow_cuts_and_paths(self, case):
+        g, X, Y, P, D, stop = case
+        net, ref = _SplitNet(g), split_net_reference(g)
+        for field in ("head", "adj", "base", "through", "index"):
+            assert getattr(net, field) == getattr(ref, field), field
+        value = net.flow(X, Y, P, D, stop)
+        assert value == ref.flow(X, Y, P, D, stop)
+        assert net.cap == ref.cap
+        for furthest in (False, True):
+            assert net.cut(D, furthest) == ref.cut(D, furthest)
+        if value < INF:  # an uncapacitated route carries INF units, too many to walk
+            assert net.paths() == ref.paths()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(separator_queries(max_n=13))
+    def test_no_capacity_goes_negative_along_an_enumeration(self, case):
+        # the BFS reads `if cap[e]` for `cap[e] > 0`, which only this keeps true
+        g, X, Y, V8, k = case
+        net = NonNegativeNet(g)
+        enumerate_important_separators(g, X, Y, k, V8, net=net)
+        assert net.checks > 0
+
+    def test_flow_callers_return_the_reference_witnesses(self, monkeypatch):
+        # these callers read the flow itself, not only its cuts, so a changed
+        # BFS order would show in their cycles and paths
+        rng = random.Random(41)
+        queries = []
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(3, 12), rng.choice([0.25, 0.4, 0.6]))
+            vs = list(g.vertices)
+            T = rng.sample(vs, rng.randint(2, min(4, len(vs))))
+            X, Y = rng.sample(vs, 2)
+            t, *rest = rng.sample(vs, 3)
+            queries.append((g, T, X, Y, t, rest))
+
+        def witnesses():
+            return [(find_t_cycle(g, T), max_vertex_flow(g, {X}, {Y}),
+                     path_through_forced_vertex(g, rest[:1], rest[1:], t))
+                    for g, T, X, Y, t, rest in queries]
+
+        got = witnesses()
+        monkeypatch.setattr(separators, "_SplitNet", split_net_reference)
+        assert got == witnesses()
+        assert sum(cycle is not None and len(cycle) > 3 for cycle, _, _ in got) > 50
+        assert sum(1 < value < math.inf for _, (value, _), _ in got) > 50
+        assert sum(path is not None for _, _, path in got) > 100
 
 
 class TestForcedVertexPath:
