@@ -84,6 +84,11 @@ def blocks_without(g: Graph, blocks: Iterable[frozenset[int]], z: Iterable[int]
     return big + [frozenset([v]) for v in sorted(single)]
 
 
+def node_label(vertices: frozenset[int], cut: int | None) -> str:
+    """A node's label: a cut node's vertex `cut`, else a block's sorted vertices in braces."""
+    return str(cut) if cut is not None else "{" + ",".join(map(str, sorted(vertices))) + "}"
+
+
 class BCNode(NamedTuple):
     id: int
     kind: str  # "block" | "cut"
@@ -96,9 +101,7 @@ class BCNode(NamedTuple):
         return next(iter(self.vertices))
 
     def label(self) -> str:
-        if self.kind == "cut":
-            return str(self.vertex)
-        return "{" + ",".join(str(v) for v in sorted(self.vertices)) + "}"
+        return node_label(self.vertices, self.vertex if self.kind == "cut" else None)
 
 
 class VertexIndex(NamedTuple):
@@ -122,6 +125,10 @@ class BlockCutForest:
     so `blocks`, when given, may list them in any order; they may also be
     those of an induced subgraph H of `graph`, whose forest this then is;
     else `graph` is decomposed.
+
+    Lists by node id: `sets` its vertex set, `cutv` a cut node's vertex
+    (None for a block), `parent`, `children` and `depth`; also `roots`, and
+    `cut_nodes` from cut vertex to node id. `nodes` is built on first read.
     """
 
     def __init__(self, graph: Graph, blocks: list[frozenset[int]] | None = None):
@@ -132,15 +139,17 @@ class BlockCutForest:
         for b in blocks:
             cuts |= b & owner
             owner |= b
-        # blocks in order of their sorted vertex lists; each cut vertex's
-        # list of incident blocks then comes out in that order too
+        # blocks in order of their sorted vertex lists, and their cut vertices;
+        # each cut vertex's list of incident blocks comes out in that order too
         blocks = sorted(blocks, key=sorted)
+        block_cuts = [b & cuts for b in blocks]
         cut_blocks: dict[int, list[int]] = {c: [] for c in cuts}
-        for i, b in enumerate(blocks):
-            for c in b & cuts:
+        for i, bc in enumerate(block_cuts):
+            for c in bc:
                 cut_blocks[c].append(i)
 
-        nodes: list[BCNode] = []
+        sets: list[frozenset[int]] = []
+        cutv: list[int | None] = []
         parent: list[int | None] = []
         children: list[list[int]] = []
         depth: list[int] = []
@@ -157,107 +166,111 @@ class BlockCutForest:
             # block) create their node when popped; children pushed in reverse
             # so ids come out in pre-order. A node's only placed neighbour is
             # its parent
+            roots.append(len(sets))
             work: list[tuple[int, int | None, int, bool]] = [(root, None, 0, True)]
             while work:
                 key, par, d, is_block = work.pop()
-                nid = len(nodes)
+                nid = len(sets)
                 parent.append(par)
                 children.append([])
                 depth.append(d)
-                if par is None:
-                    roots.append(nid)
-                else:
+                if par is not None:
                     children[par].append(nid)
                 if is_block:
                     placed[key] = True
-                    nodes.append(BCNode(nid, "block", blocks[key]))
-                    for c in sorted(blocks[key] & cuts, reverse=True):
+                    sets.append(blocks[key])
+                    cutv.append(None)
+                    for c in sorted(block_cuts[key], reverse=True):
                         if c not in cut_node:
                             work.append((c, nid, d + 1, False))
                 else:
                     cut_node[key] = nid
-                    nodes.append(BCNode(nid, "cut", frozenset((key,))))
+                    sets.append(frozenset((key,)))
+                    cutv.append(key)
                     for j in reversed(cut_blocks[key]):
                         if not placed[j]:
                             work.append((j, nid, d + 1, True))
 
-        self.nodes: tuple[BCNode, ...] = tuple(nodes)
-        self.parent: tuple[int | None, ...] = tuple(parent)
-        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
-        self.depth: tuple[int, ...] = tuple(depth)
-        self.roots: tuple[int, ...] = tuple(roots)
-        self._cut_node = cut_node
+        self.sets, self.cutv, self.cut_nodes = sets, cutv, cut_node
+        self.parent, self.children, self.depth, self.roots = parent, children, depth, roots
+
+    @cached_property
+    def nodes(self) -> tuple[BCNode, ...]:
+        """One `BCNode` per id, for callers that want node objects."""
+        return tuple(BCNode(i, "block" if c is None else "cut", s)
+                     for i, (s, c) in enumerate(zip(self.sets, self.cutv)))
 
     @cached_property
     def subtree_end(self) -> tuple[int, ...]:
         """node id -> one past the last id of its subtree: ids are pre-order,
         so node d's subtree is the id range d..subtree_end[d]-1"""
-        end = list(range(1, len(self.nodes) + 1))
-        for nid in reversed(range(len(self.nodes))):
-            par = self.parent[nid]
-            if par is not None and end[nid] > end[par]:
+        end = list(range(1, len(self.sets) + 1))
+        for nid in reversed(range(len(self.sets))):
+            if (par := self.parent[nid]) is not None and end[nid] > end[par]:
                 end[par] = end[nid]
         return tuple(end)
 
     @cached_property
     def index(self) -> VertexIndex:
-        cut = self._cut_node
+        cut = self.cut_nodes
         owner: dict[int, int] = {}
         root: list[int] = []
         verts: list[int] = []
         start: list[int] = []
-        for nd, par in zip(self.nodes, self.parent):
-            root.append(nd.id if par is None else root[par])
+        for nid, (s, c, par) in enumerate(zip(self.sets, self.cutv, self.parent)):
+            root.append(nid if par is None else root[par])
             start.append(len(verts))
-            own = nd.vertices if nd.kind == "cut" else nd.vertices.difference(cut)
+            own = s if c is not None else s.difference(cut)
             verts += own
-            owner.update(dict.fromkeys(own, nd.id))
+            owner.update(dict.fromkeys(own, nid))
         start.append(len(verts))
         return VertexIndex(owner, tuple(root), verts, start)
 
     # -- basic lookups ----------------------------------------------------
 
-    def node(self, nid: int) -> BCNode:
-        if not 0 <= nid < len(self.nodes):
+    def _known(self, nid: int) -> int:
+        if not 0 <= nid < len(self.sets):
             raise KeyError(f"unknown node id {nid}")
-        return self.nodes[nid]
+        return nid
+
+    def node(self, nid: int) -> BCNode:
+        return self.nodes[self._known(nid)]
 
     def is_cut_vertex(self, v: int) -> bool:
-        return v in self._cut_node
+        return v in self.cut_nodes
 
     def cut_node_of(self, v: int) -> int:
-        if v not in self._cut_node:
+        if v not in self.cut_nodes:
             raise KeyError(f"vertex {v} is not a cut vertex")
-        return self._cut_node[v]
+        return self.cut_nodes[v]
 
     def blocks_containing(self, v: int) -> list[int]:
         """Ids of the block nodes holding v, ascending: its cut node's parent and children, or its owner."""
-        if v in self._cut_node:
-            c = self._cut_node[v]
+        if (c := self.cut_nodes.get(v)) is not None:
             return [self.parent[c], *self.children[c]]
         return [self.index.owner[v]] if v in self.index.owner else []
 
     def node_of_vertex(self, v: int) -> int:
         """Cut node for a cut vertex, else the unique block containing v (a scan, no index)."""
-        if v in self._cut_node:
-            return self._cut_node[v]
-        for nd in self.nodes:
-            if v in nd.vertices:
-                return nd.id
+        if v in self.cut_nodes:
+            return self.cut_nodes[v]
+        for nid, s in enumerate(self.sets):
+            if v in s:
+                return nid
         raise KeyError(f"vertex {v} not in decomposed graph")
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        return [(p, c.id) for c in self.nodes if (p := self.parent[c.id]) is not None]
+        return [(p, c) for c, p in enumerate(self.parent) if p is not None]
 
     def root_of(self, nid: int) -> int:
-        self.node(nid)
+        self._known(nid)
         while (par := self.parent[nid]) is not None:
             nid = par
         return nid
 
     def tree_path(self, a: int, b: int) -> list[int]:
         """Node ids on the unique tree path from a to b, inclusive."""
-        self.node(a), self.node(b)
+        self._known(a), self._known(b)
         up_a, up_b = [a], [b]
         x, y = a, b
         while self.depth[x] > self.depth[y]:
@@ -278,30 +291,31 @@ class BlockCutForest:
     def path_vertices(self, a: int, b: int, among: frozenset[int]) -> list[int]:
         """The vertices of `among` in the nodes on the a-b tree path, node by
         node from a, each listed once."""
-        return list(dict.fromkeys(v for n in self.tree_path(a, b) for v in self.nodes[n].vertices & among))
+        return list(dict.fromkeys(v for n in self.tree_path(a, b) for v in self.sets[n] & among))
 
     def span_vertices(self, ends: Iterable[int]) -> frozenset[int]:
         """The vertices on simple paths between `ends`, which lie in one tree:
         those of the least subtree holding their owners, or `ends` if it is
-        one vertex. Ids are pre-order, so the owners' least common ancestor
-        is that of the least and greatest id, and each owner walks up to the
-        nodes already in the subtree."""
+        one vertex or none. Ids are pre-order, so the owners' least common
+        ancestor is that of the least and greatest id, and each owner walks
+        up to the nodes already in the subtree."""
+        ends = frozenset(ends)
         ids = [self.index.owner[e] for e in ends]
-        if len(ids) == 1:
-            return frozenset(ends)
+        if len(ids) < 2:
+            return ends
         on = set(self.tree_path(min(ids), max(ids)))
         for n in ids:
             while n not in on:
                 on.add(n)
                 n = self.parent[n]
-        return frozenset().union(*(self.nodes[n].vertices for n in on))
+        return frozenset().union(*(self.sets[n] for n in on))
 
     # -- spec queries ------------------------------------------------------
 
     def subtree_vertices(self, d: int) -> frozenset[int]:
         """Graph vertices of the subtree rooted at node d: d's own and those owned in it."""
         verts, start = self.index.verts, self.index.start
-        return self.node(d).vertices.union(verts[start[d]:start[self.subtree_end[d]]])
+        return self.sets[self._known(d)].union(verts[start[d]:start[self.subtree_end[d]]])
 
 
 def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> BlockCutForest:
@@ -316,11 +330,10 @@ def nested_cut_pairs(f: BlockCutForest | CutPairReader) -> list[tuple[int, int]]
     root-to-leaf path, ascending."""
     pairs = []
     above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
-    for nd, depth in zip(f.nodes, f.depth):  # pre-order, so each pair shows up once
+    for v, depth in zip(f.cutv, f.depth):  # pre-order, so each pair shows up once
         while above and above[-1][0] >= depth:
             above.pop()
-        if nd.kind == "cut":
-            v = nd.vertex
+        if v is not None:
             pairs += [(min(u, v), max(u, v)) for _, u in above]
             above.append((depth, v))
     return sorted(pairs)
@@ -363,8 +376,8 @@ class CutPairReader:
     def __init__(self, g: Graph, f: BlockCutForest, marked: frozenset[int]):
         """`f` is the forest of G - S, whose arrays and index the reader shares."""
         self.graph, self.f, self.marked = g, f, marked
-        self.nodes, self.parent, self.children, self.depth = f.nodes, f.parent, f.children, f.depth
-        self.roots, self.end, self.cut = f.roots, f.subtree_end, f._cut_node
+        self.sets, self.cutv, self.cut, self.end = f.sets, f.cutv, f.cut_nodes, f.subtree_end
+        self.parent, self.children, self.depth, self.roots = f.parent, f.children, f.depth, f.roots
         self.owner, self.root, self.verts, self.start = f.index
         # per node: the marked vertices it owns
         self.owned_m = [len(marked.intersection(self.verts[i:j])) for i, j in itertools.pairwise(self.start)]
@@ -440,11 +453,11 @@ class CutPairReader:
         """The parts of the middle, each as id ranges and the vertices of Ba
         it owns, and the part of each vertex of Ba - {x, y}, or None when the
         middle is whole: when Ba misses y, or Ba - {x, y} is connected."""
-        end, nodes = self.end, self.nodes
+        end, sets = self.end, self.sets
         whole = [(((towards, b), (end[b], end[towards])), frozenset())]
-        if self.parent[b] != towards or len(nodes[towards].vertices) < 4:
+        if self.parent[b] != towards or len(sets[towards]) < 4:
             return whole, None
-        rest = nodes[towards].vertices - {x, y}
+        rest = sets[towards] - {x, y}
         part: dict[int, int] = {}
         count = 0
         for v in rest:  # flood Ba - {x, y}; an edge between vertices of Ba is Ba's
@@ -462,7 +475,7 @@ class CutPairReader:
                  for i in range(count)]
         for c in self.children[towards]:
             if c != b:  # each subtree hangs off the part of its cut vertex
-                i = part[nodes[c].vertex]
+                i = part[self.cutv[c]]
                 parts[i] = (parts[i][0] + ((c, end[c]),), parts[i][1])
         return parts, part
 
@@ -498,7 +511,7 @@ class CutPairReader:
                     piece = ((key, end[key]),), frozenset(), True, False
                 else:  # the part of v, or of the cut vertex its subtree hangs off
                     if part is not None and p != towards:
-                        v = self.nodes[kids[towards][bisect.bisect_right(kids[towards], p) - 1]].vertex
+                        v = self.cutv[kids[towards][bisect.bisect_right(kids[towards], p) - 1]]
                     key = -2 - (part[v] if part is not None else 0)
                     piece = *middle[-2 - key], True, True
             else:

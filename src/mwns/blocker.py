@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .graph import Graph, reachable
-from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without
+from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without, node_label
 from .core import find_t_cycle, is_mwns
 from .separators import gallai_q_paths, min_cut
 
@@ -65,18 +65,16 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
     roots of the trees with such a meeting node.
     """
     nbrs = g.neighbors(x)
-    nodes, children, parent, depth = f.nodes, f.children, f.parent, f.depth
-    vertex = {nd.id: v for nd in nodes if nd.kind == "cut" for v in nd.vertices}
-    reach = [-1] * len(nodes)
+    sets, cutv, cut, children, parent, depth = f.sets, f.cutv, f.cut_nodes, f.children, f.parent, f.depth
+    reach = [-1] * len(sets)
     deepest = None
     met: set[int] = set()
     tree_met = False
-    for nid in range(len(nodes) - 1, -1, -1):  # pre-order ids: children first
-        nd = nodes[nid]
+    for nid in range(len(sets) - 1, -1, -1):  # pre-order ids: children first
+        v = cutv[nid]
         par = parent[nid]
         # e0 >= e1: the two largest route counts ending here, -1 for none
-        if nd.kind == "cut":
-            v = vertex[nid]
+        if v is not None:
             own = v in T
             e0, e1 = (0 if v in nbrs else -1), -1
             for b in children[nid]:
@@ -92,13 +90,14 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
             # a block of three or more vertices routes any two of its vertices
             # through its terminal t (at most one, or G-x has a T-cycle); the
             # routes from t and from the top vertex are kept apart
-            t = min(nd.vertices & T, default=None) if len(nd.vertices) >= 3 else None
-            top = None if par is None else vertex[par]
+            block = sets[nid]
+            t = min(block & T, default=None) if len(block) >= 3 else None
+            top = None if par is None else cutv[par]
             # routes from the child cut vertices and from the other neighbors
             # of x in the block; the top vertex's own route joins after reach
             # is read, since a route up through the top cannot start there
-            ends = [(vertex[c], reach[c]) for c in children[nid]]
-            ends += [(w, w in T) for w in nd.vertices & nbrs if not f.is_cut_vertex(w)]
+            ends = [(cutv[c], reach[c]) for c in children[nid]]
+            ends += [(w, w in T) for w in block & nbrs if w not in cut]
             out_t = e0 = e1 = -1
             for w, r in ends:
                 if w == t:
@@ -138,10 +137,10 @@ def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: in
     """The members of C(v), the grandchildren of cut vertex v, whose subtree
     reaches a neighbor of x through a terminal."""
     grand = [c for y in f.children[f.cut_node_of(v)] for c in f.children[y]]
-    verts = frozenset(f.nodes[c].vertex for c in grand)
+    verts = frozenset(f.cutv[c] for c in grand)
     if v in T and verts & T:
         raise RuntimeError(f"terminal cut vertex {v} has terminal grandchildren {sorted(verts & T)}")
-    return frozenset(f.nodes[c].vertex for c in grand if reach[c] >= 1)
+    return frozenset(f.cutv[c] for c in grand if reach[c] >= 1)
 
 
 def _block_children(f: BlockCutForest, T: frozenset[int], reach: list[int], d: int
@@ -150,10 +149,9 @@ def _block_children(f: BlockCutForest, T: frozenset[int], reach: list[int], d: i
     neighbor of x carry two or more terminals, one, or none."""
     classes: tuple[set[int], ...] = (set(), set(), set())
     for c in f.children[d]:
-        if f.nodes[c].vertex not in T and reach[c] >= 0:
-            classes[2 - min(reach[c], 2)].add(f.nodes[c].vertex)
-    c_ge2, c_1, c_0 = (frozenset(s) for s in classes)
-    return c_ge2, c_1, c_0
+        if (v := f.cutv[c]) not in T and reach[c] >= 0:
+            classes[2 - min(reach[c], 2)].add(v)
+    return tuple(frozenset(s) for s in classes)
 
 
 def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutForest
@@ -166,20 +164,19 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
     read only within H and from x into H. Only the first forest checks the
     pivot: every later H is a subgraph of the first.
     """
-    if index == 0 and any(len(nd.vertices & T) > 1 for nd in f.nodes):
+    if index == 0 and any(len(s & T) > 1 for s in f.sets):
         raise ValueError(f"{{{x}}} is not a multiway near-separator; "
                          f"offending cycle in G-x: {find_t_cycle(g.without([x]), T)}")
     reach, d, met = _routes(g, T, x, f)
     if d is None:
         return None, met
-    nd = f.nodes[d]
-    if nd.kind == "cut" and nd.vertex not in T:
-        return BlockerIteration(index, nd.label(), "a", (), frozenset([nd.vertex])), met
-    if nd.kind == "cut":
-        return BlockerIteration(index, nd.label(), "b", (), _grandchildren(f, T, reach, nd.vertex)), met
+    v, block = f.cutv[d], f.sets[d]
+    if v is not None and v not in T:
+        return BlockerIteration(index, node_label(block, v), "a", (), frozenset([v])), met
+    if v is not None:
+        return BlockerIteration(index, node_label(block, v), "b", (), _grandchildren(f, T, reach, v)), met
 
     # d is a block
-    block = nd.vertices
     t = min(block & T, default=None)  # the pivot check leaves one per block
     d_t = g.induced(block - T)
     c_ge2, c_1, c_0 = _block_children(f, T, reach, d)
@@ -200,7 +197,7 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
         # Q-vertices of the components of d_t - Z1 - Z2 next to t; with no
         # Q-path left there, each holds at most one
         z3 = q & reachable(d_t, g.neighbors(t) & (block - T), z1 | z2)
-        t_child = next((c for c in f.children[d] if f.nodes[c].vertex == t), None)
+        t_child = next((c for c in f.children[d] if f.cutv[c] == t), None)
         if t_child is not None and reach[t_child] >= 2:
             z4 = _grandchildren(f, T, reach, t)
             if len(z4) > 1:
@@ -209,12 +206,12 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
 
     parent = f.parent[d]
     z5: frozenset[int] = frozenset()
-    if parent is not None and f.nodes[parent].vertex not in T:
-        z5 = frozenset([f.nodes[parent].vertex])
+    if parent is not None and f.cutv[parent] not in T:
+        z5 = frozenset([f.cutv[parent]])
 
     parts = (frozenset(z1), frozenset(z2), z3, z4, z5)
     removed = frozenset().union(*parts)
-    return BlockerIteration(index, nd.label(), "c", parts, removed), met
+    return BlockerIteration(index, node_label(block, None), "c", parts, removed), met
 
 
 def blocker_run(g: Graph, T, x: int) -> BlockerRun:
@@ -243,8 +240,8 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
                                "not a nonempty set of non-pivot non-terminals")
         iterations.append(it)
         acc |= z
-        blocks = [nd.vertices for root, stop in zip(f.roots, f.roots[1:] + (len(f.nodes),))
-                  if root in met for nd in f.nodes[root:stop] if nd.kind == "block"]
+        blocks = [s for root, stop in zip(f.roots, [*f.roots[1:], len(f.sets)]) if root in met
+                  for s, c in zip(f.sets[root:stop], f.cutv[root:stop]) if c is None]
         blocks = blocks_without(g, blocks, z)
         index += 1
     result = frozenset(acc)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .core import Instance
-from .blockcut import BlockCutForest
+from .blockcut import BlockCutForest, node_label
 
 
 def instance_to_dot(inst: Instance) -> str:
@@ -20,12 +20,8 @@ def instance_to_dot(inst: Instance) -> str:
 
 def forest_to_dot(f: BlockCutForest) -> str:
     lines = ["graph blockcut {"]
-    for nd in f.nodes:
-        if nd.kind == "block":
-            lines.append(f'  n{nd.id} [shape=box,label="{nd.label()}"];')
-        else:
-            lines.append(f'  n{nd.id} [shape=circle,label="{nd.vertex}"];')
-    for p, c in f.tree_edges():
-        lines.append(f"  n{p} -- n{c};")
+    for nid, (s, c) in enumerate(zip(f.sets, f.cutv)):
+        lines.append(f'  n{nid} [shape={"box" if c is None else "circle"},label="{node_label(s, c)}"];')
+    lines += [f"  n{p} -- n{c};" for p, c in f.tree_edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -196,7 +196,7 @@ class _Record:
             raise ValueError(f"S* vertices {foreign} are not in the graph")
         self.graph, self.s_star, self.terminals = g, s_star, terminals
         forest = self.forest = CutPairReader(g, block_cut_forest(g.without(s_star)), terminals)
-        self.separated = all(len(nd.vertices & terminals) < 2 for nd in forest.nodes)
+        self.separated = all(len(s & terminals) < 2 for s in forest.sets)
         self.bound: list[frozenset[int]] | None = None
         self.live: list[tuple[int, int]] | None = None
         self.witnesses: dict[frozenset[int], frozenset[int]] = {}

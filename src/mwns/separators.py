@@ -348,10 +348,9 @@ def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] |
     if a == b:
         return [a] if a in T else []
     f = block_cut_forest(g)
-    for nd in f.nodes:
-        if nd.kind == "block" and len(nd.vertices & T) > 1:
-            raise MultiTerminalBlockError(
-                f"block {sorted(nd.vertices)} carries {sorted(nd.vertices & T)}")
+    for block in f.sets:
+        if len(block & T) > 1:  # a cut node holds one vertex
+            raise MultiTerminalBlockError(f"block {sorted(block)} carries {sorted(block & T)}")
     na, nb_ = f.node_of_vertex(a), f.node_of_vertex(b)
     return f.path_vertices(na, nb_, T) if f.root_of(na) == f.root_of(nb_) else None
 

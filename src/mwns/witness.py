@@ -27,13 +27,10 @@ def separating_cut_vertex(f: BlockCutForest, e: tuple[int, int]) -> tuple[int, f
         par, child = b, a
     else:
         raise ValueError(f"({a},{b}) is not a tree edge")
-    cut_end = child if f.nodes[child].kind == "cut" else par
-    v = f.nodes[cut_end].vertex
+    v = f.cutv[par] if f.cutv[child] is None else f.cutv[child]
     below = f.subtree_vertices(child)
     above = (f.subtree_vertices(f.root_of(par)) - below) | {v}
-    if f.nodes[child].kind == "block":
-        return v, below, above
-    return v, above, below
+    return (v, below, above) if f.cutv[child] is None else (v, above, below)
 
 
 def path_through_vertex_in_block(
@@ -77,7 +74,7 @@ def threaded_path(
         return None
     path_nodes = f.tree_path(nx_, ny_)
     picks: dict[frozenset[int], int] = {}
-    on_path = {f.nodes[nid].vertices for nid in path_nodes if f.nodes[nid].kind == "block"}
+    on_path = {f.sets[nid] for nid in path_nodes if f.cutv[nid] is None}
     for block, v in forced:
         block = frozenset(block)
         if block not in on_path:
@@ -89,10 +86,8 @@ def threaded_path(
         picks[block] = v
     result = [x]
     for i in range(1, len(path_nodes) - 1, 2):
-        entry = f.nodes[path_nodes[i - 1]].vertex
-        block_node = f.nodes[path_nodes[i]]
-        exit_ = f.nodes[path_nodes[i + 1]].vertex
-        block = block_node.vertices
+        entry, exit_ = f.cutv[path_nodes[i - 1]], f.cutv[path_nodes[i + 1]]
+        block = f.sets[path_nodes[i]]
         pick = picks.get(block)
         if pick is None or pick in (entry, exit_):
             seg = shortest_path(g.induced(block), entry, [exit_])
@@ -135,7 +130,7 @@ def find_separable_leaf_terminal(g: Graph, T: Iterable[int], S: Iterable[int]
     top_block = min(f.blocks_containing(t_star), key=lambda b: f.depth[b])
     parent_cut = f.parent[top_block]
     assert parent_cut is not None, "deepest terminal cannot sit in the root block"
-    v = f.nodes[parent_cut].vertex
+    v = f.cutv[parent_cut]
     assert v not in T
     # contract check: S + v separates t* from every other terminal
     reach = reachable(g, [t_star], S | {v})

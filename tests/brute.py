@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
-from mwns.blockcut import biconnected_blocks, block_cut_forest, nested_cut_pairs
+from mwns.blockcut import BCNode, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.blocker import BlockerIteration, _read_forest
 from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
@@ -193,6 +193,86 @@ def biconnected_blocks_vertex_stack(g: Graph, exclude: Iterable[int] = ()) -> li
     return blocks
 
 
+class ReferenceForest(NamedTuple):
+    nodes: tuple[BCNode, ...]
+    parent: tuple[int | None, ...]
+    children: tuple[tuple[int, ...], ...]
+    depth: tuple[int, ...]
+    roots: tuple[int, ...]
+    index: VertexIndex
+    subtree_end: tuple[int, ...]
+
+
+def block_cut_forest_reference(g: Graph, blocks: list[frozenset[int]] | None = None) -> ReferenceForest:
+    """The block-cut forest assembled one `BCNode` at a time, with tuple
+    arrays, its vertex index and its subtree ends: a plain copy of the
+    constructor that the per-id lists of `BlockCutForest` replace, which
+    they must match id for id."""
+    if blocks is None:
+        blocks = biconnected_blocks(g)
+    cuts: set[int] = set()
+    owner: set[int] = set()
+    for b in blocks:
+        cuts |= b & owner
+        owner |= b
+    blocks = sorted(blocks, key=sorted)
+    cut_blocks: dict[int, list[int]] = {c: [] for c in cuts}
+    for i, b in enumerate(blocks):
+        for c in b & cuts:
+            cut_blocks[c].append(i)
+    nodes: list[BCNode] = []
+    parent: list[int | None] = []
+    children: list[list[int]] = []
+    depth: list[int] = []
+    roots: list[int] = []
+    cut_node: dict[int, int] = {}
+    placed = [False] * len(blocks)
+    for root in range(len(blocks)):
+        if placed[root]:
+            continue
+        work: list[tuple[int, int | None, int, bool]] = [(root, None, 0, True)]
+        while work:
+            key, par, d, is_block = work.pop()
+            nid = len(nodes)
+            parent.append(par)
+            children.append([])
+            depth.append(d)
+            if par is None:
+                roots.append(nid)
+            else:
+                children[par].append(nid)
+            if is_block:
+                placed[key] = True
+                nodes.append(BCNode(nid, "block", blocks[key]))
+                for c in sorted(blocks[key] & cuts, reverse=True):
+                    if c not in cut_node:
+                        work.append((c, nid, d + 1, False))
+            else:
+                cut_node[key] = nid
+                nodes.append(BCNode(nid, "cut", frozenset((key,))))
+                for j in reversed(cut_blocks[key]):
+                    if not placed[j]:
+                        work.append((j, nid, d + 1, True))
+    end = list(range(1, len(nodes) + 1))
+    for nid in reversed(range(len(nodes))):
+        par = parent[nid]
+        if par is not None and end[nid] > end[par]:
+            end[par] = end[nid]
+    owns: dict[int, int] = {}
+    root_of: list[int] = []
+    verts: list[int] = []
+    start: list[int] = []
+    for nd, par in zip(nodes, parent):
+        root_of.append(nd.id if par is None else root_of[par])
+        start.append(len(verts))
+        own = nd.vertices if nd.kind == "cut" else nd.vertices.difference(cut_node)
+        verts += own
+        owns.update(dict.fromkeys(own, nd.id))
+    start.append(len(verts))
+    return ReferenceForest(tuple(nodes), tuple(parent), tuple(map(tuple, children)), tuple(depth),
+                           tuple(roots), VertexIndex(owns, tuple(root_of), verts, start), tuple(end))
+
+
 def rr2_pairs_brute(g: Graph, T, s_star) -> list[tuple[int, int]]:
     """Pairs x < y of non-terminal cut vertices of H = G - S* where one lies
     below the other in the block-cut forest of H, each tree rooted at the
@@ -234,7 +314,7 @@ def path_marked_walk(reader, x: int, y: int) -> list[int]:
         nid = parent[nid]
     found: list[int] = []
     for nid in reversed(on) if flip else on:
-        for t in reader.nodes[nid].vertices & marked:
+        for t in reader.sets[nid] & marked:
             if t not in found:
                 found.append(t)
     return found
@@ -586,3 +666,32 @@ def random_block_tree(rng, n_blocks: int) -> tuple[Graph, int]:
             vertices += [b, c, d]
             anchors += [b, c, d]
     return Graph(vertices, edges), nxt
+
+
+def chorded_block_tree(rng, n_blocks: int, attach: float = 0.1) -> tuple[Graph, frozenset[int], int]:
+    """A blocker input shaped like the benchmark's: bridges, triangles,
+    squares and 5- and 6-cycles with a chord, each glued at a random earlier
+    vertex; block by block, a terminal on a vertex none of whose blocks holds
+    one yet; and the pivot 1 joined to a share `attach` of the others, so
+    that {1} nearly separates the terminals. Returns (G, T, pivot)."""
+    edges: list[tuple[int, int]] = []
+    members: list[list[int]] = []
+    nxt = 3
+    for _ in range(n_blocks):
+        size = rng.choice((2, 3, 4, 5, 6))
+        vs = [rng.randrange(2, nxt), *range(nxt, nxt + size - 1)]
+        nxt += size - 1
+        edges += [(vs[0], vs[1])] if size == 2 else list(zip(vs, vs[1:] + vs[:1]))
+        if size >= 5:
+            edges.append((vs[0], vs[2]))
+        members.append(vs)
+    blocks_of: dict[int, list[list[int]]] = {}
+    for vs in members:
+        for v in vs:
+            blocks_of.setdefault(v, []).append(vs)
+    T: set[int] = set()
+    for vs in members:  # a block that holds a terminal leaves no vertex free
+        if free := [v for v in vs if all(T.isdisjoint(b) for b in blocks_of[v])]:
+            T.add(rng.choice(free))
+    edges += [(1, v) for v in range(2, nxt) if rng.random() < attach]
+    return Graph(range(1, nxt), edges), frozenset(T), 1

@@ -1,15 +1,20 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, blocks_without
+from mwns.blockcut import BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without
+from mwns.blocker import blocker_run
+from mwns.dot import forest_to_dot
+from mwns.reducer import reduce_terminals
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
-                   random_block_tree, random_graph)
+                   block_cut_forest_reference, chorded_block_tree, random_block_tree, random_graph)
+from test_reducer import FLOWERS
 
 
 def two_triangles():
@@ -101,6 +106,25 @@ def test_span_vertices_are_the_union_of_all_simple_paths_between_ends(n, p, seed
             on = set().union(*(q for a, b in itertools.combinations_with_replacement(ends, 2)
                                for q in all_simple_paths(g, a, b)))
             assert f.span_vertices(ends) == on
+
+
+def test_span_of_no_ends_is_empty():
+    f = block_cut_forest(two_triangles())
+    assert f.span_vertices(()) == f.span_vertices(iter(())) == frozenset()
+    assert f.span_vertices(iter([4])) == frozenset({4})
+
+
+def test_node_labels_agree_across_the_node_view_the_dot_export_and_the_blocker():
+    f = block_cut_forest(two_triangles())
+    assert [nd.label() for nd in f.nodes] == ["{1,2,3}", "3", "{3,4,5}"]
+    dot = forest_to_dot(f)
+    assert all(f'label="{nd.label()}"' in dot for nd in f.nodes)
+    # pivot 1 closes the arms 4-5-6 and 7-8-9 off cut vertex 3 (case a, a
+    # cut node's label) and the six-cycle 1..6 (case c, a block's)
+    arms = Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)])
+    six = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+    assert [it.d_label for it in blocker_run(arms, {5, 8}, 1).iterations] == ["3"]
+    assert [it.d_label for it in blocker_run(six, {3, 5}, 1).iterations] == ["{2,3}"]
 
 
 def test_separating_cut_vertex_examples():
@@ -249,6 +273,72 @@ def test_forest_from_shuffled_blocks_equals_a_fresh_forest(case, rng):
     f, fresh = block_cut_forest(h, blocks), block_cut_forest(h)
     assert f.nodes == fresh.nodes and f.parent == fresh.parent
     assert f.children == fresh.children and f.depth == fresh.depth and f.roots == fresh.roots
+
+
+@st.composite
+def forest_inputs(draw):
+    """A graph and a shuffled block list to assemble a forest from: the
+    blocks of a random graph less an exclusion set, of a chorded block tree
+    less its pivot, or of a flower with or without its hubs; or blocks of a
+    random graph or a chorded tree carried through a chain of
+    `blocks_without`, in shuffled order at each link."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["random", "tree", "flower", "carried"]))
+    if kind == "flower":
+        g = rng.choice(FLOWERS).graph
+        blocks = biconnected_blocks(g, rng.choice([(), (1, 2, 3)]))
+    elif kind == "tree" or kind == "carried" and rng.random() < 0.5:
+        g, _, x = chorded_block_tree(rng, rng.randint(1, 40))
+        blocks = biconnected_blocks(g, [x])
+    else:
+        g, exclude = draw(graphs_with_exclusions(max_n=30))
+        blocks = biconnected_blocks(g, exclude)
+    if kind == "carried":
+        for _ in range(rng.randint(1, 5)):
+            rng.shuffle(blocks)
+            blocks = blocks_without(g, blocks, rng.sample(g.vertices, min(g.n, rng.randint(1, 4))))
+    rng.shuffle(blocks)
+    return g, blocks
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(forest_inputs())
+def test_forest_arrays_match_the_node_by_node_reference(case):
+    g, blocks = case
+    f, ref = block_cut_forest(g, list(blocks)), block_cut_forest_reference(g, list(blocks))
+    assert f.nodes == ref.nodes
+    assert [f.sets[nd.id] for nd in ref.nodes] == [nd.vertices for nd in ref.nodes]
+    assert [f.cutv[nd.id] for nd in ref.nodes] == [nd.vertex if nd.kind == "cut" else None for nd in ref.nodes]
+    assert (tuple(f.parent), tuple(map(tuple, f.children))) == (ref.parent, ref.children)
+    assert (tuple(f.depth), tuple(f.roots)) == (ref.depth, ref.roots)
+    assert f.index == ref.index and f.subtree_end == ref.subtree_end
+
+
+def test_the_pipeline_builds_no_node_view():
+    # the blocker and the reduction read a forest's per-id lists; `nodes`
+    # (and `node`, which reads it) is for the tests and the witnesses
+    rng = random.Random(77)
+    trees = [chorded_block_tree(rng, 35) for _ in range(12)]
+    L = 6000  # the pendant chain: path 2..L, pivot 1, terminals L+1, L+2
+    chain = Graph(range(1, L + 3), [(v, v + 1) for v in range(2, L)]
+                  + [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)])
+    viewed: list[int] = []  # the sizes of the forests whose view is built
+    build = BlockCutForest.nodes.func
+
+    def view(f):
+        viewed.append(len(f.sets))
+        return build(f)
+
+    with mock.patch.object(BlockCutForest, "nodes", property(view)), \
+            mock.patch.object(BlockCutForest, "__init__", autospec=True,
+                              side_effect=BlockCutForest.__init__) as made:
+        iterations = sum(len(blocker_run(g, T, x).iterations) for g, T, x in trees)
+        assert blocker_run(chain, {L + 1, L + 2}, 1).result == {L}
+        for inst in FLOWERS:
+            reduce_terminals(inst, {1, 2, 3})
+        assert viewed == [] and iterations > 24 and made.call_count > len(trees) + iterations
+        assert block_cut_forest(chain).node(0).kind == "block"  # the spy sees a view built
+    assert len(viewed) == 1
 
 
 @pytest.mark.parametrize("closed", [False, True])

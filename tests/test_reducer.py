@@ -1028,7 +1028,7 @@ class TestCutPairReader:
             forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
             for marked in (T, frozenset(t for t in T if rng.random() < 0.7)):
                 forest.shrink(marked)
-                separated = all(len(nd.vertices & marked) < 2 for nd in forest.nodes)
+                separated = all(len(s & marked) < 2 for s in forest.sets)
                 for x, y in nested_cut_pairs(forest):
                     if x in marked or y in marked:
                         continue
