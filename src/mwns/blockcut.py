@@ -7,43 +7,57 @@ import itertools
 import math
 import sys
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .graph import Graph
 
 
-def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[int]]:
-    """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of g minus `exclude`.
+def biconnected_blocks(g: Graph, exclude: Iterable[int] = (), within: Collection[int] | None = None
+                       ) -> list[frozenset[int]]:
+    """Blocks (2-connected subgraphs, bridge edges, isolated vertices) of
+    g[`within`] (all of g if None) minus `exclude`, in the order of those of
+    g.induced(within); `within` must lie in g, `exclude` need not.
 
-    Iterative DFS low-link over a stack of vertices, neighbours in ascending
-    order (g's shared tuples), each DFS path vertex's low-link kept on a
-    stack beside the path; a block leaves the stack when the DFS backs up
-    from its highest vertex below its cut vertex. No subgraph is
-    materialized, so this is the fast path for predicates that repeatedly
-    probe vertex deletions.
+    Iterative DFS low-link over vertex positions in g.vertices, neighbours in
+    ascending order (g's shared `index`), discovery times in a list by
+    position, each DFS path vertex's low-link kept on a stack beside the
+    path; a block leaves the stack when the DFS backs up from its highest
+    vertex below its cut vertex. No subgraph is materialized, so this is the
+    fast path for probing vertex deletions and decomposing vertex subsets.
     """
-    adj = g.ascending_adjacency()
-    # an excluded vertex counts as discovered, at a time above every low-link
-    disc: dict[int, int] = dict.fromkeys(exclude, sys.maxsize)
+    (pos, adj), vs = g.index(), g.vertices
+    # a vertex left out counts as discovered, at a time above every low-link
+    disc: list[int | None] = [None if within is None else sys.maxsize] * len(vs)
+    roots: Iterable[int] = range(len(vs))
+    if within is not None:
+        if missing := g.foreign(within):
+            raise ValueError(f"unknown vertices {missing}")
+        roots = sorted([pos[v] for v in within])
+        for i in roots:
+            disc[i] = None
+    for v in exclude:
+        if (i := pos.get(v)) is not None:
+            disc[i] = sys.maxsize
     blocks: list[frozenset[int]] = []
-    for root in g.vertices:
-        if root in disc:
+    clock = 0  # the last discovery time
+    for root in roots:
+        if disc[root] is not None:
             continue
-        disc[root] = first = len(disc)
+        disc[root] = first = clock = clock + 1
         # the DFS path, and for each path vertex its low-link, its iterator
         # over its remaining neighbours and the length of `pending` on entry
         path, lows, iters, starts = [root], [first], [iter(adj[root])], [0]
-        pending: list[int] = []  # vertices entered and not yet in a block
+        pending: list[int] = []  # vertices (by id) entered and not yet in a block
         while path:
             lv = lows[-1]  # written back before the DFS leaves the vertex for a child
             for w in iters[-1]:
-                d = disc.get(w)
+                d = disc[w]
                 if d is None:
                     lows[-1] = lv
-                    disc[w] = d = len(disc)
+                    disc[w] = d = clock = clock + 1
                     lows.append(d)
                     starts.append(len(pending))
-                    pending.append(w)
+                    pending.append(vs[w])
                     path.append(w)
                     iters.append(iter(adj[w]))
                     break
@@ -59,10 +73,10 @@ def biconnected_blocks(g: Graph, exclude: Iterable[int] = ()) -> list[frozenset[
                     if lv < lows[-1]:
                         lows[-1] = lv
                     if lv >= disc[u]:
-                        blocks.append(frozenset(pending[start:] + [u]))
+                        blocks.append(frozenset(pending[start:] + [vs[u]]))
                         del pending[start:]
-        if len(disc) == first + 1:
-            blocks.append(frozenset([root]))
+        if clock == first:
+            blocks.append(frozenset([vs[root]]))
     return blocks
 
 
@@ -72,13 +86,13 @@ def blocks_without(g: Graph, blocks: Iterable[frozenset[int]], z: Iterable[int]
 
     A block of H - z is 2-connected or an edge in H, so it lies inside one
     block of H: the blocks z misses stay whole, and only the remnant of each
-    block z hits is decomposed again. A remnant's singleton {v} is a block of
-    H - z only if no other block of two or more vertices holds v.
+    block z hits is decomposed again, within g, uncopied. A remnant's
+    singleton {v} is a block of H - z only if no other big block holds v.
     """
     z = frozenset(z)
     out = [b for b in blocks if b.isdisjoint(z)]
     out += [c for b in blocks if not b.isdisjoint(z) and (rest := b - z)
-            for c in biconnected_blocks(g.induced(rest))]
+            for c in biconnected_blocks(g, within=rest)]
     big = [b for b in out if len(b) > 1]
     single = {v for b in out if len(b) == 1 for v in b}.difference(*big)
     return big + [frozenset([v]) for v in sorted(single)]

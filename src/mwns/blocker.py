@@ -65,6 +65,7 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
     roots of the trees with such a meeting node.
     """
     nbrs = g.neighbors(x)
+    free = nbrs.difference(f.cut_nodes)  # neighbors of x in one block each, if in f
     sets, cutv, cut, children, parent, depth = f.sets, f.cutv, f.cut_nodes, f.children, f.parent, f.depth
     reach = [-1] * len(sets)
     deepest = None
@@ -91,25 +92,37 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
             # through its terminal t (at most one, or G-x has a T-cycle); the
             # routes from t and from the top vertex are kept apart
             block = sets[nid]
-            t = min(block & T, default=None) if len(block) >= 3 else None
             top = None if par is None else cutv[par]
-            # routes from the child cut vertices and from the other neighbors
-            # of x in the block; the top vertex's own route joins after reach
-            # is read, since a route up through the top cannot start there
-            ends = [(cutv[c], reach[c]) for c in children[nid]]
-            ends += [(w, w in T) for w in block & nbrs if w not in cut]
-            out_t = e0 = e1 = -1
-            for w, r in ends:
-                if w == t:
-                    out_t = r
-                elif r > e0:
-                    e0, e1 = r, e0
-                elif r > e1:
-                    e1 = r
+            t = min(tb) if len(block) >= 3 and (tb := block & T) else None
+            # fold in place the routes from the child cut vertices and the other
+            # neighbors of x, t's to out_t (tc: t's child node); the top's joins
+            # after reach is read, since a route up through it cannot start there
+            out_t = e0 = e1 = tc = -1
+            if t is not None and t != top:
+                if (tc := cut.get(t, -1)) >= 0:
+                    out_t = reach[tc]
+                elif t in free:
+                    out_t = True
+            for c in children[nid]:
+                if (r := reach[c]) > e1 and c != tc:
+                    if r > e0:
+                        e0, e1 = r, e0
+                    else:
+                        e1 = r
+            if not free.isdisjoint(block):
+                for w in block & free:
+                    if w != t:
+                        r = w in T
+                        if r > e0:
+                            e0, e1 = r, e0
+                        elif r > e1:
+                            e1 = r
             if top is not None:
                 # a route from the top vertex leaves the block at another
                 # vertex, passing t on the way if t is neither
-                best = e0 if t is None or t == top else max(out_t, e0 + 1 if e0 >= 0 else -1)
+                best = e0 if t is None or t == top else e0 + (e0 >= 0)
+                if out_t > best:  # t's route: none unless t is neither
+                    best = out_t
                 if best >= 0:
                     reach[nid] = (top in T) + best
                 r = (top in T) if top in nbrs else -1

@@ -10,10 +10,11 @@ class Graph:
     """Immutable undirected simple graph on integer vertices >= 1.
 
     Vertex deletion and induced subgraphs return new Graph objects; the
-    adjacency structure of an existing instance never changes.
+    adjacency structure of an existing instance never changes, so one
+    `index` serves every reader, which need not copy a vertex subset out.
     """
 
-    __slots__ = ("_adj", "_vertices", "_ascending")
+    __slots__ = ("_adj", "_vertices", "_index")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -32,7 +33,7 @@ class Graph:
             adj[v].add(u)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._vertices = tuple(sorted(self._adj))
-        self._ascending = None
+        self._index = None
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -56,12 +57,13 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
-    def ascending_adjacency(self) -> dict[int, tuple[int, ...]]:
-        """vertex -> its neighbours as an ascending tuple, built on first use
-        and shared by every later caller, which must not modify it."""
-        if self._ascending is None:
-            self._ascending = {v: tuple(sorted(ns)) for v, ns in self._adj.items()}
-        return self._ascending
+    def index(self) -> tuple[dict[int, int], list[tuple[int, ...]]]:
+        """Vertex -> its position in `vertices`, and per position the ascending
+        tuple of its neighbours' positions: built once, shared, not to be modified."""
+        if self._index is None:
+            pos = {v: i for i, v in enumerate(self._vertices)}
+            self._index = pos, [tuple(sorted(map(pos.__getitem__, self._adj[v]))) for v in self._vertices]
+        return self._index
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -80,7 +82,7 @@ class Graph:
         sub = Graph.__new__(Graph)  # this graph's ids and edges are already valid
         sub._adj = {v: adj[v] & keep for v in keep}
         sub._vertices = tuple(sorted(keep))
-        sub._ascending = None
+        sub._index = None
         return sub
 
     def without(self, vs: Iterable[int]) -> "Graph":

@@ -195,7 +195,7 @@ class _Record:
         if foreign := g.foreign(s_star):
             raise ValueError(f"S* vertices {foreign} are not in the graph")
         self.graph, self.s_star, self.terminals = g, s_star, terminals
-        forest = self.forest = CutPairReader(g, block_cut_forest(g.without(s_star)), terminals)
+        forest = self.forest = CutPairReader(g, block_cut_forest(g, biconnected_blocks(g, s_star)), terminals)
         self.separated = all(len(s & terminals) < 2 for s in forest.sets)
         self.bound: list[frozenset[int]] | None = None
         self.live: list[tuple[int, int]] | None = None
@@ -248,7 +248,7 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
             asleep.discard(pair)
     record.terminals = T
     if record.bound is None:
-        record.bound = [c for b in biconnected_blocks(g.induced(record.s_star | T)) if len(c := b & T) > 1]
+        record.bound = [c for b in biconnected_blocks(g, within=record.s_star | T) if len(c := b & T) > 1]
     record.bound = [c for c in record.bound if len(c - T) < 2 and len(c & T) > 1]
     if len(T.difference(*record.bound)) < 3:
         return None
@@ -276,7 +276,7 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
                 blocks = [found]
             else:  # D's vertices and the blocks of G[D + x + y]
                 comp = forest.vertices(d)
-                region = biconnected_blocks(g.induced(comp | {x, y}))
+                region = biconnected_blocks(g, within=comp | {x, y})
                 if not (blocks := [b for b in region if len(b & T) > 1]):
                     f = block_cut_forest(g, region)
                     path = f.path_vertices(f.node_of_vertex(x), f.node_of_vertex(y), comp & T)

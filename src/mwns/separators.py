@@ -42,7 +42,7 @@ class _SplitNet:
     def __init__(self, g: Graph):
         vs = g.vertices
         n = len(vs)
-        index = {v: i for i, v in enumerate(vs)}
+        index = g.index()[0]
         head = [0, 0, 1, 0] * n
         head[::4], head[3::4] = range(2, 2 * n + 2, 2), range(3, 2 * n + 3, 2)
         # 0 and 1 hold the source arcs and the sink arcs' reverses; in(i), out(i) the rest

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
-from mwns.blockcut import BCNode, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
+from mwns.blockcut import BCNode, BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.blocker import BlockerIteration, _read_forest
 from mwns.core import Instance, is_mwns
 from mwns.graph import Graph, connected_components, reachable
@@ -361,6 +362,96 @@ def fresh_step(g: Graph, T, x: int, index: int) -> BlockerIteration | None:
     and drops the trees that cannot meet."""
     f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]))
     return _read_forest(g, frozenset(T), x, index, f)[0]
+
+
+def routes_reference(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
+                     ) -> tuple[list[int], int | None, set[int]]:
+    """`blocker._routes` as it was when each block node listed its route
+    ends as (vertex, count) pairs before folding them: the reference the
+    in-place fold must match on every forest."""
+    nbrs = g.neighbors(x)
+    sets, cutv, cut, children, parent, depth = f.sets, f.cutv, f.cut_nodes, f.children, f.parent, f.depth
+    reach = [-1] * len(sets)
+    deepest = None
+    met: set[int] = set()
+    tree_met = False
+    for nid in range(len(sets) - 1, -1, -1):  # pre-order ids: children first
+        v = cutv[nid]
+        par = parent[nid]
+        # e0 >= e1: the two largest route counts ending here, -1 for none
+        if v is not None:
+            own = v in T
+            e0, e1 = (0 if v in nbrs else -1), -1
+            for b in children[nid]:
+                r = reach[b] - own  # a block's route counts its top v, unless none
+                if r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
+            if e0 >= 0:
+                reach[nid] = own + e0
+            meet = e1 >= 0 and own + e0 + e1 >= 2
+        else:
+            # a block of three or more vertices routes any two of its vertices
+            # through its terminal t (at most one, or G-x has a T-cycle); the
+            # routes from t and from the top vertex are kept apart
+            block = sets[nid]
+            t = min(block & T, default=None) if len(block) >= 3 else None
+            top = None if par is None else cutv[par]
+            # routes from the child cut vertices and from the other neighbors
+            # of x in the block; the top vertex's own route joins after reach
+            # is read, since a route up through the top cannot start there
+            ends = [(cutv[c], reach[c]) for c in children[nid]]
+            ends += [(w, w in T) for w in block & nbrs if w not in cut]
+            out_t = e0 = e1 = -1
+            for w, r in ends:
+                if w == t:
+                    out_t = r
+                elif r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
+            if top is not None:
+                # a route from the top vertex leaves the block at another
+                # vertex, passing t on the way if t is neither
+                best = e0 if t is None or t == top else max(out_t, e0 + 1 if e0 >= 0 else -1)
+                if best >= 0:
+                    reach[nid] = (top in T) + best
+                r = (top in T) if top in nbrs else -1
+                if top == t:
+                    out_t = r
+                elif r > e0:
+                    e0, e1 = r, e0
+                elif r > e1:
+                    e1 = r
+            # two routes meet here by avoiding t and passing it, or one ends at t
+            meet = (e1 >= 0 and e0 + e1 + (t is not None) >= 2
+                    or out_t >= 0 and e0 >= 0 and out_t + e0 >= 2)
+        if meet:
+            tree_met = True
+            if deepest is None or depth[nid] >= depth[deepest]:
+                deepest = nid
+        if par is None:
+            if tree_met:
+                met.add(nid)
+            tree_met = False
+    return reach, deepest, met
+
+
+def decomposed(call) -> frozenset[int]:
+    """The vertex set that a `biconnected_blocks` call recorded by a mock
+    decomposes: its `within` set, or all of its graph, less `exclude`."""
+    args = inspect.signature(biconnected_blocks).bind(*call.args, **call.kwargs).arguments
+    within = args.get("within")
+    return frozenset(args["g"].vertices if within is None else within).difference(args.get("exclude", ()))
+
+
+def forest_vertices(call) -> frozenset[int]:
+    """The vertex set of the forest that a `block_cut_forest` call recorded
+    by a mock assembles: its blocks' union, or all of its graph."""
+    args = inspect.signature(block_cut_forest).bind(*call.args, **call.kwargs).arguments
+    blocks = args.get("blocks")
+    return frozenset(args["g"].vertices) if blocks is None else frozenset().union(*blocks)
 
 
 def is_separator(g: Graph, X, Y, S) -> bool:

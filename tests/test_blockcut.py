@@ -217,6 +217,34 @@ def test_shared_neighbour_tuples_keep_the_block_order(case):
         assert biconnected_blocks(g, dropped) == biconnected_blocks_vertex_stack(g, dropped)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(graphs_with_exclusions(max_n=30))
+def test_blocks_within_a_vertex_set_equal_those_of_its_induced_copy(case):
+    g, exclude = case
+    kept = set(g.vertices) - exclude
+    for within in (kept, set(g.vertices[::2]), set()):
+        assert biconnected_blocks(g, within=within) == biconnected_blocks(g.induced(within))
+        # `exclude` may name ids outside g and outside `within`
+        assert biconnected_blocks(g, exclude, within) == biconnected_blocks(g.induced(within), exclude)
+
+
+def test_blocks_within_a_set_naming_a_foreign_id_is_refused():
+    g = two_triangles()
+    with pytest.raises(ValueError, match=r"unknown vertices \[7, 9\]"):
+        biconnected_blocks(g, within={1, 2, 7, 9})
+    with pytest.raises(ValueError, match=r"unknown vertices \[7, 9\]"):
+        g.induced({1, 2, 7, 9})
+
+
+def test_blocks_of_a_graph_with_a_huge_vertex_id():
+    # ids are unbounded ints >= 1, so no list may be indexed by an id
+    big = 10 ** 12
+    g = Graph([1, 5, big, big + 1], [(1, 5), (5, big), (1, big), (big, big + 1)])
+    assert biconnected_blocks(g) == [frozenset({big, big + 1}), frozenset({1, 5, big})]
+    assert biconnected_blocks(g, exclude=[5], within=[1, 5, big]) == [frozenset({1, big})]
+    assert biconnected_blocks(g, within=[big + 1]) == [frozenset({big + 1})]
+
+
 @st.composite
 def blocks_and_deletions(draw, max_n: int):
     """A graph g, the blocks of g minus a first deletion set, and a second
@@ -243,6 +271,19 @@ def test_carried_blocks_equal_a_fresh_decomposition(case):
     out = blocks_without(g, blocks, z)
     assert len(out) == len(set(out))
     assert set(out) == set(biconnected_blocks(g, first | z))
+
+
+def test_carried_blocks_copy_no_subgraph():
+    # each remnant is decomposed within g, not in an induced copy
+    rng = random.Random(8)
+    g, _, x = chorded_block_tree(rng, 40)
+    blocks = biconnected_blocks(g, [x])
+    with mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub, \
+            mock.patch("mwns.blockcut.biconnected_blocks", wraps=biconnected_blocks) as remnants:
+        for _ in range(5):
+            blocks = blocks_without(g, blocks, rng.sample(g.vertices, 3))
+    assert sub.call_count == 0 and remnants.call_count >= 5
+    assert all("within" in c.kwargs for c in remnants.call_args_list)
 
 
 def test_carried_blocks_of_bridges_isolated_vertices_and_emptied_blocks():

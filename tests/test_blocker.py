@@ -20,7 +20,7 @@ from mwns.gen import pivot_instance
 from mwns.separators import max_terminals_on_path
 from mwns.solver import oracle_opt_x
 
-from brute import fresh_step, has_t_cycle_brute, random_block_tree
+from brute import chorded_block_tree, fresh_step, has_t_cycle_brute, random_block_tree, routes_reference
 
 
 def six_cycle():
@@ -117,6 +117,26 @@ class TestRoutesAgainstClosures:
                 cases.append(it.case)
             assert fresh_step(cur, T, x, 0) is None and not has_t_cycle_brute(cur, T)
         assert len(cases) >= 90 and set(cases) == {"a", "b", "c"}
+
+
+def test_in_place_fold_matches_the_listed_ends_on_every_forest():
+    # every forest a run reads, on chorded block trees, pivot instances and
+    # glued block trees: the same reach, deepest meeting node and met trees
+    rng = random.Random(2024)
+    cases = [chorded_block_tree(rng, rng.randint(5, 60), rng.choice([0.05, 0.1, 0.3])) for _ in range(30)]
+    cases += pivot_suite(40, seed=5) + block_tree_suite(40, seed=6)
+    seen = []
+
+    def checked(g, T, x, f):
+        got = _routes(g, T, x, f)
+        assert got == routes_reference(g, T, x, f)
+        seen.append(got[1] is not None)
+        return got
+
+    with mock.patch.object(blocker_mod, "_routes", side_effect=checked):
+        for g, T, x in cases:
+            blocker_run(g, T, x)
+    assert len(seen) > 2 * len(cases) and 0 < seen.count(False) < len(seen)
 
 
 class TestClassification:
@@ -259,9 +279,9 @@ class TestBlockerStep:
         for g, T, x in pivot_suite(12, seed=7) + block_tree_suite(12, seed=11):
             sizes = []  # vertices decomposed, per biconnected_blocks call
 
-            def counted(h, exclude=()):
-                sizes.append(len(set(h.vertices) - set(exclude)))
-                return biconnected_blocks(h, exclude)
+            def counted(h, exclude=(), within=None):
+                sizes.append(len(set(h.vertices if within is None else within) - set(exclude)))
+                return biconnected_blocks(h, exclude, within)
 
             with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests, \
                     mock.patch.object(blocker_mod, "biconnected_blocks", side_effect=counted) as full, \

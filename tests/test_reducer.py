@@ -32,8 +32,8 @@ from mwns.reducer import (
 from mwns.separators import path_through_forced_vertex, terminals_on_path
 from mwns.solver import oracle_solve
 
-from brute import (free_terminals, path_marked_walk, random_block_tree, random_graph, rr2_candidate_pairs,
-                   rr2_pairs_brute, rr2_reference, small_instances)
+from brute import (decomposed, forest_vertices, free_terminals, path_marked_walk, random_block_tree, random_graph,
+                   rr2_candidate_pairs, rr2_pairs_brute, rr2_reference, small_instances)
 
 
 def six_cycle_instance(k=1):
@@ -141,7 +141,7 @@ class TestRR2:
                 mock.patch.object(reducer, "block_cut_forest", wraps=reducer.block_cut_forest) as forests:
             out = apply_rr2(inst, frozenset(), record)
         assert out is not None and out[1].component == frozenset(range(4, 9)) and (out[1].x, out[1].y) == (3, 9)
-        assert [c.args[0] for c in spy.call_args_list] == [inst.graph.induced(inst.terminals)]
+        assert [decomposed(c) for c in spy.call_args_list] == [inst.terminals]
         assert forests.call_count == 0
 
     def test_block_with_two_terminals_is_not_separated(self):
@@ -160,8 +160,7 @@ class TestRR2:
         with mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
             out = apply_rr2(inst, frozenset(), record)
         assert out == rr2_reference(inst, frozenset()) and out[1].component == frozenset(range(4, 9))
-        assert [c.args[0] for c in spy.call_args_list] == [inst.graph.induced(inst.terminals),
-                                                            inst.graph.induced(range(3, 10))]
+        assert [decomposed(c) for c in spy.call_args_list] == [inst.terminals, frozenset(range(3, 10))]
 
     def test_two_terminals_not_enough(self):
         inst = chain_of_triangles(3, terminals=(2, 4))
@@ -322,7 +321,7 @@ class TestRR3Index:
             reduced, log, _ = reduce_terminals(inst, {1, 2, 3})
         assert any(isinstance(s, DropUnmarked) for s in log.steps) and rr3.call_count >= 2
         g, s_star = reduced.graph, frozenset({1, 2, 3})
-        assert [c.args[0] for c in spy.call_args_list] == [g.without(s_star)]
+        assert [forest_vertices(c) for c in spy.call_args_list] == [frozenset(g.without(s_star).vertices)]
 
     @pytest.mark.parametrize("entry", [apply_rr2, mark_components, apply_rr3])
     def test_record_of_another_graph_s_star_or_fewer_terminals_is_refused(self, entry):
@@ -801,10 +800,15 @@ class TestRR2Index:
             reduced, log, _ = reduce_terminals(FLOWERS[0], {1, 2, 3})
         fired = Counter((s.x, s.y) for s in log.steps if isinstance(s, DropComponentTerminal))
         g, s_star = reduced.graph, build_1_redundant(FLOWERS[0], {1, 2, 3})[0].s_star
-        regions = Counter(frozenset(c.args[0].vertices) for c in spy.call_args_list)
+        # the record's one decomposition of G - S*, the one call naming
+        # `exclude`, counts with those RR3 and the blocker make
+        excludes = [len(c.args) > 1 or "exclude" in c.kwargs for c in spy.call_args_list]
+        record = [decomposed(c) for c, e in zip(spy.call_args_list, excludes) if e]
+        assert record == [frozenset(g.vertices) - s_star]
+        regions = Counter(decomposed(c) for c, e in zip(spy.call_args_list, excludes) if not e)
         [bound] = [r for r in regions if r <= s_star | FLOWERS[0].terminals]
         assert regions.pop(bound) == 1
-        every = regions + Counter(frozenset(c.args[0].vertices) for c in inner.call_args_list)
+        every = regions + Counter(record + [decomposed(c) for c in inner.call_args_list])
         assert fired[6, 8] == 6 and regions[frozenset(g.vertices) - {7}] == 6
         for region, calls in every.items():
             cutting = [p for p in itertools.combinations(sorted(region), 2)
@@ -813,6 +817,18 @@ class TestRR2Index:
             assert regions[region] <= allowed
             if cutting:  # RR3 and the blocker decompose regions that no pair cuts off
                 assert calls <= allowed, sorted(region)
+
+    def test_rr2_copies_no_subgraph(self):
+        # the bound and every region are decomposed within G, not in a copy
+        redundant = build_1_redundant(FLOWERS[0], {1, 2, 3})[0]
+        inst, s_star = redundant.instance, redundant.s_star
+        record = reducer._Record(inst.graph, s_star, inst.terminals)
+        fired = 0
+        with mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub, \
+                mock.patch.object(reducer, "biconnected_blocks", wraps=reducer.biconnected_blocks) as spy:
+            while (out := apply_rr2(inst, s_star, record)) is not None:
+                inst, fired = out[0], fired + 1
+        assert sub.call_count == 0 and fired >= 6 and spy.call_count > 1
 
     def test_index_keeps_no_component_of_a_rejected_pair(self):
         # on the pendant chain with three terminals and S* = {1}, G[S* + T]
@@ -865,12 +881,12 @@ class TestRR2Index:
                                        wraps=reducer.biconnected_blocks) as spy:
                     shared = apply_rr2(inst, s_star, index)
                 assert shared == rr2_reference(inst, s_star)
-                decomposed = [frozenset(c.args[0].vertices) for c in spy.call_args_list]
+                regions = [decomposed(c) for c in spy.call_args_list]
                 if T == {3, 5, 11, 13, 14, 16}:  # B is cached, (2, 8)'s region is not decomposed
                     # after the one decomposition of G[S* + T], whose edge 5-13 binds 5 and 13
-                    assert decomposed == [s_star | T, first] and shared is None
+                    assert regions == [s_star | T, first] and shared is None
                 elif T == {3, 5, 14, 16}:  # B is stale, the region is decomposed and C rejects it
-                    assert decomposed == [region] and shared is None
+                    assert regions == [region] and shared is None
                 if shared is None:
                     break
                 inst, step = shared
@@ -934,7 +950,7 @@ class TestRR2Index:
         assert feasible and reduced.terminals == inst.terminals and not log.steps
         s_star = build_1_redundant(inst, {1})[0].s_star
         assert pairs.call_count == 0 and rr3.call_count >= 1
-        regions = Counter(frozenset(c.args[0].vertices) for c in forests.call_args_list)
+        regions = Counter(forest_vertices(c) for c in forests.call_args_list)
         assert regions.pop(frozenset(inst.graph.without(s_star).vertices)) == 1
         assert all(len(r - s_star) == 1 for r in regions)  # RR3's paths through a lone terminal
 
