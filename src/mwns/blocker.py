@@ -1,16 +1,17 @@
 """Recursive 14-approximation for a smallest near-separator avoiding a pivot x.
 
-A run decomposes G-x once and carries its blocks across iterations: after
-deleting Z, only the blocks Z hits are decomposed again (`blocks_without`).
-Each iteration builds the block-cut forest of what is left of G-x from the
-carried blocks, reading the one graph G, and makes one bottom-up pass over it
-(`_routes`). The pass finds, for every node, the most terminals a path from
-the node's top vertex down to a neighbor of x can collect, the deepest node
-whose closure with x still carries a T-cycle, and the trees holding such a
-node. From those counts the iteration assembles a hitting set Z for the
-cycles living down there, deletes it, and recurses on the remainder. Z lies
-in one tree, so a tree without a T-cycle stays a component that never gets
-one: the run stops carrying its blocks.
+A run decomposes G-x once, or takes its blocks from the caller, and carries
+them across iterations: after deleting Z, only the blocks Z hits are
+decomposed again (`blocks_without`). Each iteration builds the block-cut
+forest of what is left of G-x from the carried blocks, reading the one graph
+G, and makes one bottom-up pass over it (`_routes`). The pass finds, for
+every node, the most terminals a path from the node's top vertex down to a
+neighbor of x can collect, the deepest node whose closure with x still
+carries a T-cycle, and the trees holding such a node. From those counts the
+iteration assembles a hitting set Z for the cycles living down there, deletes
+it, and recurses on the remainder. Z lies in one tree, so a tree without a
+T-cycle stays a component that never gets one: the run stops carrying its
+blocks.
 """
 
 from __future__ import annotations
@@ -227,8 +228,9 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
     return BlockerIteration(index, node_label(block, None), "c", parts, removed), met
 
 
-def blocker_run(g: Graph, T, x: int) -> BlockerRun:
-    """Full run returning the accumulated set and the per-iteration trace."""
+def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None) -> BlockerRun:
+    """Full run returning the accumulated set and the per-iteration trace;
+    `blocks`, if given, are the blocks of g - x, in any order."""
     T = frozenset(T)
     if x not in g or x in T:
         raise ValueError(f"pivot {x} must be a non-terminal vertex")
@@ -240,7 +242,7 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     # no meeting node is a component C of H with no T-cycle in G[C + x], and
     # every later Z lies in the tree of its d, so C stays a component of H
     # that never meets again
-    blocks = biconnected_blocks(g, exclude=[x])
+    blocks = biconnected_blocks(g, exclude=[x]) if blocks is None else blocks
     index = 0
     while True:
         f = block_cut_forest(g, blocks)
@@ -268,6 +270,7 @@ def blocker_run(g: Graph, T, x: int) -> BlockerRun:
     return run
 
 
-def blocker(g: Graph, T, x: int) -> set[int]:
-    """Near-separator avoiding x, at most 14 times the smallest x-avoiding one."""
-    return set(blocker_run(g, T, x).result)
+def blocker(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None) -> set[int]:
+    """Near-separator avoiding x, at most 14 times the smallest x-avoiding one;
+    `blocks` as for `blocker_run`."""
+    return set(blocker_run(g, T, x, blocks).result)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graph import Graph
-from .blockcut import CutPairReader, biconnected_blocks, block_cut_forest, nested_cut_pairs
+from .blockcut import (BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without,
+                       nested_cut_pairs)
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker
 
@@ -189,13 +190,16 @@ class _Record:
     a block of any region holding it. A pair whose components all hold
     T-cycles is `asleep`, and `watch` wakes it when one of two terminals of
     a block with two in one of them goes (or, for a pair with a terminal,
-    that terminal): till then none can fire."""
+    that terminal): till then none can fire. `f`, if given, is the forest
+    of G - S*, which the record then does not build again."""
 
-    def __init__(self, g: Graph, s_star: frozenset[int], terminals: frozenset[int]):
+    def __init__(self, g: Graph, s_star: frozenset[int], terminals: frozenset[int],
+                 f: BlockCutForest | None = None):
         if foreign := g.foreign(s_star):
             raise ValueError(f"S* vertices {foreign} are not in the graph")
         self.graph, self.s_star, self.terminals = g, s_star, terminals
-        forest = self.forest = CutPairReader(g, block_cut_forest(g, biconnected_blocks(g, s_star)), terminals)
+        f = block_cut_forest(g, biconnected_blocks(g, s_star)) if f is None else f
+        forest = self.forest = CutPairReader(g, f, terminals)
         self.separated = all(len(s & terminals) < 2 for s in forest.sets)
         self.bound: list[frozenset[int]] | None = None
         self.live: list[tuple[int, int]] | None = None
@@ -343,6 +347,7 @@ class RedundantSetResult:
     instance: Instance
     s_star: frozenset[int]
     essential: frozenset[int]
+    forest: BlockCutForest = field(compare=False, repr=False)  # of the instance's graph - S*
 
 
 def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSetResult, list[EssentialVertex]]:
@@ -351,36 +356,55 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
     Per pivot x, an x-avoiding replacement larger than 14k certifies that x
     lies in every solution within budget; such vertices are deleted and the
     budget drops. Others contribute their replacement set plus themselves.
+
+    One decomposition of G - Ŝ checks Ŝ and starts every pivot's blocker,
+    on G - (Ŝ - x) - x = G - Ŝ. Essential vertices lie in Ŝ and S* holds the
+    rest, so G1 - S* = (G - Ŝ) - (S* - Ŝ): its forest, the result's, comes
+    from those blocks, and 1-redundancy is checked on it.
     """
     g, T, k = inst.graph, inst.terminals, inst.k
     s_hat = frozenset(s_hat)
-    if s_hat & T or not is_mwns(g, T, s_hat):
+    if not s_hat & T and (foreign := g.foreign(s_hat)):
+        raise ValueError(f"deletion-set vertices {foreign} are not in the graph")
+    base = biconnected_blocks(g, exclude=s_hat)
+    if s_hat & T or any(len(b & T) > 1 for b in base):
         raise ValueError("the provided set is not a multiway near-separator")
     essential: list[int] = []
     s_star: set[int] = set()
     for x in sorted(s_hat):
-        reduced_g = g.without(s_hat - {x})
-        s_x = blocker(reduced_g, T, x)
+        s_x = blocker(g.without(s_hat - {x}), T, x, blocks=base)
         if len(s_x) > 14 * k:
             essential.append(x)
         else:
             s_star |= s_x | {x}
-    g1 = g.without(essential)
+    g1 = g.without(essential) if essential else g
     steps = [EssentialVertex(x) for x in essential]
     # each s_x avoids all of Ŝ, so S* holds no essential vertex; a budget
     # already exceeded stays 0, and callers treat it as NO
     out_inst = Instance(g1, T, max(k - len(essential), 0))
-    result = RedundantSetResult(out_inst, frozenset(s_star), frozenset(essential))
-    _check_1_redundant(g1, T, result.s_star)
+    f = block_cut_forest(g1, blocks_without(g1, base, s_star - s_hat))
+    result = RedundantSetResult(out_inst, frozenset(s_star), frozenset(essential), f)
+    _check_1_redundant(g1, T, result.s_star, f)
     return result, steps
 
 
-def _check_1_redundant(g: Graph, T: frozenset[int], s_star: frozenset[int]) -> None:
-    if not is_mwns(g, T, s_star):
+def _check_1_redundant(g: Graph, T: frozenset[int], s_star: frozenset[int], f: BlockCutForest) -> None:
+    """Raise, also under python -O, unless S* and each S* - s nearly separate T; f is the forest of g - S*."""
+    if any(len(b & T) > 1 for b in f.sets):
         raise RuntimeError("the thickened set is not a near-separator")
     for s in s_star:
-        if not is_mwns(g, T, s_star - {s}):
+        if not _separates_without(g, T, f, s):
             raise RuntimeError(f"dropping {s} breaks the near-separator")
+
+
+def _separates_without(g: Graph, T: frozenset[int], f: BlockCutForest, s: int) -> bool:
+    """Whether S - s nearly separates T, for s in S, given f, the forest of
+    g - S with no block of two terminals: putting s back joins, per tree, the
+    span of its neighbours into one block with s, and leaves the other blocks."""
+    ends: dict[int, list[int]] = {}
+    for v in g.neighbors(s) & f.index.owner.keys():
+        ends.setdefault(f.index.root[f.index.owner[v]], []).append(v)
+    return all(len(f.span_vertices(e) & T) < 2 for e in ends.values())
 
 
 def terminal_bound(k: int, s_hat_size: int) -> int:
@@ -419,13 +443,14 @@ def reduce_terminals(inst: Instance, s_hat: Iterable[int]) -> tuple[Instance, Re
     fires, leaving at most `terminal_bound(k, |Ŝ|)` terminals. feasible is
     False when more vertices are essential than the budget allows, which
     certifies a NO answer. The rules only shrink T and keep G and S*, so RR2
-    and RR3 share one record of G and S*, and RR1 one decomposition of G.
+    and RR3 share one record of G and S*, built on the forest of G - S* that
+    the 1-redundancy check read, and RR1 one decomposition of G.
     """
     s_hat = frozenset(s_hat)
     redundant, steps = build_1_redundant(inst, s_hat)
     feasible = inst.k - len(redundant.essential) >= 0
     cur = redundant.instance
-    record = _Record(cur.graph, redundant.s_star, cur.terminals)
+    record = _Record(cur.graph, redundant.s_star, cur.terminals, redundant.forest)
     blocks = biconnected_blocks(cur.graph)
     all_steps: list[Step] = list(steps)
     while True:

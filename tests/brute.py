@@ -5,16 +5,18 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import random
 from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
 from mwns.blockcut import BCNode, BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.blocker import BlockerIteration, _read_forest
-from mwns.core import Instance, is_mwns
+from mwns.core import Instance, is_mwns, terminals_independent
 from mwns.graph import Graph, connected_components, reachable
 from mwns.reducer import DropComponentTerminal, _apply_step
 from mwns.separators import INF, _SplitNet, min_cut, terminals_on_path
+from mwns.solver import oracle_solve
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -723,6 +725,42 @@ def small_instances(draw, max_n: int, max_k: int = 3, dense: bool = False) -> In
         if not (g.neighbors(t) & T):
             T.add(t)
     return Instance.of(g, T, draw(st.integers(0, max_k)))
+
+
+def gadget_union(seed: int, parts: int, n: int, p: float) -> tuple[Graph, frozenset[int], int]:
+    """An instance with a known optimum past the oracle's reach: `parts`
+    gadgets, each `random_graph(n, p)` with three independent terminals and
+    an optimum of at least 2 that `oracle_solve` finds on the gadget alone,
+    consecutive ones joined by a path of two new vertices between a
+    non-terminal of each, ids shuffled. Every joining edge is a bridge, so
+    each T-cycle lies in one gadget, and the optimum is the sum of the
+    gadgets' optima. Returns (G, T, opt)."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    T: set[int] = set()
+    inner: list[list[int]] = []  # the non-terminals of each gadget
+    opt = 0
+    while len(inner) < parts:
+        g = random_graph(rng, n, p)
+        ts = frozenset(rng.sample(range(1, n + 1), 3))
+        if not terminals_independent(g, ts):
+            continue
+        best = next(k for k in range(n) if oracle_solve(Instance(g, ts, k)).is_yes)
+        if best < 2:
+            continue
+        off = n * len(inner)
+        edges += [(u + off, v + off) for u, v in g.edges()]
+        T |= {t + off for t in ts}
+        inner.append([v + off for v in g.vertices if v not in ts])
+        opt += best
+    nxt = n * parts + 1
+    for a, b in itertools.pairwise(inner):
+        edges += [(rng.choice(a), nxt), (nxt, nxt + 1), (nxt + 1, rng.choice(b))]
+        nxt += 2
+    ids = list(range(1, nxt))
+    rng.shuffle(ids)
+    name = dict(zip(range(1, nxt), ids))
+    return Graph(ids, [(name[u], name[v]) for u, v in edges]), frozenset(name[t] for t in T), opt
 
 
 def random_block_tree(rng, n_blocks: int) -> tuple[Graph, int]:

@@ -1,12 +1,20 @@
+import contextlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mwns.blockcut as blockcut_mod
+import mwns.blocker as blocker_mod
+import mwns.core as core_mod
 import mwns.reducer as reducer
 from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.graph import Graph, connected_components
@@ -405,9 +413,93 @@ class TestBuildOneRedundant:
         # reopens the six-cycle's T-cycle
         import mwns.reducer as reducer_mod
 
-        monkeypatch.setattr(reducer_mod, "blocker", lambda g, T, x: frozenset())
+        monkeypatch.setattr(reducer_mod, "blocker", lambda g, T, x, blocks: frozenset())
         with pytest.raises(RuntimeError, match="dropping 4"):
             build_1_redundant(six_cycle_instance(), frozenset({4}))
+
+    def test_redundancy_check_raises_under_python_O(self):
+        script = textwrap.dedent('''
+            import mwns.reducer as r
+            from mwns.core import Instance
+            from mwns.graph import Graph
+            r.blocker = lambda g, T, x, blocks: frozenset()
+            c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+            try:
+                r.build_1_redundant(Instance.of(c6, {3, 5}, 1), {4})
+            except RuntimeError as e:
+                print("dropping 4" in str(e))
+            else:
+                print("returned")
+        ''')
+        src = str(Path(reducer.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["True"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["flower", "random"]))
+    def test_drop_one_on_the_forest_matches_is_mwns(self, seed, kind):
+        # S is grown until it separates T; then putting s back into G - S
+        # joins, per tree, the span of s's neighbours into one block with s,
+        # and S - s separates iff no such span holds two terminals
+        rng = random.Random(seed)
+        if kind == "flower":
+            petals = [(rng.choice(HUB_PAIRS), rng.randint(2, 9)) for _ in range(rng.randint(2, 6))]
+            inst = flower(petals, rng.randint(1, 4))
+            g, T = inst.graph, inst.terminals
+            rest = [v for v in g.vertices if v not in T and v > 3]
+            S = {v for v in rest if rng.random() < 0.2} | set(rng.sample([1, 2, 3], rng.randint(0, 3)))
+            rest += [1, 2, 3]
+        else:
+            g = random_graph(rng, rng.randint(3, 14), rng.choice([0.15, 0.25, 0.4]))
+            T = set()
+            for t in g.vertices:  # independent terminals
+                if rng.random() < 0.4 and not g.neighbors(t) & T:
+                    T.add(t)
+            rest = [v for v in g.vertices if v not in T]
+            S = {v for v in rest if rng.random() < 0.3}
+        rng.shuffle(rest)
+        while not is_mwns(g, T, S):  # every non-terminal separates independent terminals
+            S.add(rest.pop())
+        f = block_cut_forest(g, biconnected_blocks(g, S))
+        for s in S:
+            assert reducer._separates_without(g, T, f, s) == is_mwns(g, T, S - {s}), (seed, s)
+
+    def test_nothing_essential_keeps_the_graph(self):
+        inst = FLOWERS[0]
+        result, steps = build_1_redundant(inst, {1, 2, 3})
+        assert not result.essential and not steps
+        assert result.instance.graph is inst.graph
+
+    def test_one_decomposition_of_g_minus_s_hat_per_reduction(self):
+        # the Ŝ check, every pivot's blocker and the 1-redundancy check read
+        # one decomposition of G - Ŝ, and the record the check's forest: up to
+        # the record no vertex set is decomposed twice (the others are the
+        # blockers' closing checks), and the reducer runs no is_mwns
+        s_hat = frozenset({1, 2, 3})
+        for inst in FLOWERS:
+            order: list[tuple[str, frozenset[int] | None]] = []
+
+            def logged(tag, real):
+                def call(*args, **kwargs):
+                    order.append((tag, None if tag == "record" else decomposed(mock.call(*args, **kwargs))))
+                    return real(*args, **kwargs)
+                return call
+
+            with mock.patch.object(reducer, "_Record", side_effect=logged("record", reducer._Record)), \
+                    mock.patch.object(reducer, "is_mwns", wraps=reducer.is_mwns) as checks, \
+                    contextlib.ExitStack() as spies:
+                for tag, mod in (("reducer", reducer), ("blocker", blocker_mod), ("core", core_mod)):
+                    spies.enter_context(mock.patch.object(mod, "biconnected_blocks",
+                                                          side_effect=logged(tag, biconnected_blocks)))
+                reduce_terminals(inst, s_hat)
+            upto = order[:order.index(("record", None))]
+            sets = [d for _, d in upto]
+            assert upto[0] == ("reducer", frozenset(inst.graph.vertices) - s_hat)
+            assert [tag for tag, _ in upto[1:]] == ["core"] * len(s_hat)
+            assert len(set(sets)) == len(sets)
+            assert checks.call_count == 0
 
 
 class TestReduceAndLift:
@@ -800,8 +892,9 @@ class TestRR2Index:
             reduced, log, _ = reduce_terminals(FLOWERS[0], {1, 2, 3})
         fired = Counter((s.x, s.y) for s in log.steps if isinstance(s, DropComponentTerminal))
         g, s_star = reduced.graph, build_1_redundant(FLOWERS[0], {1, 2, 3})[0].s_star
-        # the record's one decomposition of G - S*, the one call naming
-        # `exclude`, counts with those RR3 and the blocker make
+        # the one decomposition of G - Ŝ, the one call naming `exclude`,
+        # whose blocks the blockers and the record's forest of G - S* reuse
+        # (S* = Ŝ here), counts with those RR3 and the blocker make
         excludes = [len(c.args) > 1 or "exclude" in c.kwargs for c in spy.call_args_list]
         record = [decomposed(c) for c, e in zip(spy.call_args_list, excludes) if e]
         assert record == [frozenset(g.vertices) - s_star]

@@ -24,7 +24,7 @@ from mwns.solver import (
 )
 from mwns.witness import pushing_lemma_witness
 
-from brute import (multiway_separator_brute, mwns_condition3, random_graph, search_lines,
+from brute import (gadget_union, multiway_separator_brute, mwns_condition3, random_graph, search_lines,
                    small_instances)
 
 
@@ -74,6 +74,19 @@ class TestOracle:
         g = Graph(range(1, n + 1), [(1, 2), (2, 3), (3, 1)])
         with pytest.raises(ValueError):
             oracle_solve(Instance.of(g, set(), 20))
+
+
+class TestGadgetUnion:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solve_meets_the_known_optimum_past_the_oracle(self, seed):
+        # three gadgets joined by bridges, 31 vertices: the optimum is the
+        # sum of the gadgets' brute-force optima
+        g, T, opt = gadget_union(seed, 3, 9, 0.35)
+        assert g.n == 31 and opt >= 6
+        yes = solve(Instance(g, T, opt)).solution
+        assert yes is not None and len(yes) <= opt
+        assert is_mwns(g, T, yes) and mwns_condition3(g, T, yes)
+        assert not solve(Instance(g, T, opt - 1)).is_yes
 
 
 class TestCompressionStep:
