@@ -4,6 +4,7 @@ Run: python3 demos/01_block_cut_forests.py
 """
 
 from mwns import Graph, block_cut_forest, separating_cut_vertex, threaded_path
+from mwns.blockcut import node_label
 
 # Two triangles sharing vertex 3: the classic smallest example with a cut vertex.
 g = Graph(range(1, 6), [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
@@ -11,10 +12,10 @@ f = block_cut_forest(g)
 
 print("graph edges:", g.edges())
 print("decomposition:")
-for nd in f.nodes:
-    parent = f.parent[nd.id]
-    print(f"  node {nd.id}: {nd.kind:5s} {nd.label():10s} "
-          f"parent={'-' if parent is None else parent} depth={f.depth[nd.id]}")
+for nid, (vertices, cut, parent, depth) in enumerate(zip(f.sets, f.cutv, f.parent, f.depth)):
+    kind = "block" if cut is None else "cut"
+    print(f"  node {nid}: {kind:5s} {node_label(vertices, cut):10s} "
+          f"parent={'-' if parent is None else parent} depth={depth}")
 
 cut3 = f.cut_node_of(3)
 print("vertices below the cut vertex 3:", sorted(f.subtree_vertices(cut3)))

@@ -19,8 +19,7 @@ from .separators import (
     max_terminals_on_path,
     gallai_q_paths,
 )
-# the pivot-avoiding approximation itself lives at mwns.blocker.blocker;
-# re-exporting it here would shadow the submodule attribute
+# the pivot-avoiding 14-approximation and its per-iteration trace
 from .blocker import blocker_run
 from .reducer import ReductionLog, build_1_redundant, lift_solution, reduce_terminals
 from .solver import SearchStats, compression_step, oracle_opt_x, oracle_solve, solve

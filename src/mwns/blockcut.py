@@ -103,21 +103,6 @@ def node_label(vertices: frozenset[int], cut: int | None) -> str:
     return str(cut) if cut is not None else "{" + ",".join(map(str, sorted(vertices))) + "}"
 
 
-class BCNode(NamedTuple):
-    id: int
-    kind: str  # "block" | "cut"
-    vertices: frozenset[int]
-
-    @property
-    def vertex(self) -> int:
-        if self.kind != "cut":
-            raise ValueError("not a cut node")
-        return next(iter(self.vertices))
-
-    def label(self) -> str:
-        return node_label(self.vertices, self.vertex if self.kind == "cut" else None)
-
-
 class VertexIndex(NamedTuple):
     """A forest's `index`: the node owning each vertex, a cut vertex its cut
     node and any other vertex its only block; the root of each node's tree;
@@ -142,7 +127,8 @@ class BlockCutForest:
 
     Lists by node id: `sets` its vertex set, `cutv` a cut node's vertex
     (None for a block), `parent`, `children` and `depth`; also `roots`, and
-    `cut_nodes` from cut vertex to node id. `nodes` is built on first read.
+    `cut_nodes` from cut vertex to node id. `index` (built on first read)
+    names each vertex's owner node and each node's root.
     """
 
     def __init__(self, graph: Graph, blocks: list[frozenset[int]] | None = None):
@@ -209,12 +195,6 @@ class BlockCutForest:
         self.parent, self.children, self.depth, self.roots = parent, children, depth, roots
 
     @cached_property
-    def nodes(self) -> tuple[BCNode, ...]:
-        """One `BCNode` per id, for callers that want node objects."""
-        return tuple(BCNode(i, "block" if c is None else "cut", s)
-                     for i, (s, c) in enumerate(zip(self.sets, self.cutv)))
-
-    @cached_property
     def subtree_end(self) -> tuple[int, ...]:
         """node id -> one past the last id of its subtree: ids are pre-order,
         so node d's subtree is the id range d..subtree_end[d]-1"""
@@ -247,12 +227,6 @@ class BlockCutForest:
             raise KeyError(f"unknown node id {nid}")
         return nid
 
-    def node(self, nid: int) -> BCNode:
-        return self.nodes[self._known(nid)]
-
-    def is_cut_vertex(self, v: int) -> bool:
-        return v in self.cut_nodes
-
     def cut_node_of(self, v: int) -> int:
         if v not in self.cut_nodes:
             raise KeyError(f"vertex {v} is not a cut vertex")
@@ -264,23 +238,11 @@ class BlockCutForest:
             return [self.parent[c], *self.children[c]]
         return [self.index.owner[v]] if v in self.index.owner else []
 
-    def node_of_vertex(self, v: int) -> int:
-        """Cut node for a cut vertex, else the unique block containing v (a scan, no index)."""
-        if v in self.cut_nodes:
-            return self.cut_nodes[v]
-        for nid, s in enumerate(self.sets):
-            if v in s:
-                return nid
-        raise KeyError(f"vertex {v} not in decomposed graph")
-
     def tree_edges(self) -> list[tuple[int, int]]:
         return [(p, c) for c, p in enumerate(self.parent) if p is not None]
 
     def root_of(self, nid: int) -> int:
-        self._known(nid)
-        while (par := self.parent[nid]) is not None:
-            nid = par
-        return nid
+        return self.index.root[self._known(nid)]
 
     def tree_path(self, a: int, b: int) -> list[int]:
         """Node ids on the unique tree path from a to b, inclusive."""

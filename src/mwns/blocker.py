@@ -229,8 +229,9 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
 
 
 def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None) -> BlockerRun:
-    """Full run returning the accumulated set and the per-iteration trace;
-    `blocks`, if given, are the blocks of g - x, in any order."""
+    """A near-separator avoiding x, at most 14 times the smallest x-avoiding
+    one, as `result`, with the per-iteration trace; `blocks`, if given, are
+    the blocks of g - x, in any order."""
     T = frozenset(T)
     if x not in g or x in T:
         raise ValueError(f"pivot {x} must be a non-terminal vertex")
@@ -268,9 +269,3 @@ def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None)
         trace.append(f"blocker x={x}")
         trace += run.trace_lines()
     return run
-
-
-def blocker(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None) -> set[int]:
-    """Near-separator avoiding x, at most 14 times the smallest x-avoiding one;
-    `blocks` as for `blocker_run`."""
-    return set(blocker_run(g, T, x, blocks).result)

@@ -65,9 +65,6 @@ class Graph:
             self._index = pos, [tuple(sorted(map(pos.__getitem__, self._adj[v]))) for v in self._vertices]
         return self._index
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]
 

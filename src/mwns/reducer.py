@@ -11,7 +11,7 @@ from .graph import Graph
 from .blockcut import (BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without,
                        nested_cut_pairs)
 from .core import Instance, is_mwns, nearly_separated_terminals
-from .blocker import blocker
+from .blocker import blocker_run
 
 
 # -- log steps ---------------------------------------------------------------
@@ -283,7 +283,7 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
                 region = biconnected_blocks(g, within=comp | {x, y})
                 if not (blocks := [b for b in region if len(b & T) > 1]):
                     f = block_cut_forest(g, region)
-                    path = f.path_vertices(f.node_of_vertex(x), f.node_of_vertex(y), comp & T)
+                    path = f.path_vertices(f.index.owner[x], f.index.owner[y], comp & T)
             if blocks:
                 witnesses.update((b, b & T) for b in blocks)
                 held += itertools.islice(blocks[0] & T, 2)
@@ -372,7 +372,7 @@ def build_1_redundant(inst: Instance, s_hat: Iterable[int]) -> tuple[RedundantSe
     essential: list[int] = []
     s_star: set[int] = set()
     for x in sorted(s_hat):
-        s_x = blocker(g.without(s_hat - {x}), T, x, blocks=base)
+        s_x = blocker_run(g.without(s_hat - {x}), T, x, blocks=base).result
         if len(s_x) > 14 * k:
             essential.append(x)
         else:

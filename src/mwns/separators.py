@@ -351,7 +351,7 @@ def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] |
     for block in f.sets:
         if len(block & T) > 1:  # a cut node holds one vertex
             raise MultiTerminalBlockError(f"block {sorted(block)} carries {sorted(block & T)}")
-    na, nb_ = f.node_of_vertex(a), f.node_of_vertex(b)
+    na, nb_ = f.index.owner[a], f.index.owner[b]
     return f.path_vertices(na, nb_, T) if f.root_of(na) == f.root_of(nb_) else None
 
 

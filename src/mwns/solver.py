@@ -154,11 +154,12 @@ def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set
 
 def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) -> SolveResult:
     """Shrink a (k+1)-size near-separator to size k, or decide NO: the paper's
-    step, `reduce_terminals` with Ŝ = s_big, `_search`, then `lift_solution`."""
-    g, T, k = inst.graph, inst.terminals, inst.k
+    step, `reduce_terminals` with Ŝ = s_big, `_search`, then `lift_solution`.
+    `build_1_redundant` rejects an Ŝ that meets T, names ids outside G or
+    does not separate T, on its one decomposition of G - Ŝ."""
     s_big = frozenset(s_big)
-    if len(s_big) != k + 1 or s_big & T or not is_mwns(g, T, s_big):
-        raise ValueError("need a near-separator of size exactly k+1 disjoint from T")
+    if len(s_big) != inst.k + 1:
+        raise ValueError("need a near-separator of size exactly k+1")
     reduced, log, feasible = reduce_terminals(inst, s_big)
     if not feasible:
         return SolveResult.no()

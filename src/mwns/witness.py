@@ -67,7 +67,7 @@ def threaded_path(
     """
     if foreign := g.foreign((x, y)):
         raise ValueError(f"endpoints {foreign} are not in the graph")
-    if not (f.is_cut_vertex(x) and f.is_cut_vertex(y)):
+    if not (x in f.cut_nodes and y in f.cut_nodes):
         return None
     nx_, ny_ = f.cut_node_of(x), f.cut_node_of(y)
     if f.root_of(nx_) != f.root_of(ny_):

@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
-from mwns.blockcut import BCNode, BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
+from mwns.blockcut import BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.blocker import BlockerIteration, _read_forest
 from mwns.core import Instance, is_mwns, terminals_independent
 from mwns.graph import Graph, connected_components, reachable
@@ -196,8 +196,15 @@ def biconnected_blocks_vertex_stack(g: Graph, exclude: Iterable[int] = ()) -> li
     return blocks
 
 
+class RefNode(NamedTuple):
+    """A node of the reference forest: its id, "block" or "cut", and its vertices."""
+    id: int
+    kind: str
+    vertices: frozenset[int]
+
+
 class ReferenceForest(NamedTuple):
-    nodes: tuple[BCNode, ...]
+    nodes: tuple[RefNode, ...]
     parent: tuple[int | None, ...]
     children: tuple[tuple[int, ...], ...]
     depth: tuple[int, ...]
@@ -207,7 +214,7 @@ class ReferenceForest(NamedTuple):
 
 
 def block_cut_forest_reference(g: Graph, blocks: list[frozenset[int]] | None = None) -> ReferenceForest:
-    """The block-cut forest assembled one `BCNode` at a time, with tuple
+    """The block-cut forest assembled one `RefNode` at a time, with tuple
     arrays, its vertex index and its subtree ends: a plain copy of the
     constructor that the per-id lists of `BlockCutForest` replace, which
     they must match id for id."""
@@ -223,7 +230,7 @@ def block_cut_forest_reference(g: Graph, blocks: list[frozenset[int]] | None = N
     for i, b in enumerate(blocks):
         for c in b & cuts:
             cut_blocks[c].append(i)
-    nodes: list[BCNode] = []
+    nodes: list[RefNode] = []
     parent: list[int | None] = []
     children: list[list[int]] = []
     depth: list[int] = []
@@ -246,13 +253,13 @@ def block_cut_forest_reference(g: Graph, blocks: list[frozenset[int]] | None = N
                 children[par].append(nid)
             if is_block:
                 placed[key] = True
-                nodes.append(BCNode(nid, "block", blocks[key]))
+                nodes.append(RefNode(nid, "block", blocks[key]))
                 for c in sorted(blocks[key] & cuts, reverse=True):
                     if c not in cut_node:
                         work.append((c, nid, d + 1, False))
             else:
                 cut_node[key] = nid
-                nodes.append(BCNode(nid, "cut", frozenset((key,))))
+                nodes.append(RefNode(nid, "cut", frozenset((key,))))
                 for j in reversed(cut_blocks[key]):
                     if not placed[j]:
                         work.append((j, nid, d + 1, True))

@@ -99,16 +99,28 @@ def test_one_flow_network_outside_the_flow_layer_only_in_the_search():
 
 
 def test_every_public_pipeline_function_has_a_caller_outside_the_tests():
-    # a function or class that only tests use is a seam the program does not
-    # need, private or not: move it to tests/brute.py
+    # a function, class or method that only tests use is a seam the program
+    # does not need, private or not: move it to tests/brute.py. Dunder
+    # methods are called by the language, so they are not scanned
     paths = [*SRC.glob("*.py"), *(REPO / "bench").glob("*.py"), *(REPO / "demos").glob("*.py")]
     trees = {p: ast.parse(p.read_text()) for p in paths}
+    names = {p: set(named(tree)) for p, tree in trees.items()}
+
+    def called(path: Path, fn: ast.AST) -> bool:
+        return fn.name in set(named(trees[path], fn)) or any(
+            fn.name in used for p, used in names.items() if p != path)
+
     unused = []
-    for name in PIPELINE:
-        for fn in trees[SRC / f"{name}.py"].body:
-            if (isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name not in mwns.__all__
-                    and not any(fn.name in set(named(tree, fn)) for tree in trees.values())):
+    for name in (*PIPELINE, "graph"):
+        path = SRC / f"{name}.py"
+        for fn in trees[path].body:
+            if (name in PIPELINE and isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+                    and fn.name not in mwns.__all__ and not called(path, fn)):
                 unused.append(f"{name}.{fn.name}")
+            if isinstance(fn, ast.ClassDef):
+                unused += [f"{name}.{fn.name}.{m.name}" for m in fn.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                           and not called(path, m)]
     assert not unused
     tree = ast.parse("def seam(g):\n    return seam(g)\n")
     assert "seam" not in set(named(tree, tree.body[0])) and "seam" in set(named(tree))
@@ -180,7 +192,7 @@ def id_entry_points(inst):
     reduced, log, _ = mwns.reduce_terminals(inst, rest)
     answer = mwns.solve(reduced)
     f = mwns.block_cut_forest(g)
-    cut = next((nd.vertex for nd in f.nodes if nd.kind == "cut"), u)
+    cut = next((c for c in f.cutv if c is not None), u)
     return {
         "Instance": (lambda X: mwns.Instance.of(g, T | X, k), False),
         "is_mwns": (lambda X: mwns.is_mwns(g, T | X, rest - {w}), False),

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without
+from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, blocks_without, node_label
 from mwns.blocker import blocker_run
 from mwns.dot import forest_to_dot
-from mwns.reducer import reduce_terminals
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
@@ -24,32 +23,31 @@ def two_triangles():
 def test_triangle_is_one_block_no_cuts():
     g = Graph(range(1, 4), [(1, 2), (2, 3), (1, 3)])
     f = block_cut_forest(g)
-    assert [nd.kind for nd in f.nodes] == ["block"]
-    assert f.nodes[0].vertices == frozenset({1, 2, 3})
+    assert f.cutv == [None]
+    assert f.sets == [frozenset({1, 2, 3})]
 
 
 def test_shared_vertex_triangles_blocks_at_distance_two():
     f = block_cut_forest(two_triangles())
-    blocks = {nd.vertices for nd in f.nodes if nd.kind == "block"}
+    blocks = {s for s, c in zip(f.sets, f.cutv) if c is None}
     assert blocks == {frozenset({1, 2, 3}), frozenset({3, 4, 5})}
-    cuts = [nd for nd in f.nodes if nd.kind == "cut"]
-    assert [c.vertex for c in cuts] == [3]
+    assert [c for c in f.cutv if c is not None] == [3]
     # the two blocks sit at distance two with the cut vertex between them
-    b1, b2 = sorted(nd.id for nd in f.nodes if nd.kind == "block")
+    b1, b2 = [nid for nid, c in enumerate(f.cutv) if c is None]
     assert len(f.tree_path(b1, b2)) == 3
 
 
 def test_path_graph_every_edge_is_a_block():
     g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
     f = block_cut_forest(g)
-    blocks = {nd.vertices for nd in f.nodes if nd.kind == "block"}
+    blocks = {s for s, c in zip(f.sets, f.cutv) if c is None}
     assert blocks == {frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})}
-    assert {nd.vertex for nd in f.nodes if nd.kind == "cut"} == {2, 3}
+    assert {c for c in f.cutv if c is not None} == {2, 3}
 
 
 def test_isolated_vertex_becomes_singleton_block():
     f = block_cut_forest(Graph([1, 2], [(1, 2)] if False else []))
-    assert {nd.vertices for nd in f.nodes} == {frozenset({1}), frozenset({2})}
+    assert set(f.sets) == {frozenset({1}), frozenset({2})} and f.cutv == [None, None]
     assert len(f.roots) == 2
 
 
@@ -60,7 +58,7 @@ def test_subtree_vertices():
     assert f.subtree_vertices(f.roots[0]) == frozenset({1, 2, 3, 4, 5})
     g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
     f2 = block_cut_forest(g)
-    leaf = next(nd.id for nd in f2.nodes if nd.vertices == frozenset({3, 4}))
+    leaf = f2.sets.index(frozenset({3, 4}))
     assert f2.subtree_vertices(leaf) == frozenset({3, 4})
 
 
@@ -72,7 +70,7 @@ def test_subtree_vertices_unknown_node():
 
 def test_root_of_and_cut_node_of_name_what_is_not_there():
     f = block_cut_forest(two_triangles())  # blocks {1,2,3} and {3,4,5}, cut vertex 3
-    assert len(f.nodes) == 3 and [f.root_of(nid) for nid in range(3)] == [0, 0, 0]
+    assert len(f.sets) == 3 and [f.root_of(nid) for nid in range(3)] == [0, 0, 0]
     for nid in (-1, 3, 99):
         with pytest.raises(KeyError, match=f"unknown node id {nid}"):
             f.root_of(nid)
@@ -90,7 +88,7 @@ def test_path_vertices_are_the_union_of_all_simple_paths(n, p, seed):
     vertices = frozenset(g.vertices)
     for comp in connected_components(g):
         for a, b in itertools.permutations(comp, 2):
-            on = f.path_vertices(f.node_of_vertex(a), f.node_of_vertex(b), vertices)
+            on = f.path_vertices(f.index.owner[a], f.index.owner[b], vertices)
             assert len(on) == len(set(on))
             assert set(on) == set().union(*all_simple_paths(g, a, b))
 
@@ -116,9 +114,10 @@ def test_span_of_no_ends_is_empty():
 
 def test_node_labels_agree_across_the_node_view_the_dot_export_and_the_blocker():
     f = block_cut_forest(two_triangles())
-    assert [nd.label() for nd in f.nodes] == ["{1,2,3}", "3", "{3,4,5}"]
+    labels = [node_label(s, c) for s, c in zip(f.sets, f.cutv)]
+    assert labels == ["{1,2,3}", "3", "{3,4,5}"]
     dot = forest_to_dot(f)
-    assert all(f'label="{nd.label()}"' in dot for nd in f.nodes)
+    assert all(f'label="{label}"' in dot for label in labels)
     # pivot 1 closes the arms 4-5-6 and 7-8-9 off cut vertex 3 (case a, a
     # cut node's label) and the six-cycle 1..6 (case c, a block's)
     arms = Graph(range(1, 10), [(2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (7, 8), (8, 9), (1, 6), (1, 9)])
@@ -135,7 +134,7 @@ def test_separating_cut_vertex_examples():
         3, frozenset({1, 2, 3}), frozenset({3, 4, 5}))
     g = Graph(range(1, 4), [(1, 2), (2, 3)])
     f2 = block_cut_forest(g)
-    b12 = next(nd.id for nd in f2.nodes if nd.vertices == frozenset({1, 2}))
+    b12 = f2.sets.index(frozenset({1, 2}))
     cut2 = f2.cut_node_of(2)
     v, y1, y2 = separating_cut_vertex(f2, (b12, cut2))
     assert (v, y1, y2) == (2, frozenset({1, 2}), frozenset({2, 3}))
@@ -312,7 +311,7 @@ def test_forest_from_shuffled_blocks_equals_a_fresh_forest(case, rng):
     blocks = biconnected_blocks(h)
     rng.shuffle(blocks)
     f, fresh = block_cut_forest(h, blocks), block_cut_forest(h)
-    assert f.nodes == fresh.nodes and f.parent == fresh.parent
+    assert f.sets == fresh.sets and f.cutv == fresh.cutv and f.parent == fresh.parent
     assert f.children == fresh.children and f.depth == fresh.depth and f.roots == fresh.roots
 
 
@@ -347,39 +346,12 @@ def forest_inputs(draw):
 def test_forest_arrays_match_the_node_by_node_reference(case):
     g, blocks = case
     f, ref = block_cut_forest(g, list(blocks)), block_cut_forest_reference(g, list(blocks))
-    assert f.nodes == ref.nodes
-    assert [f.sets[nd.id] for nd in ref.nodes] == [nd.vertices for nd in ref.nodes]
-    assert [f.cutv[nd.id] for nd in ref.nodes] == [nd.vertex if nd.kind == "cut" else None for nd in ref.nodes]
+    assert [nd.id for nd in ref.nodes] == list(range(len(f.sets)))
+    assert f.sets == [nd.vertices for nd in ref.nodes]
+    assert f.cutv == [min(nd.vertices) if nd.kind == "cut" else None for nd in ref.nodes]
     assert (tuple(f.parent), tuple(map(tuple, f.children))) == (ref.parent, ref.children)
     assert (tuple(f.depth), tuple(f.roots)) == (ref.depth, ref.roots)
     assert f.index == ref.index and f.subtree_end == ref.subtree_end
-
-
-def test_the_pipeline_builds_no_node_view():
-    # the blocker and the reduction read a forest's per-id lists; `nodes`
-    # (and `node`, which reads it) is for the tests and the witnesses
-    rng = random.Random(77)
-    trees = [chorded_block_tree(rng, 35) for _ in range(12)]
-    L = 6000  # the pendant chain: path 2..L, pivot 1, terminals L+1, L+2
-    chain = Graph(range(1, L + 3), [(v, v + 1) for v in range(2, L)]
-                  + [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)])
-    viewed: list[int] = []  # the sizes of the forests whose view is built
-    build = BlockCutForest.nodes.func
-
-    def view(f):
-        viewed.append(len(f.sets))
-        return build(f)
-
-    with mock.patch.object(BlockCutForest, "nodes", property(view)), \
-            mock.patch.object(BlockCutForest, "__init__", autospec=True,
-                              side_effect=BlockCutForest.__init__) as made:
-        iterations = sum(len(blocker_run(g, T, x).iterations) for g, T, x in trees)
-        assert blocker_run(chain, {L + 1, L + 2}, 1).result == {L}
-        for inst in FLOWERS:
-            reduce_terminals(inst, {1, 2, 3})
-        assert viewed == [] and iterations > 24 and made.call_count > len(trees) + iterations
-        assert block_cut_forest(chain).node(0).kind == "block"  # the spy sees a view built
-    assert len(viewed) == 1
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -391,9 +363,9 @@ def test_blocks_of_a_20000_vertex_path_and_cycle(closed):
     assert blocks == ([frozenset(g.vertices)] if closed else
                       [frozenset((v, v + 1)) for v in range(n - 1, 0, -1)])
     # the path's forest is one tree of depth 2n - 4: a parent walk per node
-    # would be quadratic, so root_of is checked at every 1000th node and the last
+    # would be quadratic, so the roots are walked at every 1000th node and the last
     f = block_cut_forest(g, blocks)
-    check_index(g, f, walked=[*range(0, len(f.nodes), 1000), len(f.nodes) - 1])
+    check_index(g, f, walked=[*range(0, len(f.sets), 1000), len(f.sets) - 1])
     assert f.span_vertices([1, n]) == frozenset(g.vertices)
     assert f.span_vertices([2, n - 1]) == (frozenset(g.vertices) if closed else frozenset(range(2, n)))
 
@@ -407,7 +379,7 @@ def test_cut_vertex_deletion_changes_component_count():
         for v in g.vertices:
             after = len(connected_components(g.without([v])))
             lost_isolated = 1 if not g.neighbors(v) else 0
-            if forest.is_cut_vertex(v):
+            if v in forest.cut_nodes:
                 assert after > before - lost_isolated
             else:
                 assert after <= before
@@ -416,8 +388,7 @@ def test_cut_vertex_deletion_changes_component_count():
 def test_forest_construction_is_deterministic():
     g = two_triangles()
     f1, f2 = block_cut_forest(g), block_cut_forest(g)
-    assert [(nd.kind, nd.vertices) for nd in f1.nodes] == \
-           [(nd.kind, nd.vertices) for nd in f2.nodes]
+    assert f1.sets == f2.sets and f1.cutv == f2.cutv
     assert f1.parent == f2.parent and f1.roots == f2.roots
 
 
@@ -426,13 +397,11 @@ def test_every_root_is_a_block():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 8), 0.3)
         f = block_cut_forest(g)
-        assert all(f.nodes[r].kind == "block" for r in f.roots)
+        assert all(f.cutv[r] is None for r in f.roots)
         for p, c in f.tree_edges():
-            kinds = {f.nodes[p].kind, f.nodes[c].kind}
-            assert kinds == {"block", "cut"}
-            cut = p if f.nodes[p].kind == "cut" else c
-            block = p if f.nodes[p].kind == "block" else c
-            assert f.nodes[cut].vertex in f.nodes[block].vertices
+            cut, block = (p, c) if f.cutv[p] is not None else (c, p)
+            assert f.cutv[cut] is not None and f.cutv[block] is None  # one of each
+            assert f.sets[cut] == {f.cutv[cut]} and f.cutv[cut] in f.sets[block]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -444,7 +413,7 @@ def test_roots_are_smallest_blocks_in_component_order_and_ids_pre_order(n, p, se
     comps = connected_components(g)  # ordered by smallest vertex
     assert len(f.roots) == len(comps)
     for r, comp in zip(f.roots, comps):
-        assert f.nodes[r].vertices == min((b for b in blocks if b <= set(comp)), key=sorted)
+        assert f.sets[r] == min((b for b in blocks if b <= set(comp)), key=sorted)
     order = []  # a depth-first walk taking children in order
     for r in f.roots:
         stack = [r]
@@ -452,27 +421,27 @@ def test_roots_are_smallest_blocks_in_component_order_and_ids_pre_order(n, p, se
             nid = stack.pop()
             order.append(nid)
             stack.extend(reversed(f.children[nid]))
-    assert order == list(range(len(f.nodes)))
+    assert order == list(range(len(f.sets)))
 
 
 def check_index(g: Graph, f, walked=None) -> None:
     """f's vertex index against g: the owned slices partition V, each
-    vertex's owner is its cut node or its only block, `root` agrees with
-    root_of's parent walk at the nodes `walked` (all by default), and a
+    vertex's owner is its cut node or its only block, `root` and root_of
+    agree with a parent walk at the nodes `walked` (all by default), and a
     root's subtree holds its whole component."""
     owner, root, verts, start = f.index
-    assert len(start) == len(f.nodes) + 1 and start[0] == 0 and start[-1] == len(verts)
+    assert len(start) == len(f.sets) + 1 and start[0] == 0 and start[-1] == len(verts)
     assert all(lo <= hi for lo, hi in itertools.pairwise(start))
     assert len(verts) == len(g.vertices) and set(verts) == set(g.vertices)
     holders: dict[int, list[int]] = {}
-    for nd in f.nodes:
-        assert all(owner[v] == nd.id for v in verts[start[nd.id]:start[nd.id + 1]])
-        for v in nd.vertices:
-            holders.setdefault(v, []).append(nd.id)
+    for nid, s in enumerate(f.sets):
+        assert all(owner[v] == nid for v in verts[start[nid]:start[nid + 1]])
+        for v in s:
+            holders.setdefault(v, []).append(nid)
     for v in g.vertices:
-        assert owner[v] == (f.cut_node_of(v) if f.is_cut_vertex(v) else holders[v][0])
-        assert f.nodes[owner[v]].kind == "cut" or holders[v] == [owner[v]]
-    for nid in range(len(f.nodes)) if walked is None else walked:
+        assert owner[v] == (f.cut_node_of(v) if v in f.cut_nodes else holders[v][0])
+        assert f.cutv[owner[v]] is not None or holders[v] == [owner[v]]
+    for nid in range(len(f.sets)) if walked is None else walked:
         top = nid
         while f.parent[top] is not None:
             top = f.parent[top]
@@ -492,20 +461,18 @@ def test_vertex_lookups_and_subtrees_match_a_node_scan():
         shared = (reader.owner, reader.root, reader.verts, reader.start)
         assert all(mine is its for mine, its in zip(shared, f.index, strict=True))
         for v in g.vertices:
-            scan = [nd.id for nd in f.nodes if nd.kind == "block" and v in nd.vertices]
+            scan = [nid for nid, (s, c) in enumerate(zip(f.sets, f.cutv)) if c is None and v in s]
             assert f.blocks_containing(v) == scan
-            assert f.node_of_vertex(v) == (f.cut_node_of(v) if f.is_cut_vertex(v) else scan[0])
-        assert f.blocks_containing(99) == []
-        with pytest.raises(KeyError):
-            f.node_of_vertex(99)
-        for nd in f.nodes:  # a root first: its query fills the whole tree
-            below = set(nd.vertices)
-            stack = list(f.children[nd.id])
+            assert f.index.owner[v] == (f.cut_node_of(v) if v in f.cut_nodes else scan[0])
+        assert f.blocks_containing(99) == [] and 99 not in f.index.owner
+        for nid, s in enumerate(f.sets):  # a root first: its query fills the whole tree
+            below = set(s)
+            stack = list(f.children[nid])
             while stack:
                 c = stack.pop()
-                below |= f.nodes[c].vertices
+                below |= f.sets[c]
                 stack.extend(f.children[c])
-            assert f.subtree_vertices(nd.id) == below
+            assert f.subtree_vertices(nid) == below
 
 
 def test_path_through_vertex_in_block_four_cycle():

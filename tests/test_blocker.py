@@ -11,11 +11,11 @@ from unittest import mock
 import pytest
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import biconnected_blocks, block_cut_forest
+from mwns.blockcut import biconnected_blocks, block_cut_forest, node_label
 from mwns.core import has_t_cycle, is_mwns
 import mwns.blockcut as blockcut_mod
 import mwns.blocker as blocker_mod
-from mwns.blocker import _block_children, _grandchildren, _routes, blocker, blocker_run
+from mwns.blocker import _block_children, _grandchildren, _routes, blocker_run
 from mwns.gen import pivot_instance
 from mwns.separators import max_terminals_on_path
 from mwns.solver import oracle_opt_x
@@ -65,17 +65,22 @@ def subtree_reach(g, T, x, f, nid):
     from its top vertex (a cut node's own vertex, a block's parent cut vertex)
     to a neighbor of x, by a fresh forest of that subgraph per neighbor; -1 if
     none. A block's route leaves the block, so it does not end at its top."""
-    top = nid if f.nodes[nid].kind == "cut" else f.parent[nid]
+    top = nid if f.cutv[nid] is not None else f.parent[nid]
     if top is None:
         return -1
-    sub, c = f.subtree_vertices(nid), f.nodes[top].vertex
+    sub, c = f.subtree_vertices(nid), f.cutv[top]
     return max((max_terminals_on_path(g.induced(sub), T & sub, c, p)
                 for p in g.neighbors(x) & sub if p != c or top == nid), default=-1)
 
 
 def node_of(f, label):
     """The id of the node of forest f with this label; labels are unique in a forest."""
-    return next(nd.id for nd in f.nodes if nd.label() == label)
+    return next(nid for nid, (s, c) in enumerate(zip(f.sets, f.cutv)) if node_label(s, c) == label)
+
+
+def blocker_run_on_given_blocks(g, T, x):
+    """`blocker_run` handed the blocks of g - x, as `build_1_redundant` hands them."""
+    return blocker_run(g, T, x, biconnected_blocks(g, exclude=[x]))
 
 
 def routes(g, T, x):
@@ -106,13 +111,13 @@ class TestRoutesAgainstClosures:
                 # a step finds something exactly while a T-cycle is left
                 assert fresh_step(cur, T, x, it.index) == it and has_t_cycle_brute(cur, T)
                 f, reach = routes(cur, T, x)
-                closures = {nd.id: cur.induced(f.subtree_vertices(nd.id) | {x}) for nd in f.nodes}
+                closures = {nid: cur.induced(f.subtree_vertices(nid) | {x}) for nid in range(len(f.sets))}
                 cyclic = [n for n, c in closures.items() if has_t_cycle_brute(c, T)]
                 d = node_of(f, it.d_label)
                 assert d == max(cyclic, key=lambda n: (f.depth[n], -n))
                 closure = set(closures[d].vertices)
                 assert is_mwns(closures[d], T & closure, it.removed & closure)
-                assert reach == [subtree_reach(cur, T, x, f, nd.id) for nd in f.nodes]
+                assert reach == [subtree_reach(cur, T, x, f, nid) for nid in range(len(f.sets))]
                 cur = cur.without(it.removed)
                 cases.append(it.case)
             assert fresh_step(cur, T, x, 0) is None and not has_t_cycle_brute(cur, T)
@@ -260,7 +265,7 @@ class TestBlockerStep:
         with pytest.raises(ValueError):
             blocker_run(g, {2, 4}, 1)  # G-1 still has the T-cycle 2-3-4
 
-    @pytest.mark.parametrize("run", [blocker_run, blocker])
+    @pytest.mark.parametrize("run", [blocker_run, blocker_run_on_given_blocks])
     def test_the_pivot_check_reads_the_first_forest(self, run):
         # {x} is checked on the first iteration's forest of G-x, not on a
         # decomposition of its own; `is_mwns` is left to the result
@@ -377,9 +382,9 @@ class TestBlockerStep:
                 if it.case == "c":
                     f = block_cut_forest(cur.without([x]))
                     d = node_of(f, it.d_label)
-                    block = f.nodes[d].vertices
-                    q = {f.nodes[c].vertex for c in f.children[d]
-                         if f.nodes[c].vertex not in T and subtree_reach(cur, T, x, f, c) >= 1}
+                    block = f.sets[d]
+                    q = {f.cutv[c] for c in f.children[d]
+                         if f.cutv[c] not in T and subtree_reach(cur, T, x, f, c) >= 1}
                     d_t = cur.induced(block - T)
                     hit = it.z_parts[0] | it.z_parts[1]
                     want: set[int] = set()
@@ -394,7 +399,7 @@ class TestBlockerStep:
                 cur = cur.without(it.removed)
         assert picked > 0
 
-    @pytest.mark.parametrize("run", [blocker_run, blocker])
+    @pytest.mark.parametrize("run", [blocker_run, blocker_run_on_given_blocks])
     def test_rejects_terminals_outside_the_graph(self, run):
         with pytest.raises(ValueError, match=r"terminals \[99\] are not vertices"):
             run(six_cycle(), {3, 5, 99}, 1)
@@ -403,7 +408,7 @@ class TestBlockerStep:
 class TestBlockerContract:
     def test_trivial_instance(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
-        assert blocker(g, {2, 4}, 1) == set()
+        assert blocker_run(g, {2, 4}, 1).result == set()
 
     def test_invalid_result_raises_even_without_asserts(self, monkeypatch):
         # the final check is a raise, not an assert, so it survives python -O;
@@ -425,7 +430,7 @@ class TestBlockerContract:
             blocker_run(six_cycle(), {3, 5}, 1)
 
     def test_six_cycle_within_factor(self):
-        s = blocker(six_cycle(), {3, 5}, 1)
+        s = blocker_run(six_cycle(), {3, 5}, 1).result
         assert is_mwns(six_cycle(), {3, 5}, s)
         assert len(s) <= 14 * oracle_opt_x(six_cycle(), {3, 5}, 1)
 

@@ -413,16 +413,18 @@ class TestBuildOneRedundant:
         # reopens the six-cycle's T-cycle
         import mwns.reducer as reducer_mod
 
-        monkeypatch.setattr(reducer_mod, "blocker", lambda g, T, x, blocks: frozenset())
+        empty = blocker_mod.BlockerRun(frozenset(), ())
+        monkeypatch.setattr(reducer_mod, "blocker_run", lambda g, T, x, blocks: empty)
         with pytest.raises(RuntimeError, match="dropping 4"):
             build_1_redundant(six_cycle_instance(), frozenset({4}))
 
     def test_redundancy_check_raises_under_python_O(self):
         script = textwrap.dedent('''
             import mwns.reducer as r
+            from mwns.blocker import BlockerRun
             from mwns.core import Instance
             from mwns.graph import Graph
-            r.blocker = lambda g, T, x, blocks: frozenset()
+            r.blocker_run = lambda g, T, x, blocks: BlockerRun(frozenset(), ())
             c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
             try:
                 r.build_1_redundant(Instance.of(c6, {3, 5}, 1), {4})
