@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, blocks_without, node_label
+from mwns.blockcut import BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without, node_label
 from mwns.blocker import blocker_run
 from mwns.dot import forest_to_dot
+from mwns.reducer import reduce_terminals
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
@@ -352,6 +353,40 @@ def test_forest_arrays_match_the_node_by_node_reference(case):
     assert (tuple(f.parent), tuple(map(tuple, f.children))) == (ref.parent, ref.children)
     assert (tuple(f.depth), tuple(f.roots)) == (ref.depth, ref.roots)
     assert f.index == ref.index and f.subtree_end == ref.subtree_end
+
+
+def test_every_forest_the_pipeline_builds_owns_each_vertex_once():
+    # the forest is its per-id lists and `index`: no node view is left, and
+    # in each forest the blocker and the reduction build, `index` names each
+    # vertex's one owner (its cut node, or else its only block) and each
+    # node's root
+    assert not any(hasattr(BlockCutForest, name)
+                   for name in ("nodes", "node", "node_of_vertex", "is_cut_vertex"))
+    rng = random.Random(77)
+    trees = [chorded_block_tree(rng, 35) for _ in range(12)]
+    L = 6000  # the pendant chain: path 2..L, pivot 1, terminals L+1, L+2
+    chain = Graph(range(1, L + 3), [(v, v + 1) for v in range(2, L)]
+                  + [(1, 2), (1, L + 1), (1, L + 2), (L, L + 1), (L, L + 2)])
+    with mock.patch.object(BlockCutForest, "__init__", autospec=True,
+                           side_effect=BlockCutForest.__init__) as made:
+        iterations = sum(len(blocker_run(g, T, x).iterations) for g, T, x in trees)
+        assert blocker_run(chain, {L + 1, L + 2}, 1).result == {L}
+        for inst in FLOWERS:
+            reduce_terminals(inst, {1, 2, 3})
+    assert iterations > 24 and made.call_count > len(trees) + iterations
+    for f in {id(c.args[0]): c.args[0] for c in made.call_args_list}.values():
+        owner, root, verts, start = f.index
+        holders: dict[int, list[int]] = {}
+        for nid, s in enumerate(f.sets):
+            for v in s:
+                holders.setdefault(v, []).append(nid)
+        assert owner.keys() == holders.keys() and sorted(verts) == sorted(holders)
+        for v, nids in holders.items():
+            assert owner[v] == (f.cut_nodes[v] if v in f.cut_nodes else nids[0])
+            assert v in f.cut_nodes or len(nids) == 1
+        # a parent walk per node would be quadratic on the chain's forest
+        assert all(root[nid] == (nid if p is None else root[p]) for nid, p in enumerate(f.parent))
+        assert [root[r] for r in f.roots] == list(f.roots)
 
 
 @pytest.mark.parametrize("closed", [False, True])
