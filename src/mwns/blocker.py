@@ -11,7 +11,9 @@ carries a T-cycle, and the trees holding such a node. From those counts the
 iteration assembles a hitting set Z for the cycles living down there, deletes
 it, and recurses on the remainder. Z lies in one tree, so a tree without a
 T-cycle stays a component that never gets one: the run stops carrying its
-blocks.
+blocks. Nor does it carry the blocks below a cut vertex of Z in the subtree
+of the deepest meeting node d: they hang off that vertex only, so what is
+left of them makes components below d, where nothing meets (`_carried`).
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ def _block_children(f: BlockCutForest, T: frozenset[int], reach: list[int], d: i
 
 
 def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutForest
-                 ) -> tuple[BlockerIteration | None, set[int]]:
+                 ) -> tuple[BlockerIteration | None, set[int], int | None]:
     """The iteration on f, the forest of H = G-x-Z or of some of its trees,
-    with Z deleted so far, and the roots of f's trees holding a meeting node.
+    with Z deleted so far, the roots of f's trees holding a meeting node, and
+    the id of the iteration's node d (None with no iteration).
 
     Once {x} nearly separates T, every T-cycle passes x and shows up in the
     closure of some subtree: no meeting node means no T-cycle is left. g is
@@ -183,12 +186,12 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
                          f"offending cycle in G-x: {find_t_cycle(g.without([x]), T)}")
     reach, d, met = _routes(g, T, x, f)
     if d is None:
-        return None, met
+        return None, met, None
     v, block = f.cutv[d], f.sets[d]
     if v is not None and v not in T:
-        return BlockerIteration(index, node_label(block, v), "a", (), frozenset([v])), met
+        return BlockerIteration(index, node_label(block, v), "a", (), frozenset([v])), met, d
     if v is not None:
-        return BlockerIteration(index, node_label(block, v), "b", (), _grandchildren(f, T, reach, v)), met
+        return BlockerIteration(index, node_label(block, v), "b", (), _grandchildren(f, T, reach, v)), met, d
 
     # d is a block
     t = min(block & T, default=None)  # the pivot check leaves one per block
@@ -225,7 +228,45 @@ def _read_forest(g: Graph, T: frozenset[int], x: int, index: int, f: BlockCutFor
 
     parts = (frozenset(z1), frozenset(z2), z3, z4, z5)
     removed = frozenset().union(*parts)
-    return BlockerIteration(index, node_label(block, None), "c", parts, removed), met
+    return BlockerIteration(index, node_label(block, None), "c", parts, removed), met, d
+
+
+def _carried(f: BlockCutForest, met: set[int], d: int, z: frozenset[int]) -> list[frozenset[int]]:
+    """The blocks of f's trees holding a meeting node, less those below a
+    vertex of z whose cut node lies in the subtree of d, the deepest node
+    that meets.
+
+    Such a block lies under a child b of that cut node c, and b's subtree
+    joins the rest of f only through c's vertex, which z deletes: what is
+    left of it makes whole components of H - z inside b's subtree, below d,
+    where nothing meets. Ids are pre-order, so c's subtree is the id range
+    up to the first later id no deeper than c.
+    """
+    sets, cutv, depth, parent = f.sets, f.cutv, f.depth, f.parent
+    holes = []  # the id ranges below those cut nodes, all in d's tree
+    for v in z:
+        if (c := f.cut_nodes.get(v, -1)) < d:
+            continue
+        up = c
+        while depth[up] > depth[d]:
+            up = parent[up]
+        if up == d:
+            end = c + 1
+            while end < len(depth) and depth[end] > depth[c]:
+                end += 1
+            holes.append((c + 1, end))
+    holes.sort(reverse=True)
+    spans = []
+    for root, stop in zip(f.roots, [*f.roots[1:], len(sets)]):
+        if root in met:
+            lo = root
+            while holes and holes[-1][0] < stop:
+                start, end = holes.pop()
+                if start > lo:  # else the hole lies in one already passed
+                    spans.append((lo, start))
+                lo = max(lo, end)
+            spans.append((lo, stop))
+    return [s for lo, hi in spans for s, c in zip(sets[lo:hi], cutv[lo:hi]) if c is None]
 
 
 def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None) -> BlockerRun:
@@ -247,7 +288,7 @@ def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None)
     index = 0
     while True:
         f = block_cut_forest(g, blocks)
-        it, met = _read_forest(g, T, x, index, f)
+        it, met, d = _read_forest(g, T, x, index, f)
         if it is None:
             break
         z = set(it.removed)
@@ -256,9 +297,7 @@ def blocker_run(g: Graph, T, x: int, blocks: list[frozenset[int]] | None = None)
                                "not a nonempty set of non-pivot non-terminals")
         iterations.append(it)
         acc |= z
-        blocks = [s for root, stop in zip(f.roots, [*f.roots[1:], len(f.sets)]) if root in met
-                  for s, c in zip(f.sets[root:stop], f.cutv[root:stop]) if c is None]
-        blocks = blocks_without(g, blocks, z)
+        blocks = blocks_without(g, _carried(f, met, d, it.removed), z)
         index += 1
     result = frozenset(acc)
     if not is_mwns(g, T, result):

@@ -11,7 +11,7 @@ from .blocker import blocker_run
 from .core import Instance, is_mwns, terminals_independent
 from .dot import forest_to_dot, instance_to_dot
 from .gen import from_multiway_cut, random_instance
-from .instance_io import format_instance, parse_instance
+from .instance_io import format_instance, parse_instance, parse_int
 from .reducer import ReductionLog, lift_solution, parse_steps, reduce_terminals
 from .solver import oracle_opt_x, oracle_solve, solve
 
@@ -29,7 +29,7 @@ def _vertex_set(tokens, where: str) -> frozenset[int]:
     seen: set[int] = set()
     for tok in tokens:
         try:
-            v = int(tok)
+            v = parse_int(tok)
         except ValueError:
             raise ValueError(f"{where}: {tok!r} is not a vertex id") from None
         if v in seen:
@@ -202,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="turn a reduced-instance solution into an original one")
     p.add_argument("logfile")
-    p.add_argument("--solution", type=int, nargs="*", default=[], required=True)
+    p.add_argument("--solution", nargs="*", default=[], required=True)
     p.set_defaults(fn=_cmd_lift)
 
     p = sub.add_parser("verify", help="check a proposed solution")
     p.add_argument("file")
-    p.add_argument("--solution", type=int, nargs="*", default=[], required=True)
+    p.add_argument("--solution", nargs="*", default=[], required=True)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force answer (small instances)")

@@ -6,6 +6,15 @@ from .graph import Graph
 from .core import Instance
 
 
+def parse_int(tok: str) -> int:
+    """The integer `tok` spells in ASCII digits after an optional leading
+    "-"; a ValueError for anything else, also what `int` would take: a "+",
+    underscores, surrounding blanks or non-ASCII digits."""
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise ValueError(f"not an integer: {tok!r}")
+
+
 class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
@@ -16,12 +25,12 @@ def parse_instance(text: str) -> Instance:
     n = m = None
     budget = None
     edges: list[tuple[int, int]] = []
-    seen_edges: set[frozenset[int]] = set()
+    seen_edges: set[tuple[int, int]] = set()
     terminals: set[int] = set()
 
     def want_int(tok: str, lineno: int) -> int:
         try:
-            return int(tok)
+            return parse_int(tok)
         except ValueError:
             raise ParseError(lineno, f"expected an integer, got {tok!r}") from None
 
@@ -49,7 +58,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(lineno, f"self-loop at {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(lineno, f"edge ({u},{v}) out of range 1..{n}")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen_edges:
                 raise ParseError(lineno, f"duplicate edge ({u},{v})")
             seen_edges.add(key)

@@ -12,6 +12,7 @@ from .blockcut import (BlockCutForest, CutPairReader, biconnected_blocks, block_
                        nested_cut_pairs)
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker_run
+from .instance_io import parse_int
 
 
 # -- log steps ---------------------------------------------------------------
@@ -112,7 +113,7 @@ def _ints(fields: dict[str, str], line: str, name: str, count: int | None = 1) -
         raise ValueError(f"reduction step {line!r} lacks the field {name}=")
     text = fields[name].strip("{}") if count is None else fields[name]
     try:
-        out = [int(v) for v in text.split(",")] if text else []
+        out = [parse_int(v) for v in text.split(",")] if text else []
     except ValueError:
         out = None
     if out is None or count is not None and len(out) != count:

@@ -10,8 +10,9 @@ from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
-from mwns.blockcut import BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, nested_cut_pairs
-from mwns.blocker import BlockerIteration, _read_forest
+from mwns.blockcut import (BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, blocks_without,
+                           nested_cut_pairs)
+from mwns.blocker import BlockerIteration, BlockerRun, _read_forest
 from mwns.core import Instance, is_mwns, terminals_independent
 from mwns.graph import Graph, connected_components, reachable
 from mwns.reducer import DropComponentTerminal, _apply_step
@@ -371,6 +372,32 @@ def fresh_step(g: Graph, T, x: int, index: int) -> BlockerIteration | None:
     and drops the trees that cannot meet."""
     f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]))
     return _read_forest(g, frozenset(T), x, index, f)[0]
+
+
+def blocker_run_reference(g: Graph, T, x: int) -> BlockerRun:
+    """`blocker.blocker_run`'s loop as it was when it carried every block of
+    a tree with a meeting node, those below d that the deleted Z cuts off
+    included: the reference the below-d skip must match on result and
+    iterations."""
+    T = frozenset(T)
+    acc: set[int] = set()
+    iterations: list[BlockerIteration] = []
+    blocks = biconnected_blocks(g, exclude=[x])
+    index = 0
+    while True:
+        f = block_cut_forest(g, blocks)
+        it, met, _ = _read_forest(g, T, x, index, f)
+        if it is None:
+            break
+        iterations.append(it)
+        acc |= it.removed
+        blocks = [s for root, stop in zip(f.roots, [*f.roots[1:], len(f.sets)]) if root in met
+                  for s, c in zip(f.sets[root:stop], f.cutv[root:stop]) if c is None]
+        blocks = blocks_without(g, blocks, it.removed)
+        index += 1
+    result = frozenset(acc)
+    assert is_mwns(g, T, result)
+    return BlockerRun(result, tuple(iterations))
 
 
 def routes_reference(g: Graph, T: frozenset[int], x: int, f: BlockCutForest

@@ -9,6 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
 from mwns.blockcut import biconnected_blocks, block_cut_forest, node_label
@@ -20,7 +21,9 @@ from mwns.gen import pivot_instance
 from mwns.separators import max_terminals_on_path
 from mwns.solver import oracle_opt_x
 
-from brute import chorded_block_tree, fresh_step, has_t_cycle_brute, random_block_tree, routes_reference
+import brute
+from brute import (blocker_run_reference, chorded_block_tree, decomposed, fresh_step, has_t_cycle_brute,
+                   random_block_tree, routes_reference)
 
 
 def six_cycle():
@@ -42,22 +45,39 @@ def pivot_suite(count, seed, max_n=14):
     return out
 
 
+def block_tree_pivot(rng, n_blocks):
+    """An instance (g, T, x): a glued triangle/square/edge tree of n_blocks
+    blocks, terminals one per block and pairwise non-adjacent, and a pivot x
+    joined to a random subset; None with fewer than two terminals or joins."""
+    h, x = random_block_tree(rng, n_blocks)
+    blocks = biconnected_blocks(h)
+    T: set[int] = set()
+    for v in rng.sample(list(h.vertices), h.n):
+        if len(T) < 5 and not any(v in b and b & T for b in blocks) and not h.neighbors(v) & T:
+            T.add(v)
+    attach = [v for v in h.vertices if rng.random() < 0.45]
+    if len(T) < 2 or len(attach) < 2:
+        return None
+    return Graph(list(h.vertices) + [x], h.edges() + [(x, v) for v in attach]), T, x
+
+
 def block_tree_suite(count, seed):
-    """Instances (g, T, x): glued triangle/square/edge trees, terminals one per
-    block and pairwise non-adjacent, and a pivot x joined to a random subset."""
+    """`count` instances of `block_tree_pivot` of 2 to 8 blocks each."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        h, x = random_block_tree(rng, rng.randint(2, 8))
-        blocks = biconnected_blocks(h)
-        T: set[int] = set()
-        for v in rng.sample(list(h.vertices), h.n):
-            if len(T) < 5 and not any(v in b and b & T for b in blocks) and not h.neighbors(v) & T:
-                T.add(v)
-        attach = [v for v in h.vertices if rng.random() < 0.45]
-        if len(T) >= 2 and len(attach) >= 2:
-            out.append((Graph(list(h.vertices) + [x], h.edges() + [(x, v) for v in attach]), T, x))
+        if (inst := block_tree_pivot(rng, rng.randint(2, 8))) is not None:
+            out.append(inst)
     return out
+
+
+@st.composite
+def block_tree_pivots(draw):
+    """A `block_tree_pivot` instance of 2 to 12 blocks, drawn from one seeded generator."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while (inst := block_tree_pivot(rng, rng.randint(2, 12))) is None:
+        pass
+    return inst
 
 
 def subtree_reach(g, T, x, f, nid):
@@ -405,6 +425,115 @@ class TestBlockerStep:
             run(six_cycle(), {3, 5, 99}, 1)
 
 
+def counted_nodes(module, name):
+    """A patch of module.`name`, a forest builder, that records the node count of each forest it builds."""
+    built = []
+    make = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        f = make(*args, **kwargs)
+        built.append(len(f.sets))
+        return f
+
+    return mock.patch.object(module, name, side_effect=counted), built
+
+
+class TestAgainstTheCarryAllReference:
+    """`blocker_run` leaves out the blocks that a deleted cut vertex cuts off
+    below d; `blocker_run_reference` carries every block of a tree that
+    meets. Both must give the same result and iterations."""
+
+    def test_the_suites_match_and_the_skip_builds_fewer_nodes(self):
+        # in hand_made, the triangles 3-4-5 and 3-6-7 below the cut vertex 3
+        # both meet; the first iteration's d is the first, and its Z5 = {3}
+        # lies above d, so the second triangle must still be carried
+        edges = [(2, 3), (3, 4), (4, 5), (3, 5), (3, 6), (6, 7), (3, 7)]
+        for c, t in ((4, 8), (5, 10), (6, 12), (7, 14)):
+            edges += [(c, t), (t, t + 1), (1, t + 1)]
+        hand_made = (Graph(range(1, 16), edges), {8, 10, 12, 14}, 1)
+        patch_run, run_nodes = counted_nodes(blocker_mod, "block_cut_forest")
+        patch_ref, ref_nodes = counted_nodes(brute, "block_cut_forest")
+        with patch_run, patch_ref:
+            for g, T, x in [hand_made] + pivot_suite(80, seed=13) + block_tree_suite(80, seed=17):
+                assert blocker_run(g, T, x) == blocker_run_reference(g, T, x)
+        assert sum(run_nodes) < sum(ref_nodes)
+
+    @given(block_tree_pivots())
+    @settings(max_examples=150, deadline=None)
+    def test_block_tree_pivots_match(self, inst):
+        g, T, x = inst
+        assert blocker_run(g, T, x) == blocker_run_reference(g, T, x)
+
+
+class TestBelowDSkip:
+    """The blocks below a cut node in d's subtree whose vertex Z deletes are
+    neither assembled into the next forest nor decomposed again."""
+
+    @staticmethod
+    def cut_off(g, T, x, it):
+        """The vertices below the cut nodes in d's subtree, on the forest of
+        G - x, whose vertices iteration `it` deletes; less Z."""
+        f = block_cut_forest(g, biconnected_blocks(g, exclude=[x]))
+        d = node_of(f, it.d_label)
+        below = set()
+        for v in it.removed & f.cut_nodes.keys():
+            if d <= (c := f.cut_nodes[v]) < f.subtree_end[d]:
+                below |= f.subtree_vertices(c)
+        return below - it.removed
+
+    def spied_run(self, g, T, x):
+        """The run, the block lists of the forests it built, and the vertex
+        sets `blocks_without` decomposed."""
+        with mock.patch.object(blocker_mod, "block_cut_forest", wraps=block_cut_forest) as forests, \
+                mock.patch.object(blockcut_mod, "biconnected_blocks", wraps=biconnected_blocks) as parts:
+            run = blocker_run(g, T, x)
+        assert run == blocker_run_reference(g, T, x)
+        return run, [c.args[1] for c in forests.call_args_list], [decomposed(c) for c in parts.call_args_list]
+
+    def test_case_a_drops_the_blocks_below_d(self):
+        # the non-terminal cut vertex 3 joins the paths 3-4-5 and 3-6-7, each
+        # with one terminal and ending next to pivot 1: d is 3's cut node,
+        # four blocks hang below it, and Z = {3} cuts them all off
+        g = Graph(range(1, 8), [(2, 3), (3, 4), (4, 5), (3, 6), (6, 7), (1, 5), (1, 7)])
+        T = frozenset({4, 6})
+        run, forests, parts = self.spied_run(g, T, 1)
+        it = run.iterations[0]
+        assert (it.case, it.d_label, it.removed) == ("a", "3", {3})
+        f = block_cut_forest(g, biconnected_blocks(g, exclude=[1]))
+        assert len(f.children[f.cut_nodes[3]]) == 2
+        below = self.cut_off(g, T, 1, it)
+        assert below == {4, 5, 6, 7}
+        assert len(forests) == 2 and forests[1] == [frozenset({2})]
+        assert not [s for s in parts if s & below]
+
+    def test_case_c_drops_the_blocks_below_a_child_cut_vertex_in_z1(self):
+        # the triangle 2-3-4 routes one terminal down from each of its child
+        # cut vertices 3 and 4; Z1 cuts the Q-path 3-4 at one of them, and
+        # what hangs below that one is dropped
+        g = Graph(range(1, 9), [(2, 3), (3, 4), (2, 4), (3, 5), (5, 6), (4, 7), (7, 8), (1, 6), (1, 8)])
+        T = frozenset({5, 7})
+        run, forests, parts = self.spied_run(g, T, 1)
+        it = run.iterations[0]
+        assert (it.case, it.d_label) == ("c", "{2,3,4}")
+        assert it.z_parts[0] & {3, 4}
+        below = self.cut_off(g, T, 1, it)
+        assert below and below <= {5, 6, 7, 8}
+        assert len(forests) == 2 and not [b for b in forests[1] if b & below]
+        assert not [s for s in parts if s & below]
+
+    def test_no_later_forest_holds_a_cut_off_block_on_the_suites(self):
+        cut = 0
+        for g, T, x in pivot_suite(40, seed=19) + block_tree_suite(40, seed=23):
+            run, forests, parts = self.spied_run(g, T, x)
+            cur = g
+            for it, blocks in zip(run.iterations, forests[1:]):
+                below = self.cut_off(cur, T, x, it)
+                assert not [b for b in blocks if b & below]
+                cut += len(below)
+                cur = cur.without(it.removed)
+        assert cut > 0
+
+
 class TestBlockerContract:
     def test_trivial_instance(self):
         g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
@@ -415,7 +544,7 @@ class TestBlockerContract:
         # a step that finds nothing leaves the six-cycle's T-cycle in place
         import mwns.blocker as blocker_mod
 
-        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (None, set()))
+        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (None, set(), None))
         with pytest.raises(RuntimeError, match="not a near-separator"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -425,7 +554,7 @@ class TestBlockerContract:
         import mwns.blocker as blocker_mod
 
         empty = blocker_mod.BlockerIteration(0, "b0", "c", (), frozenset())
-        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (empty, set()))
+        monkeypatch.setattr(blocker_mod, "_read_forest", lambda g, T, x, index, f: (empty, set(), 0))
         with pytest.raises(RuntimeError, match="removes \\[\\]"):
             blocker_run(six_cycle(), {3, 5}, 1)
 
@@ -451,8 +580,8 @@ class TestBlockerContract:
             from mwns.graph import Graph
             c6 = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
             empty = b.BlockerIteration(0, "b0", "c", (), frozenset())
-            for step, message in ((lambda g, T, x, index, f: (None, set()), "not a near-separator"),
-                                  (lambda g, T, x, index, f: (empty, set()), "removes []")):
+            for step, message in ((lambda g, T, x, index, f: (None, set(), None), "not a near-separator"),
+                                  (lambda g, T, x, index, f: (empty, set(), 0), "removes []")):
                 b._read_forest = step
                 try:
                     b.blocker_run(c6, {3, 5}, 1)

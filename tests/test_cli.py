@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -45,8 +46,22 @@ class TestParsing:
         assert "line 5" in str(err.value) and "duplicate terminal 3" in str(err.value)
 
     def test_negative_budget(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="budget must be >= 0"):
             parse_instance("p mwns 2 0\nk -1\n")
+
+    @pytest.mark.parametrize("text, token", [("p mwns 1_0 1\ne 1 2\nk 1\n", "1_0"),
+                                             ("p mwns \u0663 0\nk 0\n", "\u0663"),
+                                             ("p mwns 2 0\nk +1\n", "+1"),
+                                             ("p mwns 3 1\ne 1 \uff12\nk 0\n", "\uff12"),
+                                             ("p mwns 3 0\nt 0_3\nk 0\n", "0_3")])
+    def test_integers_are_ascii_digits(self, text, token):
+        # `int` would read 1_0 as 10, the Arabic-Indic three as 3 and +1 as 1
+        with pytest.raises(ParseError, match=re.escape(f"expected an integer, got {token!r}")):
+            parse_instance(text)
+
+    def test_negative_counts_keep_their_own_message(self):
+        with pytest.raises(ParseError, match="vertex and edge counts must be >= 0"):
+            parse_instance("p mwns -3 0\nk 0\n")
 
     def test_missing_header_and_budget(self):
         with pytest.raises(ParseError):
@@ -235,6 +250,15 @@ class TestSubcommands:
         assert parse_instance(out).k <= 1
 
     @pytest.mark.parametrize("command", ["verify", "lift"])
+    def test_non_canonical_solution_vertex_is_an_error(self, tmp_path, capsys, command):
+        # `int` would read +2 as vertex 2
+        f = tmp_path / "c6.txt"
+        f.write_text(SIX_CYCLE)
+        code, out, err = run_cli([command, str(f), "--solution", "4", "+2"], capsys)
+        assert code == 2 and out == ""
+        assert "--solution: '+2' is not a vertex id" in err
+
+    @pytest.mark.parametrize("command", ["verify", "lift"])
     def test_repeated_solution_vertex_is_an_error(self, tmp_path, capsys, command):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)
@@ -243,7 +267,10 @@ class TestSubcommands:
         assert "vertex 2 is repeated in --solution" in err
 
     @pytest.mark.parametrize("text, message", [("2 2 4\n", "vertex 2 is repeated in"),
-                                               ("2 x\n", "'x' is not a vertex id")])
+                                               ("2 x\n", "'x' is not a vertex id"),
+                                               ("2 +4\n", "'+4' is not a vertex id"),
+                                               ("1_0\n", "'1_0' is not a vertex id"),
+                                               ("\u0664\n", "'\u0664' is not a vertex id")])
     def test_reduce_rejects_a_malformed_solution_file(self, tmp_path, capsys, text, message):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)

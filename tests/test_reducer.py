@@ -1315,6 +1315,9 @@ class TestLogSerialization:
         ("rr3 remove={1}", "lacks the field drop="),
         ("rr3 drop={1,,2}", "malformed field drop={1,,2}"),
         ("essential x=", "malformed field x="),
+        ("essential x=+2", "malformed field x=+2"),
+        ("rr1 t=1_0", "malformed field t=1_0"),
+        ("rr3 drop={1,\u0662}", "malformed field drop={1,\u0662}"),
         ("rr1 t=3 t=4", "token 't=4', a repeated field"),
         ("rr1 t=3 junk", "token 'junk', not a field of rr1"),
         ("rr1 t=3 extra=9", "token 'extra=9', not a field of rr1"),
