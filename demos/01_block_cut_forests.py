@@ -17,7 +17,7 @@ for nid, (vertices, cut, parent, depth) in enumerate(zip(f.sets, f.cutv, f.paren
     print(f"  node {nid}: {kind:5s} {node_label(vertices, cut):10s} "
           f"parent={'-' if parent is None else parent} depth={depth}")
 
-cut3 = f.cut_node_of(3)
+cut3 = f.cut_nodes[3]
 print("vertices below the cut vertex 3:", sorted(f.subtree_vertices(cut3)))
 
 v, left, right = separating_cut_vertex(f, (f.roots[0], cut3))

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import math
 import sys
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
@@ -227,22 +224,11 @@ class BlockCutForest:
             raise KeyError(f"unknown node id {nid}")
         return nid
 
-    def cut_node_of(self, v: int) -> int:
-        if v not in self.cut_nodes:
-            raise KeyError(f"vertex {v} is not a cut vertex")
-        return self.cut_nodes[v]
-
     def blocks_containing(self, v: int) -> list[int]:
         """Ids of the block nodes holding v, ascending: its cut node's parent and children, or its owner."""
         if (c := self.cut_nodes.get(v)) is not None:
             return [self.parent[c], *self.children[c]]
         return [self.index.owner[v]] if v in self.index.owner else []
-
-    def tree_edges(self) -> list[tuple[int, int]]:
-        return [(p, c) for c, p in enumerate(self.parent) if p is not None]
-
-    def root_of(self, nid: int) -> int:
-        return self.index.root[self._known(nid)]
 
     def tree_path(self, a: int, b: int) -> list[int]:
         """Node ids on the unique tree path from a to b, inclusive."""
@@ -301,9 +287,8 @@ def block_cut_forest(g: Graph, blocks: list[frozenset[int]] | None = None) -> Bl
     return BlockCutForest(g, blocks)
 
 
-def nested_cut_pairs(f: BlockCutForest | CutPairReader) -> list[tuple[int, int]]:
-    """Cut-vertex pairs of f, a forest or a reader of one, lying on a common
-    root-to-leaf path, ascending."""
+def nested_cut_pairs(f: BlockCutForest) -> list[tuple[int, int]]:
+    """Cut-vertex pairs of f lying on a common root-to-leaf path, ascending."""
     pairs = []
     above: list[tuple[int, int]] = []  # (depth, vertex) of the node's cut-vertex ancestors
     for v, depth in zip(f.cutv, f.depth):  # pre-order, so each pair shows up once
@@ -313,250 +298,3 @@ def nested_cut_pairs(f: BlockCutForest | CutPairReader) -> list[tuple[int, int]]
             pairs += [(min(u, v), max(u, v)) for _, u in above]
             above.append((depth, v))
     return sorted(pairs)
-
-
-class PairComponent(NamedTuple):
-    """A component D of G - {x, y} as `CutPairReader.read` gives it: its
-    least vertex, the id ranges of F's nodes whose owned vertices it holds,
-    its other vertices as sets, and whether it is `plain`: one piece missing
-    S, so that every block of G[D + x + y] and its x-y tree path are F's."""
-    least: int
-    ranges: tuple[tuple[int, int], ...]
-    sets: tuple[frozenset[int], ...]
-    plain: bool
-
-
-_UPPER = -1  # the key of the upper piece; a child block's piece is keyed by its
-# node id, and the i-th part of the middle by -2 - i
-
-
-class CutPairReader:
-    """The components of G - {x, y}, for cut vertices x and y on one
-    root-to-leaf path of the block-cut forest F of G - S, read off F (the
-    block-cut tree of Hopcroft and Tarjan 1973) instead of flooding G, with
-    the count of a marked vertex set, which only shrinks, in each of them.
-
-    By F's vertex index (`VertexIndex`) each vertex of G - S is owned by
-    one node, and node i's subtree, the id range [i, end[i]), owns a slice
-    of `verts`; `before[i]` counts the marked vertices owned below id i.
-    Of x and y, one is the ancestor a and the other the descendant b, and
-    P - {a, b}, P being their tree, falls into pieces: the subtree of each
-    child block of b; of each child block of a but Ba, the one towards b;
-    the middle, Ba's subtree less b's; and the upper part, P outside a's
-    subtree. When Ba holds b too, Ba - {a, b} may fall apart, and so the
-    middle with it. A vertex of P has neighbours only in P and S, so pieces
-    join only through the components of G - V(P) next to P, which one flood
-    per tree finds, stepping over each other tree of F whole.
-    """
-
-    def __init__(self, g: Graph, f: BlockCutForest, marked: frozenset[int]):
-        """`f` is the forest of G - S, whose arrays and index the reader shares."""
-        self.graph, self.f, self.marked = g, f, marked
-        self.sets, self.cutv, self.cut, self.end = f.sets, f.cutv, f.cut_nodes, f.subtree_end
-        self.parent, self.children, self.depth, self.roots = f.parent, f.children, f.depth, f.roots
-        self.owner, self.root, self.verts, self.start = f.index
-        # per node: the marked vertices it owns
-        self.owned_m = [len(marked.intersection(self.verts[i:j])) for i, j in itertools.pairwise(self.start)]
-        self._sum()
-        self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
-        self._around: dict[int, frozenset[int]] = {}
-
-    def _sum(self) -> None:
-        """`before`, the prefix sums of the owned marked vertices by node id;
-        and no set counted yet."""
-        self.before = [0, *itertools.accumulate(self.owned_m)]
-        self.set_m: dict[frozenset[int], int] = {}
-
-    def shrink(self, marked: frozenset[int]) -> None:
-        """Recount for `marked`, a subset of those counted so far."""
-        if len(marked) == len(self.marked):
-            return
-        for t in self.marked - marked:
-            if (nid := self.owner.get(t)) is not None:  # else t lies in S
-                self.owned_m[nid] -= 1
-        self.marked = marked
-        self._sum()
-
-    def tree_vertices(self, root: int) -> list[int]:
-        """The vertices of the tree of F at `root`."""
-        return self.verts[self.start[root]:self.start[self.end[root]]]
-
-    def around(self, root: int) -> frozenset[int]:
-        """The vertices of S next to the tree of F at `root`."""
-        if root not in self._around:
-            nbrs, owner = self.graph.neighbors, self.owner
-            near = (s for v in self.tree_vertices(root) for s in nbrs(v) if s not in owner)
-            self._around[root] = frozenset(near)
-        return self._around[root]
-
-    def _tree(self, root: int) -> tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]:
-        """The components of G - V(P) next to the tree P at `root`, each as
-        the id ranges of the other trees of F in it, its vertices in S and
-        its least vertex; and P's attachment vertices, those next to S, as
-        (owner, vertex, indices of the components next to it)."""
-        if root not in self.trees:
-            g, owner, end = self.graph, self.owner, self.end
-            comps: list[tuple] = []
-            label: dict[int, int] = {}  # vertex of S -> its component
-            attach = []
-            for v in self.tree_vertices(root):
-                out = [s for s in g.neighbors(v) if s not in owner]
-                for s in out:
-                    if s in label:
-                        continue
-                    stars, trees, todo = {s}, [], [s]
-                    while todo:
-                        for w in g.neighbors(todo.pop()):
-                            if w not in owner:
-                                if w not in stars:
-                                    stars.add(w)
-                                    todo.append(w)
-                            elif (r := self.root[owner[w]]) != root and r not in trees:
-                                trees.append(r)
-                                todo += self.around(r) - stars
-                                stars |= self.around(r)
-                    label.update(dict.fromkeys(stars, len(comps)))
-                    trees.sort()
-                    least = min([*stars] + [min(self.tree_vertices(r)) for r in trees])
-                    comps.append((tuple((r, end[r]) for r in trees), frozenset(stars), least))
-                if out:
-                    attach.append((owner[v], v, tuple(sorted({label[s] for s in out}))))
-            self.trees[root] = comps, attach
-        return self.trees[root]
-
-    def _middle(self, x: int, y: int, a: int, b: int, towards: int
-                ) -> tuple[list[tuple[tuple[tuple[int, int], ...], frozenset[int]]], dict[int, int] | None]:
-        """The parts of the middle, each as id ranges and the vertices of Ba
-        it owns, and the part of each vertex of Ba - {x, y}, or None when the
-        middle is whole: when Ba misses y, or Ba - {x, y} is connected."""
-        end, sets = self.end, self.sets
-        whole = [(((towards, b), (end[b], end[towards])), frozenset())]
-        if self.parent[b] != towards or len(sets[towards]) < 4:
-            return whole, None
-        rest = sets[towards] - {x, y}
-        part: dict[int, int] = {}
-        count = 0
-        for v in rest:  # flood Ba - {x, y}; an edge between vertices of Ba is Ba's
-            if v not in part:
-                part[v], todo = count, [v]
-                while todo:
-                    for w in self.graph.neighbors(todo.pop()):
-                        if w in rest and w not in part:
-                            part[w] = count
-                            todo.append(w)
-                count += 1
-        if count < 2:
-            return whole, None
-        parts = [((), frozenset(v for v in rest if part[v] == i and v not in self.cut))
-                 for i in range(count)]
-        for c in self.children[towards]:
-            if c != b:  # each subtree hangs off the part of its cut vertex
-                i = part[self.cutv[c]]
-                parts[i] = (parts[i][0] + ((c, end[c]),), parts[i][1])
-        return parts, part
-
-    def read(self, x: int, y: int, least_marked: int) -> list[PairComponent]:
-        """The components of G - {x, y} next to both x and y with at least
-        `least_marked` marked vertices, by least vertex."""
-        end, verts, start, kids = self.end, self.verts, self.start, self.children
-        a, b = self.cut[x], self.cut[y]
-        if self.depth[a] > self.depth[b]:
-            a, b, x, y = b, a, y, x
-        towards = kids[a][bisect.bisect_right(kids[a], b) - 1]
-        root = self.root[a]
-        comps, attach = self._tree(root)
-        middle, part = self._middle(x, y, a, b, towards)
-        # per piece an attachment vertex joins to components of G - V(P), by
-        # key: [ranges, vertices of Ba, next to a, next to b, those components]
-        joined: dict[int, list] = {}
-        near_a: tuple[int, ...] = ()
-        near_b: tuple[int, ...] = ()
-        for p, v, ids in attach:
-            if p == a:
-                near_a = ids
-                continue
-            if p == b:
-                near_b = ids
-                continue
-            if b < p < end[b]:
-                key = kids[b][bisect.bisect_right(kids[b], p) - 1]
-                piece = ((key, end[key]),), frozenset(), False, True
-            elif a < p < end[a]:
-                key = kids[a][bisect.bisect_right(kids[a], p) - 1]
-                if key != towards:
-                    piece = ((key, end[key]),), frozenset(), True, False
-                else:  # the part of v, or of the cut vertex its subtree hangs off
-                    if part is not None and p != towards:
-                        v = self.cutv[kids[towards][bisect.bisect_right(kids[towards], p) - 1]]
-                    key = -2 - (part[v] if part is not None else 0)
-                    piece = *middle[-2 - key], True, True
-            else:
-                key, piece = _UPPER, (((root, a), (end[a], end[root])), frozenset(), True, False)
-            if key in joined:
-                joined[key][4] += ids
-            else:
-                joined[key] = [*piece, ids]
-        # label[i]: the least index of the components of G - V(P) joined to the i-th
-        label = list(range(len(comps)))
-        if len(comps) > 1:
-            for *_, ids in joined.values():
-                if len(labels := {label[i] for i in ids}) > 1:
-                    label = [min(labels) if lab in labels else lab for lab in label]
-        # group label -> [ranges of pieces, of other trees, vertex sets, least
-        # vertex outside the pieces, next to a, next to b]
-        groups = {lab: [[], [], [], math.inf, False, False] for lab in label}
-        for i, lab in enumerate(label):
-            trees, stars, least = comps[i]
-            grp = groups[lab]
-            grp[1] += trees
-            grp[2].append(stars)
-            grp[3] = min(grp[3], least)
-            grp[4] |= i in near_a
-            grp[5] |= i in near_b
-        for ranges, share, to_a, to_b, ids in joined.values():
-            grp = groups[label[ids[0]]]
-            grp[0] += ranges
-            if share:
-                grp[2].append(share)
-                grp[3] = min(grp[3], min(share))
-            grp[4] |= to_a
-            grp[5] |= to_b
-        for i, (ranges, share) in enumerate(middle):  # the parts no vertex joins
-            if -2 - i not in joined:
-                groups[-2 - i] = [list(ranges), [], [share] if share else [], min(share, default=math.inf),
-                                  True, True]
-        out = []
-        for lab, (pieces, trees, sets, least, to_a, to_b) in groups.items():
-            if to_a and to_b and self.count(pieces + trees, sets) >= least_marked:
-                least = min([least] + [min(verts[start[lo]:start[hi]])
-                                       for lo, hi in pieces if start[lo] < start[hi]])
-                out.append(PairComponent(least, (*pieces, *trees), tuple(sets), lab == -2 and part is None))
-        return sorted(out) if len(out) > 1 else out
-
-    def count(self, ranges: Iterable[tuple[int, int]], sets: Iterable[frozenset[int]]) -> int:
-        """The marked vertices owned in the id `ranges` or lying in `sets`,
-        as a `PairComponent` holds them."""
-        before, counted = self.before, self.set_m
-        n = 0
-        for lo, hi in ranges:
-            n += before[hi] - before[lo]
-        for c in sets:
-            if c not in counted:
-                counted[c] = len(c & self.marked)
-            n += counted[c]
-        return n
-
-    def vertices(self, comp: PairComponent) -> frozenset[int]:
-        verts, start = self.verts, self.start
-        return frozenset().union(*comp.sets, *(verts[start[lo]:start[hi]] for lo, hi in comp.ranges))
-
-    def holds(self, comp: PairComponent, v: int) -> bool:
-        """Whether the component holds v: by the id of v's owner if it has
-        one in P, else by its sets, which miss P."""
-        p = self.owner.get(v, -1)
-        return any(lo <= p < hi for lo, hi in comp.ranges) or any(v in c for c in comp.sets)
-
-    def path_marked(self, x: int, y: int) -> list[int]:
-        """The marked vertices on the x-y path of F, strictly between x and
-        y, in order from x, once each; x and y unmarked."""
-        return self.f.path_vertices(self.cut[x], self.cut[y], self.marked)

@@ -152,7 +152,7 @@ def _routes(g: Graph, T: frozenset[int], x: int, f: BlockCutForest
 def _grandchildren(f: BlockCutForest, T: frozenset[int], reach: list[int], v: int) -> frozenset[int]:
     """The members of C(v), the grandchildren of cut vertex v, whose subtree
     reaches a neighbor of x through a terminal."""
-    grand = [c for y in f.children[f.cut_node_of(v)] for c in f.children[y]]
+    grand = [c for y in f.children[f.cut_nodes[v]] for c in f.children[y]]
     verts = frozenset(f.cutv[c] for c in grand)
     if v in T and verts & T:
         raise RuntimeError(f"terminal cut vertex {v} has terminal grandchildren {sorted(verts & T)}")

@@ -22,6 +22,6 @@ def forest_to_dot(f: BlockCutForest) -> str:
     lines = ["graph blockcut {"]
     for nid, (s, c) in enumerate(zip(f.sets, f.cutv)):
         lines.append(f'  n{nid} [shape={"box" if c is None else "circle"},label="{node_label(s, c)}"];')
-    lines += [f"  n{p} -- n{c};" for p, c in f.tree_edges()]
+    lines += [f"  n{p} -- n{c};" for c, p in enumerate(f.parent) if p is not None]
     lines.append("}")
     return "\n".join(lines) + "\n"

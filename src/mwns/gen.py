@@ -68,28 +68,25 @@ def pivot_instance(n: int, p: float, terminals: int, seed: int) -> tuple[Instanc
     rng = random.Random(seed)
     from .blockcut import biconnected_blocks
 
-    while True:
-        edges = [(u, v) for u in range(2, n + 1) for v in range(u + 1, n + 1)
-                 if rng.random() < p]
-        h = Graph(range(2, n + 1), edges)
-        blocks = biconnected_blocks(h)
-        order = list(h.vertices)
-        rng.shuffle(order)
-        T: set[int] = set()
-        for v in order:
-            if len(T) >= terminals:
-                break
-            if any(v in b and (b & T) for b in blocks):
-                continue
-            if h.neighbors(v) & T:
-                continue
-            T.add(v)
-        if len(T) < min(terminals, 1):
+    edges = [(u, v) for u in range(2, n + 1) for v in range(u + 1, n + 1)
+             if rng.random() < p]
+    h = Graph(range(2, n + 1), edges)
+    blocks = biconnected_blocks(h)
+    order = list(h.vertices)
+    rng.shuffle(order)
+    T: set[int] = set()
+    for v in order:
+        if len(T) >= terminals:
+            break
+        if any(v in b and (b & T) for b in blocks):
             continue
-        x = 1
-        attach = [v for v in h.vertices if rng.random() < 0.5]
-        if not attach:
-            attach = [order[0]]
-        g = Graph(range(1, n + 1), edges + [(x, v) for v in attach])
-        k = len([v for v in g.vertices if v not in T]) - 1
-        return Instance(g, frozenset(T), max(k, 0)), x
+        if h.neighbors(v) & T:
+            continue
+        T.add(v)
+    x = 1
+    attach = [v for v in h.vertices if rng.random() < 0.5]
+    if not attach:
+        attach = [order[0]]
+    g = Graph(range(1, n + 1), edges + [(x, v) for v in attach])
+    k = len([v for v in g.vertices if v not in T]) - 1
+    return Instance(g, frozenset(T), max(k, 0)), x

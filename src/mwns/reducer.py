@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph
-from .blockcut import (BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without,
-                       nested_cut_pairs)
+from .blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without, nested_cut_pairs
 from .core import Instance, is_mwns, nearly_separated_terminals
 from .blocker import blocker_run
 from .instance_io import parse_int
@@ -173,14 +173,44 @@ def apply_rr1(inst: Instance, blocks: list[frozenset[int]] | None = None
     return Instance(inst.graph, inst.terminals - lonely, inst.k), steps
 
 
-class _Record:
-    """RR2's and RR3's record of one G and S*, which stay fixed while T
-    shrinks (`terminals` is the last T RR2 saw); S* must lie in G.
+class PairComponent(NamedTuple):
+    """A component D of G - {x, y} as `_Record.read` gives it: its least
+    vertex, the id ranges of F's nodes whose owned vertices it holds, its
+    other vertices as sets, and whether it is `plain`: one piece missing S*,
+    so that every block of G[D + x + y] and its x-y tree path are F's."""
+    least: int
+    ranges: tuple[tuple[int, int], ...]
+    sets: tuple[frozenset[int], ...]
+    plain: bool
 
-    `forest` reads the block-cut forest of G - S*. RR3's components of
-    G - S* are its trees, by least vertex, and `pairs` lists per pair of S*
-    the indices of those next to both. If `separated`, no block of the
-    forest holds two terminals of the first T, or of any later, smaller T.
+
+_UPPER = -1  # the key of the upper piece; a child block's piece is keyed by its
+# node id, and the i-th part of the middle by -2 - i
+
+
+class _Record:
+    """RR2's and RR3's record of one G and S*, which stay fixed while T,
+    `marked`, shrinks; S* must lie in G. `f` is the block-cut forest F of
+    G - S* (the block-cut tree of Hopcroft and Tarjan 1973), built unless
+    given. RR3's components of G - S* are its trees, by least vertex, and
+    `pairs` lists per pair of S* the indices of those next to both. If
+    `separated`, no block of F holds two terminals of the first T, or of
+    any later, smaller T.
+
+    RR2 reads the components of G - {x, y}, for cut vertices x and y on one
+    root-to-leaf path of F, off F instead of flooding G, with the count of
+    T in each. By F's vertex index (`VertexIndex`) each vertex of G - S* is
+    owned by one node, and node i's subtree, the id range
+    [i, subtree_end[i]), owns a slice of `verts`; `before[i]` counts the
+    terminals owned below id i. Of x and y, one is the ancestor a and the
+    other the descendant b, and P - {a, b}, P being their tree, falls into
+    pieces: the subtree of each child block of b; of each child block of a
+    but Ba, the one towards b; the middle, Ba's subtree less b's; and the
+    upper part, P outside a's subtree. When Ba holds b too, Ba - {a, b} may
+    fall apart, and so the middle with it. A vertex of P has neighbours only
+    in P and S*, so pieces join only through the components of G - V(P) next
+    to P, which one flood per tree finds, stepping over each other tree of F
+    whole.
 
     RR2's `bound` holds, for the T of its first query with three
     terminals, the terminals of each block of G[S* + T] with two, while
@@ -191,38 +221,252 @@ class _Record:
     a block of any region holding it. A pair whose components all hold
     T-cycles is `asleep`, and `watch` wakes it when one of two terminals of
     a block with two in one of them goes (or, for a pair with a terminal,
-    that terminal): till then none can fire. `f`, if given, is the forest
-    of G - S*, which the record then does not build again."""
+    that terminal): till then none can fire."""
 
     def __init__(self, g: Graph, s_star: frozenset[int], terminals: frozenset[int],
                  f: BlockCutForest | None = None):
         if foreign := g.foreign(s_star):
             raise ValueError(f"S* vertices {foreign} are not in the graph")
-        self.graph, self.s_star, self.terminals = g, s_star, terminals
         f = block_cut_forest(g, biconnected_blocks(g, s_star)) if f is None else f
-        forest = self.forest = CutPairReader(g, f, terminals)
-        self.separated = all(len(s & terminals) < 2 for s in forest.sets)
+        self.graph, self.s_star, self.f, self.marked = g, s_star, f, terminals
+        verts = f.index.verts
+        # per node: the terminals it owns
+        self.owned_m = [len(terminals.intersection(verts[i:j])) for i, j in itertools.pairwise(f.index.start)]
+        self._sum()
+        self.trees: dict[int, tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]] = {}
+        self._around: dict[int, frozenset[int]] = {}
+        self.separated = all(len(s & terminals) < 2 for s in f.sets)
         self.bound: list[frozenset[int]] | None = None
         self.live: list[tuple[int, int]] | None = None
         self.witnesses: dict[frozenset[int], frozenset[int]] = {}
         self.asleep: set[tuple[int, int]] = set()
         self.watch: dict[int, list[tuple[int, int]]] = {}
-        self.components = [frozenset(forest.tree_vertices(r)) for r in forest.roots]
+        self.components = [frozenset(self.tree_vertices(r)) for r in f.roots]
         self.pairs: dict[tuple[int, int], list[int]] = {
             p: [] for p in itertools.combinations(sorted(s_star), 2)}
-        for i, r in enumerate(forest.roots):
-            for p in itertools.combinations(sorted(forest.around(r)), 2):
+        for i, r in enumerate(f.roots):
+            for p in itertools.combinations(sorted(self.around(r)), 2):
                 self.pairs[p].append(i)
+
+    def _sum(self) -> None:
+        """`before`, the prefix sums of the owned terminals by node id; and
+        no set counted yet."""
+        self.before = [0, *itertools.accumulate(self.owned_m)]
+        self.set_m: dict[frozenset[int], int] = {}
+
+    def shrink(self, marked: frozenset[int]) -> None:
+        """Recount for `marked`, a subset of T so far, and wake the pairs
+        asleep on a terminal now gone."""
+        if len(marked) == len(self.marked):
+            return
+        owner = self.f.index.owner
+        for t in self.marked - marked:
+            if (nid := owner.get(t)) is not None:  # else t lies in S*
+                self.owned_m[nid] -= 1
+            for pair in self.watch.pop(t, ()):
+                self.asleep.discard(pair)
+        self.marked = marked
+        self._sum()
+
+    def tree_vertices(self, root: int) -> list[int]:
+        """The vertices of the tree of F at `root`."""
+        start = self.f.index.start
+        return self.f.index.verts[start[root]:start[self.f.subtree_end[root]]]
+
+    def around(self, root: int) -> frozenset[int]:
+        """The vertices of S* next to the tree of F at `root`."""
+        if root not in self._around:
+            nbrs, owner = self.graph.neighbors, self.f.index.owner
+            near = (s for v in self.tree_vertices(root) for s in nbrs(v) if s not in owner)
+            self._around[root] = frozenset(near)
+        return self._around[root]
+
+    def _tree(self, root: int) -> tuple[list[tuple], list[tuple[int, int, tuple[int, ...]]]]:
+        """The components of G - V(P) next to the tree P at `root`, each as
+        the id ranges of the other trees of F in it, its vertices in S* and
+        its least vertex; and P's attachment vertices, those next to S*, as
+        (owner, vertex, indices of the components next to it)."""
+        if root not in self.trees:
+            g, end = self.graph, self.f.subtree_end
+            owner, roots = self.f.index.owner, self.f.index.root
+            comps: list[tuple] = []
+            label: dict[int, int] = {}  # vertex of S* -> its component
+            attach = []
+            for v in self.tree_vertices(root):
+                out = [s for s in g.neighbors(v) if s not in owner]
+                for s in out:
+                    if s in label:
+                        continue
+                    stars, trees, todo = {s}, [], [s]
+                    while todo:
+                        for w in g.neighbors(todo.pop()):
+                            if w not in owner:
+                                if w not in stars:
+                                    stars.add(w)
+                                    todo.append(w)
+                            elif (r := roots[owner[w]]) != root and r not in trees:
+                                trees.append(r)
+                                todo += self.around(r) - stars
+                                stars |= self.around(r)
+                    label.update(dict.fromkeys(stars, len(comps)))
+                    trees.sort()
+                    least = min([*stars] + [min(self.tree_vertices(r)) for r in trees])
+                    comps.append((tuple((r, end[r]) for r in trees), frozenset(stars), least))
+                if out:
+                    attach.append((owner[v], v, tuple(sorted({label[s] for s in out}))))
+            self.trees[root] = comps, attach
+        return self.trees[root]
+
+    def _middle(self, x: int, y: int, a: int, b: int, towards: int
+                ) -> tuple[list[tuple[tuple[tuple[int, int], ...], frozenset[int]]], dict[int, int] | None]:
+        """The parts of the middle, each as id ranges and the vertices of Ba
+        it owns, and the part of each vertex of Ba - {x, y}, or None when the
+        middle is whole: when Ba misses y, or Ba - {x, y} is connected."""
+        f = self.f
+        end, sets = f.subtree_end, f.sets
+        whole = [(((towards, b), (end[b], end[towards])), frozenset())]
+        if f.parent[b] != towards or len(sets[towards]) < 4:
+            return whole, None
+        rest = sets[towards] - {x, y}
+        part: dict[int, int] = {}
+        count = 0
+        for v in rest:  # flood Ba - {x, y}; an edge between vertices of Ba is Ba's
+            if v not in part:
+                part[v], todo = count, [v]
+                while todo:
+                    for w in self.graph.neighbors(todo.pop()):
+                        if w in rest and w not in part:
+                            part[w] = count
+                            todo.append(w)
+                count += 1
+        if count < 2:
+            return whole, None
+        parts = [((), frozenset(v for v in rest if part[v] == i and v not in f.cut_nodes))
+                 for i in range(count)]
+        for c in f.children[towards]:
+            if c != b:  # each subtree hangs off the part of its cut vertex
+                i = part[f.cutv[c]]
+                parts[i] = (parts[i][0] + ((c, end[c]),), parts[i][1])
+        return parts, part
+
+    def read(self, x: int, y: int, least_marked: int) -> list[PairComponent]:
+        """The components of G - {x, y} next to both x and y with at least
+        `least_marked` terminals, by least vertex."""
+        f = self.f
+        end, kids, (_, roots, verts, start) = f.subtree_end, f.children, f.index
+        a, b = f.cut_nodes[x], f.cut_nodes[y]
+        if f.depth[a] > f.depth[b]:
+            a, b, x, y = b, a, y, x
+        towards = kids[a][bisect.bisect_right(kids[a], b) - 1]
+        root = roots[a]
+        comps, attach = self._tree(root)
+        middle, part = self._middle(x, y, a, b, towards)
+        # per piece an attachment vertex joins to components of G - V(P), by
+        # key: [ranges, vertices of Ba, next to a, next to b, those components]
+        joined: dict[int, list] = {}
+        near_a: tuple[int, ...] = ()
+        near_b: tuple[int, ...] = ()
+        for p, v, ids in attach:
+            if p == a:
+                near_a = ids
+                continue
+            if p == b:
+                near_b = ids
+                continue
+            if b < p < end[b]:
+                key = kids[b][bisect.bisect_right(kids[b], p) - 1]
+                piece = ((key, end[key]),), frozenset(), False, True
+            elif a < p < end[a]:
+                key = kids[a][bisect.bisect_right(kids[a], p) - 1]
+                if key != towards:
+                    piece = ((key, end[key]),), frozenset(), True, False
+                else:  # the part of v, or of the cut vertex its subtree hangs off
+                    if part is not None and p != towards:
+                        v = f.cutv[kids[towards][bisect.bisect_right(kids[towards], p) - 1]]
+                    key = -2 - (part[v] if part is not None else 0)
+                    piece = *middle[-2 - key], True, True
+            else:
+                key, piece = _UPPER, (((root, a), (end[a], end[root])), frozenset(), True, False)
+            if key in joined:
+                joined[key][4] += ids
+            else:
+                joined[key] = [*piece, ids]
+        # label[i]: the least index of the components of G - V(P) joined to the i-th
+        label = list(range(len(comps)))
+        if len(comps) > 1:
+            for *_, ids in joined.values():
+                if len(labels := {label[i] for i in ids}) > 1:
+                    label = [min(labels) if lab in labels else lab for lab in label]
+        # group label -> [ranges of pieces, of other trees, vertex sets, least
+        # vertex outside the pieces, next to a, next to b]
+        groups = {lab: [[], [], [], math.inf, False, False] for lab in label}
+        for i, lab in enumerate(label):
+            trees, stars, least = comps[i]
+            grp = groups[lab]
+            grp[1] += trees
+            grp[2].append(stars)
+            grp[3] = min(grp[3], least)
+            grp[4] |= i in near_a
+            grp[5] |= i in near_b
+        for ranges, share, to_a, to_b, ids in joined.values():
+            grp = groups[label[ids[0]]]
+            grp[0] += ranges
+            if share:
+                grp[2].append(share)
+                grp[3] = min(grp[3], min(share))
+            grp[4] |= to_a
+            grp[5] |= to_b
+        for i, (ranges, share) in enumerate(middle):  # the parts no vertex joins
+            if -2 - i not in joined:
+                groups[-2 - i] = [list(ranges), [], [share] if share else [], min(share, default=math.inf),
+                                  True, True]
+        out = []
+        for lab, (pieces, trees, sets, least, to_a, to_b) in groups.items():
+            if to_a and to_b and self.count(pieces + trees, sets) >= least_marked:
+                least = min([least] + [min(verts[start[lo]:start[hi]])
+                                       for lo, hi in pieces if start[lo] < start[hi]])
+                out.append(PairComponent(least, (*pieces, *trees), tuple(sets), lab == -2 and part is None))
+        return sorted(out) if len(out) > 1 else out
+
+    def count(self, ranges: Iterable[tuple[int, int]], sets: Iterable[frozenset[int]]) -> int:
+        """The terminals owned in the id `ranges` or lying in `sets`, as a
+        `PairComponent` holds them."""
+        before, counted = self.before, self.set_m
+        n = 0
+        for lo, hi in ranges:
+            n += before[hi] - before[lo]
+        for c in sets:
+            if c not in counted:
+                counted[c] = len(c & self.marked)
+            n += counted[c]
+        return n
+
+    def vertices(self, comp: PairComponent) -> frozenset[int]:
+        verts, start = self.f.index.verts, self.f.index.start
+        return frozenset().union(*comp.sets, *(verts[start[lo]:start[hi]] for lo, hi in comp.ranges))
+
+    def holds(self, comp: PairComponent, v: int) -> bool:
+        """Whether the component holds v: by the id of v's owner if it has
+        one in P, else by its sets, which miss P."""
+        p = self.f.index.owner.get(v, -1)
+        return any(lo <= p < hi for lo, hi in comp.ranges) or any(v in c for c in comp.sets)
+
+    def path_marked(self, x: int, y: int) -> list[int]:
+        """The terminals on the x-y path of F, strictly between x and y, in
+        order from x, once each; x and y are no terminals."""
+        cut = self.f.cut_nodes
+        return self.f.path_vertices(cut[x], cut[y], self.marked)
 
 
 def _checked(inst: Instance, s_star: Iterable[int], record: _Record | None) -> _Record:
-    """`record` if it was built on inst's graph and S*, for T or more
-    terminals; a new record if it is None."""
+    """`record`, shrunk to T, if it was built on inst's graph and S*, for T
+    or more terminals; a new record if it is None."""
     s_star = frozenset(s_star)
     if record is None:
         return _Record(inst.graph, s_star, inst.terminals)
-    if record.graph is not inst.graph or record.s_star != s_star or not inst.terminals <= record.terminals:
+    if record.graph is not inst.graph or record.s_star != s_star or not inst.terminals <= record.marked:
         raise ValueError("the record was built on another graph or S*, or for fewer terminals")
+    record.shrink(inst.terminals)
     return record
 
 
@@ -247,19 +491,14 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
     record = _checked(inst, s_star, record)
     if len(T) < 3:
         return None  # x and y are non-terminals, so D would need three of these
-    forest, asleep, watch = record.forest, record.asleep, record.watch
-    for t in record.terminals - T:  # wake the pairs asleep on a terminal now gone
-        for pair in watch.pop(t, ()):
-            asleep.discard(pair)
-    record.terminals = T
     if record.bound is None:
         record.bound = [c for b in biconnected_blocks(g, within=record.s_star | T) if len(c := b & T) > 1]
     record.bound = [c for c in record.bound if len(c - T) < 2 and len(c & T) > 1]
     if len(T.difference(*record.bound)) < 3:
         return None
     if record.live is None:
-        record.live = nested_cut_pairs(forest)
-    forest.shrink(T)
+        record.live = nested_cut_pairs(record.f)
+    asleep, watch = record.asleep, record.watch
     witnesses = record.witnesses = {w: wt if wt <= T else wt & T
                                     for w, wt in record.witnesses.items() if len(wt & T) > 1}
     for pair in record.live:
@@ -271,16 +510,16 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
             watch.setdefault(x if x in T else y, []).append(pair)
             continue
         held: list[int] = []  # two terminals of a block with two, per D with a T-cycle
-        for d in forest.read(x, y, 3):
+        for d in record.read(x, y, 3):
             if d.plain and record.separated:  # the blocks of G[D + x + y] are the forest's
-                blocks, path = [], forest.path_marked(x, y)
+                blocks, path = [], record.path_marked(x, y)
             # a witness block missing x or y stays connected without them,
             # so it lies in D if one of its terminals does
             elif found := next((w for w, wt in witnesses.items() if (x not in w or y not in w)
-                                and forest.holds(d, next(iter(wt)))), None):
+                                and record.holds(d, next(iter(wt)))), None):
                 blocks = [found]
             else:  # D's vertices and the blocks of G[D + x + y]
-                comp = forest.vertices(d)
+                comp = record.vertices(d)
                 region = biconnected_blocks(g, within=comp | {x, y})
                 if not (blocks := [b for b in region if len(b & T) > 1]):
                     f = block_cut_forest(g, region)
@@ -291,7 +530,7 @@ def apply_rr2(inst: Instance, s_star: Iterable[int], record: _Record | None = No
                 continue  # a T-cycle, and the tree counting needs one terminal per block
             if len(path) < 2:
                 continue  # D must join x to y through two terminals; fewer as T shrinks
-            comp = forest.vertices(d)
+            comp = record.vertices(d)
             kept = (path[0], path[1])
             drop = min(t for t in comp & T if t not in kept)  # D holds three or more
             step = DropComponentTerminal(drop, x, y, comp, kept)
@@ -312,7 +551,7 @@ def mark_components(inst: Instance, s_star: Iterable[int], record: _Record | Non
     vertex of C lies on such a path iff it lies in their span in C's tree."""
     g, T, k = inst.graph, inst.terminals, inst.k
     record = _checked(inst, s_star, record)
-    comps, f = record.components, record.forest.f
+    comps, f = record.components, record.f
     marked: dict[tuple[int, int], list[frozenset[int]]] = {}
     for (x, y), candidates in record.pairs.items():
         chosen = marked[x, y] = []

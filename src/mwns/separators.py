@@ -352,7 +352,7 @@ def terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> list[int] |
         if len(block & T) > 1:  # a cut node holds one vertex
             raise MultiTerminalBlockError(f"block {sorted(block)} carries {sorted(block & T)}")
     na, nb_ = f.index.owner[a], f.index.owner[b]
-    return f.path_vertices(na, nb_, T) if f.root_of(na) == f.root_of(nb_) else None
+    return f.path_vertices(na, nb_, T) if f.index.root[na] == f.index.root[nb_] else None
 
 
 def max_terminals_on_path(g: Graph, T: Iterable[int], a: int, b: int) -> int:

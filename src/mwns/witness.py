@@ -29,7 +29,7 @@ def separating_cut_vertex(f: BlockCutForest, e: tuple[int, int]) -> tuple[int, f
         raise ValueError(f"({a},{b}) is not a tree edge")
     v = f.cutv[par] if f.cutv[child] is None else f.cutv[child]
     below = f.subtree_vertices(child)
-    above = (f.subtree_vertices(f.root_of(par)) - below) | {v}
+    above = (f.subtree_vertices(f.index.root[par]) - below) | {v}
     return (v, below, above) if f.cutv[child] is None else (v, above, below)
 
 
@@ -69,8 +69,8 @@ def threaded_path(
         raise ValueError(f"endpoints {foreign} are not in the graph")
     if not (x in f.cut_nodes and y in f.cut_nodes):
         return None
-    nx_, ny_ = f.cut_node_of(x), f.cut_node_of(y)
-    if f.root_of(nx_) != f.root_of(ny_):
+    nx_, ny_ = f.cut_nodes[x], f.cut_nodes[y]
+    if f.index.root[nx_] != f.index.root[ny_]:
         return None
     path_nodes = f.tree_path(nx_, ny_)
     picks: dict[frozenset[int], int] = {}

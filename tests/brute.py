@@ -308,14 +308,15 @@ def rr2_candidate_pairs(g: Graph, s_star) -> list[tuple[int, int]]:
     return nested_cut_pairs(block_cut_forest(g.without(s_star)))
 
 
-def path_marked_walk(reader, x: int, y: int) -> list[int]:
-    """`CutPairReader.path_marked` as a parent walk: the marked vertices of
-    the nodes strictly between the cut nodes of x and y, which lie on one
-    root-to-leaf path, walked up from the deeper one and listed from x, once
-    each."""
-    parent, marked = reader.parent, reader.marked
-    a, b = reader.cut[x], reader.cut[y]
-    flip = reader.depth[a] < reader.depth[b]
+def path_marked_walk(record, x: int, y: int) -> list[int]:
+    """`reducer._Record.path_marked` as a parent walk over the record's
+    forest f: the marked vertices of the nodes strictly between the cut
+    nodes of x and y, which lie on one root-to-leaf path, walked up from the
+    deeper one and listed from x, once each."""
+    f, marked = record.f, record.marked
+    parent = f.parent
+    a, b = f.cut_nodes[x], f.cut_nodes[y]
+    flip = f.depth[a] < f.depth[b]
     if flip:
         a, b = b, a
     on: list[int] = []
@@ -325,7 +326,7 @@ def path_marked_walk(reader, x: int, y: int) -> list[int]:
         nid = parent[nid]
     found: list[int] = []
     for nid in reversed(on) if flip else on:
-        for t in reader.sets[nid] & marked:
+        for t in f.sets[nid] & marked:
             if t not in found:
                 found.append(t)
     return found

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwns.graph import Graph, connected_components
-from mwns.blockcut import BlockCutForest, CutPairReader, biconnected_blocks, block_cut_forest, blocks_without, node_label
+from mwns.blockcut import BlockCutForest, biconnected_blocks, block_cut_forest, blocks_without, node_label
 from mwns.blocker import blocker_run
 from mwns.dot import forest_to_dot
-from mwns.reducer import reduce_terminals
+from mwns.reducer import _Record, reduce_terminals
 from mwns.witness import path_through_vertex_in_block, separating_cut_vertex, threaded_path
 
 from brute import (all_simple_paths, biconnected_blocks_edge_stack, biconnected_blocks_vertex_stack,
                    block_cut_forest_reference, chorded_block_tree, random_block_tree, random_graph)
 from test_reducer import FLOWERS
+
+
+def tree_edges(f):
+    """The (parent, child) id pairs of f."""
+    return [(p, c) for c, p in enumerate(f.parent) if p is not None]
 
 
 def two_triangles():
@@ -54,7 +59,7 @@ def test_isolated_vertex_becomes_singleton_block():
 
 def test_subtree_vertices():
     f = block_cut_forest(two_triangles())
-    cut3 = f.cut_node_of(3)
+    cut3 = f.cut_nodes[3]
     assert f.subtree_vertices(cut3) == frozenset({3, 4, 5})
     assert f.subtree_vertices(f.roots[0]) == frozenset({1, 2, 3, 4, 5})
     g = Graph(range(1, 5), [(1, 2), (2, 3), (3, 4)])
@@ -69,16 +74,13 @@ def test_subtree_vertices_unknown_node():
         f.subtree_vertices(99)
 
 
-def test_root_of_and_cut_node_of_name_what_is_not_there():
+def test_tree_queries_name_an_unknown_node_id():
     f = block_cut_forest(two_triangles())  # blocks {1,2,3} and {3,4,5}, cut vertex 3
-    assert len(f.sets) == 3 and [f.root_of(nid) for nid in range(3)] == [0, 0, 0]
+    assert len(f.sets) == 3 and f.index.root == (0, 0, 0) and f.cut_nodes == {3: 1}
     for nid in (-1, 3, 99):
-        with pytest.raises(KeyError, match=f"unknown node id {nid}"):
-            f.root_of(nid)
-    assert f.cut_node_of(3) == 1
-    for v in (1, 99):  # a vertex that is no cut vertex, and one not in the graph
-        with pytest.raises(KeyError, match=f"vertex {v} is not a cut vertex"):
-            f.cut_node_of(v)
+        for query in (lambda: f.tree_path(nid, 0), lambda: f.tree_path(0, nid), lambda: f.subtree_vertices(nid)):
+            with pytest.raises(KeyError, match=f"unknown node id {nid}"):
+                query()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -130,13 +132,13 @@ def test_node_labels_agree_across_the_node_view_the_dot_export_and_the_blocker()
 def test_separating_cut_vertex_examples():
     f = block_cut_forest(two_triangles())
     root = f.roots[0]
-    cut3 = f.cut_node_of(3)
+    cut3 = f.cut_nodes[3]
     assert separating_cut_vertex(f, (root, cut3)) == (
         3, frozenset({1, 2, 3}), frozenset({3, 4, 5}))
     g = Graph(range(1, 4), [(1, 2), (2, 3)])
     f2 = block_cut_forest(g)
     b12 = f2.sets.index(frozenset({1, 2}))
-    cut2 = f2.cut_node_of(2)
+    cut2 = f2.cut_nodes[2]
     v, y1, y2 = separating_cut_vertex(f2, (b12, cut2))
     assert (v, y1, y2) == (2, frozenset({1, 2}), frozenset({2, 3}))
 
@@ -146,7 +148,7 @@ def test_separating_cut_vertex_property_exhaustive_small():
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.25, 0.4, 0.6]))
         f = block_cut_forest(g)
-        for e in f.tree_edges():
+        for e in tree_edges(f):
             v, y1, y2 = separating_cut_vertex(f, e)
             for a in sorted(y1 - {v}):
                 for b in sorted(y2 - {v}):
@@ -433,7 +435,7 @@ def test_every_root_is_a_block():
         g = random_graph(rng, rng.randint(1, 8), 0.3)
         f = block_cut_forest(g)
         assert all(f.cutv[r] is None for r in f.roots)
-        for p, c in f.tree_edges():
+        for p, c in tree_edges(f):
             cut, block = (p, c) if f.cutv[p] is not None else (c, p)
             assert f.cutv[cut] is not None and f.cutv[block] is None  # one of each
             assert f.sets[cut] == {f.cutv[cut]} and f.cutv[cut] in f.sets[block]
@@ -461,8 +463,8 @@ def test_roots_are_smallest_blocks_in_component_order_and_ids_pre_order(n, p, se
 
 def check_index(g: Graph, f, walked=None) -> None:
     """f's vertex index against g: the owned slices partition V, each
-    vertex's owner is its cut node or its only block, `root` and root_of
-    agree with a parent walk at the nodes `walked` (all by default), and a
+    vertex's owner is its cut node or its only block, `root` agrees with
+    a parent walk at the nodes `walked` (all by default), and a
     root's subtree holds its whole component."""
     owner, root, verts, start = f.index
     assert len(start) == len(f.sets) + 1 and start[0] == 0 and start[-1] == len(verts)
@@ -474,13 +476,13 @@ def check_index(g: Graph, f, walked=None) -> None:
         for v in s:
             holders.setdefault(v, []).append(nid)
     for v in g.vertices:
-        assert owner[v] == (f.cut_node_of(v) if v in f.cut_nodes else holders[v][0])
+        assert owner[v] == (f.cut_nodes[v] if v in f.cut_nodes else holders[v][0])
         assert f.cutv[owner[v]] is not None or holders[v] == [owner[v]]
     for nid in range(len(f.sets)) if walked is None else walked:
         top = nid
         while f.parent[top] is not None:
             top = f.parent[top]
-        assert root[nid] == f.root_of(nid) == top
+        assert root[nid] == top
     comps = connected_components(g)  # by least vertex, as the trees come out
     assert [f.subtree_vertices(r) for r in f.roots] == [frozenset(c) for c in comps]
 
@@ -491,14 +493,13 @@ def test_vertex_lookups_and_subtrees_match_a_node_scan():
         g = random_graph(rng, rng.randint(1, 9), 0.3)
         f = block_cut_forest(g)
         check_index(g, f)
-        reader = CutPairReader(g, f, frozenset())
-        # one index, the forest's, which the reader reads as it is
-        shared = (reader.owner, reader.root, reader.verts, reader.start)
-        assert all(mine is its for mine, its in zip(shared, f.index, strict=True))
+        index = f.index
+        # one index, the forest's, which the reducer's record reads as it is
+        assert _Record(g, frozenset(), frozenset(), f).f is f and f.index is index
         for v in g.vertices:
             scan = [nid for nid, (s, c) in enumerate(zip(f.sets, f.cutv)) if c is None and v in s]
             assert f.blocks_containing(v) == scan
-            assert f.index.owner[v] == (f.cut_node_of(v) if v in f.cut_nodes else scan[0])
+            assert f.index.owner[v] == (f.cut_nodes[v] if v in f.cut_nodes else scan[0])
         assert f.blocks_containing(99) == [] and 99 not in f.index.owner
         for nid, s in enumerate(f.sets):  # a root first: its query fills the whole tree
             below = set(s)

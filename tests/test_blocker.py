@@ -185,7 +185,7 @@ class TestClassification:
     def test_grandchild_without_terminal(self):
         g = Graph(range(1, 8), [(7, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)])
         f, reach = routes(g, set(), 1)
-        assert reach[f.cut_node_of(4)] == 0  # grandchild 4 routes to x, but with no terminal
+        assert reach[f.cut_nodes[4]] == 0  # grandchild 4 routes to x, but with no terminal
         assert _grandchildren(f, frozenset(), reach, 3) == frozenset()
 
     def test_terminal_grandchild_of_a_terminal_raises(self):

@@ -16,7 +16,7 @@ import mwns.blockcut as blockcut_mod
 import mwns.blocker as blocker_mod
 import mwns.core as core_mod
 import mwns.reducer as reducer
-from mwns.blockcut import CutPairReader, biconnected_blocks, block_cut_forest, nested_cut_pairs
+from mwns.blockcut import biconnected_blocks, block_cut_forest, nested_cut_pairs
 from mwns.graph import Graph, connected_components
 from mwns.core import Instance, is_mwns, nearly_separated_terminals, terminals_independent
 from mwns.instance_io import format_instance, parse_instance
@@ -846,6 +846,37 @@ class TestRR2Index:
                 assert index.live == rr2_candidate_pairs(g, s_star)
             T = shared[0].terminals if shared else T - set(rng.sample(sorted(T), min(len(T), 3)))
 
+    def test_the_record_holds_one_t_across_rule_calls(self):
+        # every rule call shrinks the shared record to its T before any
+        # exit: after RR2 returns for fewer than three terminals or fewer
+        # than three free ones, after it fires or reads in vain, and after
+        # RR3's calls between, the record reads each G - {x, y} and counts
+        # its terminals as a fresh record of the current T does
+        rng = random.Random(35)
+        seen = Counter()
+        for kind in ("flower", "block tree", "random") * 20:
+            g, T, s_star = shrinking_case(rng, kind)
+            record = reducer._Record(g, s_star, T)
+            pairs = nested_cut_pairs(record.f)
+            while T:
+                for rule in (apply_rr2, apply_rr3):
+                    out = rule(Instance(g, T, 1), s_star, record)
+                    if rule is apply_rr2:
+                        seen["fired" if out else "few" if len(T) < 3
+                             else "bound" if len(T.difference(*record.bound)) < 3 else "read"] += 1
+                    fresh = reducer._Record(g, s_star, T)
+                    for x, y in pairs:
+                        comps = record.read(x, y, 1)
+                        assert comps == fresh.read(x, y, 1)
+                        assert [record.count(d.ranges, d.sets) for d in comps] == [
+                            fresh.count(d.ranges, d.sets) for d in comps]
+                    if out:
+                        T = out[0].terminals
+                        break
+                else:
+                    T = T - set(rng.sample(sorted(T), min(len(T), 3)))
+        assert min(seen[e] for e in ("fired", "few", "bound", "read")) > 0, seen
+
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]))
     def test_rr2_fires_only_on_free_terminals(self, seed, kind):
@@ -935,7 +966,7 @@ class TestRR2Index:
         inst = pendant_chain(L, terminals=3)
         index = reducer._Record(inst.graph, frozenset({1}), inst.terminals)
         assert apply_rr2(inst, {1}, index) is None
-        assert index.bound == [] and index.live == nested_cut_pairs(index.forest) and len(index.live) > L
+        assert index.bound == [] and index.live == nested_cut_pairs(index.f) and len(index.live) > L
         assert index.asleep == set(index.live) and set(index.watch) <= inst.terminals
         assert sorted(p for ps in index.watch.values() for p in ps) == sorted(index.live * 2)
 
@@ -1012,11 +1043,11 @@ class TestRR2Index:
                 inside[0] = False
 
         with mock.patch.object(Graph, "neighbors", counted), mock.patch.object(reducer, "apply_rr2", rr2), \
-                mock.patch.object(CutPairReader, "read", autospec=True, side_effect=CutPairReader.read) as reads:
+                mock.patch.object(reducer._Record, "read", autospec=True, side_effect=reducer._Record.read) as reads:
             reduce_terminals(inst, s_hat)
         index = indexes[-1]
         g, trees = index.graph, len(block_cut_forest(index.graph.without(index.s_star)).roots)
-        assert len(index.forest.trees) <= trees and len(lookups) <= (trees + 1) * g.n
+        assert len(index.trees) <= trees and len(lookups) <= (trees + 1) * g.n
         if s_hat == {1}:  # the chain's three terminals share a block of G[S* + T]: no D can fire
             assert reads.call_count == len(lookups) == 0
         else:
@@ -1028,7 +1059,7 @@ class TestRR2Index:
         # a T-cycle, and RR2 lists and reads no pair of the ~L²/2 there are
         inst = pendant_chain(400, terminals=3)
         with mock.patch.object(reducer, "nested_cut_pairs", wraps=reducer.nested_cut_pairs) as pairs, \
-                mock.patch.object(CutPairReader, "read", autospec=True, side_effect=CutPairReader.read) as reads:
+                mock.patch.object(reducer._Record, "read", autospec=True, side_effect=reducer._Record.read) as reads:
             reduced, log, feasible = reduce_terminals(inst, {1})
         assert feasible and reduced.terminals == inst.terminals and not log.steps
         assert pairs.call_count == reads.call_count == 0
@@ -1051,7 +1082,7 @@ class TestRR2Index:
 
 
 def reader_cases(seed: int, kind: str, s_kind: str):
-    """A graph, terminals and S* for the forest reader: a flower, a block
+    """A graph, terminals and S* for the record's reads: a flower, a block
     tree or a random graph, and S* empty, a few random non-terminals, or
     one vertex of each of several blocks, which touches several trees."""
     rng = random.Random(seed)
@@ -1075,9 +1106,9 @@ def reader_cases(seed: int, kind: str, s_kind: str):
     return g, T, s_star
 
 
-class TestCutPairReader:
-    """RR2's reader of the block-cut forest of G - S* against floods and
-    decompositions of G itself."""
+class TestRecordReads:
+    """The record's reads of the block-cut forest of G - S*, for RR2,
+    against floods and decompositions of G itself."""
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(st.integers(0, 10**6), st.sampled_from(["flower", "block tree", "random"]),
@@ -1090,16 +1121,16 @@ class TestCutPairReader:
     @example(seed=806, kind="random", s_kind="none")
     def test_components_verdicts_and_paths_match_g(self, seed, kind, s_kind):
         g, T, s_star = reader_cases(seed, kind, s_kind)
-        forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
+        record = reducer._Record(g, s_star, T)
         blocks = biconnected_blocks(g.without(s_star))
         pairs = rr2_candidate_pairs(g, s_star)
         rng = random.Random(seed)
         for T in (T, frozenset(t for t in T if rng.random() < 0.6)):  # and once T has shrunk
-            forest.shrink(T)
+            record.shrink(T)
             for x, y in pairs:
                 if x in T or y in T:
                     continue  # RR2 asks for no such pair
-                recs = forest.read(x, y, 3)
+                recs = record.read(x, y, 3)
                 # F's blocks give a verdict for a D that misses S*, unless D
                 # is one of the parts a block holding x and y falls into
                 shared = [b for b in blocks if x in b and y in b]
@@ -1107,11 +1138,11 @@ class TestCutPairReader:
                 want = [frozenset(c) for c in connected_components(g.without([x, y]))
                         if len(T.intersection(c)) >= 3
                         and g.neighbors(x).intersection(c) and g.neighbors(y).intersection(c)]
-                assert [forest.vertices(r) for r in recs] == want
+                assert [record.vertices(r) for r in recs] == want
                 assert [r.least for r in recs] == [min(c) for c in want]
                 for rec, comp in zip(recs, want):
-                    assert forest.count(rec.ranges, rec.sets) == len(T & comp)
-                    assert all(forest.holds(rec, v) == (v in comp) for v in g.vertices)
+                    assert record.count(rec.ranges, rec.sets) == len(T & comp)
+                    assert all(record.holds(rec, v) == (v in comp) for v in g.vertices)
                     assert rec.plain == (s_star.isdisjoint(comp) and not split)
                     if not rec.plain:
                         continue
@@ -1121,7 +1152,7 @@ class TestCutPairReader:
                     region_blocks = biconnected_blocks(region)
                     assert set(region_blocks) <= set(blocks)
                     if all(len(b & T) < 2 for b in region_blocks):
-                        assert forest.path_marked(x, y) == terminals_on_path(region, T & comp, x, y)
+                        assert record.path_marked(x, y) == terminals_on_path(region, T & comp, x, y)
 
     def test_path_marked_matches_the_parent_walk(self):
         # RR2 logs the first two vertices of path_marked as `kept=`, so its
@@ -1136,17 +1167,17 @@ class TestCutPairReader:
                   for T in (chain.terminals, chain.terminals | set(range(3, 60, 3)))]
         plain = Counter()
         for kind, g, T, s_star in cases:
-            forest = CutPairReader(g, block_cut_forest(g.without(s_star)), T)
+            record = reducer._Record(g, s_star, T)
             for marked in (T, frozenset(t for t in T if rng.random() < 0.7)):
-                forest.shrink(marked)
-                separated = all(len(s & marked) < 2 for s in forest.sets)
-                for x, y in nested_cut_pairs(forest):
+                record.shrink(marked)
+                separated = all(len(s & marked) < 2 for s in record.f.sets)
+                for x, y in nested_cut_pairs(record.f):
                     if x in marked or y in marked:
                         continue
-                    assert forest.path_marked(x, y) == path_marked_walk(forest, x, y)
-                    assert forest.path_marked(y, x) == path_marked_walk(forest, y, x)
+                    assert record.path_marked(x, y) == path_marked_walk(record, x, y)
+                    assert record.path_marked(y, x) == path_marked_walk(record, y, x)
                     # the components whose x-y path RR2 reads off the forest
-                    plain[kind] += separated and any(d.plain for d in forest.read(x, y, 3))
+                    plain[kind] += separated and any(d.plain for d in record.read(x, y, 3))
         assert plain["flower"] > 0 and plain["chain"] > 0
 
 
