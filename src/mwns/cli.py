@@ -6,18 +6,19 @@ import argparse
 import sys
 from pathlib import Path
 
-from .blockcut import block_cut_forest
-from .blocker import blocker_run
+# each command imports the layers it runs: parsing loads graph, blockcut and
+# core, and `verify`, `dot` and `gen` load no flow, blocker, reducer or search
 from .core import Instance, is_mwns, terminals_independent
-from .dot import forest_to_dot, instance_to_dot
-from .gen import from_multiway_cut, random_instance
 from .instance_io import format_instance, parse_instance, parse_int
-from .reducer import ReductionLog, lift_solution, parse_steps, reduce_terminals
-from .solver import oracle_opt_x, oracle_solve, solve
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+
+
+def integer(tok: str) -> int:
+    """`parse_int`, under the name argparse prints for a rejected option."""
+    return parse_int(tok)
 
 
 def _load(path: str) -> Instance:
@@ -48,6 +49,7 @@ def _print_result(result) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve
     result = solve(_load(args.file))
     if args.trace:
         for line in result.stats.trace:
@@ -60,12 +62,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .blocker import blocker_run
     inst = _load(args.file)
     run = blocker_run(inst.graph, inst.terminals, args.pivot)
     if args.trace and run.iterations:
         print(f"blocker x={args.pivot}", *run.trace_lines(), sep="\n", file=sys.stderr)
     print(" ".join(str(v) for v in sorted(run.result)))
     if args.ratio:
+        from .solver import oracle_opt_x
         opt = oracle_opt_x(inst.graph, inst.terminals, args.pivot)
         ratio = len(run.result) / opt if opt else (0.0 if not run.result else float("inf"))
         print(f"opt_x={opt} ratio={ratio:.3f}")
@@ -73,6 +77,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reducer import reduce_terminals
     inst = _load(args.file)
     if args.with_solution:
         s_hat = _vertex_set(Path(args.with_solution).read_text().split(), args.with_solution)
@@ -101,6 +106,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .reducer import ReductionLog, lift_solution, parse_steps
     lines = Path(args.logfile).read_text().splitlines()
     # whole first tokens: step lines such as "essential x=.." begin with "e"
     instance_lines = [l for l in lines
@@ -132,11 +138,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .solver import oracle_solve
     inst = _load(args.file)
     return _print_result(oracle_solve(inst))
 
 
 def _cmd_gen(args) -> int:
+    from .gen import from_multiway_cut, random_instance
     if args.kind == "random":
         inst = random_instance(args.n, args.p, args.terminals, args.k, args.seed,
                                independent=args.independent)
@@ -164,6 +172,8 @@ def _cmd_important(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from .blockcut import block_cut_forest
+    from .dot import forest_to_dot, instance_to_dot
     inst = _load(args.file)
     if args.bcf:
         print(forest_to_dot(block_cut_forest(inst.graph)), end="")
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="14-approximate near-separator avoiding a pivot")
     p.add_argument("file")
-    p.add_argument("--pivot", type=int, required=True)
+    p.add_argument("--pivot", type=integer, required=True)
     p.add_argument("--ratio", action="store_true", help="compare against the enumerated optimum")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(fn=_cmd_approx)
@@ -217,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate instances")
     gensub = p.add_subparsers(dest="kind", required=True)
     pr = gensub.add_parser("random")
-    pr.add_argument("--n", type=int, required=True)
+    pr.add_argument("--n", type=integer, required=True)
     pr.add_argument("--p", type=float, required=True)
-    pr.add_argument("--terminals", type=int, required=True)
-    pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--seed", type=int, required=True)
+    pr.add_argument("--terminals", type=integer, required=True)
+    pr.add_argument("--k", type=integer, required=True)
+    pr.add_argument("--seed", type=integer, required=True)
     pr.add_argument("--independent", action=argparse.BooleanOptionalAction, default=True)
     pr.set_defaults(fn=_cmd_gen)
     pm = gensub.add_parser("from-multiway-cut")
@@ -231,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("important",
                        help="debug dump: important separators pushing one terminal away")
     p.add_argument("file")
-    p.add_argument("--terminal", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--terminal", type=integer, required=True)
+    p.add_argument("--budget", type=integer, default=None,
                    help="size limit (default: instance budget + 1)")
     p.set_defaults(fn=_cmd_important)
 

@@ -7,7 +7,6 @@ from typing import Iterable
 
 from .graph import Graph, shortest_path
 from .blockcut import biconnected_blocks
-from .separators import max_vertex_flow
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,8 @@ def find_t_cycle(g: Graph, T: Iterable[int]) -> list[int] | None:
                 if rest is not None:
                     return [t1] + rest
             raise AssertionError("2-connected block lost connectivity")
+        # the flow layer loads here, its only use, so parsing an instance never does
+        from .separators import max_vertex_flow
         value, paths = max_vertex_flow(sub, {t1}, {t2})
         if value < 2:
             raise RuntimeError("2-connected block must carry two disjoint routes")

@@ -146,7 +146,7 @@ def test_no_pipeline_module_holds_an_assert_statement():
 
 
 def test_the_import_scan_sees_the_witness_module():
-    tree = ast.parse((SRC / "__init__.py").read_text())
+    tree = ast.parse("from .witness import find_separable_leaf_terminal, threaded_path")
     assert "mwns.witness" in set(imported_modules(tree))
     assert "mwns.witness" in set(imported_modules(ast.parse("from . import witness")))
 
@@ -160,13 +160,85 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_leaves_networkx_out():
+def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a new python that imports this checkout's mwns."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import mwns, sys; sys.exit('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_import_leaves_networkx_out():
+    # every public name is resolved, so every layer it lives in is loaded
+    proc = fresh_interpreter("import mwns, sys\n"
+                             "[getattr(mwns, name) for name in mwns.__all__]\n"
+                             "sys.exit('networkx' in sys.modules)")
     assert proc.returncode == 0, proc.stderr or "importing mwns loaded networkx"
+
+
+def loaded_layers(code: str) -> set[str]:
+    """The mwns modules a fresh interpreter holds after running `code`."""
+    proc = fresh_interpreter(code + "\nimport sys\n"
+                             "print(*sorted(m for m in sys.modules if m.startswith('mwns')))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_parsing_loads_only_the_parse_path():
+    assert loaded_layers("from mwns.instance_io import parse_instance") == {
+        "mwns", "mwns.graph", "mwns.blockcut", "mwns.core", "mwns.instance_io"}
+
+
+def test_the_pipeline_never_loads_the_witnesses():
+    # the runtime half of the import scan above: no import, eager or deferred, reaches them
+    layers = loaded_layers("import mwns.solver, mwns.reducer, mwns.blocker, mwns.cli")
+    assert {"mwns.solver", "mwns.reducer", "mwns.blocker", "mwns.cli"} <= layers
+    assert "mwns.witness" not in layers
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ("verify {f} --solution 4", {"separators", "blocker", "reducer", "solver"}),
+    ("dot {f} --bcf", {"separators", "blocker", "reducer", "solver"}),
+    ("gen random --n 6 --p 0.4 --terminals 2 --k 1 --seed 1",
+     {"separators", "blocker", "reducer", "solver"}),
+    ("approx {f} --pivot 4", {"reducer", "solver"}),
+])
+def test_a_command_loads_only_its_layers(tmp_path, argv, unloaded):
+    f = tmp_path / "c6.txt"
+    f.write_text("p mwns 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\nt 3\nt 5\nk 1\n")
+    layers = loaded_layers(f"from mwns.cli import main\nassert main({argv.format(f=f).split()!r}) == 0")
+    assert "mwns.cli" in layers and not layers & {f"mwns.{m}" for m in unloaded}
+
+
+class TestNamespace:
+    def test_each_name_is_its_home_modules_binding(self):
+        for name in mwns.__all__:
+            obj = getattr(mwns, name)
+            home = importlib.import_module(obj.__module__)
+            assert home.__name__.startswith("mwns.") and getattr(home, name) is obj, name
+
+    def test_dir_and_star_import_cover_all(self):
+        assert set(mwns.__all__) <= set(dir(mwns))
+        namespace = {}
+        exec("from mwns import *", namespace)
+        assert set(mwns.__all__) <= namespace.keys()
+
+    def test_an_unknown_name_is_an_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_layer"):
+            mwns.no_such_layer
+
+    def test_names_are_looked_up_at_each_access(self, monkeypatch):
+        import mwns.solver
+
+        def patched(inst):
+            return None
+
+        monkeypatch.setattr(mwns.solver, "solve", patched)
+        assert mwns.solve is patched
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        proc = fresh_interpreter("import mwns\nmwns.reducer.reduce_terminals\nmwns.gen.random_instance")
+        assert proc.returncode == 0, proc.stderr
 
 
 def outcome(call):

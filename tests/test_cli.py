@@ -171,6 +171,25 @@ class TestSubcommands:
         code, _, err = run_cli(["approx", str(f), "--pivot", "5"], capsys)
         assert code == 2 and "near-separator" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "{f}", "--pivot", " 2"], ["approx", "{f}", "--pivot", "+2"],
+        ["approx", "{f}", "--pivot", "٢"], ["important", "{f}", "--terminal", "+3"],
+        ["important", "{f}", "--terminal", "3", "--budget", "1_0"],
+        *(["gen", "random", "--n", "10", "--p", "0.3", "--terminals", "2", "--k", "1",
+           "--seed", "1", flag, value]
+          for flag, value in [("--n", "1_0"), ("--terminals", " 2"), ("--k", "+1"),
+                              ("--seed", "１")])])
+    def test_integer_options_are_ascii_digits(self, tmp_path, capsys, argv):
+        # `int` would take each value; the options read integers as instance files do
+        f = tmp_path / "c6.txt"
+        f.write_text(SIX_CYCLE)
+        argv = [tok.format(f=f) for tok in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        flag, value = argv[-2:]
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+
     def test_reduce_lift_round_trip(self, tmp_path, capsys):
         f = tmp_path / "c6.txt"
         f.write_text(SIX_CYCLE)

@@ -111,9 +111,10 @@ class TestFindTCycle:
     def test_short_flow_raises_even_without_asserts(self, monkeypatch):
         # the two-route check is a raise, not an assert, so under python -O a
         # broken flow cannot fall through to an IndexError on the second path
-        import mwns.core as core_mod
+        # find_t_cycle imports the flow at its call, so the flow layer's binding is patched
+        import mwns.separators as separators_mod
 
-        monkeypatch.setattr(core_mod, "max_vertex_flow", lambda *query: (1, [[3, 4, 5]]))
+        monkeypatch.setattr(separators_mod, "max_vertex_flow", lambda *query: (1, [[3, 4, 5]]))
         with pytest.raises(RuntimeError, match="two disjoint routes"):
             find_t_cycle(six_cycle(), {3, 5})
 
