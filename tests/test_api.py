@@ -18,6 +18,9 @@ from brute import small_instances
 SRC = Path(mwns.__file__).resolve().parent
 REPO = SRC.parents[1]
 PIPELINE = ("core", "blockcut", "separators", "blocker", "reducer", "solver", "cli")
+# a subprocess imports the mwns these tests import, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 def test_every_public_name_resolves():
@@ -153,19 +156,15 @@ def test_the_import_scan_sees_the_witness_module():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=ENV, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
 def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     """`code` run by a new python that imports this checkout's mwns."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=ENV, timeout=60)
 
 
 def test_import_leaves_networkx_out():
