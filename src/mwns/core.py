@@ -123,6 +123,11 @@ def has_two_ivd_paths(g: Graph, t1: int, t2: int) -> bool:
     return any(t1 in b and t2 in b for b in biconnected_blocks(g))
 
 
+def crowded_blocks(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> list[frozenset[int]]:
+    """The `blocks` that hold two or more terminals, in their order."""
+    return [b for b in blocks if len(b & T) >= 2]
+
+
 def crowded_kernel(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[int]:
     """The union U of the `blocks` that hold two or more terminals.
 
@@ -130,11 +135,7 @@ def crowded_kernel(blocks: Iterable[frozenset[int]], T: frozenset[int]) -> set[i
     so when `blocks` are those of G, S solves (G, T) iff S & U solves
     (G[U], T & U); T & U are the terminals that share a block with another.
     """
-    out: set[int] = set()
-    for b in blocks:
-        if len(b & T) >= 2:
-            out |= b
-    return out
+    return set().union(*crowded_blocks(blocks, T))
 
 
 def nearly_separated_terminals(g: Graph, T: Iterable[int],

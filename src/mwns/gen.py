@@ -21,6 +21,8 @@ def random_instance(n: int, p: float, terminals: int, k: int, seed: int,
     at most GRAPH_RESAMPLES graphs, and raises ValueError after that, or at
     once when fewer than 0.01 independent sets are expected in all the draws.
     """
+    if n < 0:
+        raise ValueError(f"vertex count n={n} is negative")
     if not 0 <= terminals <= n:
         raise ValueError("terminal count out of range")
     if not 0 <= p <= 1:

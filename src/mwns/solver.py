@@ -14,7 +14,7 @@ from .blocker import _recording
 from .core import (
     Instance,
     SolveResult,
-    crowded_kernel,
+    crowded_blocks,
     has_t_cycle,
     is_mwns,
     terminals_independent,
@@ -28,7 +28,9 @@ ORACLE_LIMIT = 10**7
 @dataclass
 class SearchStats:
     """What one `solve` did: counters summed over its searches, and its trace,
-    one line per search, each after the lines of its reduction's blocker runs."""
+    one line per search, each after the lines of its reduction's blocker runs.
+    A node that the failed-kernel memo or the budget-1 flow settles counts as
+    one node and one leaf, and runs no enumeration."""
     nodes: int = 0
     leaves: int = 0
     enumerations: int = 0
@@ -87,26 +89,38 @@ def oracle_opt_x(g: Graph, T, x: int) -> int:
     raise AssertionError("deleting every non-terminal always works for independent T")
 
 
-def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set[int],
+def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, blocks: list[frozenset[int]],
             reduction: str = "kernel") -> frozenset[int] | None:
     """A near-separator of (g, T) of size at most k, or None if none exists.
 
     Branches on important separators of each crowded terminal, one sharing a
     block with another terminal, taking a whole separator or all but one of
     its vertices; at most (32|T'|)^k leaves, T' the crowded terminals of g.
-    g is cut once to `kernel`, its crowded kernel K read by the caller (the
-    blocks holding two or more terminals), which keeps exactly its solutions;
-    every flow runs on one network of K. A node is its own crowded kernel U,
-    read where its parent branches: a block of a subgraph lies inside a block
-    of K, so deleting `part` from U leaves the crowded kernel of g[U - part].
-    The root is K, since each crowded block of g is 2-connected in g[K] and
-    so one of its blocks.
+    `blocks` are g's crowded blocks (those holding two or more terminals),
+    read by the caller; g is cut once to their union, the crowded kernel K,
+    which keeps exactly its solutions, and every flow runs on one network of
+    K. A node is its list of crowded blocks, read where its parent branches:
+    a block of a subgraph lies inside a block of K, so deleting `part` from
+    the node's kernel U leaves the crowded blocks of g[U - part]. The root is
+    `blocks`, since each crowded block of g is 2-connected in g[K] and so one
+    of its blocks.
+
+    Two shortcuts skip only subtrees that fail, so a YES is the set the full
+    branching finds first. A node's work depends only on its kernel and
+    budget, and a kernel that failed at budget b fails at any budget up to b:
+    a dict keeps each failed kernel's largest budget, and a node it covers is
+    a leaf. At budget 1 one flow from t1 to t2, the two smallest terminals of
+    the node's first crowded block, inside that block, comes first: three
+    internally disjoint paths leave two after any one deletion (Menger), so
+    the node is a leaf; any other value branches.
 
     Counts go into `stats`, which gains one trace line for the search, tagged
     `reduction` ("full" after `reduce_terminals`); a leaf past the bound raises.
     """
-    g, T, K = g.induced(kernel), T & kernel, frozenset(kernel)
+    K = frozenset().union(*blocks)
+    g, T = g.induced(K), T & K
     net = _SplitNet(g)
+    failed: dict[frozenset[int], int] = {}  # kernel -> the largest budget it failed at
     nodes, leaves = stats.nodes, stats.leaves
     last = leaves + leaf_bound(len(T), k)
 
@@ -116,15 +130,24 @@ def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set
             raise RuntimeError(f"search passed its leaf bound (32|T'|)^k with "
                                f"|T'| = {len(T)}, k = {k}")
 
-    def rec(kernel: frozenset[int], budget: int, depth: int) -> frozenset[int] | None:
+    def three_paths(block: frozenset[int]) -> bool:
+        t1, t2 = sorted(block & T)[:2]
+        return net.flow((t1,), (t2,), (t1, t2), K - block, stop=3) == 3
+
+    def rec(blocks: list[frozenset[int]], budget: int, depth: int) -> frozenset[int] | None:
         stats.nodes += 1
         stats.max_depth = max(stats.max_depth, depth)
         # T stays independent in every node, so a block holding two terminals
-        # has three or more vertices: the kernel is empty iff there is no T-cycle
-        if not kernel:
+        # has three or more vertices: no crowded block iff there is no T-cycle
+        if not blocks:
             leaf()
             return frozenset()
-        if budget <= 0:
+        kernel = frozenset().union(*blocks)
+        if budget <= failed.get(kernel, 0):
+            leaf()  # no budget left, or a kernel that failed with as much
+            return None
+        if budget == 1 and three_paths(blocks[0]):
+            failed[kernel] = 1
             leaf()
             return None
         gone, crowded = K - kernel, kernel & T
@@ -137,15 +160,16 @@ def _search(g: Graph, T: frozenset[int], k: int, stats: SearchStats, kernel: set
                 parts = [sep] + [sep - {v} for v in sorted(sep)] if len(sep) >= 2 else [sep]
                 for part in (p for p in parts if len(p) <= budget):
                     branched = True
-                    child = crowded_kernel(biconnected_blocks(g, gone | part), T)
-                    sol = rec(frozenset(child), budget - len(part), depth + 1)
+                    child = crowded_blocks(biconnected_blocks(g, gone | part), T)
+                    sol = rec(child, budget - len(part), depth + 1)
                     if sol is not None:
                         return part | sol
+        failed[kernel] = budget
         if not branched:
             leaf()
         return None
 
-    found = rec(K, k, 0)
+    found = rec(blocks, k, 0)
     stats.compressions += 1
     stats.trace.append(f"compress terminals={len(T)} budget={k} nodes={stats.nodes - nodes} "
                        f"leaves={stats.leaves - leaves} reduction={reduction}")
@@ -163,9 +187,9 @@ def compression_step(inst: Instance, s_big, stats: SearchStats | None = None) ->
     reduced, log, feasible = reduce_terminals(inst, s_big)
     if not feasible:
         return SolveResult.no()
-    kernel = crowded_kernel(biconnected_blocks(reduced.graph), reduced.terminals)
+    blocks = crowded_blocks(biconnected_blocks(reduced.graph), reduced.terminals)
     found = _search(reduced.graph, reduced.terminals, reduced.k,
-                    SearchStats() if stats is None else stats, kernel, "full")
+                    SearchStats() if stats is None else stats, blocks, "full")
     if found is None:
         return SolveResult.no()
     return SolveResult.yes(lift_solution(log, found))
@@ -200,14 +224,13 @@ def _decide(inst: Instance, stats: SearchStats) -> frozenset[int] | None:
     if not terminals_independent(g, T):
         return None
     # T is independent, so a block holding two terminals carries a T-cycle
-    kernel = crowded_kernel(biconnected_blocks(g), T)
-    crowded = kernel & T
-    if not crowded:
+    blocks = crowded_blocks(biconnected_blocks(g), T)
+    if not blocks:
         return frozenset()
     if k == 0:
         return None
-    if len(crowded) <= terminal_bound(k, k + 1):
-        found = _search(g, T, k, stats, kernel)
+    if len(T & set().union(*blocks)) <= terminal_bound(k, k + 1):
+        found = _search(g, T, k, stats, blocks)
         return None if found is None else minimalize(g, T, found)
 
     pool = sorted(v for v in g.vertices if v not in T)

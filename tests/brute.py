@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from mwns.blockcut import (BlockCutForest, VertexIndex, biconnected_blocks, block_cut_forest, blocks_without,
                            nested_cut_pairs)
 from mwns.blocker import BlockerIteration, BlockerRun, _read_forest
-from mwns.core import Instance, is_mwns, terminals_independent
+from mwns.core import Instance, crowded_kernel, is_mwns, terminals_independent
 from mwns.graph import Graph, connected_components, reachable
 from mwns.reducer import DropComponentTerminal, _apply_step
 from mwns.separators import INF, _SplitNet, min_cut, terminals_on_path
-from mwns.solver import oracle_solve
+from mwns.solver import oracle_opt_x, oracle_solve
 
 
 def all_simple_paths(g: Graph, a: int, b: int) -> list[list[int]]:
@@ -762,6 +762,28 @@ def small_instances(draw, max_n: int, max_k: int = 3, dense: bool = False) -> In
     return Instance.of(g, T, draw(st.integers(0, max_k)))
 
 
+def _gadget(rng, n: int, p: float) -> tuple[Graph, frozenset[int], int]:
+    """`random_graph(n, p)` with three independent terminals and an optimum
+    of at least 2, which `oracle_solve` finds: (g, terminals, optimum)."""
+    while True:
+        g = random_graph(rng, n, p)
+        ts = frozenset(rng.sample(range(1, n + 1), 3))
+        if not terminals_independent(g, ts):
+            continue
+        best = next(k for k in range(n) if oracle_solve(Instance(g, ts, k)).is_yes)
+        if best >= 2:
+            return g, ts, best
+
+
+def _shuffled(rng, edges: list[tuple[int, int]], T: set[int], nxt: int
+              ) -> tuple[Graph, frozenset[int]]:
+    """The graph on ids 1..nxt-1 with `edges` and terminals `T`, ids shuffled."""
+    ids = list(range(1, nxt))
+    rng.shuffle(ids)
+    name = dict(zip(range(1, nxt), ids))
+    return Graph(ids, [(name[u], name[v]) for u, v in edges]), frozenset(name[t] for t in T)
+
+
 def gadget_union(seed: int, parts: int, n: int, p: float) -> tuple[Graph, frozenset[int], int]:
     """An instance with a known optimum past the oracle's reach: `parts`
     gadgets, each `random_graph(n, p)` with three independent terminals and
@@ -776,13 +798,7 @@ def gadget_union(seed: int, parts: int, n: int, p: float) -> tuple[Graph, frozen
     inner: list[list[int]] = []  # the non-terminals of each gadget
     opt = 0
     while len(inner) < parts:
-        g = random_graph(rng, n, p)
-        ts = frozenset(rng.sample(range(1, n + 1), 3))
-        if not terminals_independent(g, ts):
-            continue
-        best = next(k for k in range(n) if oracle_solve(Instance(g, ts, k)).is_yes)
-        if best < 2:
-            continue
+        g, ts, best = _gadget(rng, n, p)
         off = n * len(inner)
         edges += [(u + off, v + off) for u, v in g.edges()]
         T |= {t + off for t in ts}
@@ -792,10 +808,33 @@ def gadget_union(seed: int, parts: int, n: int, p: float) -> tuple[Graph, frozen
     for a, b in itertools.pairwise(inner):
         edges += [(rng.choice(a), nxt), (nxt, nxt + 1), (nxt + 1, rng.choice(b))]
         nxt += 2
-    ids = list(range(1, nxt))
-    rng.shuffle(ids)
-    name = dict(zip(range(1, nxt), ids))
-    return Graph(ids, [(name[u], name[v]) for u, v in edges]), frozenset(name[t] for t in T), opt
+    return (*_shuffled(rng, edges, T, nxt), opt)
+
+
+def glued_union(seed: int, parts: int, n: int, p: float) -> tuple[Graph, frozenset[int], int]:
+    """An instance with a known optimum whose kernel does not fall apart:
+    `parts` gadgets drawn as in `gadget_union`, all sharing one non-terminal
+    v, taken in a crowded block of each, ids shuffled. The gadgets meet only
+    at v, so each block lies in one gadget: a solution that keeps v is one
+    per gadget avoiding v, and one that deletes v is v plus one per gadget
+    less v. Returns (G, T, opt), where opt is
+    min(sum of oracle_opt_x(G_i, T_i, v), 1 + sum of opt(G_i - v))."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    T: set[int] = set()
+    kept = deleted = 0  # the optimum keeping v; deleting it, v not counted
+    nxt = 2  # id 1 is v
+    for _ in range(parts):
+        g, ts, _ = _gadget(rng, n, p)
+        v = rng.choice(sorted(crowded_kernel(biconnected_blocks(g), ts) - ts))
+        kept += oracle_opt_x(g, ts, v)
+        rest = g.without([v])
+        deleted += next(k for k in range(n) if oracle_solve(Instance(rest, ts, k)).is_yes)
+        name = {v: 1, **{u: nxt + i for i, u in enumerate(rest.vertices)}}
+        nxt += len(rest.vertices)
+        edges += [(name[a], name[b]) for a, b in g.edges()]
+        T |= {name[t] for t in ts}
+    return (*_shuffled(rng, edges, T, nxt), min(kept, 1 + deleted))
 
 
 def random_block_tree(rng, n_blocks: int) -> tuple[Graph, int]:

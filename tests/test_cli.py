@@ -359,6 +359,14 @@ class TestSubcommands:
                               capture_output=True, text=True, timeout=60, env=ENV)
         assert proc.returncode == 2 and proc.stdout == "" and message in proc.stderr
 
+    @pytest.mark.parametrize("terminals", ["0", "2"])
+    def test_gen_random_rejects_a_negative_vertex_count(self, terminals, capsys):
+        # the message names n, not the terminal count that n < 0 also breaks
+        code, out, err = run_cli(["gen", "random", "--n", "-3", "--p", "0.3", "--terminals",
+                                  terminals, "--k", "1", "--seed", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "n=-3 is negative" in err and "terminal" not in err
+
     def test_gen_random_gives_up_on_a_near_complete_graph(self):
         # five vertices at p = 0.99 almost never leave three independent ones;
         # the resampling is bounded, so the CLI says so instead of running on

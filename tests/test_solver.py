@@ -14,7 +14,8 @@ import mwns.separators as separators
 import mwns.solver as solver_mod
 from mwns.graph import Graph
 from mwns.blockcut import biconnected_blocks
-from mwns.core import Instance, SolveResult, crowded_kernel, is_mwns, terminals_independent
+from mwns.core import (Instance, SolveResult, crowded_blocks, crowded_kernel, is_mwns,
+                       terminals_independent)
 from mwns.gen import from_multiway_cut, random_instance
 from mwns.solver import (
     compression_step,
@@ -24,13 +25,23 @@ from mwns.solver import (
 )
 from mwns.witness import pushing_lemma_witness
 
-from brute import (gadget_union, multiway_separator_brute, mwns_condition3, random_graph, search_lines,
-                   small_instances)
+from brute import (gadget_union, glued_union, multiway_separator_brute, mwns_condition3, random_graph,
+                   search_lines, small_instances)
 
 
 def six_cycle_instance(k=1):
     g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
     return Instance.of(g, {3, 5}, k)
+
+
+def cycle_chain(m: int) -> tuple[Graph, frozenset[int]]:
+    """m 8-cycles, each with two terminals at distance 3, consecutive cycles
+    joined by a bridge between non-terminals: each cycle needs its own
+    deletion, so the optimum is m."""
+    ring = [(8 * i + j, 8 * i + j % 8 + 1) for i in range(m) for j in range(1, 9)]
+    bridges = [(8 * i + 6, 8 * i + 10) for i in range(m - 1)]
+    T = frozenset(8 * i + t for i in range(m) for t in (1, 4))
+    return Graph(range(1, 8 * m + 1), ring + bridges), T
 
 
 def check_oracle_suite(seed: int = 127, count: int = 120, min_n: int = 3) -> set[str]:
@@ -87,6 +98,66 @@ class TestGadgetUnion:
         assert yes is not None and len(yes) <= opt
         assert is_mwns(g, T, yes) and mwns_condition3(g, T, yes)
         assert not solve(Instance(g, T, opt - 1)).is_yes
+
+
+class TestGluedUnion:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_meets_the_known_optimum_of_a_real_search(self, seed):
+        # four gadgets sharing one vertex, 33 vertices: each gadget's crowded
+        # blocks meet the shared one, so the kernel never falls apart
+        g, T, opt = glued_union(seed, 4, 9, 0.35)
+        assert g.n == 33 and len(T) == 12
+        yes = solve(Instance(g, T, opt)).solution
+        assert yes is not None and len(yes) <= opt
+        assert is_mwns(g, T, yes) and mwns_condition3(g, T, yes)
+        assert not solve(Instance(g, T, opt - 1)).is_yes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_glued_optimum_is_the_oracle_optimum(self, seed):
+        # two gadgets of 8 leave 9 non-terminals, in the oracle's reach
+        g, T, opt = glued_union(seed, 2, 8, 0.35)
+        assert g.n == 15
+        assert oracle_solve(Instance(g, T, opt)).is_yes
+        assert not oracle_solve(Instance(g, T, opt - 1)).is_yes
+
+
+class TestCycleChain:
+    def test_six_bridged_cycles_need_six_deletions(self):
+        # the same kernel recurs under many deletion orders: without the memo
+        # of failed kernels the NO visits 1 508 838 nodes
+        g, T = cycle_chain(6)
+        no = solve(Instance(g, T, 5))
+        assert not no.is_yes and no.stats.nodes < 20_000
+        yes = solve(Instance(g, T, 6)).solution
+        assert yes is not None and len(yes) == 6 and is_mwns(g, T, yes)
+
+
+class TestBudgetOneVerdict:
+    """A budget-1 node runs one flow before it enumerates: three internally
+    disjoint paths between two terminals of a crowded block survive any one
+    deletion as a T-cycle, so the node fails."""
+
+    def test_three_two_paths_answer_no_without_enumerating(self):
+        g = Graph(range(1, 6), [(t, v) for t in (1, 2) for v in (3, 4, 5)])
+        got = solve(Instance.of(g, {1, 2}, 1))
+        assert not got.is_yes
+        assert got.stats.enumerations == 0 and got.stats.nodes == got.stats.leaves == 1
+
+    def test_two_disjoint_paths_still_branch(self):
+        # terminals 1 and 4 of a 6-cycle: two paths, so the node enumerates
+        g = Graph(range(1, 7), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+        got = solve(Instance.of(g, {1, 4}, 1))
+        assert got.is_yes and len(got.solution) == 1 and is_mwns(g, {1, 4}, got.solution)
+        assert got.stats.enumerations >= 1
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(small_instances(max_n=10, dense=True), st.sampled_from([1, 2]))
+    def test_agrees_with_oracle_at_budgets_one_and_two(self, inst, k):
+        inst = Instance(inst.graph, inst.terminals, k)
+        got = solve(inst)
+        assert got.is_yes == oracle_solve(inst).is_yes
+        if got.is_yes:
+            assert len(got.solution) <= k and is_mwns(inst.graph, inst.terminals, got.solution)
 
 
 class TestCompressionStep:
@@ -277,7 +348,8 @@ class TestSolve:
         path = [(v, v + 1) for v in range(n, n + 2000)]
         star = [(1, v) for v in range(n + 2001, n + 2501)]
         g = Graph(range(1, n + 2501), inst.graph.edges() + path + star)
-        kernel = crowded_kernel(biconnected_blocks(g), inst.terminals)
+        blocks = crowded_blocks(biconnected_blocks(g), inst.terminals)
+        kernel = crowded_kernel(blocks, inst.terminals)
         assert 0 < len(kernel) <= n
         with mock.patch.object(separators._SplitNet, "__init__", autospec=True,
                                side_effect=separators._SplitNet.__init__) as builds:
@@ -288,7 +360,7 @@ class TestSolve:
         with mock.patch.object(Graph, "__init__", autospec=True, side_effect=Graph.__init__) as new, \
                 mock.patch.object(Graph, "induced", autospec=True, side_effect=Graph.induced) as sub:
             stats = solver_mod.SearchStats()
-            solver_mod._search(g, inst.terminals, inst.k, stats, kernel)
+            solver_mod._search(g, inst.terminals, inst.k, stats, blocks)
         assert stats.nodes > 1
         assert new.call_count == 0 and sub.call_count == 1  # the root kernel's copy only
         assert result.solution == solve(inst).solution
@@ -311,12 +383,12 @@ class TestSolve:
         nodes = 0
         for seed in range(12):
             inst = random_instance(22, .14, 5, 3, seed)
-            kernel = crowded_kernel(biconnected_blocks(inst.graph), inst.terminals)
-            if not kernel:
+            blocks = crowded_blocks(biconnected_blocks(inst.graph), inst.terminals)
+            if not blocks:
                 continue
             stats = solver_mod.SearchStats()
             with mock.patch.object(solver_mod, "biconnected_blocks", wraps=biconnected_blocks) as spy:
-                solver_mod._search(inst.graph, inst.terminals, inst.k, stats, kernel)
+                solver_mod._search(inst.graph, inst.terminals, inst.k, stats, blocks)
             assert spy.call_count == stats.nodes - 1
             nodes += stats.nodes
         assert nodes > 50
